@@ -23,8 +23,6 @@ from repro.chaos import policy_from_env
 from repro.obs import metrics
 from repro.runner import engine, registry, sweep
 from repro.store import codec
-from repro.store.journal import Journal, journal_path
-from repro.store.store import RunStore
 
 
 @pytest.fixture(autouse=True)
@@ -52,16 +50,13 @@ def _mesh_requests():
 
 
 def _sweep_points(out_dir) -> int:
-    """The sweep hot loop: execute, journal, store — per point."""
-    requests = _mesh_requests()
-    outcomes = engine.execute(requests, jobs=1)
-    writer = Journal(journal_path(out_dir))
-    writer.start("mesh-design-space", "bench")
-    store = RunStore(out_dir / "store")
-    for outcome in outcomes:
-        writer.append(outcome)
-        store.put(outcome)
-    return len(outcomes)
+    """The sweep pipeline: execute, journal, store — per point — then
+    the canonical journal rewrite and the artifacts."""
+    run = sweep.run_sweep(
+        "mesh-design-space", _mesh_requests(),
+        out_dir=out_dir, store=out_dir / "store",
+    )
+    return run.executed
 
 
 def _best_of(fn, repeats: int = 5) -> float:
@@ -97,7 +92,12 @@ def test_no_chaos_spec_means_no_chaos_machinery(monkeypatch, tmp_path):
 
 
 def test_bench_sweep_with_checksums(benchmark, tmp_path):
-    assert benchmark(lambda: _sweep_points(tmp_path)) == 4
+    # a fresh directory per round: a reused store would serve every
+    # point and time nothing but cache reads
+    rounds = iter(range(10_000))
+    assert benchmark(
+        lambda: _sweep_points(tmp_path / str(next(rounds)))
+    ) == 4
 
 
 def test_checksum_overhead_within_five_percent(monkeypatch, tmp_path):

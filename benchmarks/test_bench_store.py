@@ -5,13 +5,14 @@ it into the content-addressed store are a few JSON dumps next to a
 mesh simulation that takes orders of magnitude longer.  Two probes:
 
 * store round-trip (put + contains + get) for a real sweep outcome;
-* a sweep executed with journal+store callbacks vs the bare engine.
+* a sweep through the full pipeline (``run_sweep`` with an output
+  directory and a store) vs the bare engine.
 """
 
 import time
 
 from repro.runner import engine, registry, sweep
-from repro.store import Journal, RunStore, journal_path
+from repro.store import RunStore
 
 
 def _requests():
@@ -47,16 +48,10 @@ def test_bench_durable_sweep_overhead(benchmark, tmp_path, report):
     bare = time.perf_counter() - t0
 
     def durable(out_dir):
-        cache = RunStore(out_dir / "store")
-        writer = Journal(journal_path(out_dir))
-        writer.start("mesh-design-space")
-
-        def on_outcome(outcome):
-            writer.append(outcome)
-            if not outcome.error:
-                cache.put(outcome)
-
-        return engine.execute(requests, on_outcome=on_outcome)
+        return sweep.run_sweep(
+            "mesh-design-space", requests,
+            out_dir=out_dir, store=out_dir / "store",
+        ).outcomes
 
     counter = iter(range(10_000))
     outcomes = benchmark.pedantic(

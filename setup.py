@@ -1,11 +1,21 @@
-"""Legacy setup shim.
+"""Package metadata: the ``repro`` package under ``src/``.
 
-The canonical metadata lives in ``pyproject.toml``; this file exists so
-``pip install -e . --no-build-isolation`` works on environments whose
-setuptools predates PEP 660 editable wheels (and offline boxes without
-the ``wheel`` package).
+``pip install -e .`` installs it with its one runtime dependency,
+``networkx`` (imported by ``repro.noc.topology``).  The test suite
+additionally needs ``pytest``, ``pytest-benchmark`` and ``hypothesis``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="0.1.0",
+    description=(
+        "Reproduction of 'Serialized Asynchronous Links for NoC' "
+        "(Ogg et al., DATE 2008) and its evaluation harness"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["networkx"],
+)

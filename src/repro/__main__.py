@@ -55,6 +55,7 @@ seed kernel (:mod:`repro.noc.reference`) and emits a JSON record;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -63,17 +64,11 @@ from typing import List, Optional
 from .analysis.report import format_table
 from .obs import analyze as obs_analyze
 from .obs import metrics as obs_metrics
-from .obs import progress as obs_progress
 from .obs import telemetry as obs_telemetry
-from .runner import artifacts, engine, registry, sweep
+from .runner import engine, registry, sweep
 from . import store as run_store_pkg
 from .store import diff as store_diff
 from .store import journal as store_journal
-
-
-def _paper_ids() -> List[str]:
-    registry.load_builtin()
-    return [sc.id for sc in registry.find(tags=("paper",))]
 
 
 def _parse_tags(raw: Optional[str]) -> List[str]:
@@ -104,7 +99,7 @@ def _select(
         return selected
     if tags:
         return registry.find(tags=tags)
-    return [registry.get(i) for i in _paper_ids()]
+    return registry.find(tags=("paper",))
 
 
 # ----------------------------------------------------------------------
@@ -405,42 +400,6 @@ def _lint_preflight(args, parser, sc, fixed) -> int:
     return 0
 
 
-def _report_outcomes(outcomes, out_dir) -> int:
-    """Print rendered results, optionally write artifacts; count failures."""
-    failures = 0
-    for outcome in outcomes:
-        if outcome.error:
-            print(
-                f"scenario {outcome.request.scenario_id} raised:\n"
-                f"{outcome.error}",
-                file=sys.stderr,
-            )
-            failures += 1
-            continue
-        print(outcome.result.render())
-        print()
-        failures += len(outcome.result.failures())
-    if out_dir:
-        summary = artifacts.write_artifacts(outcomes, out_dir)
-        print(f"artifacts written to {summary.parent}")
-        doc = {
-            "command": "run",
-            "failures": failures,
-            "points": [
-                obs_telemetry.point_record(o) for o in outcomes
-            ],
-        }
-        rollup = _counter_rollup(outcomes)
-        if rollup:
-            doc["counters"] = rollup
-        if obs_metrics.REGISTRY.enabled:
-            snap = obs_metrics.REGISTRY.snapshot()
-            if snap:
-                doc["metrics"] = snap
-        obs_telemetry.write_snapshot(out_dir, doc)
-    return failures
-
-
 def _cmd_run(args, parser) -> int:
     scenarios = _select(parser, args.scenarios, _parse_tags(args.tags))
     if not scenarios:
@@ -461,7 +420,24 @@ def _cmd_run(args, parser) -> int:
         )
         return 1
     outcomes = engine.execute(requests, jobs=args.jobs)
-    failures = _report_outcomes(outcomes, args.out)
+    for outcome in outcomes:
+        if outcome.error:
+            print(
+                f"scenario {outcome.request.scenario_id} raised:\n"
+                f"{outcome.error}",
+                file=sys.stderr,
+            )
+        else:
+            print(outcome.result.render())
+            print()
+    failures = sweep.count_failures(outcomes)
+    if args.out:
+        summary = sweep.write_outputs(outcomes, args.out, {
+            "command": "run",
+            "failures": failures,
+            "points": [obs_telemetry.point_record(o) for o in outcomes],
+        })
+        print(f"artifacts written to {summary.parent}")
     for sid in skipped:
         print(f"(skipped {sid}: needs gate-level simulation, "
               f"incompatible with --fast)")
@@ -473,18 +449,11 @@ def _cmd_run(args, parser) -> int:
     return 0
 
 
-def _cmd_sweep(args, parser) -> int:
+def _sweep_grid(args, parser):
+    """The swept scenario, its grid requests and its ``--set`` pins."""
     registry.load_builtin()
-    if args.progress:
-        # --progress implies telemetry: the display and the stream feed
-        # from the same counters, and enable() exports REPRO_TELEMETRY
-        # so spawned worker processes collect too
-        obs_metrics.enable()
     try:
         sc = registry.get(args.scenario)
-    except registry.ScenarioError as exc:
-        parser.error(str(exc))
-    try:
         axes = {}
         for raw in args.param or []:
             name, _, values = raw.partition("=")
@@ -511,7 +480,16 @@ def _cmd_sweep(args, parser) -> int:
         )
     except registry.ScenarioError as exc:
         parser.error(str(exc))
+    return sc, requests, fixed
 
+
+def _cmd_sweep(args, parser) -> int:
+    if args.progress:
+        # --progress implies telemetry: the display and the stream feed
+        # from the same counters, and enable() exports REPRO_TELEMETRY
+        # so spawned worker processes collect too
+        obs_metrics.enable()
+    sc, requests, fixed = _sweep_grid(args, parser)
     if args.lint:
         code = _lint_preflight(args, parser, sc, fixed)
         if code:
@@ -524,7 +502,6 @@ def _cmd_sweep(args, parser) -> int:
         parser.error(
             "--jobs does not apply to fabric mode; use --workers N"
         )
-
     out_dir = args.out
     if args.resume:
         if out_dir and Path(out_dir) != Path(args.resume):
@@ -534,154 +511,30 @@ def _cmd_sweep(args, parser) -> int:
             )
         out_dir = args.resume
 
-    fingerprint = run_store_pkg.code_fingerprint()
-    completed = {}
-    journal_completed = frozenset()  # requests the journal already holds
-    journal_is_current = False
-    if args.resume:
-        jpath = store_journal.journal_path(out_dir)
-        if jpath.exists():
-            header = None
-            try:
-                header, past = store_journal.recover(jpath)
-            except store_journal.JournalError:
-                # a kill during Journal.start() leaves an empty or
-                # headerless file; that's still a resumable state —
-                # nothing was completed, so rerun every point
-                print(
-                    f"journal {jpath} has no usable header; "
-                    f"rerunning every point",
-                    file=sys.stderr,
-                )
-            if header is None:
-                pass
-            elif (header.get("scenario") != sc.id
-                    or header.get("fingerprint") != fingerprint):
-                print(
-                    f"journal {jpath} was written by a different "
-                    f"scenario or code version; rerunning every point",
-                    file=sys.stderr,
-                )
-            else:
-                wanted = set(requests)
-                completed = {o.request: o for o in past
-                             if o.request in wanted}
-                journal_completed = frozenset(completed)
-                journal_is_current = True
-
-    cache = (
-        run_store_pkg.RunStore(args.store, fingerprint=fingerprint)
-        if args.store else None
-    )
-    store_hits = 0
-    if cache is not None:
-        for request in requests:
-            if request not in completed:
-                hit = cache.get(request)
-                if hit is not None:
-                    completed[request] = hit
-                    store_hits += 1
-
-    remaining = [r for r in requests if r not in completed]
+    execute, fatal = functools.partial(engine.execute, jobs=args.jobs), ()
     if fabric_mode:
-        print(f"sweeping {sc.id}: {len(requests)} point(s), "
-              f"fabric workers={args.workers}")
-    else:
-        print(f"sweeping {sc.id}: {len(requests)} point(s), "
-              f"jobs={args.jobs}")
-    if completed:
-        print(f"resuming: {len(completed) - store_hits} journaled + "
-              f"{store_hits} stored point(s) reused, "
-              f"{len(remaining)} to run")
+        from .fabric import FabricError, fabric_executor
 
-    journal_writer = None
-    telemetry_writer = None
-    resumed_stream = False
-    if out_dir:
-        journal_writer = store_journal.Journal(
-            store_journal.journal_path(out_dir)
-        )
-        if not journal_is_current:
-            journal_writer.start(sc.id, fingerprint)
-        telemetry_writer = obs_telemetry.TelemetryWriter(
-            obs_telemetry.stream_path(out_dir)
-        )
-        if journal_is_current and telemetry_writer.path.exists():
-            try:
-                obs_telemetry.recover_stream(telemetry_writer.path)
-                resumed_stream = True
-            except (obs_telemetry.TelemetryError, OSError):
-                resumed_stream = False  # rewrite from scratch below
-        if not resumed_stream:
-            telemetry_writer.start(
-                sc.id, fingerprint,
-                jobs=args.jobs, total_points=len(requests),
-            )
-        # points reused from the store still belong in this sweep's
-        # journal — without them a later --resume would re-run them;
-        # the telemetry stream mirrors them (a resumed stream already
-        # holds the journaled points, so only store hits are new)
-        for request in requests:
-            outcome = completed.get(request)
-            if outcome is None:
-                continue
-            from_store = request not in journal_completed
-            if from_store:
-                journal_writer.append(outcome)
-            if from_store or not resumed_stream:
-                telemetry_writer.append_point(
-                    outcome, store_hit=from_store
-                )
-
-    progress = (
-        obs_progress.SweepProgress(len(requests))
-        if args.progress else None
-    )
-    if progress is not None:
-        for request in requests:
-            outcome = completed.get(request)
-            if outcome is not None:
-                progress.point_done(ok=outcome.ok, cached=True)
-
-    def on_outcome(outcome):
-        # journal/store immediately so a killed sweep loses nothing done
-        if journal_writer is not None:
-            journal_writer.append(outcome)
-        if telemetry_writer is not None:
-            telemetry_writer.append_point(outcome)
-        if cache is not None and not outcome.error:
-            cache.put(outcome)
-        if progress is not None:
-            progress.point_done(ok=outcome.ok)
-
-    fabric_note = None
+        execute, fatal = fabric_executor(
+            args.fabric, sc.id, workers=args.workers,
+            lease_ttl=args.lease_ttl, timeout=args.fabric_timeout,
+            point_timeout=args.point_timeout,
+            quarantine_after=args.quarantine_after,
+        ), FabricError
+    width = (f"fabric workers={args.workers}" if fabric_mode
+             else f"jobs={args.jobs}")
+    print(f"sweeping {sc.id}: {len(requests)} point(s), {width}")
     try:
-        if fabric_mode:
-            executed, fabric_note = _run_fabric(args, parser, sc,
-                                                remaining, on_outcome)
-        else:
-            executed = engine.execute(
-                remaining, jobs=args.jobs, on_outcome=on_outcome
-            )
-    finally:
-        if progress is not None:
-            progress.close()
-    if fabric_note:
-        print(fabric_note)
-    by_request = dict(completed)
-    by_request.update({o.request: o for o in executed})
-    outcomes = [by_request[request] for request in requests]
-
-    if journal_writer is not None:
-        # outcomes were journaled in completion order (--jobs N and
-        # fabric workers publish as they finish); normalize the
-        # finished journal to canonical grid order so the file is
-        # byte-identical to a serial run's
-        journal_writer.rewrite(sc.id, outcomes, fingerprint)
+        run = sweep.run_sweep(
+            sc.id, requests, execute, out_dir=out_dir, store=args.store,
+            resume=bool(args.resume), jobs=args.workers or args.jobs,
+            progress=args.progress,
+        )
+    except fatal as exc:
+        parser.error(str(exc))
 
     rows = []
-    failures = 0
-    for outcome in outcomes:
+    for outcome in run.outcomes:
         params = ", ".join(
             f"{k}={v}" for k, v in outcome.request.params
         ) or "-"
@@ -691,10 +544,8 @@ def _cmd_sweep(args, parser) -> int:
                 f"scenario point ({params}) raised:\n{outcome.error}",
                 file=sys.stderr,
             )
-            failures += 1
             continue
         bad = len(outcome.result.failures())
-        failures += bad
         rows.append([
             outcome.request.scenario_id,
             params,
@@ -705,69 +556,13 @@ def _cmd_sweep(args, parser) -> int:
         rows,
         title=f"sweep of {sc.id}",
     ))
-    if out_dir:
-        summary = artifacts.write_artifacts(outcomes, out_dir)
-        print(f"artifacts written to {summary.parent}")
-    if telemetry_writer is not None:
-        rollup = _counter_rollup(outcomes)
-        summary_rec = {
-            "points": len(requests),
-            "executed": len(remaining),
-            "reused": len(requests) - len(remaining),
-            "store_hits": store_hits,
-            "failures": failures,
-            "jobs": args.jobs,
-        }
-        if rollup:
-            summary_rec["counters"] = rollup
-        telemetry_writer.finish(summary_rec)
-        doc = {"command": "sweep", "scenario": sc.id}
-        doc.update(summary_rec)
-        if obs_metrics.REGISTRY.enabled:
-            snap = obs_metrics.REGISTRY.snapshot()
-            if snap:
-                doc["metrics"] = snap
-        obs_telemetry.write_snapshot(out_dir, doc)
-    if failures:
-        print(f"{failures} check(s)/point(s) FAILED", file=sys.stderr)
+    if run.summary_path is not None:
+        print(f"artifacts written to {run.summary_path.parent}")
+    if run.failures:
+        print(f"{run.failures} check(s)/point(s) FAILED", file=sys.stderr)
         return 1
     print("all sweep points passed their checks")
     return 0
-
-
-def _run_fabric(args, parser, sc, remaining, on_outcome):
-    """Execute the sweep's remaining points through the fabric.
-
-    ``--fabric DIR`` names the shared directory (external workers may
-    attach); with only ``--workers N`` a private temporary directory
-    is used and cleaned up afterwards.  Returns ``(outcomes, note)``.
-    """
-    import tempfile
-
-    from .fabric import FabricError, run_fabric_sweep
-
-    tmp_ctx = None
-    fabric_dir = args.fabric
-    if fabric_dir is None:
-        tmp_ctx = tempfile.TemporaryDirectory(prefix="repro-fabric-")
-        fabric_dir = tmp_ctx.name
-    try:
-        result = run_fabric_sweep(
-            fabric_dir, sc.id, remaining,
-            workers=args.workers,
-            store=args.store,
-            lease_ttl=args.lease_ttl,
-            on_outcome=on_outcome,
-            timeout=args.fabric_timeout,
-            point_timeout=args.point_timeout,
-            quarantine_after=args.quarantine_after,
-        )
-    except FabricError as exc:
-        parser.error(str(exc))
-    finally:
-        if tmp_ctx is not None:
-            tmp_ctx.cleanup()
-    return result.outcomes, result.summary()
 
 
 def _cmd_worker(args, parser) -> int:
@@ -824,20 +619,6 @@ def _cmd_fsck(args, parser) -> int:
     else:
         print(report.render())
     return 0 if report.ok else 1
-
-
-def _counter_rollup(outcomes) -> dict:
-    """Sum the ``counter:`` metric deltas carried by outcomes.
-
-    With ``--jobs N`` the kernels count in worker processes, so the
-    parent registry stays empty — the per-outcome deltas are the one
-    place the totals survive, whatever the execution mode."""
-    rollup: dict = {}
-    for outcome in outcomes:
-        for key, value in (outcome.metrics or {}).items():
-            if key.startswith("counter:"):
-                rollup[key] = rollup.get(key, 0) + value
-    return dict(sorted(rollup.items()))
 
 
 def _cmd_bench(args, parser) -> int:
@@ -1584,10 +1365,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "fsck":
         return _cmd_fsck(args, parser)
     return _cmd_sweep(args, parser)
-
-
-#: paper-artifact ids, derived from the registry (back-compat re-export)
-EXPERIMENT_IDS = tuple(_paper_ids())
 
 
 if __name__ == "__main__":

@@ -3,9 +3,8 @@
 The sweep engine's ``--jobs N`` ceiling is one ``multiprocessing.Pool``
 on one host.  This package graduates it to a small work-leasing
 service built entirely from seams that already existed — picklable
-:class:`~repro.runner.engine.RunRequest` values, the content-addressed
-:class:`~repro.store.RunStore`, and the append-only journal with
-torn-tail recovery:
+:class:`~repro.runner.engine.RunRequest` values and the append-only
+journal with torn-tail recovery:
 
 * :mod:`repro.fabric.dispatch` — capacity-limited deferred dispatch
   (the ``cs/later.py`` pattern): submit work, at most ``capacity``
@@ -41,7 +40,8 @@ from .transport import (
     worker_identity,
 )
 from .worker import WorkerStats, run_worker
-from .coordinator import FabricSweep, plan_fabric, run_fabric_sweep
+from .coordinator import (FabricSweep, fabric_executor, plan_fabric,
+                          run_fabric_sweep)
 
 __all__ = [
     "CapacityDispatcher",
@@ -52,6 +52,7 @@ __all__ = [
     "LeaseRecord",
     "Transport",
     "WorkerStats",
+    "fabric_executor",
     "plan_fabric",
     "run_fabric_sweep",
     "run_worker",

@@ -20,8 +20,8 @@ dispatcher that restarts dead workers, then sits in a monitor loop:
 
 When every grid point has a published result, the outcomes are
 reassembled in request order and handed back; the caller (the sweep
-CLI) journals and writes artifacts through the same code path a local
-run uses, so the finished artifact tree is byte-identical to
+pipeline) journals and writes artifacts through the same code path a
+local run uses, so the finished artifact tree is byte-identical to
 ``repro sweep --jobs 1``.
 """
 
@@ -30,6 +30,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -82,7 +83,6 @@ def plan_fabric(
     transport: Transport,
     scenario_id: str,
     requests: Sequence[RunRequest],
-    store: Optional[Union[str, Path]] = None,
     fingerprint: str = "",
 ) -> Dict[str, object]:
     """Seed (or validate and reuse) the fabric plan.
@@ -92,7 +92,8 @@ def plan_fabric(
     A fabric directory that already holds a plan must hold *this*
     plan — same scenario, fingerprint, and requests — which makes
     re-running a coordinator against a half-finished directory a
-    resume, not a corruption.
+    resume, not a corruption.  An existing plan's other fields are
+    ignored, so a plan that still names a run store loads as well.
     """
     requests = list(requests)
     fingerprint = fingerprint or code_fingerprint()
@@ -108,7 +109,6 @@ def plan_fabric(
         "version": 1,
         "scenario": scenario_id,
         "fingerprint": fingerprint,
-        "store": str(Path(store).resolve()) if store else None,
         "requests": encode_requests(requests),
         "items": items,
     }
@@ -251,11 +251,10 @@ def _salvage(
 
 
 def run_fabric_sweep(
-    fabric: Union[str, Path, Transport],
+    fabric: Union[str, Path, Transport, None],
     scenario_id: str,
     requests: Sequence[RunRequest],
     workers: int = 0,
-    store: Optional[Union[str, Path]] = None,
     lease_ttl: float = 20.0,
     poll_s: float = 0.25,
     on_outcome: Optional[Callable[[RunOutcome], None]] = None,
@@ -272,8 +271,10 @@ def run_fabric_sweep(
     (restarted on death up to ``max_restarts`` times each); with
     ``workers == 0`` the coordinator only plans and monitors, and
     externally attached workers — other hosts on a shared mount —
-    do the executing.  ``spawn`` overrides how a worker subprocess is
-    launched (tests use it to inject crashing workers).
+    do the executing.  ``fabric=None`` runs the spawned workers over a
+    private temporary directory, removed afterwards.  ``spawn``
+    overrides how a worker subprocess is launched (tests use it to
+    inject crashing workers).
     ``point_timeout``/``quarantine_after`` are forwarded to spawned
     workers; ``retry`` is the coordinator's own
     :class:`~repro.chaos.retry.RetryPolicy` for transient transport
@@ -281,6 +282,17 @@ def run_fabric_sweep(
     """
     from ..chaos.retry import RetryPolicy
 
+    if fabric is None:
+        if workers < 1:
+            raise FabricError("a private fabric needs spawned workers")
+        with tempfile.TemporaryDirectory(prefix="repro-fabric-") as tmp:
+            return run_fabric_sweep(
+                tmp, scenario_id, requests, workers=workers,
+                lease_ttl=lease_ttl, poll_s=poll_s, on_outcome=on_outcome,
+                timeout=timeout, max_restarts=max_restarts, spawn=spawn,
+                point_timeout=point_timeout,
+                quarantine_after=quarantine_after, retry=retry,
+            )
     retry_policy = retry if retry is not None else RetryPolicy()
     if isinstance(fabric, Transport):
         transport = fabric
@@ -295,8 +307,7 @@ def run_fabric_sweep(
     if not requests:
         return sweep
     retry_policy.call(
-        plan_fabric, transport, scenario_id, requests, store=store,
-        key="plan",
+        plan_fabric, transport, scenario_id, requests, key="plan",
     )
     key_to_index = {
         request_key(request): i for i, request in enumerate(requests)
@@ -425,3 +436,17 @@ def run_fabric_sweep(
 
     sweep.outcomes = [by_index[i] for i in range(total)]
     return sweep
+
+
+def fabric_executor(fabric: Union[str, Path, None], scenario_id: str,
+                    **options) -> Callable[..., List[RunOutcome]]:
+    """:func:`run_fabric_sweep` with ``options`` as a ``run_sweep``
+    executor; it also prints the fabric's one-line summary."""
+
+    def execute(requests, on_outcome=None) -> List[RunOutcome]:
+        result = run_fabric_sweep(fabric, scenario_id, requests,
+                                  on_outcome=on_outcome, **options)
+        print(result.summary())
+        return result.outcomes
+
+    return execute

@@ -8,9 +8,9 @@ backend's lane packing exactly as ``--jobs 1`` would — while a
 background thread renews the lease so a *live* worker never loses it.
 Every outcome is appended to the worker's own journal segment (durable
 before publication: a worker killed between append and publish leaves
-a salvageable record), streamed to the worker's telemetry segment,
-published into the shared results, and written to the content-addressed
-run store when one is configured.
+a salvageable record), streamed to the worker's telemetry segment, and
+published into the shared results; the coordinator's sweep pipeline
+is the one writer of the run store.
 
 Publication is idempotent, so a worker that takes over an expired
 lease and re-executes a point another worker already half-finished is
@@ -51,7 +51,7 @@ from ..runner import engine, registry
 from ..store import codec
 from ..store import journal as journal_mod
 from ..store.journal import Journal
-from ..store.store import RunStore, code_fingerprint, request_key
+from ..store.store import code_fingerprint, request_key
 from ..obs.metrics import REGISTRY
 from ..obs.telemetry import TelemetryWriter
 from .transport import (
@@ -250,7 +250,6 @@ def run_worker(
     plan_timeout: float = 60.0,
     once: bool = False,
     max_items: Optional[int] = None,
-    store: Optional[RunStore] = None,
     point_timeout: Optional[float] = None,
     quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
     chaos: Optional[object] = None,
@@ -323,9 +322,6 @@ def run_worker(
     stats.scenario = scenario_id
     requests = decode_requests(plan)
     items: List[dict] = list(plan["items"])
-    run_store = store
-    if run_store is None and plan.get("store"):
-        run_store = RunStore(plan["store"])
 
     journal, telemetry = _open_segments(
         transport, wid, scenario_id, fingerprint
@@ -461,8 +457,6 @@ def run_worker(
                     progressed = True
                     continue
                 for idx, outcome in zip(item["indices"], outcomes):
-                    if not outcome.error and run_store is not None:
-                        run_store.put(outcome)
                     try:
                         fresh = retry_policy.call(
                             bus.publish_result, idx,

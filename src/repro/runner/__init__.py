@@ -9,7 +9,8 @@ stable id with a typed parameter spec and tags.  The pieces:
   lookup (`scenario`, `get`, `find`, `load_builtin`);
 * :mod:`~repro.runner.engine` — serial and ``multiprocessing``
   execution with per-scenario isolation and deterministic ordering;
-* :mod:`~repro.runner.sweep` — cartesian parameter-grid expansion;
+* :mod:`~repro.runner.sweep` — cartesian parameter-grid expansion and
+  ``run_sweep``, the one sweep pipeline (reuse, execute, persist);
 * :mod:`~repro.runner.artifacts` — CSV + JSON artifact output.
 
 The CLI (``python -m repro``) is a thin shell over this package, and

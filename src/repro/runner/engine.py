@@ -166,7 +166,6 @@ def _execute_batch(requests: Sequence[RunRequest]) -> list[RunOutcome]:
 
 #: one unit of pool work: a solo request or a packed group
 WorkItem = Tuple[str, object]
-_WorkItem = WorkItem
 
 
 def execute_item(item: WorkItem) -> list[RunOutcome]:
@@ -180,9 +179,6 @@ def execute_item(item: WorkItem) -> list[RunOutcome]:
     if kind == "one":
         return [_execute_one(payload)]
     return _execute_batch(payload)
-
-
-_execute_item = execute_item
 
 
 def failed_outcomes(requests: Sequence[RunRequest],
@@ -216,7 +212,7 @@ def plan_items(requests: Sequence[RunRequest]) -> list[WorkItem]:
     outcome streaming strictly in request order — a group completes as
     a block exactly where its members sat in the sequence.
     """
-    items: list[_WorkItem] = []
+    items: list[WorkItem] = []
     i = 0
     while i < len(requests):
         request = requests[i]
@@ -242,9 +238,6 @@ def plan_items(requests: Sequence[RunRequest]) -> list[WorkItem]:
             items.append(("one", request))
         i = j
     return items
-
-
-_plan = plan_items
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:

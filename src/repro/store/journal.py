@@ -61,6 +61,16 @@ def _entry_line(outcome: RunOutcome) -> str:
     return json.dumps(codec.attach_hash(entry), sort_keys=True) + "\n"
 
 
+def _header_line(scenario_id: str, fingerprint: str) -> str:
+    header = {
+        "kind": "header",
+        "version": JOURNAL_VERSION,
+        "scenario": scenario_id,
+        "fingerprint": fingerprint or code_fingerprint(),
+    }
+    return json.dumps(header, sort_keys=True) + "\n"
+
+
 class Journal:
     """Writer side: header once, then one flushed line per outcome."""
 
@@ -70,15 +80,8 @@ class Journal:
     def start(self, scenario_id: str, fingerprint: str = "") -> None:
         """(Re)create the journal with a fresh header line."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        header = {
-            "kind": "header",
-            "version": JOURNAL_VERSION,
-            "scenario": scenario_id,
-            "fingerprint": fingerprint or code_fingerprint(),
-        }
-        self.path.write_text(
-            json.dumps(header, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        self.path.write_text(_header_line(scenario_id, fingerprint),
+                             encoding="utf-8")
 
     def append(self, outcome: RunOutcome) -> None:
         """Durably record one completed point (open-write-close)."""
@@ -98,13 +101,7 @@ class Journal:
         A crash mid-rewrite leaves the old journal intact, and the old
         journal already contains every outcome, so resume still works.
         """
-        header = {
-            "kind": "header",
-            "version": JOURNAL_VERSION,
-            "scenario": scenario_id,
-            "fingerprint": fingerprint or code_fingerprint(),
-        }
-        lines = [json.dumps(header, sort_keys=True) + "\n"]
+        lines = [_header_line(scenario_id, fingerprint)]
         lines.extend(_entry_line(outcome) for outcome in outcomes)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")

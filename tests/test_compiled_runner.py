@@ -33,19 +33,19 @@ def _solo(requests):
 
 class TestPlanning:
     def test_contiguous_seed_sweep_packs_into_one_group(self):
-        items = engine._plan(_requests(range(1, 7)))
+        items = engine.plan_items(_requests(range(1, 7)))
         assert [kind for kind, _ in items] == ["batch"]
         assert len(items[0][1]) == 6
 
     def test_groups_split_where_other_params_change(self):
         requests = (_requests([1, 2]) + _requests([1, 2], kind="i1")
                     + _requests([3]))
-        items = engine._plan(requests)
+        items = engine.plan_items(requests)
         assert [kind for kind, _ in items] == ["batch", "batch", "one"]
 
     def test_group_size_capped_at_batch_lanes(self):
         cap = registry.get(SCENARIO).batch_lanes
-        items = engine._plan(_requests(range(1, cap + 4)))
+        items = engine.plan_items(_requests(range(1, cap + 4)))
         assert [kind for kind, _ in items] == ["batch", "batch"]
         assert len(items[0][1]) == cap
         assert len(items[1][1]) == 3
@@ -55,7 +55,7 @@ class TestPlanning:
             engine.RunRequest.create("fig12", fast=True)
             for _ in range(3)
         ]
-        assert [k for k, _ in engine._plan(requests)] == ["one"] * 3
+        assert [k for k, _ in engine.plan_items(requests)] == ["one"] * 3
 
 
 class TestBatchedOutcomes:
