@@ -1,4 +1,4 @@
-"""Bench-harness tests for the compiled suite and the schema-3 reader.
+"""Bench-harness tests for the compiled suite and the baseline reader.
 
 Tiny workloads (milliseconds) exercise the timing/cross-check plumbing;
 the schema tests pin backward compatibility: a schema-2 baseline file
@@ -8,66 +8,66 @@ silently half-checked.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench import (
     SCHEMA,
-    CompiledBenchPoint,
-    check_against_baseline,
-    default_compiled_points,
+    Point,
+    default_points,
+    gate,
     load_baseline,
     run_bench,
-    run_compiled_point,
+    run_point,
 )
 
-TINY_BATCH = CompiledBenchPoint("fault-batch", 2)
-TINY_RING = CompiledBenchPoint("ringosc", 64)
+TINY_BATCH = Point("compiled", "fault-batch", 2)
+TINY_RING = Point("compiled", "ringosc", 64)
+
+
+def compiled_keys(**options):
+    return [p.key for p in default_points(**options)
+            if p.suite == "compiled"]
 
 
 class TestCompiledPoints:
     def test_fault_batch_reports_lanes_and_matching_stats(self):
-        outcome = run_compiled_point(TINY_BATCH, repeats=1)
-        assert outcome.lanes == 64
-        assert outcome.stats_match is True
-        assert outcome.speedup is not None and outcome.speedup > 0
-        assert outcome.optimized_lps > 0
-        record = outcome.to_json()
+        record = run_point(TINY_BATCH, repeats=1)
+        assert record["lanes"] == 64
+        assert record["stats_match"] is True
+        assert record["speedup"] is not None and record["speedup"] > 0
+        assert record["rate"] > 0
+        assert record["unit"] == "lane-steps/sec"
         assert record["suite"] == "compiled"
         assert record["key"] == "compiled/fault-batch@2"
         assert record["cycles"] == 2
 
     def test_ringosc_is_single_lane(self):
-        outcome = run_compiled_point(TINY_RING, repeats=1)
-        assert outcome.lanes == 1
-        assert outcome.stats_match is True
-        assert outcome.speedup is not None
+        record = run_point(TINY_RING, repeats=1)
+        assert record["lanes"] == 1
+        assert record["stats_match"] is True
+        assert record["speedup"] is not None
 
     def test_reference_skippable(self):
-        outcome = run_compiled_point(TINY_RING, reference=False,
-                                     repeats=1)
-        assert outcome.reference_wall_s is None
-        assert outcome.speedup is None
-        assert outcome.stats_match is None
+        record = run_point(TINY_RING, reference=False, repeats=1)
+        assert record["reference_wall_s"] is None
+        assert record["speedup"] is None
+        assert record["stats_match"] is None
 
     def test_default_points_cover_the_acceptance_gates(self):
-        keys = [p.key for p in default_compiled_points()]
-        assert keys == ["compiled/fault-batch@12",
-                        "compiled/ringosc@20000"]
-        fast = [p.key for p in default_compiled_points(scale=0.5)]
-        assert fast == ["compiled/fault-batch@6",
-                        "compiled/ringosc@10000"]
+        assert compiled_keys() == ["compiled/fault-batch@12",
+                                   "compiled/ringosc@20000"]
+        assert compiled_keys(scale=0.5) == ["compiled/fault-batch@6",
+                                             "compiled/ringosc@10000"]
 
     def test_unknown_workload_rejected(self):
-        with pytest.raises(ValueError, match="unknown compiled workload"):
-            run_compiled_point(CompiledBenchPoint("warp-drive", 1),
-                               repeats=1)
+        with pytest.raises(ValueError, match="unknown bench workload"):
+            run_point(Point("compiled", "warp-drive", 1), repeats=1)
 
     def test_run_bench_tags_the_suite(self):
-        document = run_bench(
-            compiled_points=[TINY_RING], reference=False, repeats=1
-        )
-        assert document["schema"] == SCHEMA == 4
+        document = run_bench([TINY_RING], reference=False, repeats=1)
+        assert document["schema"] == SCHEMA == 5
         assert document["suites"] == ["compiled"]
         assert [p["suite"] for p in document["points"]] == ["compiled"]
 
@@ -104,6 +104,25 @@ class TestSchemaCompatibility:
         path.write_text(json.dumps(self._schema2_document()))
         assert load_baseline(str(path))["schema"] == 2
 
+    def test_committed_schema4_baseline_loads(self):
+        path = Path(__file__).resolve().parent / "baseline_bench.json"
+        assert load_baseline(str(path))["schema"] == 4
+
+    @pytest.mark.parametrize("document", [
+        # a sweep artifact summary: an object, but no bench points
+        "../tests/baselines/mesh-design-space/summary.json",
+        {"schema": 4},
+        [{"key": "4x4@0.1/uniform/xy/vc1/I3", "speedup": 5.0}],
+    ], ids=["sweep-summary", "no-points", "json-list"])
+    def test_non_bench_document_refused(self, tmp_path, document):
+        if isinstance(document, str):
+            path = Path(__file__).resolve().parent / document
+        else:
+            path = tmp_path / "other.json"
+            path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match="not a bench document"):
+            load_baseline(str(path))
+
     def test_newer_schema_refused(self, tmp_path):
         path = tmp_path / "future.json"
         path.write_text(json.dumps({"schema": SCHEMA + 1, "points": []}))
@@ -125,7 +144,7 @@ class TestSchemaCompatibility:
                 "stats_match": True,
             }],
         }
-        assert check_against_baseline(
+        assert gate(
             current, self._schema2_document()
         ) == []
 
@@ -154,7 +173,7 @@ class TestSchemaCompatibility:
                 "stats_match": True,
             }],
         }
-        problems = check_against_baseline(current, baseline)
+        problems = gate(current, baseline)
         assert len(problems) == 1
         assert "fell below" in problems[0]
 
@@ -179,6 +198,6 @@ class TestSchemaCompatibility:
                 "stats_match": True,
             }],
         }
-        problems = check_against_baseline(current, baseline)
+        problems = gate(current, baseline)
         assert len(problems) == 1
-        assert "--compiled-scale" in problems[0]
+        assert "--scale" in problems[0]

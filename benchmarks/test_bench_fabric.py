@@ -3,72 +3,95 @@
 A tiny no-op grid (milliseconds) exercises the timing harness — a real
 coordinator, a real file-lease transport and a real in-process worker —
 plus the cross-check that the fabric's outcomes canonically match the
-bare engine's.  The schema-4 gating tests pin that a sweep baseline
-point rides the same regression machinery as the other suites: missing
-points, diverged results, mismatched grid sizes and efficiency drops
-beyond tolerance all fail the check.
+bare engine's.  The gating tests pin that a sweep baseline point rides
+the same regression machinery as the other suites: missing points,
+diverged results, mismatched grid sizes, efficiency drops beyond
+tolerance and efficiency below the 0.002 floor all fail the check.
 """
 
 import pytest
 
+from repro import bench
 from repro.bench import (
     SCHEMA,
-    SweepBenchPoint,
-    check_against_baseline,
-    default_sweep_points,
+    Point,
+    Workload,
+    default_points,
+    gate,
     run_bench,
-    run_sweep_point,
+    run_point,
 )
 
-TINY_GRID = SweepBenchPoint("noop", 8)
+TINY_GRID = Point("sweep", "noop", 8)
+
+
+def sweep_points(**options):
+    return [p for p in default_points(**options) if p.suite == "sweep"]
 
 
 class TestSweepPoints:
     def test_fabric_throughput_and_matching_results(self):
-        outcome = run_sweep_point(TINY_GRID, repeats=1)
-        assert outcome.fabric_pps > 0
-        assert outcome.engine_pps > 0
-        assert outcome.stats_match is True
-        assert outcome.speedup is not None and outcome.speedup > 0
-        record = outcome.to_json()
+        record = run_point(TINY_GRID, repeats=1)
+        assert record["rate"] > 0
+        assert record["reference_wall_s"] > 0
+        assert record["stats_match"] is True
+        assert record["speedup"] is not None and record["speedup"] > 0
         assert record["suite"] == "sweep"
         assert record["key"] == "sweep/noop@8"
         assert record["cycles"] == 8
-        assert record["workers"] == 1
+        assert record["unit"] == "points/sec"
 
     def test_reference_skippable(self):
-        outcome = run_sweep_point(TINY_GRID, reference=False, repeats=1)
-        assert outcome.engine_pps is None
-        assert outcome.speedup is None
-        assert outcome.stats_match is None
-        assert outcome.fabric_pps > 0
+        record = run_point(TINY_GRID, reference=False, repeats=1)
+        assert record["reference_wall_s"] is None
+        assert record["speedup"] is None
+        assert record["stats_match"] is None
+        assert record["rate"] > 0
 
     def test_unknown_workload_rejected(self):
-        with pytest.raises(ValueError, match="unknown sweep workload"):
-            run_sweep_point(SweepBenchPoint("warp-drive", 8), repeats=1)
+        with pytest.raises(ValueError, match="unknown bench workload"):
+            run_point(Point("sweep", "warp-drive", 8), repeats=1)
 
     def test_default_points_scale_with_a_floor(self):
-        assert [p.key for p in default_sweep_points()] == [
-            "sweep/noop@64"
-        ]
-        assert [p.key for p in default_sweep_points(scale=0.5)] == [
+        assert [p.key for p in sweep_points()] == ["sweep/noop@64"]
+        assert [p.key for p in sweep_points(scale=0.5)] == [
             "sweep/noop@32"
         ]
         # the floor keeps a micro-scale run a real grid, not one point
-        assert default_sweep_points(scale=0.01)[0].size == 8
+        assert sweep_points(scale=0.01)[0].size == 8
 
     def test_run_bench_tags_the_suite(self):
         document = run_bench(
-            sweep_points=[TINY_GRID], reference=False, repeats=1,
+            [TINY_GRID], reference=False, repeats=1,
             collect_metrics=False,
         )
-        assert document["schema"] == SCHEMA == 4
+        assert document["schema"] == SCHEMA == 5
         assert document["suites"] == ["sweep"]
         assert [p["suite"] for p in document["points"]] == ["sweep"]
 
+    def test_record_keeps_four_significant_figures(self, monkeypatch):
+        """An efficiency of 0.00555 is recorded as such, not rounded up
+        to 0.006 — above the 0.0056 line a 0.008 baseline gates at."""
+
+        def side():
+            return (lambda: None), (lambda _result: (8, ()))
+
+        monkeypatch.setitem(
+            bench.WORKLOADS, ("sweep", "fixed"),
+            Workload("sweep", "fixed", 8, 8, "points/sec",
+                     lambda point: (side, side)),
+        )
+        # fast side: 0 -> 1 s; reference side: 0 -> 0.00555 s
+        ticks = iter([0.0, 1.0, 0.0, 0.00555])
+        monkeypatch.setattr(bench.time, "perf_counter",
+                            lambda: next(ticks))
+        record = run_point(Point("sweep", "fixed", 8), repeats=1)
+        assert record["speedup"] == 0.00555
+        assert record["wall_s"] == 1.0
+
     def test_metrics_replay_counts_fabric_traffic(self):
         document = run_bench(
-            sweep_points=[TINY_GRID], reference=False, repeats=1,
+            [TINY_GRID], reference=False, repeats=1,
             collect_metrics=True,
         )
         metrics = document["points"][0]["metrics"]
@@ -97,11 +120,11 @@ class TestSweepGating:
 
     def test_matching_run_passes(self):
         current, baseline = self._documents()
-        assert check_against_baseline(current, baseline) == []
+        assert gate(current, baseline) == []
 
     def test_efficiency_drop_beyond_tolerance_fails(self):
         current, baseline = self._documents(speedup=0.004)
-        problems = check_against_baseline(
+        problems = gate(
             current, baseline, tolerance=0.30
         )
         assert len(problems) == 1
@@ -111,13 +134,23 @@ class TestSweepGating:
         current, baseline = self._documents(
             key="sweep/noop@32", cycles=64
         )
-        problems = check_against_baseline(current, baseline)
+        problems = gate(current, baseline)
         assert len(problems) == 1
-        assert "--sweep-scale" in problems[0]
-        assert "grid points" in problems[0]
+        assert "--scale" in problems[0]
+        assert "measured at size 64" in problems[0]
+
+    def test_efficiency_below_floor_fails_within_tolerance(self):
+        """The sweep point is held to 0.002 of bare-engine throughput
+        whatever its baseline says."""
+        current, baseline = self._documents(workload="noop",
+                                            speedup=0.0019)
+        baseline["points"][0].update(workload="noop", speedup=0.0019)
+        problems = gate(current, baseline, tolerance=0.30)
+        assert len(problems) == 1
+        assert "0.002x floor" in problems[0]
 
     def test_noc_only_run_skips_sweep_points(self):
         current, baseline = self._documents()
         current["suites"] = ["noc"]
         current["points"] = []
-        assert check_against_baseline(current, baseline) == []
+        assert gate(current, baseline) == []

@@ -28,7 +28,6 @@ Usage::
     python -m repro history runs/                           # store catalogue
     python -m repro bench --json bench.json                 # kernel cycles/sec
     python -m repro bench --fast --check benchmarks/baseline_bench.json
-    python -m repro bench --suite compiled --fast --min-compiled-speedup 4
     python -m repro bench --profile                         # cProfile hot spots
 
 ``run`` exits non-zero if any paper-vs-measured check fails, so it
@@ -46,10 +45,9 @@ finishes a killed sweep from that journal (byte-identical artifacts),
 ``--store`` caches outcomes content-addressed by code fingerprint, and
 ``diff`` compares two artifact trees, exiting non-zero on regression.
 
-``bench`` times the activity-driven NoC cycle kernel against the frozen
-seed kernel (:mod:`repro.noc.reference`) and emits a JSON record;
-``--check`` gates the speedup ratio against a committed baseline (see
-:mod:`repro.bench` and the README "Performance" section).
+``bench`` times each optimized kernel against its frozen reference and
+emits a JSON document; ``--check`` gates the speedup ratios against a
+committed baseline and per-workload floors (see :mod:`repro.bench`).
 """
 
 from __future__ import annotations
@@ -626,20 +624,35 @@ def _cmd_bench(args, parser) -> int:
 
     from . import bench as bench_mod
 
-    run_noc = args.suite in ("noc", "all")
-    run_gate = args.suite in ("gate", "all")
-    run_compiled = args.suite in ("compiled", "all")
-    run_sweep = args.suite in ("sweep", "all")
-    if not run_noc and (args.mesh or args.rates):
+    for flag in ("cycles", "repeats", "vcs"):
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be >= 1")
+    if args.scale <= 0 or (args.suite == "noc" and args.scale != 1.0):
+        parser.error("--scale must be positive and does not apply to "
+                     "the noc suite (use --cycles)")
+    if args.suite not in ("noc", "all") and (args.mesh or args.rates):
         parser.error("--mesh/--rates only apply to the noc suite")
+    if not 0.0 <= args.tolerance < 1.0:
+        parser.error("--tolerance must be in [0, 1)")
+    baseline = None
+    if args.check:
+        try:
+            baseline = bench_mod.load_baseline(args.check)
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read baseline {args.check}: {exc}")
 
-    workload = dict(
-        pattern=args.pattern, routing=args.routing, n_vcs=args.vcs,
-        kind=args.kind, cycles=args.cycles,
-    )
-    if not run_noc:
-        points = []
-    elif args.mesh or args.rates:
+    # --fast shortens sizes only: best-of-N repeats absorb the
+    # scheduler noise that dominates sub-second timings
+    shape = dict(pattern=args.pattern, routing=args.routing,
+                 n_vcs=args.vcs, kind=args.kind)
+    points = [
+        replace(p, **shape) if p.suite == "noc" else p
+        for p in bench_mod.default_points(
+            fast=args.fast, scale=args.scale, cycles=args.cycles
+        )
+        if args.suite in (p.suite, "all")
+    ]
+    if args.mesh or args.rates:
         try:
             meshes = [int(m) for m in (args.mesh or "4,8").split(",") if m]
             rates = [
@@ -647,183 +660,58 @@ def _cmd_bench(args, parser) -> int:
             ]
         except ValueError as exc:
             parser.error(f"bad --mesh/--rates value: {exc}")
-        if not meshes or not rates:
-            parser.error("--mesh/--rates must name at least one value")
-        if any(m < 1 for m in meshes):
-            parser.error("--mesh sizes must be >= 1")
-        if any(not 0.0 <= r <= 1.0 for r in rates):
-            parser.error("--rates must be in [0, 1] flits/node/cycle")
-        points = [
-            bench_mod.BenchPoint(
-                mesh_size=mesh, injection_rate=rate, **workload
-            )
+        if (not meshes or not rates or min(meshes) < 1
+                or not all(0.0 <= r <= 1.0 for r in rates)):
+            parser.error("--mesh needs sizes >= 1 and --rates values in "
+                         "[0, 1] flits/node/cycle")
+        grid = [
+            replace(points[0], mesh_size=mesh, injection_rate=rate)
             for mesh in meshes
             for rate in rates
         ]
-    else:
-        # the standard mesh x rate gate points, with any workload
-        # options (--pattern/--routing/--vcs/--kind) applied on top
-        points = [
-            replace(point, **workload)
-            for point in bench_mod.default_points(args.cycles)
-        ]
+        points = grid + [p for p in points if p.suite != "noc"]
 
-    gate_points = (
-        bench_mod.default_gate_points(scale=args.gate_scale)
-        if run_gate else []
-    )
-    compiled_points = (
-        bench_mod.default_compiled_points(scale=args.compiled_scale)
-        if run_compiled else []
-    )
-    sweep_points = (
-        bench_mod.default_sweep_points(scale=args.sweep_scale)
-        if run_sweep else []
-    )
-
-    def progress(outcome):
-        if hasattr(outcome, "fabric_pps"):
-            # sweep suite: the ratio is dispatch efficiency, not a
-            # kernel speedup — word it as overhead, not a win
-            eff = (
-                f"{outcome.speedup:.1%} of bare-engine throughput"
-                if outcome.speedup is not None else "reference skipped"
-            )
-            match = ""
-            if outcome.stats_match is True:
-                match = ", results identical"
-            elif outcome.stats_match is False:
-                match = ", RESULTS DIVERGED"
-            print(
-                f"{outcome.point.key}: {outcome.fabric_pps:,.0f} "
-                f"points/sec through the fabric ({eff}{match})"
-            )
-            return
+    def progress(record):
         speed = (
-            f"{outcome.speedup:.2f}x vs reference"
-            if outcome.speedup is not None else "reference skipped"
+            f"{record['speedup']:.3g}x vs reference"
+            if record["speedup"] is not None else "reference skipped"
         )
-        match = ""
-        if outcome.stats_match is True:
-            match = ", stats identical"
-        elif outcome.stats_match is False:
-            match = ", STATS DIVERGED"
-        if hasattr(outcome, "optimized_lps"):
-            rate = f"{outcome.optimized_lps:,.0f} lane-steps/sec"
-        elif hasattr(outcome, "optimized_eps"):
-            rate = f"{outcome.optimized_eps:,.0f} events/sec"
-        else:
-            rate = f"{outcome.optimized_cps:,.0f} cycles/sec"
-        print(f"{outcome.point.key}: {rate} ({speed}{match})")
+        match = {True: ", stats identical",
+                 False: ", STATS DIVERGED"}.get(record["stats_match"], "")
+        print(f"{record['key']}: {record['rate']:,.0f} {record['unit']} "
+              f"({speed}{match})")
 
     document = bench_mod.run_bench(
-        points,
-        reference=not args.no_reference,
-        repeats=args.repeats,
+        points, reference=not args.no_reference, repeats=args.repeats,
         progress=progress,
-        gate_points=gate_points,
-        compiled_points=compiled_points,
-        sweep_points=sweep_points,
     )
     if args.profile:
-        if points:
-            # profile the most loaded point — highest injection rate,
-            # then largest mesh — where the hot paths actually dominate
+        for suite in document["suites"]:
+            # the most loaded point: highest injection rate, then
+            # largest mesh (the first point of the other suites)
             target = max(
-                points, key=lambda p: (p.injection_rate, p.mesh_size)
+                (p for p in points if p.suite == suite),
+                key=lambda p: (p.injection_rate, p.mesh_size),
             )
             print(f"\ncProfile of the optimized kernel ({target.key}):")
-            print(bench_mod.profile_point(target))
-        if gate_points:
-            gate_target = gate_points[0]  # the serializer-i3 gate point
-            print(
-                f"\ncProfile of the optimized sim kernel "
-                f"({gate_target.key}):"
-            )
-            print(bench_mod.profile_gate_point(gate_target))
+            print(bench_mod.profile(target))
     if args.json:
         bench_mod.write_json(document, args.json)
         print(f"bench JSON written to {args.json}")
-
-    diverged = [
-        p["key"] for p in document["points"] if p.get("stats_match") is False
-    ]
-    if diverged:
-        print(
-            f"optimized kernel diverged from the reference on: "
-            f"{', '.join(diverged)}",
-            file=sys.stderr,
-        )
+    if baseline is not None:
+        problems = bench_mod.gate(document, baseline, args.tolerance)
+    else:
+        problems = [
+            f"{p['key']}: optimized kernel diverged from reference stats"
+            for p in document["points"] if p["stats_match"] is False
+        ]
+    for problem in problems:
+        print(f"bench regression: {problem}", file=sys.stderr)
+    if problems:
         return 1
-    if args.min_compiled_speedup is not None:
-        slow = []
-        for p in document["points"]:
-            if p.get("suite") != "compiled":
-                continue
-            # the batch floor only makes sense where there is a batch:
-            # single-lane points (ringosc) must merely not lose to the
-            # event kernel
-            floor = (
-                args.min_compiled_speedup
-                if p.get("lanes", 1) > 1 else 1.0
-            )
-            speedup = p.get("speedup")
-            if speedup is None:
-                slow.append(f"{p['key']}: no speedup recorded "
-                            f"(ran with --no-reference?)")
-            elif speedup < floor:
-                slow.append(
-                    f"{p['key']}: {speedup:.2f}x below the "
-                    f"{floor:g}x floor (--min-compiled-speedup)"
-                )
-        if slow:
-            for problem in slow:
-                print(f"bench regression: {problem}", file=sys.stderr)
-            return 1
-        print(
-            f"compiled-suite speedups clear the "
-            f"{args.min_compiled_speedup:g}x batch floor (1x single-lane)"
-        )
-    if args.min_sweep_efficiency is not None:
-        slow = []
-        for p in document["points"]:
-            if p.get("suite") != "sweep":
-                continue
-            efficiency = p.get("speedup")
-            if efficiency is None:
-                slow.append(f"{p['key']}: no efficiency recorded "
-                            f"(ran with --no-reference?)")
-            elif efficiency < args.min_sweep_efficiency:
-                slow.append(
-                    f"{p['key']}: {efficiency:.2%} of bare-engine "
-                    f"throughput, below the "
-                    f"{args.min_sweep_efficiency:.2%} floor "
-                    f"(--min-sweep-efficiency)"
-                )
-        if slow:
-            for problem in slow:
-                print(f"bench regression: {problem}", file=sys.stderr)
-            return 1
-        print(
-            f"sweep-suite dispatch efficiency clears the "
-            f"{args.min_sweep_efficiency:.2%} floor"
-        )
-    if args.check:
-        try:
-            baseline = bench_mod.load_baseline(args.check)
-        except (OSError, ValueError) as exc:
-            parser.error(f"cannot read baseline {args.check}: {exc}")
-        problems = bench_mod.check_against_baseline(
-            document, baseline, tolerance=args.tolerance
-        )
-        if problems:
-            for problem in problems:
-                print(f"bench regression: {problem}", file=sys.stderr)
-            return 1
-        print(
-            f"bench speedups within {args.tolerance:.0%} of "
-            f"{args.check}"
-        )
+    if baseline is not None:
+        print(f"bench speedups within {args.tolerance:.0%} of "
+              f"{args.check} and above every floor")
     return 0
 
 
@@ -1218,31 +1106,9 @@ def build_parser() -> argparse.ArgumentParser:
              "bare engine) (default noc)",
     )
     p_bench.add_argument(
-        "--gate-scale", type=float, default=1.0, metavar="FRAC",
-        help="scale factor for the gate-suite workload sizes "
-             "(default 1.0; --fast uses 0.5)",
-    )
-    p_bench.add_argument(
-        "--compiled-scale", type=float, default=1.0, metavar="FRAC",
-        help="scale factor for the compiled-suite workload sizes "
-             "(default 1.0; --fast uses 0.5)",
-    )
-    p_bench.add_argument(
-        "--min-compiled-speedup", type=float, default=None, metavar="X",
-        help="fail unless every batched compiled point reaches X times "
-             "the event kernel's aggregate lanes/sec (single-lane "
-             "points are held to 1x); the CI bench job gates at 4x",
-    )
-    p_bench.add_argument(
-        "--sweep-scale", type=float, default=1.0, metavar="FRAC",
-        help="scale factor for the sweep-suite grid sizes "
-             "(default 1.0; --fast uses 0.5)",
-    )
-    p_bench.add_argument(
-        "--min-sweep-efficiency", type=float, default=None, metavar="F",
-        help="fail unless every sweep point keeps at least fraction F "
-             "of bare-engine points/sec when dispatched through the "
-             "fabric (a scheduling-overhead ceiling)",
+        "--scale", type=float, default=1.0, metavar="FRAC",
+        help="scale factor for the gate, compiled and sweep workload "
+             "sizes (default 1.0; --fast caps it at 0.5)",
     )
     p_bench.add_argument(
         "--mesh", metavar="N1,N2,...",
@@ -1270,7 +1136,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="best-of-N timing repeats (default 3)")
     p_bench.add_argument(
         "--fast", action="store_true",
-        help="short run: 300 cycles, 2 repeats (CI smoke)",
+        help="short run: at most 300 noc cycles and --scale 0.5; "
+             "repeats stay (CI smoke)",
     )
     p_bench.add_argument(
         "--no-reference", action="store_true",
@@ -1278,19 +1145,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--profile", action="store_true",
-        help="cProfile the optimized run of the most loaded point",
+        help="cProfile the optimized run of each suite's busiest point",
     )
     p_bench.add_argument("--json", metavar="PATH",
                          help="write the bench document to PATH")
     p_bench.add_argument(
         "--check", metavar="BASELINE",
-        help="compare speedups against a committed bench JSON; exit 1 "
-             "when any point regresses beyond --tolerance",
+        help="compare speedups against a committed bench JSON and hold "
+             "each workload to its floor (4x on the compiled fault "
+             "batch, 1x on the compiled ring oscillator, 0.002 on the "
+             "sweep grid); exit 1 on any regression",
     )
     p_bench.add_argument(
         "--tolerance", type=float, default=0.30, metavar="REL",
-        help="relative speedup regression tolerated by --check "
-             "(default 0.30)",
+        help="relative speedup regression tolerated by --check, in "
+             "[0, 1) (default 0.30)",
     )
     return parser
 
@@ -1304,47 +1173,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be >= 1")
     if args.command == "bench":
-        if args.cycles < 1:
-            parser.error("--cycles must be >= 1")
-        if args.repeats < 1:
-            parser.error("--repeats must be >= 1")
-        if args.vcs < 1:
-            parser.error("--vcs must be >= 1")
-        if args.gate_scale <= 0:
-            parser.error("--gate-scale must be positive")
-        if args.compiled_scale <= 0:
-            parser.error("--compiled-scale must be positive")
-        if args.sweep_scale <= 0:
-            parser.error("--sweep-scale must be positive")
-        if args.suite not in ("gate", "all") and args.gate_scale != 1.0:
-            # checked before --fast rescales it: reject only an explicit
-            # user-supplied value that the selected suite would ignore
-            parser.error("--gate-scale only applies to the gate suite")
-        if (args.suite not in ("compiled", "all")
-                and args.compiled_scale != 1.0):
-            parser.error(
-                "--compiled-scale only applies to the compiled suite"
-            )
-        if (args.suite not in ("compiled", "all")
-                and args.min_compiled_speedup is not None):
-            parser.error(
-                "--min-compiled-speedup only applies to the "
-                "compiled suite"
-            )
-        if args.suite not in ("sweep", "all") and args.sweep_scale != 1.0:
-            parser.error("--sweep-scale only applies to the sweep suite")
-        if (args.suite not in ("sweep", "all")
-                and args.min_sweep_efficiency is not None):
-            parser.error(
-                "--min-sweep-efficiency only applies to the sweep suite"
-            )
-        if args.fast:
-            # short cycles only; repeats stay (best-of-N absorbs
-            # scheduler noise, which dominates sub-second timings)
-            args.cycles = min(args.cycles, 300)
-            args.gate_scale = min(args.gate_scale, 0.5)
-            args.compiled_scale = min(args.compiled_scale, 0.5)
-            args.sweep_scale = min(args.sweep_scale, 0.5)
         return _cmd_bench(args, parser)
     if args.command == "list":
         return _cmd_list(args, parser)

@@ -1,78 +1,61 @@
 """Kernel benchmark harness behind ``python -m repro bench``.
 
-Four suites, selected with ``--suite {noc,gate,compiled,sweep,all}``:
+Every timed workload is one row of :data:`WORKLOADS`, in one of four
+suites (``--suite {noc,gate,compiled,sweep,all}``):
 
-* **noc** — simulated-cycles-per-second of the optimized activity-driven
-  NoC cycle kernel (:mod:`repro.noc.network`) vs the frozen seed kernel
+* **noc** — cycles/sec of the activity-driven NoC cycle kernel
+  (:mod:`repro.noc.network`) vs the frozen seed kernel
   (:mod:`repro.noc.reference`);
-* **gate** — events-per-second of the optimized gate-level event kernel
-  (:mod:`repro.sim`: calendar-queue scheduler, true inertial
-  cancellation, allocation-free signal dispatch) vs the frozen seed
-  kernel (:mod:`repro.sim.reference`) on serializer-link testbenches, a
-  four-phase wire-buffer chain and a free-running ring oscillator;
-* **compiled** — aggregate lanes-per-second of the bit-parallel compiled
-  backend (:mod:`repro.compiled`: levelized netlist, 64 simulation
-  lanes per 64-bit word) vs the *optimized* event kernel evaluating one
-  lane of the identical workload — the ratio prices what packing a
-  Monte Carlo batch into one word buys over running its lanes one by
-  one on the incumbent kernel;
-* **sweep** — points-per-second of a no-op grid (``sweep-noop``, zero
-  computation per point) dispatched through the distributed sweep
-  fabric (:mod:`repro.fabric`: coordinator, file leases, a local
-  worker) vs the bare engine on the identical grid — the ratio is
-  pure scheduling overhead, and the committed baseline gates how much
-  of it the fabric may cost.
+* **gate** — events/sec of the calendar-queue event kernel
+  (:mod:`repro.sim`) vs the frozen seed kernel (:mod:`repro.sim.reference`)
+  on serializer-link testbenches, a four-phase wire-buffer chain and a
+  free-running ring oscillator;
+* **compiled** — aggregate lane-steps/sec of the bit-parallel compiled
+  backend (:mod:`repro.compiled`, 64 lanes per word) vs the optimized
+  event kernel running one lane of the identical workload;
+* **sweep** — points/sec of a no-op grid (``sweep-noop``) through the
+  sweep fabric (:mod:`repro.fabric`) vs the bare engine: pure
+  scheduling overhead.
 
-Both report the speedup per point and emit a JSON document so the
-performance trajectory is recorded rather than anecdotal.
+A row's builder returns a fast and a reference *side*.  A side builds
+its workload and returns ``(run, finish)``; only ``run()`` is timed (so
+the NoC build and the compile are outside the clock, the fabric's
+worker start-up inside), and ``finish(result)`` returns ``(work,
+fingerprint)``.  The rest is shared: best-of-N timing, the cross-check
+(``stats_match``: a fast kernel with wrong answers fails the bench),
+``speedup = lanes × reference_wall / fast_wall``, one JSON record, an
+untimed counter replay and :func:`gate`.
 
-Two properties make the numbers trustworthy:
-
-* every timed pair also cross-checks that both kernels produced
-  bit-identical results (``stats_match`` in the JSON): NetworkStats
-  summaries for the noc suite, delivery timestamps / received values /
-  activity counters for the gate suite, lane-0 settled net values and
-  transition counters for the compiled suite — a fast kernel that
-  computes the wrong answer fails the bench;
-* regression checking (``--check``) compares the *speedup ratio*
-  against a committed baseline, not absolute throughput: the ratio of
-  two kernels timed on the same host in the same process is stable
-  across machines, where raw cycles/sec is dominated by whatever CPU
-  the CI runner happened to get.
+:func:`gate` compares the *speedup ratio* against a committed
+baseline, not absolute throughput: the ratio of two kernels timed on
+the same host in the same process is stable across machines, where raw
+throughput is dominated by whatever CPU the CI runner happened to get.
+Rows with a floor are held to it whatever the baseline says.
 
 The gate suite's speedup is the wall-clock ratio on the identical
 workload — the two kernels execute different event *counts* for the
 same circuit (the seed runs superseded inertial drives as no-ops, the
 optimized kernel cancels them), so the ratio is quoted in the seed
 kernel's event currency.
-
-``--profile`` wraps the most loaded point's optimized run (highest
-injection rate, then largest mesh) in :mod:`cProfile` and prints the
-hottest functions, which is how the active-set work was targeted in
-the first place.
 """
 
 from __future__ import annotations
 
 import cProfile
 import io
-import pstats
 import json
+import pstats
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .link.behavioral import derive_link_params
 from .obs import metrics as obs_metrics
-from .noc import (
-    Network,
-    Topology,
-    TrafficConfig,
-    TrafficGenerator,
-    reset_packet_ids,
-)
+from .noc import (Network, Topology, TrafficConfig, TrafficGenerator,
+                  reset_packet_ids)
 from .noc.reference import ReferenceNetwork
 from .tech import st012
 
@@ -80,226 +63,102 @@ from .tech import st012
 #: (2: added the gate-level suite; points carry a ``suite`` field;
 #: 3: added the compiled suite — lane counts and wall-clock fields;
 #: 4: added the sweep suite — fabric scheduling-overhead points;
-#: readers keep accepting schema-1/2/3 documents unchanged)
-SCHEMA = 4
+#: 5: one record layout for every suite;
+#: readers keep accepting schema-1 to -4 documents unchanged)
+SCHEMA = 5
 
-#: default operating points: (mesh_size, injection_rate) — the nominal
-#: 4x4 point plus the 8x8 low-load and saturation gates from the perf
+#: ``--fast``: NoC points run at most this many cycles, and every other
+#: workload at most this fraction of its default size — the sizes the
+#: committed baseline was recorded at
+FAST_CYCLES = 300
+FAST_SCALE = 0.5
+
+#: the NoC suite's (mesh_size, injection_rate) points — the nominal 4x4
+#: point plus the 8x8 low-load and saturation gates from the perf
 #: acceptance criteria
-DEFAULT_POINTS: Sequence[tuple[int, float]] = ((4, 0.10), (8, 0.02), (8, 0.35))
+NOC_POINTS: Sequence[Tuple[int, float]] = ((4, 0.10), (8, 0.02), (8, 0.35))
+
+#: a side: builds its workload, returns ``(run, finish)``
+Side = Callable[[], Tuple[Callable[[], object], Callable[[object], tuple]]]
 
 
 @dataclass(frozen=True)
-class BenchPoint:
-    """One timed workload configuration."""
+class Point:
+    """One timed configuration: a :data:`WORKLOADS` row at one size.
 
-    mesh_size: int
-    injection_rate: float
+    ``size`` is in the row's own unit and is recorded as ``cycles`` in
+    the JSON.  Only the NoC rows read the mesh and traffic fields.
+    """
+
+    suite: str
+    workload: str
+    size: int
+    mesh_size: int = 0
+    injection_rate: float = 0.0
     pattern: str = "uniform"
     routing: str = "xy"
     n_vcs: int = 1
     kind: str = "I3"
-    freq_mhz: float = 300.0
-    cycles: int = 1500
-    seed: int = 2008
 
     @property
     def key(self) -> str:
         """Stable identity used to match points across bench runs."""
-        return (
-            f"{self.mesh_size}x{self.mesh_size}"
-            f"@{self.injection_rate:g}/{self.pattern}"
-            f"/{self.routing}/vc{self.n_vcs}/{self.kind}"
-        )
-
-
-@dataclass
-class BenchResult:
-    """Timing + verification outcome of one point."""
-
-    point: BenchPoint
-    optimized_cps: float
-    reference_cps: Optional[float]
-    stats_match: Optional[bool]
-    flits_ejected: int
-    active_counts: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def speedup(self) -> Optional[float]:
-        if not self.reference_cps:
-            return None
-        return self.optimized_cps / self.reference_cps
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "suite": "noc",
-            "key": self.point.key,
-            "mesh_size": self.point.mesh_size,
-            "injection_rate": self.point.injection_rate,
-            "pattern": self.point.pattern,
-            "routing": self.point.routing,
-            "n_vcs": self.point.n_vcs,
-            "kind": self.point.kind,
-            "cycles": self.point.cycles,
-            "optimized_cps": round(self.optimized_cps, 1),
-            "reference_cps": (
-                round(self.reference_cps, 1) if self.reference_cps else None
-            ),
-            "speedup": (
-                round(self.speedup, 3) if self.speedup is not None else None
-            ),
-            "stats_match": self.stats_match,
-            "flits_ejected": self.flits_ejected,
-            "active_counts_final": self.active_counts,
-        }
-
-
-def _build(point: BenchPoint, network_cls):
-    reset_packet_ids()
-    topology = Topology(point.mesh_size, point.mesh_size)
-    params = derive_link_params(st012(), point.kind, point.freq_mhz)
-    network = network_cls(topology, params, n_vcs=point.n_vcs,
-                         routing=point.routing)
-    hotspot = None
-    if point.pattern == "hotspot":
-        hotspot = (topology.cols // 2, topology.rows // 2)
-    traffic = TrafficGenerator(
-        topology,
-        TrafficConfig(
-            pattern=point.pattern,
-            injection_rate=point.injection_rate,
-            seed=point.seed,
-            hotspot=hotspot,
-            n_vcs=point.n_vcs,
-        ),
-    )
-    return network, traffic
-
-
-def _time_run(point: BenchPoint, network_cls, repeats: int):
-    """Best-of-``repeats`` cycles/sec plus the final network (for stats)."""
-    best = 0.0
-    network = None
-    for _ in range(repeats):
-        network, traffic = _build(point, network_cls)
-        t0 = time.perf_counter()
-        network.run(point.cycles, traffic)
-        elapsed = time.perf_counter() - t0
-        best = max(best, point.cycles / elapsed if elapsed > 0 else 0.0)
-    return best, network
-
-
-def run_point(
-    point: BenchPoint,
-    reference: bool = True,
-    repeats: int = 3,
-) -> BenchResult:
-    """Time one point on the optimized (and optionally seed) kernel."""
-    opt_cps, opt_net = _time_run(point, Network, repeats)
-    ref_cps = None
-    stats_match = None
-    if reference:
-        ref_cps, ref_net = _time_run(point, ReferenceNetwork, repeats)
-        stats_match = (
-            opt_net.stats.summary() == ref_net.stats.summary()
-            and opt_net.stats.packet_latencies
-            == ref_net.stats.packet_latencies
-        )
-    return BenchResult(
-        point=point,
-        optimized_cps=opt_cps,
-        reference_cps=ref_cps,
-        stats_match=stats_match,
-        flits_ejected=opt_net.stats.flits_ejected,
-        active_counts=dict(opt_net.active_component_counts),
-    )
-
-
-def profile_point(point: BenchPoint, top: int = 15) -> str:
-    """cProfile the optimized kernel on ``point``; return a pstats table."""
-    network, traffic = _build(point, Network)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    network.run(point.cycles, traffic)
-    profiler.disable()
-    buf = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buf)
-    stats.sort_stats("cumulative").print_stats(top)
-    return buf.getvalue()
-
-
-# ----------------------------------------------------------------------
-# gate-level event-kernel suite
-# ----------------------------------------------------------------------
-#: workload ids of the gate suite and their default sizes (the unit is
-#: flits for the serializer testbenches, tokens for the four-phase
-#: chain, and nanoseconds of free-running oscillation for the ring)
-GATE_WORKLOADS: Sequence[tuple[str, int]] = (
-    ("serializer-i3", 24),
-    ("serializer-i2", 16),
-    ("fourphase-chain", 40),
-    ("ringosc", 40_000),
-)
+        if self.suite == "noc":
+            return (
+                f"{self.mesh_size}x{self.mesh_size}"
+                f"@{self.injection_rate:g}/{self.pattern}"
+                f"/{self.routing}/vc{self.n_vcs}/{self.kind}"
+            )
+        return f"{self.suite}/{self.workload}@{self.size}"
 
 
 @dataclass(frozen=True)
-class GateBenchPoint:
-    """One timed gate-level workload configuration.
+class Workload:
+    """One row of :data:`WORKLOADS`."""
 
-    ``size`` is the workload length in the workload's own unit; it is
-    recorded as ``cycles`` in the JSON so the baseline check's
-    workload-length comparability rule applies unchanged.
-    """
-
-    workload: str
+    suite: str
+    name: str
+    #: default size, and the floor scaling keeps it at or above
     size: int
-
-    @property
-    def key(self) -> str:
-        return f"gate/{self.workload}@{self.size}"
-
-
-@dataclass
-class GateBenchResult:
-    """Timing + cross-check outcome of one gate-level point."""
-
-    point: GateBenchPoint
-    optimized_eps: float
-    optimized_wall_s: float
-    reference_eps: Optional[float]
-    reference_wall_s: Optional[float]
-    stats_match: Optional[bool]
-    events_executed: int
-    events_cancelled: int
-
-    @property
-    def speedup(self) -> Optional[float]:
-        """Wall-clock ratio on the identical workload (the seed kernel's
-        events/sec currency; see the module docstring)."""
-        if not self.reference_wall_s or not self.optimized_wall_s:
-            return None
-        return self.reference_wall_s / self.optimized_wall_s
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "suite": "gate",
-            "key": self.point.key,
-            "workload": self.point.workload,
-            "cycles": self.point.size,
-            "optimized_eps": round(self.optimized_eps, 1),
-            "reference_eps": (
-                round(self.reference_eps, 1) if self.reference_eps else None
-            ),
-            "speedup": (
-                round(self.speedup, 3) if self.speedup is not None else None
-            ),
-            "stats_match": self.stats_match,
-            "events_executed": self.events_executed,
-            "events_cancelled": self.events_cancelled,
-        }
+    min_size: int
+    #: unit of the fast side's ``lanes * work / wall_s``
+    unit: str
+    #: ``build(point) -> (fast_side, reference_side)``
+    build: Callable[[Point], Tuple[Side, Side]]
+    #: independent simulations the fast side evaluates per run
+    lanes: int = 1
+    #: speedup :func:`gate` demands whatever the baseline says
+    floor: Optional[float] = None
 
 
-def _gate_serializer(stack, kind: str, n_flits: int):
+# noc suite: the cycle kernels on a mesh under synthetic traffic
+def _noc(point: Point):
+    def setup(network_cls):
+        reset_packet_ids()
+        topology = Topology(point.mesh_size, point.mesh_size)
+        # the paper's 300 MHz operating point and a fixed traffic seed
+        params = derive_link_params(st012(), point.kind, 300.0)
+        network = network_cls(topology, params, n_vcs=point.n_vcs,
+                              routing=point.routing)
+        hotspot = None
+        if point.pattern == "hotspot":
+            hotspot = (topology.cols // 2, topology.rows // 2)
+        traffic = TrafficGenerator(topology, TrafficConfig(
+            pattern=point.pattern, injection_rate=point.injection_rate,
+            seed=2008, hotspot=hotspot, n_vcs=point.n_vcs,
+        ))
+
+        def finish(stats):
+            return point.size, (stats.summary(), stats.packet_latencies)
+
+        return partial(network.run, point.size, traffic), finish
+
+    return partial(setup, Network), partial(setup, ReferenceNetwork)
+
+
+# gate suite: each builder takes a simulator stack (the optimized
+# ``repro.sim`` or the frozen ``repro.sim.reference``) and a size
+def _gate_serializer(stack, n_flits: int, kind: str):
     """Serializer-link testbench workload; fingerprint pins delivery."""
     from .link import LinkConfig, LinkTestbench, build_i2, build_i3
 
@@ -310,11 +169,8 @@ def _gate_serializer(stack, kind: str, n_flits: int):
     bench = LinkTestbench(sim, clock, link)
     flits = [(0xA5A5A5A5, 0x5A5A5A5A)[i % 2] for i in range(n_flits)]
 
-    def run():
-        return bench.run(flits)
-
-    def fingerprint(measurement):
-        return (
+    def finish(measurement):
+        return sim.events_executed, (
             link.flits_accepted(),
             link.flits_delivered(),
             tuple(measurement.received_values),
@@ -325,7 +181,7 @@ def _gate_serializer(stack, kind: str, n_flits: int):
             ),
         )
 
-    return sim, run, fingerprint
+    return partial(bench.run, flits), finish
 
 
 def _gate_fourphase(stack, n_tokens: int):
@@ -370,17 +226,16 @@ def _gate_fourphase(stack, n_tokens: int):
         stack.spawn(sim, source(), "src")
         stack.spawn(sim, sink(), "snk")
         sim.run(max_events=50_000_000)
-        return None
 
-    def fingerprint(_result):
-        return (
+    def finish(_result):
+        return sim.events_executed, (
             tuple(received),
             sim.now,
             chain.data_out.transitions,
             chain.req_out.transitions,
         )
 
-    return sim, run, fingerprint
+    return run, finish
 
 
 def _gate_ringosc(stack, duration_ns: int):
@@ -392,668 +247,371 @@ def _gate_ringosc(stack, duration_ns: int):
     osc = RingOscillator(sim, enable, stages=5)
     enable.set(1)
 
-    def run():
-        sim.run(until=duration_ns * 1000)
-        return None
-
-    def fingerprint(_result):
-        return (osc.out.transitions, osc.out.value, sim.now)
-
-    return sim, run, fingerprint
-
-
-def _build_gate_workload(stack, point: GateBenchPoint):
-    if point.workload == "serializer-i3":
-        return _gate_serializer(stack, "I3", point.size)
-    if point.workload == "serializer-i2":
-        return _gate_serializer(stack, "I2", point.size)
-    if point.workload == "fourphase-chain":
-        return _gate_fourphase(stack, point.size)
-    if point.workload == "ringosc":
-        return _gate_ringosc(stack, point.size)
-    raise ValueError(f"unknown gate workload {point.workload!r}")
-
-
-def _time_gate_run(point: GateBenchPoint, stack, repeats: int):
-    """Best-of-``repeats`` wall seconds plus the final run's artifacts."""
-    best = float("inf")
-    sim = fingerprint = None
-    for _ in range(repeats):
-        sim, run, fp = _build_gate_workload(stack, point)
-        t0 = time.perf_counter()
-        result = run()
-        elapsed = time.perf_counter() - t0
-        best = min(best, elapsed)
-        fingerprint = fp(result)
-    return best, sim, fingerprint
-
-
-def run_gate_point(
-    point: GateBenchPoint,
-    reference: bool = True,
-    repeats: int = 3,
-) -> GateBenchResult:
-    """Time one gate workload on the optimized (and seed) sim kernel."""
-    import repro.sim as optimized_stack
-    from .sim import reference as reference_stack
-
-    opt_wall, opt_sim, opt_fp = _time_gate_run(
-        point, optimized_stack, repeats
-    )
-    ref_wall = ref_eps = None
-    stats_match = None
-    if reference:
-        ref_wall, ref_sim, ref_fp = _time_gate_run(
-            point, reference_stack, repeats
+    def finish(_result):
+        return sim.events_executed, (
+            osc.out.transitions, osc.out.value, sim.now
         )
-        ref_eps = ref_sim.events_executed / ref_wall if ref_wall else 0.0
-        stats_match = opt_fp == ref_fp
-    return GateBenchResult(
-        point=point,
-        optimized_eps=(
-            opt_sim.events_executed / opt_wall if opt_wall else 0.0
-        ),
-        optimized_wall_s=opt_wall,
-        reference_eps=ref_eps,
-        reference_wall_s=ref_wall,
-        stats_match=stats_match,
-        events_executed=opt_sim.events_executed,
-        events_cancelled=getattr(opt_sim, "events_cancelled", 0),
-    )
+
+    return partial(sim.run, until=duration_ns * 1000), finish
 
 
-def profile_gate_point(point: GateBenchPoint, top: int = 15) -> str:
-    """cProfile the optimized sim kernel on ``point``; a pstats table."""
-    import repro.sim as optimized_stack
+def _gate(build):
+    """A gate row's builder: ``build`` on the optimized stack is the
+    fast side, on the frozen seed stack the reference."""
 
-    _sim, run, _fp = _build_gate_workload(optimized_stack, point)
+    def sides(point: Point):
+        from . import sim as fast_stack
+        from .sim import reference as reference_stack
+
+        return (partial(build, fast_stack, point.size),
+                partial(build, reference_stack, point.size))
+
+    return sides
+
+
+# compiled suite: the bit-parallel backend against one lane on the
+# optimized event kernel.  Fault-batch lane layout: 16 seeds x (1
+# golden + 3 stuck-net lanes) fill the 64-bit word exactly
+_BATCH_SEEDS = 16
+_BATCH_FAULTS = 3
+
+
+def _compiled_fault_batch(point: Point):
+    """64-lane fault-injection batch on the compilable i3 bench: all
+    lanes on the compiled side, lane 0's projection of the identical
+    stimulus on the reference side; both fingerprint lane-0 settled
+    values and sampled-transition counters."""
+    from .compiled import (MASK, StepOracle, build_bench, compile_component,
+                           lane_phases, stimulus_phases)
+    from .sim import Simulator
+
+    group = 1 + _BATCH_FAULTS
+    lane_seeds = [s for s in range(1, _BATCH_SEEDS + 1) for _ in range(group)]
+    phases = stimulus_phases("i3", lane_seeds, point.size, 32)
+    lane0 = lane_phases(phases, 0)
+
+    def compiled():
+        bench = build_bench(Simulator(), "i3", 32)
+        circuit = compile_component(bench.root,
+                                    forceable=bench.fault_sites)
+        sites = bench.fault_sites
+        for r in range(_BATCH_SEEDS):
+            for j in range(1, group):
+                circuit.force(sites[(r + j) % len(sites)], (j % 2) * MASK,
+                              lanes=1 << (r * group + j))
+
+        def run():
+            for phase in phases:
+                circuit.step(phase)
+
+        def finish(_result):
+            counts = circuit.counts()
+            return len(phases), (circuit.lane_values(0),
+                                 counts["rising0"], counts["falling0"])
+
+        return run, finish
+
+    def reference():
+        sim = Simulator()
+        oracle = StepOracle(sim, build_bench(sim, "i3", 32).root)
+
+        def run():
+            for phase in lane0:
+                oracle.step(phase)
+
+        def finish(_result):
+            counts = oracle.counts()
+            return len(lane0), (oracle.values(),
+                                counts["rising"], counts["falling"])
+
+        return run, finish
+
+    return compiled, reference
+
+
+def _compiled_ringosc(point: Point):
+    """Single-lane ring oscillator: the compiled backend's worst case.
+
+    No batch to amortize over — one free-running state element ticking
+    ``point.size`` times — so the speedup here prices raw per-step
+    overhead against the event kernel (the floor is only 1x).
+    """
+    from .compiled import MASK, compile_component
+    from .elements.ringosc import RingOscillator
+    from .sim import Simulator
+
+    toggles = point.size
+
+    def ring():
+        sim = Simulator()
+        enable = sim.signal("en")
+        return sim, enable, RingOscillator(sim, enable, stages=5)
+
+    def compiled():
+        _sim, enable, osc = ring()
+        circuit = compile_component(osc)
+        circuit.poke(enable, MASK)
+        circuit.settle()
+
+        def finish(_result):
+            counts = circuit.counts()
+            return toggles, (circuit.lane(osc.out, 0),
+                             counts["rising0"], counts["falling0"])
+
+        return partial(circuit.tick, toggles), finish
+
+    def reference():
+        sim, enable, osc = ring()
+        enable.set(1)
+
+        def finish(_result):
+            return toggles, (osc.out.value,
+                             enable.rising + osc.out.rising,
+                             enable.falling + osc.out.falling)
+
+        return (partial(sim.run, until=toggles * osc.half_period + 1),
+                finish)
+
+    return compiled, reference
+
+
+def _sweep_noop(point: Point):
+    """Sweep suite: a no-op grid through a coordinator and one
+    in-process worker thread, vs the bare engine.  The fabric clock
+    covers worker start-up through the coordinator seeing the last
+    published result — everything a real fabric sweep pays."""
+    import tempfile
+    import threading
+
+    from .fabric import FileTransport, run_fabric_sweep, run_worker
+    from .runner import engine, registry
+    from .store import codec
+
+    registry.load_builtin()
+    requests = [
+        engine.RunRequest.create("sweep-noop", {"point": i})
+        for i in range(point.size)
+    ]
+
+    def finish(outcomes):
+        return point.size, [
+            json.dumps(codec.strip_volatile(codec.outcome_to_record(o)),
+                       sort_keys=True)
+            for o in outcomes
+        ]
+
+    def fabric():
+        workdir = tempfile.TemporaryDirectory(prefix="repro-bench-fabric-")
+        transport = FileTransport(workdir.name)
+        worker = threading.Thread(
+            target=run_worker,
+            kwargs=dict(fabric=transport, worker_id="bench-w0",
+                        lease_ttl=10.0, poll_s=0.01, plan_timeout=30.0),
+            daemon=True,
+        )
+
+        def run():
+            worker.start()
+            return run_fabric_sweep(
+                transport, "sweep-noop", requests,
+                workers=0, lease_ttl=10.0, poll_s=0.002, timeout=300.0,
+            ).outcomes
+
+        def join(outcomes):
+            worker.join(timeout=10.0)
+            workdir.cleanup()
+            return finish(outcomes)
+
+        return run, join
+
+    return fabric, lambda: (partial(engine.execute, requests, jobs=1),
+                            finish)
+
+
+_ROWS = (
+    Workload("noc", "mesh", 1500, 1, "cycles/sec", _noc),
+    # gate sizes: flits for the serializer testbenches, tokens for the
+    # four-phase chain, nanoseconds of oscillation for the ring
+    Workload("gate", "serializer-i3", 24, 4, "events/sec",
+             _gate(partial(_gate_serializer, kind="I3"))),
+    Workload("gate", "serializer-i2", 16, 4, "events/sec",
+             _gate(partial(_gate_serializer, kind="I2"))),
+    Workload("gate", "fourphase-chain", 40, 4, "events/sec",
+             _gate(_gate_fourphase)),
+    Workload("gate", "ringosc", 40_000, 4, "events/sec",
+             _gate(_gate_ringosc)),
+    # compiled sizes: stimulus vectors for the fault batch, output
+    # toggles for the ring; the batch must beat one event-kernel lane
+    # 4x over, the single lane must merely not lose
+    Workload("compiled", "fault-batch", 12, 2, "lane-steps/sec",
+             _compiled_fault_batch,
+             lanes=_BATCH_SEEDS * (1 + _BATCH_FAULTS), floor=4.0),
+    Workload("compiled", "ringosc", 20_000, 2, "lane-steps/sec",
+             _compiled_ringosc, floor=1.0),
+    # sweep size: grid points; the floor caps the fabric's dispatch
+    # overhead at 500x the bare engine's time
+    Workload("sweep", "noop", 64, 8, "points/sec", _sweep_noop,
+             floor=0.002),
+)
+
+#: every timed workload, by ``(suite, name)``, in suite order
+WORKLOADS: Dict[Tuple[str, str], Workload] = {
+    (row.suite, row.name): row for row in _ROWS
+}
+
+
+def _row(point: Point) -> Workload:
+    """The :data:`WORKLOADS` row ``point`` runs."""
+    try:
+        return WORKLOADS[point.suite, point.workload]
+    except KeyError:
+        raise ValueError(
+            f"unknown bench workload {point.suite}/{point.workload}"
+        ) from None
+
+
+def default_points(fast: bool = False, scale: float = 1.0,
+                   cycles: Optional[int] = None) -> List[Point]:
+    """The standard points of every suite, in suite order.
+
+    NoC points run ``cycles`` (default: the row's size) at each of
+    :data:`NOC_POINTS`; every other row's size is multiplied by
+    ``scale`` but kept at or above its minimum.  ``fast`` caps the two
+    at :data:`FAST_CYCLES` and :data:`FAST_SCALE`.
+    """
+    if fast:
+        scale = min(scale, FAST_SCALE)
+    points: List[Point] = []
+    for row in _ROWS:
+        if row.suite != "noc":
+            size = max(row.min_size, round(row.size * scale))
+            points.append(Point(row.suite, row.name, size))
+            continue
+        n = cycles or row.size
+        if fast:
+            n = min(n, FAST_CYCLES)
+        points += [
+            Point(row.suite, row.name, n, mesh_size=mesh,
+                  injection_rate=rate)
+            for mesh, rate in NOC_POINTS
+        ]
+    return points
+
+
+def _measure(side: Side) -> Tuple[float, int, object]:
+    """One run of ``side``: ``(wall_s, work, fingerprint)``."""
+    run, finish = side()
+    t0 = time.perf_counter()
+    result = run()
+    wall = time.perf_counter() - t0
+    work, fingerprint = finish(result)
+    return wall, work, fingerprint
+
+
+def _best(side: Side, repeats: int) -> Tuple[float, int, object]:
+    """The fastest of ``repeats`` runs of ``side``."""
+    return min((_measure(side) for _ in range(repeats)),
+               key=lambda measured: measured[0])
+
+
+def _sig(value: Optional[float]) -> Optional[float]:
+    """``value`` to 4 significant figures."""
+    return None if value is None else float(f"{value:.4g}")
+
+
+def run_point(point: Point, reference: bool = True,
+              repeats: int = 3) -> Dict[str, object]:
+    """Time ``point``'s fast side (and its reference side), best of
+    ``repeats`` each, cross-check their fingerprints and return the
+    point's JSON record.
+
+    ``rate`` is the fast side's ``lanes * work / wall_s`` in ``unit``
+    and ``speedup`` is ``lanes * reference_wall_s / wall_s``; the
+    reference fields stay None without a reference run.  Every float
+    keeps 4 significant figures.
+    """
+    row = _row(point)
+    fast, slow = row.build(point)
+    wall, work, fingerprint = _best(fast, repeats)
+    ref_wall = speedup = stats_match = None
+    if reference:
+        ref_wall, _work, ref_fingerprint = _best(slow, repeats)
+        speedup = row.lanes * ref_wall / wall
+        stats_match = fingerprint == ref_fingerprint
+    record: Dict[str, object] = {
+        "suite": point.suite,
+        "workload": point.workload,
+        "key": point.key,
+        "cycles": point.size,
+        "lanes": row.lanes,
+        "unit": row.unit,
+        "rate": _sig(row.lanes * work / wall),
+        "wall_s": _sig(wall),
+        "reference_wall_s": _sig(ref_wall),
+        "speedup": _sig(speedup),
+        "stats_match": stats_match,
+    }
+    if point.suite == "noc":
+        record.update(
+            mesh_size=point.mesh_size,
+            injection_rate=point.injection_rate,
+            pattern=point.pattern,
+            routing=point.routing,
+            n_vcs=point.n_vcs,
+            kind=point.kind,
+        )
+    return record
+
+
+def profile(point: Point, top: int = 15) -> str:
+    """cProfile one run of ``point``'s fast side; a pstats table."""
+    fast, _slow = _row(point).build(point)
+    run, finish = fast()
     profiler = cProfile.Profile()
-    profiler.enable()
-    run()
-    profiler.disable()
+    finish(profiler.runcall(run))
     buf = io.StringIO()
     stats = pstats.Stats(profiler, stream=buf)
     stats.sort_stats("cumulative").print_stats(top)
     return buf.getvalue()
 
 
-def default_gate_points(scale: float = 1.0) -> List[GateBenchPoint]:
-    """The standard gate-suite points, workload sizes scaled by ``scale``
-    (the CLI's ``--fast`` passes a fraction)."""
-    return [
-        GateBenchPoint(workload, max(4, round(size * scale)))
-        for workload, size in GATE_WORKLOADS
-    ]
-
-
-# ----------------------------------------------------------------------
-# bit-parallel compiled-backend suite
-# ----------------------------------------------------------------------
-#: workload ids of the compiled suite and their default sizes (the unit
-#: is stimulus vectors for the fault batch, output toggles for the
-#: free-running ring oscillator)
-COMPILED_WORKLOADS: Sequence[tuple[str, int]] = (
-    ("fault-batch", 12),
-    ("ringosc", 20_000),
-)
-
-#: fault-batch lane layout: 16 seeds x (1 golden + 3 stuck-net lanes)
-#: fill the 64-bit word exactly
-_BATCH_SEEDS = 16
-_BATCH_FAULTS = 3
-
-
-@dataclass(frozen=True)
-class CompiledBenchPoint:
-    """One timed compiled-backend workload configuration.
-
-    ``size`` is recorded as ``cycles`` in the JSON so the baseline
-    check's workload-length comparability rule applies unchanged.
-    """
-
-    workload: str
-    size: int
-
-    @property
-    def key(self) -> str:
-        return f"compiled/{self.workload}@{self.size}"
-
-
-@dataclass
-class CompiledBenchResult:
-    """Timing + lane-0 cross-check outcome of one compiled point.
-
-    ``speedup`` is *aggregate lanes per second*: the compiled run
-    evaluates ``lanes`` independent simulations per pass, the reference
-    (the optimized event kernel) evaluates exactly one of them — so the
-    ratio is ``lanes * reference_wall / compiled_wall``.
-    """
-
-    point: CompiledBenchPoint
-    lanes: int
-    compiled_wall_s: float
-    reference_wall_s: Optional[float]
-    stats_match: Optional[bool]
-    #: workload steps executed (phases for fault-batch, toggles for
-    #: ringosc) — the throughput denominator
-    steps: int
-
-    @property
-    def optimized_lps(self) -> float:
-        """Aggregate lane-steps per second of the compiled run."""
-        if not self.compiled_wall_s:
-            return 0.0
-        return self.lanes * self.steps / self.compiled_wall_s
-
-    @property
-    def speedup(self) -> Optional[float]:
-        if not self.reference_wall_s or not self.compiled_wall_s:
-            return None
-        return (
-            self.lanes * self.reference_wall_s / self.compiled_wall_s
-        )
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "suite": "compiled",
-            "key": self.point.key,
-            "workload": self.point.workload,
-            "cycles": self.point.size,
-            "lanes": self.lanes,
-            "compiled_lps": round(self.optimized_lps, 1),
-            "compiled_wall_s": round(self.compiled_wall_s, 6),
-            "reference_wall_s": (
-                round(self.reference_wall_s, 6)
-                if self.reference_wall_s else None
-            ),
-            "speedup": (
-                round(self.speedup, 3) if self.speedup is not None else None
-            ),
-            "stats_match": self.stats_match,
-        }
-
-
-def _compiled_fault_batch(vectors: int):
-    """64-lane fault-injection batch on the compilable i3 bench.
-
-    Returns ``(run_compiled, run_reference, check)``: the first times a
-    full 64-lane stimulus replay (16 seeds, each a golden lane plus
-    three stuck-net lanes); the second times the optimized event kernel
-    driving lane 0's projection of the identical stimulus through the
-    same circuit; the third compares lane-0 settled values and the
-    aggregate sampled-transition counters bit for bit.
-    """
-    from .compiled import (
-        LANES,
-        MASK,
-        StepOracle,
-        build_bench,
-        compile_component,
-        lane_phases,
-        stimulus_phases,
-    )
-    from .sim import Simulator
-
-    group = 1 + _BATCH_FAULTS
-    lane_seeds: List[int] = []
-    for seed in range(1, _BATCH_SEEDS + 1):
-        lane_seeds.extend([seed] * group)
-    phases = stimulus_phases("i3", lane_seeds, vectors, 32)
-
-    def build_circuit():
-        sim = Simulator()
-        bench = build_bench(sim, "i3", 32)
-        circuit = compile_component(bench.root,
-                                    forceable=bench.fault_sites)
-        for r in range(_BATCH_SEEDS):
-            for j in range(1, group):
-                site = bench.fault_sites[
-                    (r + j) % len(bench.fault_sites)
-                ]
-                circuit.force(site, (j % 2) * MASK,
-                              lanes=1 << (r * group + j))
-        return circuit
-
-    def run_compiled():
-        circuit = build_circuit()
-        t0 = time.perf_counter()
-        for phase in phases:
-            circuit.step(phase)
-        return time.perf_counter() - t0, circuit
-
-    lane0 = lane_phases(phases, 0)
-
-    def run_reference():
-        sim = Simulator()
-        bench = build_bench(sim, "i3", 32)
-        oracle = StepOracle(sim, bench.root)
-        t0 = time.perf_counter()
-        for phase in lane0:
-            oracle.step(phase)
-        return time.perf_counter() - t0, oracle
-
-    def check(circuit, oracle) -> bool:
-        counts = circuit.counts()
-        ocounts = oracle.counts()
-        return (
-            circuit.lane_values(0) == oracle.values()
-            and counts["rising0"] == ocounts["rising"]
-            and counts["falling0"] == ocounts["falling"]
-        )
-
-    return LANES, len(phases), run_compiled, run_reference, check
-
-
-def _compiled_ringosc(toggles: int):
-    """Single-lane ring oscillator: the compiled backend's worst case.
-
-    No batch to amortize over — one free-running state element ticking
-    ``toggles`` times — so the speedup here prices raw per-step
-    overhead against the event kernel (the gate is only >= 1x).
-    """
-    from .compiled import MASK, compile_component
-    from .elements.ringosc import RingOscillator
-    from .sim import Simulator
-
-    def run_compiled():
-        sim = Simulator()
-        enable = sim.signal("en")
-        osc = RingOscillator(sim, enable, stages=5)
-        circuit = compile_component(osc)
-        circuit.poke(enable, MASK)
-        circuit.settle()
-        t0 = time.perf_counter()
-        circuit.tick(toggles)
-        return time.perf_counter() - t0, (circuit, osc)
-
-    def run_reference():
-        sim = Simulator()
-        enable = sim.signal("en")
-        osc = RingOscillator(sim, enable, stages=5)
-        enable.set(1)
-        t0 = time.perf_counter()
-        sim.run(until=toggles * osc.half_period + 1)
-        return time.perf_counter() - t0, (enable, osc)
-
-    def check(compiled_art, ref_art) -> bool:
-        circuit, cosc = compiled_art
-        enable, rosc = ref_art
-        counts = circuit.counts()
-        return (
-            circuit.lane(cosc.out, 0) == rosc.out.value
-            and counts["rising0"] == enable.rising + rosc.out.rising
-            and counts["falling0"] == enable.falling + rosc.out.falling
-        )
-
-    # a single meaningful lane: the other 63 compute the same ring
-    return 1, toggles, run_compiled, run_reference, check
-
-
-def _build_compiled_workload(point: CompiledBenchPoint):
-    if point.workload == "fault-batch":
-        return _compiled_fault_batch(point.size)
-    if point.workload == "ringosc":
-        return _compiled_ringosc(point.size)
-    raise ValueError(f"unknown compiled workload {point.workload!r}")
-
-
-def run_compiled_point(
-    point: CompiledBenchPoint,
-    reference: bool = True,
-    repeats: int = 3,
-) -> CompiledBenchResult:
-    """Time one compiled workload against the optimized event kernel."""
-    lanes, steps, run_compiled, run_reference, check = (
-        _build_compiled_workload(point)
-    )
-    comp_wall = float("inf")
-    comp_art = None
-    for _ in range(repeats):
-        elapsed, comp_art = run_compiled()
-        comp_wall = min(comp_wall, elapsed)
-    ref_wall = None
-    stats_match = None
-    if reference:
-        ref_wall = float("inf")
-        ref_art = None
-        for _ in range(repeats):
-            elapsed, ref_art = run_reference()
-            ref_wall = min(ref_wall, elapsed)
-        stats_match = check(comp_art, ref_art)
-    return CompiledBenchResult(
-        point=point,
-        lanes=lanes,
-        compiled_wall_s=comp_wall,
-        reference_wall_s=ref_wall,
-        stats_match=stats_match,
-        steps=steps,
-    )
-
-
-def default_compiled_points(scale: float = 1.0
-                            ) -> List[CompiledBenchPoint]:
-    """The standard compiled-suite points, sizes scaled by ``scale``."""
-    return [
-        CompiledBenchPoint(workload, max(2, round(size * scale)))
-        for workload, size in COMPILED_WORKLOADS
-    ]
-
-
-# ----------------------------------------------------------------------
-# sweep-fabric scheduling-overhead suite
-# ----------------------------------------------------------------------
-#: sweep-suite workloads and their default grid sizes (points per grid);
-#: the workload is the ``sweep-noop`` scenario — zero computation, so
-#: what gets timed is purely the machinery around scenario execution
-SWEEP_WORKLOADS: Sequence[tuple[str, int]] = (("noop", 64),)
-
-#: local worker daemons (threads) serving the timed fabric runs
-_SWEEP_WORKERS = 1
-
-
-@dataclass(frozen=True)
-class SweepBenchPoint:
-    """One timed scheduling-overhead configuration.
-
-    ``size`` is the number of no-op grid points; it is recorded as
-    ``cycles`` in the JSON so the baseline check's workload-length
-    comparability rule applies unchanged.
-    """
-
-    workload: str
-    size: int
-
-    @property
-    def key(self) -> str:
-        return f"sweep/{self.workload}@{self.size}"
-
-
-@dataclass
-class SweepBenchResult:
-    """Coordinator-vs-bare-engine throughput on a no-op grid.
-
-    ``speedup`` here is a *dispatch efficiency ratio* — fabric
-    points/sec over bare-engine points/sec on the identical grid.  It
-    is necessarily below 1.0 (the fabric adds lease files, heartbeats
-    and result publication around the same zero-cost execution); the
-    committed baseline gates how far below, i.e. how much scheduling
-    overhead the fabric is allowed to cost.
-    """
-
-    point: SweepBenchPoint
-    fabric_pps: float
-    fabric_wall_s: float
-    engine_pps: Optional[float]
-    engine_wall_s: Optional[float]
-    workers: int
-    stats_match: Optional[bool]
-
-    @property
-    def speedup(self) -> Optional[float]:
-        if not self.engine_pps or not self.fabric_pps:
-            return None
-        return self.fabric_pps / self.engine_pps
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "suite": "sweep",
-            "key": self.point.key,
-            "workload": self.point.workload,
-            "cycles": self.point.size,
-            "workers": self.workers,
-            "fabric_pps": round(self.fabric_pps, 1),
-            "fabric_wall_s": round(self.fabric_wall_s, 6),
-            "engine_pps": (
-                round(self.engine_pps, 1) if self.engine_pps else None
-            ),
-            "engine_wall_s": (
-                round(self.engine_wall_s, 6)
-                if self.engine_wall_s else None
-            ),
-            "speedup": (
-                round(self.speedup, 3) if self.speedup is not None else None
-            ),
-            "stats_match": self.stats_match,
-        }
-
-
-def _sweep_requests(point: SweepBenchPoint):
-    from .runner import engine as engine_mod
-    from .runner import registry
-
-    if point.workload != "noop":
-        raise ValueError(f"unknown sweep workload {point.workload!r}")
-    registry.load_builtin()
-    return [
-        engine_mod.RunRequest.create("sweep-noop", {"point": i})
-        for i in range(point.size)
-    ]
-
-
-def _canonical_records(outcomes) -> List[str]:
-    from .store import codec
-
-    return [
-        json.dumps(
-            codec.strip_volatile(codec.outcome_to_record(outcome)),
-            sort_keys=True,
-        )
-        for outcome in outcomes
-    ]
-
-
-def _sweep_fabric_run(requests, workers: int = _SWEEP_WORKERS):
-    """One timed coordinator+workers pass over ``requests``.
-
-    Workers run as in-process threads (the workload is no-op, so the
-    run is dominated by exactly the file-lease traffic being priced);
-    the clock covers worker startup through the coordinator seeing the
-    last published result — everything a real fabric sweep pays.
-    """
-    import tempfile
-    import threading
-
-    from .fabric import FileTransport, run_fabric_sweep, run_worker
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-fabric-") as td:
-        transport = FileTransport(td)
-        threads = []
-        t0 = time.perf_counter()
-        for j in range(workers):
-            thread = threading.Thread(
-                target=run_worker,
-                kwargs=dict(
-                    fabric=transport,
-                    worker_id=f"bench-w{j}",
-                    lease_ttl=10.0,
-                    poll_s=0.01,
-                    plan_timeout=30.0,
-                ),
-                daemon=True,
-            )
-            thread.start()
-            threads.append(thread)
-        result = run_fabric_sweep(
-            transport, "sweep-noop", requests,
-            workers=0, lease_ttl=10.0, poll_s=0.002, timeout=300.0,
-        )
-        wall = time.perf_counter() - t0
-        for thread in threads:
-            thread.join(timeout=10.0)
-    return wall, result.outcomes
-
-
-def run_sweep_point(
-    point: SweepBenchPoint,
-    reference: bool = True,
-    repeats: int = 3,
-    workers: int = _SWEEP_WORKERS,
-) -> SweepBenchResult:
-    """Time one no-op grid through the fabric and (optionally) the
-    bare engine; cross-check that both produced identical canonical
-    outcome records."""
-    from .runner import engine as engine_mod
-
-    requests = _sweep_requests(point)
-    fab_wall = float("inf")
-    fab_outcomes = None
-    for _ in range(repeats):
-        wall, outcomes = _sweep_fabric_run(requests, workers=workers)
-        if wall < fab_wall:
-            fab_wall = wall
-            fab_outcomes = outcomes
-    eng_wall = None
-    eng_pps = None
-    stats_match = None
-    if reference:
-        eng_wall = float("inf")
-        eng_outcomes = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            outcomes = engine_mod.execute(requests, jobs=1)
-            elapsed = time.perf_counter() - t0
-            if elapsed < eng_wall:
-                eng_wall = elapsed
-                eng_outcomes = outcomes
-        eng_pps = point.size / eng_wall if eng_wall else 0.0
-        stats_match = (
-            _canonical_records(fab_outcomes)
-            == _canonical_records(eng_outcomes)
-        )
-    return SweepBenchResult(
-        point=point,
-        fabric_pps=point.size / fab_wall if fab_wall else 0.0,
-        fabric_wall_s=fab_wall,
-        engine_pps=eng_pps,
-        engine_wall_s=eng_wall,
-        workers=workers,
-        stats_match=stats_match,
-    )
-
-
-def default_sweep_points(scale: float = 1.0) -> List[SweepBenchPoint]:
-    """The standard sweep-suite points, grid sizes scaled by ``scale``."""
-    return [
-        SweepBenchPoint(workload, max(8, round(size * scale)))
-        for workload, size in SWEEP_WORKLOADS
-    ]
-
-
-def _counter_deltas(run_fn) -> Dict[str, int]:
-    """Kernel counter deltas from one extra *untimed* instrumented run.
-
-    The timed repeats execute with metrics in whatever state the
-    process default left them (disabled, normally — the overhead bench
-    holds the disabled path to a single attribute check); the counters
-    recorded next to a timing point come from this separate replay so
-    instrumentation can never contaminate the timings it annotates.
-    """
-    with obs_metrics.collecting(reset=True) as reg:
-        run_fn()
-        snapshot = reg.snapshot()
-    return {
-        key.split(":", 1)[1]: value
-        for key, value in snapshot.items()
-        if key.startswith("counter:")
-    }
-
-
-def _noc_point_metrics(point: BenchPoint) -> Dict[str, int]:
-    network, traffic = _build(point, Network)
-    return _counter_deltas(lambda: network.run(point.cycles, traffic))
-
-
-def _gate_point_metrics(point: GateBenchPoint) -> Dict[str, int]:
-    import repro.sim as optimized_stack
-
-    _sim, run, _fp = _build_gate_workload(optimized_stack, point)
-    return _counter_deltas(run)
-
-
-def _compiled_point_metrics(point: CompiledBenchPoint) -> Dict[str, int]:
-    _lanes, _steps, run_compiled, _ref, _check = (
-        _build_compiled_workload(point)
-    )
-    return _counter_deltas(run_compiled)
-
-
-def _sweep_point_metrics(point: SweepBenchPoint) -> Dict[str, int]:
-    requests = _sweep_requests(point)
-    return _counter_deltas(lambda: _sweep_fabric_run(requests))
+def counters(point: Point) -> Dict[str, int]:
+    """Kernel counter deltas from one extra *untimed* run of ``point``'s
+    fast side, so instrumentation never contaminates the timings it
+    annotates (the timed repeats run with metrics as the process left
+    them: disabled, normally)."""
+    fast, _slow = _row(point).build(point)
+    with obs_metrics.collecting(reset=True) as registry:
+        _measure(fast)
+        return registry.counters()
 
 
 def run_bench(
-    points: Sequence[BenchPoint] = (),
+    points: Sequence[Point],
     reference: bool = True,
     repeats: int = 3,
-    progress=None,
-    gate_points: Sequence[GateBenchPoint] = (),
-    compiled_points: Sequence[CompiledBenchPoint] = (),
-    sweep_points: Sequence[SweepBenchPoint] = (),
+    progress: Optional[Callable[[Dict[str, object]], None]] = None,
     collect_metrics: bool = True,
 ) -> Dict[str, object]:
-    """Run every noc, gate, compiled and sweep point; return the JSON
-    document.
+    """Run every point; return the bench JSON document.
 
-    With ``collect_metrics`` each point's record gains a ``metrics``
-    key — kernel counter deltas (events executed, cycles simulated,
-    settle rounds, ...) from an untimed replay — additive to the
-    schema, ignored by the baseline check.
+    With ``collect_metrics`` each record gains a ``metrics`` key — the
+    :func:`counters` replay — which :func:`gate` ignores.
     """
-    results = []
-    suites = []
-    if points:
-        suites.append("noc")
-    if gate_points:
-        suites.append("gate")
-    if compiled_points:
-        suites.append("compiled")
-    if sweep_points:
-        suites.append("sweep")
+    records = []
     for point in points:
-        outcome = run_point(point, reference=reference, repeats=repeats)
+        record = run_point(point, reference=reference, repeats=repeats)
         if progress is not None:
-            progress(outcome)
-        record = outcome.to_json()
+            progress(record)
         if collect_metrics:
-            record["metrics"] = _noc_point_metrics(point)
-        results.append(record)
-    for gate_point in gate_points:
-        gate_outcome = run_gate_point(
-            gate_point, reference=reference, repeats=repeats
-        )
-        if progress is not None:
-            progress(gate_outcome)
-        record = gate_outcome.to_json()
-        if collect_metrics:
-            record["metrics"] = _gate_point_metrics(gate_point)
-        results.append(record)
-    for compiled_point in compiled_points:
-        compiled_outcome = run_compiled_point(
-            compiled_point, reference=reference, repeats=repeats
-        )
-        if progress is not None:
-            progress(compiled_outcome)
-        record = compiled_outcome.to_json()
-        if collect_metrics:
-            record["metrics"] = _compiled_point_metrics(compiled_point)
-        results.append(record)
-    for sweep_point in sweep_points:
-        sweep_outcome = run_sweep_point(
-            sweep_point, reference=reference, repeats=repeats
-        )
-        if progress is not None:
-            progress(sweep_outcome)
-        record = sweep_outcome.to_json()
-        if collect_metrics:
-            record["metrics"] = _sweep_point_metrics(sweep_point)
-        results.append(record)
+            record["metrics"] = counters(point)
+        records.append(record)
     return {
         "schema": SCHEMA,
         "python": sys.version.split()[0],
         "repeats": repeats,
-        "suites": suites,
-        "points": results,
+        "suites": list(dict.fromkeys(point.suite for point in points)),
+        "points": records,
     }
 
 
@@ -1063,39 +621,33 @@ def _major_minor(version: Optional[str]) -> Optional[str]:
     return ".".join(str(version).split(".")[:2])
 
 
-def check_against_baseline(
-    current: Dict[str, object],
+def gate(
+    document: Dict[str, object],
     baseline: Dict[str, object],
     tolerance: float = 0.30,
 ) -> List[str]:
-    """Problems found comparing ``current`` to a committed baseline.
+    """Problems found checking a bench ``document`` against a baseline.
 
-    A point regresses when its optimized-vs-reference speedup falls
-    more than ``tolerance`` (relative) below the baseline's — the
-    machine-independent formulation of "cycles/sec regressed".  Points
-    present in the baseline but missing from the current run, mismatched
-    stats, missing speedups, and workload-length mismatches (a speedup
-    measured over a different cycle count is not comparable) all count
-    as problems, as does an interpreter mismatch: the two kernels
-    stress CPython differently (dict/attribute-heavy vs scan-heavy),
-    so the ratio is only stable within one major.minor version — the
-    CI bench job pins the Python the committed baseline was recorded
-    on.
-
-    Baseline points whose suite was not benchmarked by ``current`` are
-    skipped: ``repro bench --suite gate`` gates only the gate points of
-    a combined baseline (schema-1 baselines without suite tags count as
-    noc points).
+    Every point must match its reference (``stats_match`` not false)
+    and clear its row's floor, if any, and the baseline's speedup for
+    its key less ``tolerance`` (relative).  A point held to a bar with
+    no recorded speedup is a problem, as are baseline points missing
+    from ``document``, a size that differs from the baseline's (the
+    speedups are not comparable) and an interpreter mismatch: the two
+    kernels stress CPython differently, so the ratio is only stable
+    within one major.minor version.  Baseline points of suites
+    ``document`` did not run are skipped (schema-1 points count as noc).
     """
+    if not 0.0 <= tolerance < 1.0:
+        raise ValueError(f"tolerance {tolerance} is outside [0, 1)")
     problems: List[str] = []
-    current_suites = set(current.get("suites") or [])
-    if not current_suites:
+    points = document.get("points", [])
+    suites = set(document.get("suites") or [])
+    if not suites:
         # pre-suite document: infer from the recorded points
-        current_suites = {
-            p.get("suite", "noc") for p in current.get("points", [])
-        }
+        suites = {p.get("suite", "noc") for p in points}
     base_python = _major_minor(baseline.get("python"))
-    cur_python = _major_minor(current.get("python"))
+    cur_python = _major_minor(document.get("python"))
     if base_python and cur_python and base_python != cur_python:
         problems.append(
             f"interpreter mismatch: bench ran on Python {cur_python} "
@@ -1103,75 +655,78 @@ def check_against_baseline(
             f"speedup ratios are only comparable on the same "
             f"interpreter; regenerate the baseline"
         )
-    current_by_key = {p["key"]: p for p in current.get("points", [])}
-    for base_point in baseline.get("points", []):
-        key = base_point["key"]
-        if base_point.get("suite", "noc") not in current_suites:
+    keys = {p["key"] for p in points}
+    gated = {}
+    for base in baseline.get("points", []):
+        if (base.get("speedup") is None
+                or base.get("suite", "noc") not in suites):
             continue
-        base_speedup = base_point.get("speedup")
-        if base_speedup is None:
-            continue
-        point = current_by_key.get(key)
-        if point is None:
-            problems.append(f"{key}: missing from current bench run")
-            continue
-        base_cycles = base_point.get("cycles")
-        cycles = point.get("cycles")
-        if (base_cycles is not None and cycles is not None
-                and base_cycles != cycles):
-            # gate-suite workload sizes are set by --gate-scale, noc
-            # cycle counts by --cycles — point the user at the right knob
-            if base_point.get("suite") == "gate":
-                flag, unit = "--gate-scale", "workload units"
-            elif base_point.get("suite") == "compiled":
-                flag, unit = "--compiled-scale", "workload units"
-            elif base_point.get("suite") == "sweep":
-                flag, unit = "--sweep-scale", "grid points"
-            else:
-                flag, unit = "--cycles", "cycles"
+        if base["key"] in keys:
+            gated[base["key"]] = base
+        else:
             problems.append(
-                f"{key}: measured over {cycles} {unit} but the baseline "
-                f"used {base_cycles} — rerun with matching {flag} "
-                f"(the committed baseline uses --fast) or regenerate "
-                f"the baseline"
+                f"{base['key']}: missing from current bench run"
             )
-            continue
+    for point in points:
+        key, speedup = point["key"], point.get("speedup")
         if point.get("stats_match") is False:
             problems.append(
                 f"{key}: optimized kernel diverged from reference stats"
             )
-        speedup = point.get("speedup")
-        if speedup is None:
-            problems.append(f"{key}: no speedup recorded (ran without "
-                            f"--reference?)")
-            continue
-        floor = base_speedup * (1.0 - tolerance)
-        if speedup < floor:
+        bars = []
+        row = WORKLOADS.get(
+            (point.get("suite", "noc"), point.get("workload"))
+        )
+        if row is not None and row.floor is not None:
+            bars.append((row.floor, f"the {row.floor:g}x floor"))
+        base = gated.get(key)
+        if base is not None and base.get("cycles") not in (
+                None, point.get("cycles")):
+            flag = "--cycles" if base.get("suite", "noc") == "noc" \
+                else "--scale"
             problems.append(
-                f"{key}: speedup {speedup:.2f}x fell below "
-                f"{floor:.2f}x (baseline {base_speedup:.2f}x "
-                f"- {tolerance:.0%} tolerance)"
+                f"{key}: measured at size {point.get('cycles')} but the "
+                f"baseline used {base['cycles']} — rerun with matching "
+                f"{flag} (the committed baseline uses --fast) or "
+                f"regenerate the baseline"
             )
+        elif base is not None:
+            bars.append((
+                base["speedup"] * (1.0 - tolerance),
+                f"baseline {base['speedup']:.4g}x - {tolerance:.0%} "
+                f"tolerance",
+            ))
+        if bars and speedup is None:
+            problems.append(
+                f"{key}: no speedup recorded (ran with --no-reference?)"
+            )
+            continue
+        for bar, reason in bars:
+            if speedup < bar:
+                problems.append(
+                    f"{key}: speedup {speedup:.4g}x fell below "
+                    f"{bar:.4g}x ({reason})"
+                )
     return problems
-
-
-def default_points(cycles: int) -> List[BenchPoint]:
-    return [
-        BenchPoint(mesh_size=mesh, injection_rate=rate, cycles=cycles)
-        for mesh, rate in DEFAULT_POINTS
-    ]
 
 
 def load_baseline(path: str) -> Dict[str, object]:
     """Read a committed bench document; any schema up to ours loads.
 
-    Older documents (schema 1: no suites, schema 2: no compiled points)
-    stay readable — :func:`check_against_baseline` treats missing
-    fields as "point not benchmarked".  A *newer* schema is refused:
-    silently gating against fields this code does not understand would
-    make the check vacuous.
+    :func:`gate` reads only fields every schema has.  Anything but an
+    object with a list of keyed ``points`` is refused, as is a *newer*
+    schema: silently gating against a file this code does not
+    understand would make the check vacuous.
     """
     document = json.loads(Path(path).read_text(encoding="utf-8"))
+    points = document.get("points") if isinstance(document, dict) else None
+    if not isinstance(points, list) or not all(
+            isinstance(p, dict) and isinstance(p.get("key"), str)
+            for p in points):
+        raise ValueError(
+            "not a bench document (an object whose 'points' list holds "
+            "keyed records)"
+        )
     schema = document.get("schema")
     if isinstance(schema, int) and schema > SCHEMA:
         raise ValueError(

@@ -6,10 +6,11 @@ import pytest
 
 from repro.__main__ import main
 from repro.bench import (
-    BenchPoint,
-    check_against_baseline,
+    Point,
+    counters,
     default_points,
-    profile_point,
+    gate,
+    profile,
     run_point,
 )
 
@@ -17,24 +18,34 @@ from repro.bench import (
 TINY = ["--mesh", "2", "--rates", "0.1", "--cycles", "60", "--repeats", "1"]
 
 
+def noc_point(mesh_size, injection_rate, cycles=1500):
+    return Point("noc", "mesh", cycles, mesh_size=mesh_size,
+                 injection_rate=injection_rate)
+
+
+def suite_points(suite, **options):
+    return [p for p in default_points(**options) if p.suite == suite]
+
+
 class TestBenchHarness:
     def test_run_point_reports_speedup_and_matching_stats(self):
-        point = BenchPoint(mesh_size=2, injection_rate=0.1, cycles=60)
-        outcome = run_point(point, reference=True, repeats=1)
-        assert outcome.optimized_cps > 0
-        assert outcome.reference_cps > 0
-        assert outcome.speedup == pytest.approx(
-            outcome.optimized_cps / outcome.reference_cps
+        point = noc_point(2, 0.1, cycles=60)
+        record = run_point(point, reference=True, repeats=1)
+        assert record["rate"] > 0
+        assert record["reference_wall_s"] > 0
+        # 4 significant figures per recorded float
+        assert record["speedup"] == pytest.approx(
+            record["reference_wall_s"] / record["wall_s"], rel=2e-3
         )
-        assert outcome.stats_match is True
-        assert outcome.flits_ejected > 0
+        assert record["stats_match"] is True
+        assert counters(point)["noc.flits_delivered"] > 0
 
     def test_reference_skippable(self):
-        point = BenchPoint(mesh_size=2, injection_rate=0.1, cycles=60)
-        outcome = run_point(point, reference=False, repeats=1)
-        assert outcome.reference_cps is None
-        assert outcome.speedup is None
-        assert outcome.stats_match is None
+        record = run_point(noc_point(2, 0.1, cycles=60), reference=False,
+                           repeats=1)
+        assert record["reference_wall_s"] is None
+        assert record["speedup"] is None
+        assert record["stats_match"] is None
 
     def test_default_points_cover_the_acceptance_gates(self):
         keys = [p.key for p in default_points(cycles=300)]
@@ -42,13 +53,10 @@ class TestBenchHarness:
         assert "8x8@0.35/uniform/xy/vc1/I3" in keys
 
     def test_point_key_stable(self):
-        point = BenchPoint(mesh_size=4, injection_rate=0.1)
-        assert point.key == "4x4@0.1/uniform/xy/vc1/I3"
+        assert noc_point(4, 0.1).key == "4x4@0.1/uniform/xy/vc1/I3"
 
     def test_profile_point_names_the_kernel(self):
-        text = profile_point(
-            BenchPoint(mesh_size=2, injection_rate=0.1, cycles=40)
-        )
+        text = profile(noc_point(2, 0.1, cycles=40))
         assert "step" in text
         assert "function calls" in text
 
@@ -66,26 +74,26 @@ class TestBaselineCheck:
         }
 
     def test_clean_when_within_tolerance(self):
-        problems = check_against_baseline(
+        problems = gate(
             self._doc(3.0), self._doc(3.5), tolerance=0.30
         )
         assert problems == []
 
     def test_regression_reported(self):
-        problems = check_against_baseline(
+        problems = gate(
             self._doc(2.0), self._doc(4.0), tolerance=0.30
         )
         assert len(problems) == 1
         assert "fell below" in problems[0]
 
     def test_missing_point_reported(self):
-        problems = check_against_baseline(
+        problems = gate(
             self._doc(3.0, key="other"), self._doc(3.0), tolerance=0.30
         )
         assert any("missing" in p for p in problems)
 
     def test_diverged_stats_reported(self):
-        problems = check_against_baseline(
+        problems = gate(
             self._doc(5.0, stats_match=False), self._doc(3.0),
             tolerance=0.30,
         )
@@ -98,13 +106,22 @@ class TestBaselineCheck:
         baseline = self._doc(3.0)
         current["python"] = "3.12.1"
         baseline["python"] = "3.11.7"
-        problems = check_against_baseline(current, baseline,
+        problems = gate(current, baseline,
                                           tolerance=0.30)
         assert any("interpreter mismatch" in p for p in problems)
         # patch releases of the same minor are fine
         current["python"] = "3.11.2"
-        assert check_against_baseline(current, baseline,
+        assert gate(current, baseline,
                                       tolerance=0.30) == []
+
+    def test_tolerance_outside_unit_interval_rejected(self):
+        """A tolerance of 1 or more turns every floor into zero or less:
+        a 0.01x point would pass against a 5x baseline."""
+        with pytest.raises(ValueError, match="outside"):
+            gate(self._doc(0.01), self._doc(5.0), tolerance=1.5)
+        for tolerance in ("1.5", "1", "-0.1"):
+            with pytest.raises(SystemExit):
+                main(["bench", *TINY, "--tolerance", tolerance])
 
     def test_cycle_count_mismatch_reported(self):
         """Speedups measured over different cycle counts are not
@@ -113,7 +130,7 @@ class TestBaselineCheck:
         baseline = self._doc(3.0)
         current["points"][0]["cycles"] = 1500
         baseline["points"][0]["cycles"] = 300
-        problems = check_against_baseline(current, baseline,
+        problems = gate(current, baseline,
                                           tolerance=0.30)
         assert any("cycles" in p for p in problems)
 
@@ -124,7 +141,7 @@ class TestBenchCli:
         rc = main(["bench", *TINY, "--json", str(out)])
         assert rc == 0
         document = json.loads(out.read_text())
-        assert document["schema"] == 4
+        assert document["schema"] == 5
         assert document["suites"] == ["noc"]
         (point,) = document["points"]
         assert point["suite"] == "noc"
@@ -215,8 +232,9 @@ class TestBenchCli:
             == {(4, 0.10), (8, 0.02), (8, 0.35)}
 
     def test_committed_baseline_matches_default_points(self):
-        """The checked-in baseline must gate the default bench points
-        (guards against the baseline going stale when points change)."""
+        """The checked-in baseline must gate the default --fast points
+        of every suite (guards against the baseline going stale when
+        points change)."""
         from pathlib import Path
 
         baseline_path = (
@@ -224,80 +242,62 @@ class TestBenchCli:
             / "benchmarks" / "baseline_bench.json"
         )
         baseline = json.loads(baseline_path.read_text())
-        noc_keys = {p["key"] for p in baseline["points"]
-                    if p.get("suite", "noc") == "noc"}
-        assert noc_keys == {p.key for p in default_points(cycles=300)}
-        from repro.bench import default_gate_points
-
-        gate_keys = {p["key"] for p in baseline["points"]
-                     if p.get("suite") == "gate"}
-        assert gate_keys == {
-            p.key for p in default_gate_points(scale=0.5)
+        assert {p["key"] for p in baseline["points"]} == {
+            p.key for p in default_points(fast=True)
         }
         assert all(p["speedup"] is not None for p in baseline["points"])
 
 
 class TestGateSuiteHarness:
     def test_run_gate_point_cross_checks_kernels(self):
-        from repro.bench import GateBenchPoint, run_gate_point
-
-        point = GateBenchPoint("serializer-i3", 4)
-        outcome = run_gate_point(point, reference=True, repeats=1)
-        assert outcome.optimized_eps > 0
-        assert outcome.reference_eps > 0
-        assert outcome.stats_match is True
-        assert outcome.speedup == pytest.approx(
-            outcome.reference_wall_s / outcome.optimized_wall_s
+        point = Point("gate", "serializer-i3", 4)
+        record = run_point(point, reference=True, repeats=1)
+        assert record["rate"] > 0
+        assert record["reference_wall_s"] > 0
+        assert record["stats_match"] is True
+        assert record["speedup"] == pytest.approx(
+            record["reference_wall_s"] / record["wall_s"], rel=2e-3
         )
-        assert outcome.events_executed > 0
-        assert outcome.events_cancelled > 0  # inertial supersedes happen
+        metrics = counters(point)
+        assert metrics["sim.events_executed"] > 0
+        assert metrics["sim.events_cancelled"] > 0  # inertial supersedes
 
     @pytest.mark.parametrize(
         "workload", ["serializer-i2", "fourphase-chain", "ringosc"]
     )
     def test_other_workloads_match_reference(self, workload):
-        from repro.bench import GateBenchPoint, run_gate_point
-
         size = 2000 if workload == "ringosc" else 4
-        outcome = run_gate_point(
-            GateBenchPoint(workload, size), reference=True, repeats=1
+        record = run_point(
+            Point("gate", workload, size), reference=True, repeats=1
         )
-        assert outcome.stats_match is True
+        assert record["stats_match"] is True
 
     def test_gate_point_key_stable(self):
-        from repro.bench import GateBenchPoint
-
-        assert GateBenchPoint("serializer-i3", 24).key == \
+        assert Point("gate", "serializer-i3", 24).key == \
             "gate/serializer-i3@24"
 
     def test_default_gate_points_cover_the_acceptance_gate(self):
-        from repro.bench import default_gate_points
-
-        points = default_gate_points()
+        points = suite_points("gate")
         assert points[0].workload == "serializer-i3"
         assert {p.workload for p in points} == {
             "serializer-i3", "serializer-i2", "fourphase-chain", "ringosc",
         }
         # --fast halves the workloads but never below the floor
-        fast = default_gate_points(scale=0.01)
+        fast = suite_points("gate", scale=0.01)
         assert all(p.size >= 4 for p in fast)
 
     def test_unknown_workload_rejected(self):
-        from repro.bench import GateBenchPoint, run_gate_point
-
-        with pytest.raises(ValueError, match="unknown gate workload"):
-            run_gate_point(GateBenchPoint("warp-drive", 4), repeats=1)
+        with pytest.raises(ValueError, match="unknown bench workload"):
+            run_point(Point("gate", "warp-drive", 4), repeats=1)
 
     def test_profile_gate_point_names_the_kernel(self):
-        from repro.bench import GateBenchPoint, profile_gate_point
-
-        text = profile_gate_point(GateBenchPoint("serializer-i3", 4))
+        text = profile(Point("gate", "serializer-i3", 4))
         assert "run" in text
         assert "function calls" in text
 
 
 class TestGateSuiteCli:
-    GATE_TINY = ["--suite", "gate", "--gate-scale", "0.01", "--repeats", "1"]
+    GATE_TINY = ["--suite", "gate", "--scale", "0.01", "--repeats", "1"]
 
     def test_gate_suite_writes_json(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
@@ -355,8 +355,7 @@ class TestGateSuiteCli:
         out = tmp_path / "bench.json"
         rc = main([
             "bench", "--suite", "all", "--mesh", "2", "--rates", "0.1",
-            "--cycles", "40", "--gate-scale", "0.01",
-            "--compiled-scale", "0.01", "--sweep-scale", "0.01",
+            "--cycles", "40", "--scale", "0.01",
             "--repeats", "1", "--no-reference", "--json", str(out),
         ])
         assert rc == 0
@@ -371,7 +370,8 @@ class TestGateSuiteCli:
     def test_gate_profile_smoke(self, capsys):
         rc = main(["bench", *self.GATE_TINY, "--no-reference", "--profile"])
         assert rc == 0
-        assert "cProfile of the optimized sim kernel" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "cProfile of the optimized kernel (gate/serializer-i3@" in out
 
     def test_mesh_flags_rejected_for_gate_suite(self):
         with pytest.raises(SystemExit):
@@ -379,7 +379,7 @@ class TestGateSuiteCli:
 
     def test_bad_gate_scale_rejected(self):
         with pytest.raises(SystemExit):
-            main(["bench", "--suite", "gate", "--gate-scale", "0"])
+            main(["bench", "--suite", "gate", "--scale", "0"])
 
     def test_committed_baseline_is_schema_4_with_every_suite(self):
         """The committed baseline must gate every suite's speedups."""
@@ -422,18 +422,27 @@ class TestGateSuiteCli:
 
     def test_gate_scale_rejected_for_noc_suite(self):
         with pytest.raises(SystemExit):
-            main(["bench", "--suite", "noc", "--gate-scale", "2.0"])
+            main(["bench", "--suite", "noc", "--scale", "2.0"])
+
+
+def floor_document(*points):
+    """A bench document of ``(suite, workload, speedup)`` points."""
+    return {
+        "schema": 5, "python": "3.11.7",
+        "suites": sorted({suite for suite, _w, _s in points}),
+        "points": [
+            {"suite": suite, "workload": workload, "speedup": speedup,
+             "key": f"{suite}/{workload}@6", "cycles": 6,
+             "stats_match": True}
+            for suite, workload, speedup in points
+        ],
+    }
 
 
 class TestCompiledSuiteCli:
     COMPILED_TINY = [
-        "--suite", "compiled", "--compiled-scale", "0.005",
-        "--repeats", "1",
+        "--suite", "compiled", "--scale", "0.005", "--repeats", "1",
     ]
-    # the gate tests need the single-lane ringosc point to clear its
-    # implicit 1.0x floor, which is timing noise at 100 toggles with a
-    # single repeat — best-of-3 keeps them deterministic under load
-    COMPILED_TINY_GATED = COMPILED_TINY[:-1] + ["3"]
 
     def test_compiled_suite_writes_json(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
@@ -446,37 +455,48 @@ class TestCompiledSuiteCli:
         assert all(p["stats_match"] for p in points.values())
         assert "lane-steps/sec" in capsys.readouterr().out
 
-    def test_min_compiled_speedup_gate_passes(self, capsys):
-        rc = main(["bench", *self.COMPILED_TINY_GATED,
-                   "--min-compiled-speedup", "0.001"])
-        assert rc == 0
-        assert "clear the 0.001x batch floor" in capsys.readouterr().out
+    def test_min_compiled_speedup_gate_passes(self):
+        document = floor_document(("compiled", "fault-batch", 4.0),
+                                  ("compiled", "ringosc", 1.0))
+        assert gate(document, {"points": []}) == []
 
-    def test_min_compiled_speedup_gate_fails(self, capsys):
-        rc = main(["bench", *self.COMPILED_TINY_GATED,
-                   "--min-compiled-speedup", "1000000"])
+    def test_min_compiled_speedup_gate_fails(self):
+        """The 64-lane batch is held to 4x; the single-lane ring
+        oscillator only to 1x, not to the batch floor."""
+        document = floor_document(("compiled", "fault-batch", 3.9),
+                                  ("compiled", "ringosc", 2.0))
+        problems = gate(document, {"points": []})
+        assert len(problems) == 1
+        assert "fault-batch" in problems[0]
+        assert "4x floor" in problems[0]
+        # ... even when the baseline's own speedup would allow it
+        document = floor_document(("compiled", "ringosc", 0.95))
+        problems = gate(document, document)
+        assert len(problems) == 1
+        assert "1x floor" in problems[0]
+
+    def test_min_compiled_speedup_needs_a_reference(self, tmp_path,
+                                                    capsys):
+        """--check applies the floors even where the baseline has no
+        matching points, so a run without speedups cannot pass."""
+        baseline = tmp_path / "empty.json"
+        baseline.write_text(json.dumps({"schema": 5, "points": []}))
+        rc = main(["bench", *self.COMPILED_TINY, "--no-reference",
+                   "--check", str(baseline)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "bench regression" in err
-        assert "fault-batch" in err
-        # the single-lane ringosc point is held to 1x, not the floor
-        assert "ringosc" not in err
-
-    def test_min_compiled_speedup_needs_a_reference(self, capsys):
-        rc = main(["bench", *self.COMPILED_TINY, "--no-reference",
-                   "--min-compiled-speedup", "4"])
-        assert rc == 1
-        assert "no speedup recorded" in capsys.readouterr().err
+        assert "compiled/fault-batch@2: no speedup recorded" in err
+        assert "compiled/ringosc@100: no speedup recorded" in err
 
     def test_compiled_flags_rejected_for_other_suites(self):
         with pytest.raises(SystemExit):
-            main(["bench", "--suite", "noc", "--compiled-scale", "0.5"])
+            main(["bench", "--suite", "noc", "--scale", "0.5"])
         with pytest.raises(SystemExit):
-            main(["bench", "--suite", "gate",
-                  "--min-compiled-speedup", "4"])
+            main(["bench", "--suite", "compiled", "--scale", "0"])
+        # the per-suite flags are gone; their floors are constants
         with pytest.raises(SystemExit):
             main(["bench", "--suite", "compiled",
-                  "--compiled-scale", "0"])
+                  "--min-compiled-speedup", "4"])
 
     def test_mesh_flags_rejected_for_compiled_suite(self):
         with pytest.raises(SystemExit):

@@ -169,14 +169,10 @@ class TestKernelsNoOpWhenDisabled:
         assert metrics.REGISTRY.is_empty()
 
     def test_noc_kernel(self):
-        from repro import bench as bench_mod
-        from repro.noc import Network
+        from repro.bench import Point, run_point
 
-        point = bench_mod.BenchPoint(
-            mesh_size=2, injection_rate=0.2, cycles=40
-        )
-        network, traffic = bench_mod._build(point, Network)
-        network.run(point.cycles, traffic)
+        point = Point("noc", "mesh", 40, mesh_size=2, injection_rate=0.2)
+        run_point(point, reference=False, repeats=1)
         assert metrics.REGISTRY.is_empty()
 
     def test_compiled_backend(self):
@@ -217,16 +213,11 @@ class TestKernelsCountWhenEnabled:
         assert counters["sim.events_scheduled"] >= 299
 
     def test_noc_kernel_counters(self):
-        from repro import bench as bench_mod
-        from repro.noc import Network
+        from repro.bench import Point
+        from repro.bench import counters as replay_counters
 
-        point = bench_mod.BenchPoint(
-            mesh_size=2, injection_rate=0.2, cycles=60
-        )
-        with metrics.collecting(reset=True) as reg:
-            network, traffic = bench_mod._build(point, Network)
-            network.run(point.cycles, traffic)
-            counters = reg.counters()
+        point = Point("noc", "mesh", 60, mesh_size=2, injection_rate=0.2)
+        counters = replay_counters(point)
         assert counters["noc.cycles"] == 60
         assert counters["noc.flits_routed"] > 0
         assert counters["noc.credit_accruals"] > 0
