@@ -104,8 +104,18 @@ class TestSchemaCompatibility:
         path.write_text(json.dumps(self._schema2_document()))
         assert load_baseline(str(path))["schema"] == 2
 
-    def test_committed_schema4_baseline_loads(self):
+    def test_committed_schema5_baseline_loads(self):
         path = Path(__file__).resolve().parent / "baseline_bench.json"
+        assert load_baseline(str(path))["schema"] == 5
+
+    def test_schema4_file_still_loads(self, tmp_path):
+        document = json.loads(
+            (Path(__file__).resolve().parent / "baseline_bench.json")
+            .read_text()
+        )
+        document["schema"] = 4
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(document))
         assert load_baseline(str(path))["schema"] == 4
 
     @pytest.mark.parametrize("document", [

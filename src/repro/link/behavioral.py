@@ -136,6 +136,8 @@ class TokenLink:
         self._rate_credit = 0.0
         self._rate = params.rate_flits_per_cycle
         self._credit_cap = 1.0 + self._rate
+        self._capacity = params.capacity_flits
+        self._latency = params.latency_cycles
         self._accruals = 0
         #: accrue_to calls that applied work (accruals / batches gives
         #: the mean catch-up batch size the lazy-accrual scheme earns)
@@ -172,17 +174,17 @@ class TokenLink:
     def can_send(self) -> bool:
         return (
             self._rate_credit >= 1.0
-            and len(self._in_flight) < self.params.capacity_flits
+            and len(self._in_flight) < self._capacity
         )
 
     def try_send(self, flit: object, now_cycle: int) -> bool:
         """Accept a flit if the link has rate credit and space."""
-        if not self.can_send():
+        # can_send(), inlined: the switch calls this once per grant
+        if (self._rate_credit < 1.0
+                or len(self._in_flight) >= self._capacity):
             return False
         self._rate_credit -= 1.0
-        self._in_flight.append(
-            (now_cycle + self.params.latency_cycles, flit)
-        )
+        self._in_flight.append((now_cycle + self._latency, flit))
         self.flits_sent += 1
         return True
 

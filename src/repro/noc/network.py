@@ -28,6 +28,10 @@ verbatim in :mod:`repro.noc.reference`), :meth:`Network.step` maintains
 * ``_pending_sources`` — nodes whose source queues hold flits waiting
   to enter the network (``drain`` no longer rescans every queue).
 
+Switches index their lanes, owners and links by integer port (see
+:mod:`repro.noc.switch`); under XY routing each head flit is routed
+once per cycle (:class:`~repro.noc.switch.ObliviousSwitch`), under
+west-first once per output port, as its adaptive choice requires.
 Rate credit accrues lazily and in batch (see
 :meth:`~repro.link.behavioral.TokenLink.accrue_to`), only for links
 that might send this cycle.  All of this is decision-identical to the
@@ -46,13 +50,13 @@ from ..link.behavioral import BehavioralLinkParams, TokenLink
 from ..obs.metrics import REGISTRY as _OBS
 from .flit import Flit, Packet
 from .stats import NetworkStats
-from .switch import Switch
+from .switch import ObliviousSwitch, Switch
 from .topology import (
     Coord,
     Port,
     Topology,
     compile_next_hop,
-    west_first_permitted,
+    compile_west_first,
 )
 from .traffic import TrafficConfig, TrafficGenerator
 
@@ -91,29 +95,6 @@ class Network:
         self.stats = NetworkStats()
         self.cycle = 0
 
-        if routing == "xy":
-            # dimension-ordered; the compiled closure skips the
-            # full-route construction of topology.next_hop
-            route = compile_next_hop(topology)
-        else:
-            # west-first adaptive: among the permitted productive ports,
-            # steer towards the least-occupied outgoing link
-            def route(current: Coord, dest: Coord) -> Port:
-                ports = west_first_permitted(current, dest, topology)
-                if len(ports) == 1:
-                    return ports[0]
-                return min(
-                    ports,
-                    key=lambda p: (
-                        self.links[(current, p)].occupancy,
-                        p.value,  # deterministic tie-break
-                    ),
-                )
-
-        self.switches: Dict[Coord, Switch] = {
-            node: Switch(node, route, fifo_depth, n_vcs)
-            for node in topology.nodes()
-        }
         #: directed links keyed by (src_node, src_port)
         self.links: Dict[Tuple[Coord, Port], TokenLink] = {}
         self._link_dst: Dict[Tuple[Coord, Port], Tuple[Coord, Port]] = {}
@@ -124,9 +105,25 @@ class Network:
                 override = link_params_for(src, port, dst)
                 if override is not None:
                     params = override
-            link = TokenLink(params, name=f"link{src}{port.value}")
-            self.links[key] = link
+            self.links[key] = TokenLink(params, name=f"link{src}{port.value}")
             self._link_dst[key] = (dst, port.opposite)
+
+        if routing == "xy":
+            # dimension-ordered and oblivious: each head flit is routed
+            # once per cycle (ObliviousSwitch); the compiled closure
+            # skips the full-route construction of topology.next_hop
+            route = compile_next_hop(topology)
+            switch_cls = ObliviousSwitch
+        else:
+            # west-first adaptive: among the permitted productive ports,
+            # steer towards the least-occupied outgoing link
+            route = compile_west_first(topology, self.links)
+            switch_cls = Switch
+        self.switches: Dict[Coord, Switch] = {
+            node: switch_cls(node, route, fifo_depth, n_vcs)
+            for node in topology.nodes()
+        }
+        for (src, port), link in self.links.items():
             self.switches[src].out_links[port] = link
 
         #: per-node source queues of flits waiting to enter the network
@@ -148,27 +145,37 @@ class Network:
         #: nodes whose switches hold buffered flits
         self._active_switches: set = set()
         #: links with flits in flight, mapped to their precomputed
-        #: delivery target (dst switch object, dst node, dst port)
-        self._active_links: Dict[TokenLink, Tuple[Switch, Coord, Port]] = {}
+        #: delivery target (dst switch, dst node, dst port's first lane)
+        self._active_links: Dict[TokenLink, Tuple[Switch, Coord, int]] = {}
         #: nodes with non-empty source queues
         self._pending_sources: set = set()
-        # per-switch (link, delivery-target) tuples so phase 3 can
-        # accrue credit and (re)activate links without dict lookups
+        # per node, the switch and its (link, delivery-target) tuples, so
+        # phase 3 can accrue credit and (re)activate links with one lookup
         self._switch_links: Dict[
-            Coord, Tuple[Tuple[TokenLink, Tuple[Switch, Coord, Port]], ...]
+            Coord,
+            Tuple[Switch,
+                  Tuple[Tuple[TokenLink, Tuple[Switch, Coord, int]], ...]],
         ] = {}
         for node, switch in self.switches.items():
             entries = []
             for port, link in switch.out_links.items():
                 dst, dport = self._link_dst[(node, port)]
-                entries.append((link, (self.switches[dst], dst, dport)))
-            self._switch_links[node] = tuple(entries)
+                entries.append(
+                    (link, (self.switches[dst], dst, dport.index * n_vcs))
+                )
+            self._switch_links[node] = (switch, tuple(entries))
 
     # ------------------------------------------------------------------
     def offer_packet(self, packet: Packet) -> None:
         """Queue a packet for injection at its source node."""
         if packet.src not in self.source_queues:
             raise ValueError(f"unknown source node {packet.src}")
+        if packet.dest not in self.source_queues:
+            topology = self.topology
+            raise ValueError(
+                f"packet {packet.packet_id}: destination {packet.dest} is "
+                f"outside the {topology.cols}x{topology.rows} mesh"
+            )
         self._packet_meta[packet.packet_id] = (
             packet.length_flits,
             packet.created_cycle,
@@ -191,8 +198,8 @@ class Network:
                 ready, flit = in_flight[0]
                 if ready > now:
                     continue
-                switch, dst_node, dst_port = active_links[link]
-                queue = switch.inputs[dst_port][flit.vc]
+                switch, dst_node, lane_base = active_links[link]
+                queue = switch._lanes[lane_base + flit.vc]
                 if len(queue.fifo) >= queue.depth:
                     continue  # backpressure: retry next cycle
                 del in_flight[0]
@@ -211,15 +218,19 @@ class Network:
         if pending:
             stats = self.stats
             packet_meta = self._packet_meta
+            local_base = Port.LOCAL.index * self.n_vcs
             for node in list(pending):
                 queue = self.source_queues[node]
                 switch = self.switches[node]
                 flit = queue[0]
-                if switch.can_accept(Port.LOCAL, flit.vc):
+                switch._check_vc(flit.vc)
+                lane = switch._lanes[local_base + flit.vc]
+                if len(lane.fifo) < lane.depth:
                     queue.popleft()
                     length, created = packet_meta[flit.packet_id]
                     stats.record_injection(flit, now, length, created)
-                    switch.accept(Port.LOCAL, flit)
+                    lane.fifo.append(flit)
+                    switch._buffered += 1
                     active_switches.add(node)
                     if not queue:
                         pending.discard(node)
@@ -231,24 +242,23 @@ class Network:
                 order: Iterable[Coord] = self._node_order
             else:
                 order = sorted(active_switches)
-            switches = self.switches
             switch_links = self._switch_links
             eject = self._eject
             trace = self.trace_routes
             target_accruals = now + 1
             for node in order:
-                switch = switches[node]
-                links = switch_links[node]
+                switch, links = switch_links[node]
                 for link, _info in links:
                     link.accrue_to(target_accruals)
                 if trace:
                     self._record_heads(node, switch)
-                switch.arbitrate_and_send(now, eject)
-                for link, info in links:
-                    if link._in_flight:
-                        active_links[link] = info
-                if switch._buffered == 0:
-                    active_switches.discard(node)
+                # only a switch that moved flits can have filled a link
+                if switch.arbitrate_and_send(now, eject):
+                    for link, info in links:
+                        if link._in_flight:
+                            active_links[link] = info
+                    if switch._buffered == 0:
+                        active_switches.discard(node)
 
         self.cycle = now + 1
         self.stats.cycles = self.cycle
@@ -258,16 +268,15 @@ class Network:
 
     def _record_heads(self, node: Coord, switch: Switch) -> None:
         """Append ``node`` to the route of every head flit waiting here."""
-        for queues in switch.inputs.values():
-            for queue in queues:
-                if queue.empty:
-                    continue
-                flit = queue.head()
-                if not flit.kind.opens_route:
-                    continue
-                route = self.routes.setdefault(flit.packet_id, [])
-                if not route or route[-1] != node:
-                    route.append(node)
+        for queue in switch._lanes:
+            if queue.empty:
+                continue
+            flit = queue.head()
+            if not flit.kind.opens_route:
+                continue
+            route = self.routes.setdefault(flit.packet_id, [])
+            if not route or route[-1] != node:
+                route.append(node)
 
     # ------------------------------------------------------------------
     def run(

@@ -24,23 +24,38 @@ virtual channels share the wire, they do not widen it.
 
 Arbitration is decision-identical to the straightforward seed
 implementation (kept verbatim in :mod:`repro.noc.reference` and pinned
-by ``tests/test_kernel_equivalence.py``) but organised for speed: the
-lane list and the lane→index map are precomputed once, empty switches
-return before touching any lane, and the round-robin update is a dict
-lookup instead of a linear ``list.index`` scan.  The per-output rescan
-of the lanes is deliberate — with adaptive routing a lane's desired
-output may change *within* a cycle as earlier outputs send (occupancies
-shift and queue heads advance), so caching desired outputs across
-output ports would change arbitration decisions.
+by ``tests/test_kernel_equivalence.py``) but organised for speed.
+Inside the kernel ports are the ints :attr:`Port.index` (N, S, E, W, L
+= 0..4): the input lanes are one flat tuple indexed
+``port * n_vcs + vc``, and the wormhole owners, round-robin pointers,
+out-links and route locks are int-indexed lists, so no lookup hashes a
+:class:`Port`.  Empty switches return before touching any lane.
+
+The outputs are served in port order, and a lane that advances on one
+output may advance again on a later one in the same cycle (its new head
+wants that output).  The arbitration loop finds each output's
+candidates in one of two ways, both exact:
+
+* :class:`Switch` rescans the occupied lanes for every output.  That is
+  what adaptive (``west_first``) routing needs: a lane's desired output
+  may change *within* a cycle as earlier outputs send and their link
+  occupancies shift, so desired outputs cannot be cached across ports.
+* :class:`ObliviousSwitch`, for routes that depend only on
+  ``(current, dest)`` (XY), routes each head flit once per cycle: one
+  pass builds the per-output request lists, and when a lane advances on
+  output ``o`` only its new head is routed; if it wants a later output
+  it joins that output's list.  This is exact because an output's
+  wormhole owners only change while that output is being served.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from collections.abc import MutableMapping
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from .flit import Flit
-from .topology import Coord, Port
+from .topology import PORTS, Coord, Port
 
 #: signature of the routing function: (current, dest) -> output port
 RouteFn = Callable[[Coord, Coord], Port]
@@ -48,17 +63,23 @@ RouteFn = Callable[[Coord, Coord], Port]
 #: an input lane: (input port, virtual channel)
 Lane = Tuple[Port, int]
 
+_N_PORTS = len(PORTS)
+_LOCAL = Port.LOCAL.index
+
 
 class InputQueue:
     """One input lane's FIFO with its wormhole route state."""
+
+    __slots__ = ("depth", "fifo", "locked_output")
 
     def __init__(self, depth: int) -> None:
         if depth < 1:
             raise ValueError(f"FIFO depth must be >= 1, got {depth}")
         self.depth = depth
         self.fifo: Deque[Flit] = deque()
-        #: output port currently locked by an in-progress packet
-        self.locked_output: Optional[Port] = None
+        #: output port (:attr:`Port.index`) locked by an in-progress
+        #: packet, or None
+        self.locked_output: Optional[int] = None
 
     @property
     def full(self) -> bool:
@@ -80,8 +101,49 @@ class InputQueue:
         return self.fifo.popleft()
 
 
+class PortLinks(MutableMapping):
+    """A switch's out-links keyed by :class:`Port`.
+
+    The links live in :attr:`slots`, a list indexed by
+    :attr:`Port.index` that the arbitration loop reads directly.
+    """
+
+    __slots__ = ("slots",)
+
+    def __init__(self) -> None:
+        self.slots: List[Optional[object]] = [None] * _N_PORTS
+
+    def __getitem__(self, port: Port) -> object:
+        link = self.slots[port.index]
+        if link is None:
+            raise KeyError(port)
+        return link
+
+    def __setitem__(self, port: Port, link: object) -> None:
+        self.slots[port.index] = link
+
+    def __delitem__(self, port: Port) -> None:
+        self[port]  # KeyError when nothing is attached
+        self.slots[port.index] = None
+
+    def __iter__(self) -> Iterator[Port]:
+        return (port for port, link in zip(PORTS, self.slots)
+                if link is not None)
+
+    def __len__(self) -> int:
+        return sum(link is not None for link in self.slots)
+
+
 class Switch:
-    """A 5-port synchronous wormhole switch with optional VCs."""
+    """A 5-port synchronous wormhole switch with optional VCs.
+
+    Arbitration rescans the lanes for every output, which is correct
+    for any routing function, adaptive ones included.
+    """
+
+    #: route each head flit once per cycle (:class:`ObliviousSwitch`)
+    #: instead of rescanning the lanes for every output
+    _oblivious = False
 
     def __init__(
         self,
@@ -97,28 +159,24 @@ class Switch:
         self.route_fn = route_fn
         self.name = name or f"sw{position}"
         self.n_vcs = n_vcs
+        n_lanes = _N_PORTS * n_vcs
+        self._n_lanes = n_lanes
+        #: input FIFOs, flat: lane ``port.index * n_vcs + vc``
+        self._lanes: Tuple[InputQueue, ...] = tuple(
+            InputQueue(fifo_depth) for _ in range(n_lanes)
+        )
         #: input FIFOs indexed by port, then VC
         self.inputs: Dict[Port, List[InputQueue]] = {
-            port: [InputQueue(fifo_depth) for _ in range(n_vcs)]
+            port: list(self._lanes[port.index * n_vcs:
+                                   (port.index + 1) * n_vcs])
             for port in Port
         }
-        #: which input lane owns each (output port, VC) wormhole lane
-        self.output_owner: Dict[Tuple[Port, int], Optional[Lane]] = {
-            (port, vc): None for port in Port for vc in range(n_vcs)
-        }
-        #: round-robin pointer per output port (over lanes)
-        self._rr: Dict[Port, int] = {port: 0 for port in Port}
+        #: input lane owning each output lane ``port.index * n_vcs + vc``
+        self._owner: List[Optional[int]] = [None] * n_lanes
+        #: round-robin pointer (over lanes) per output port
+        self._rr: List[int] = [0] * _N_PORTS
         #: outgoing links, attached by the network
-        self.out_links: Dict[Port, object] = {}
-        # precomputed arbitration structures (hot path)
-        lanes = [(port, vc) for port in Port for vc in range(n_vcs)]
-        self._lane_index: Dict[Lane, int] = {
-            lane: i for i, lane in enumerate(lanes)
-        }
-        self._lane_pairs: Tuple[Tuple[Lane, InputQueue], ...] = tuple(
-            (lane, self.inputs[lane[0]][lane[1]]) for lane in lanes
-        )
-        self._n_lanes = len(lanes)
+        self.out_links = PortLinks()
         #: flits currently buffered across all lanes (maintained by
         #: :meth:`accept` and the arbitration pops; lets both the switch
         #: and the network skip empty switches without scanning FIFOs)
@@ -130,6 +188,16 @@ class Switch:
         self.arbitration_fast = 0
 
     # ------------------------------------------------------------------
+    @property
+    def output_owner(self) -> Dict[Tuple[Port, int], Optional[Lane]]:
+        """Which input lane owns each (output port, VC) wormhole lane."""
+        n_vcs = self.n_vcs
+        return {
+            (PORTS[slot // n_vcs], slot % n_vcs):
+                None if lane is None else (PORTS[lane // n_vcs], lane % n_vcs)
+            for slot, lane in enumerate(self._owner)
+        }
+
     def queue(self, port: Port, vc: int = 0) -> InputQueue:
         """The input FIFO of one lane."""
         return self.inputs[port][vc]
@@ -138,15 +206,18 @@ class Switch:
         """Space available on the given input lane?"""
         return not self.inputs[port][vc].full
 
-    def accept(self, port: Port, flit: Flit) -> None:
-        """Push an arriving flit into its lane's FIFO (lane = flit.vc)."""
-        vc = flit.vc
+    def _check_vc(self, vc: int) -> None:
+        """Reject a flit VC outside ``[0, n_vcs)``."""
         if not (0 <= vc < self.n_vcs):
             raise ValueError(
                 f"{self.name}: flit carries VC {vc} but switch has "
                 f"{self.n_vcs} VC(s)"
             )
-        self.inputs[port][vc].push(flit)
+
+    def accept(self, port: Port, flit: Flit) -> None:
+        """Push an arriving flit into its lane's FIFO (lane = flit.vc)."""
+        self._check_vc(flit.vc)
+        self._lanes[port.index * self.n_vcs + flit.vc].push(flit)
         self._buffered += 1
 
     # ------------------------------------------------------------------
@@ -164,83 +235,122 @@ class Switch:
         """
         if self._buffered == 0:
             return 0
-        moved = 0
+        lanes = self._lanes
+        owners = self._owner
+        rr = self._rr
+        n_vcs = self.n_vcs
+        n_lanes = self._n_lanes
+        out_links = self.out_links.slots
         route_fn = self.route_fn
         position = self.position
-        output_owner = self.output_owner
-        lane_pairs = self._lane_pairs
-        lane_index = self._lane_index
-        n_lanes = self._n_lanes
-        rr = self._rr
-        for out_port in Port:
-            candidates: List[Tuple[Lane, InputQueue]] = []
-            for lane, queue in lane_pairs:
+        oblivious = self._oblivious
+        if oblivious:
+            # every head flit is routed once, up front (_request inlined)
+            requests: Tuple[List[int], ...] = ([], [], [], [], [])
+            for lane, queue in enumerate(lanes):
                 fifo = queue.fifo
                 if not fifo:
                     continue
                 flit = fifo[0]
                 if flit.kind.opens_route:
-                    if route_fn(position, flit.dest) is not out_port:
-                        continue
-                    owner = output_owner[(out_port, flit.vc)]
-                    if owner is not None and owner != lane:
-                        continue  # VC lane locked by another packet
-                elif queue.locked_output is not out_port:
-                    # body/tail follow the locked route
-                    continue
-                candidates.append((lane, queue))
-
+                    out = route_fn(position, flit.dest).index
+                    owner = owners[out * n_vcs + flit.vc]
+                    if owner is None or owner == lane:
+                        requests[out].append(lane)
+                elif queue.locked_output is not None:
+                    requests[queue.locked_output].append(lane)
+        else:
+            request = self._request
+            occupied = [lane for lane, queue in enumerate(lanes) if queue.fifo]
+        moved = 0
+        for out in range(_N_PORTS):
+            if oblivious:
+                candidates = requests[out]
+            else:
+                candidates = [
+                    lane for lane in occupied if request(lane) == out
+                ]
             if not candidates:
                 continue
             if len(candidates) == 1:
                 self.arbitration_fast += 1
-                pick, queue = candidates[0]
+                pick = candidates[0]
             else:
                 self.arbitration_conflicts += 1
                 # round-robin: the first candidate at or after the pointer
-                start = rr[out_port]
-                pick, queue = min(
-                    candidates,
-                    key=lambda cand: (lane_index[cand[0]] - start) % n_lanes,
-                )
-
-            if out_port is Port.LOCAL:
-                flit = queue.pop()
-                self._buffered -= 1
-                self._finish_flit(queue, pick, out_port, flit)
+                start = rr[out]
+                pick = min(candidates,
+                           key=lambda lane: (lane - start) % n_lanes)
+            queue = lanes[pick]
+            fifo = queue.fifo
+            if out != _LOCAL:
+                link = out_links[out]
+                if link is None:
+                    raise RuntimeError(
+                        f"{self.name}: no link attached on {PORTS[out]}"
+                    )
+                if not link.try_send(fifo[0], now_cycle):
+                    continue
+            flit = fifo.popleft()
+            moved += 1
+            # wormhole locks follow the flit that advanced
+            kind = flit.kind
+            if kind.opens_route:
+                owners[out * n_vcs + flit.vc] = pick
+                queue.locked_output = out
+            if kind.closes_route:
+                owners[out * n_vcs + flit.vc] = None
+                queue.locked_output = None
+            if out == _LOCAL:
                 eject(flit)
-                moved += 1
-                rr[out_port] = (lane_index[pick] + 1) % n_lanes
-                continue
-
-            link = self.out_links.get(out_port)
-            if link is None:
-                raise RuntimeError(
-                    f"{self.name}: no link attached on {out_port}"
-                )
-            if link.try_send(queue.fifo[0], now_cycle):
-                flit = queue.pop()
-                self._buffered -= 1
-                self._finish_flit(queue, pick, out_port, flit)
-                moved += 1
-                rr[out_port] = (lane_index[pick] + 1) % n_lanes
+            rr[out] = (pick + 1) % n_lanes
+            if oblivious and fifo:
+                # the new head competes for a later output this cycle,
+                # just as the rescan would find it there; a body or tail
+                # follows the lock, which is now ``out`` or released
+                flit = fifo[0]
+                if flit.kind.opens_route:
+                    later = route_fn(position, flit.dest).index
+                    if later > out:
+                        owner = owners[later * n_vcs + flit.vc]
+                        if owner is None or owner == pick:
+                            requests[later].append(pick)
+        self._buffered -= moved
         self.flits_routed += moved
         return moved
 
-    def _finish_flit(self, queue: InputQueue, lane: Lane,
-                     out_port: Port, flit: Flit) -> None:
-        """Update wormhole locks after a flit advances."""
-        kind = flit.kind
-        if kind.opens_route:
-            self.output_owner[(out_port, flit.vc)] = lane
-            queue.locked_output = out_port
-        if kind.closes_route:
-            self.output_owner[(out_port, flit.vc)] = None
-            queue.locked_output = None
+    def _request(self, lane: int) -> Optional[int]:
+        """The output ``lane``'s head flit may take now, or None.
+
+        A head flit requests its routed output if no other lane owns
+        that output on its VC; body and tail flits follow the lock.
+        """
+        queue = self._lanes[lane]
+        fifo = queue.fifo
+        if not fifo:
+            return None
+        flit = fifo[0]
+        if not flit.kind.opens_route:
+            return queue.locked_output
+        out = self.route_fn(self.position, flit.dest).index
+        owner = self._owner[out * self.n_vcs + flit.vc]
+        if owner is None or owner == lane:
+            return out
+        return None  # VC lane locked by another packet
 
     # ------------------------------------------------------------------
     @property
     def buffered_flits(self) -> int:
-        return sum(
-            len(q.fifo) for queues in self.inputs.values() for q in queues
-        )
+        return sum(len(queue.fifo) for queue in self._lanes)
+
+
+class ObliviousSwitch(Switch):
+    """A switch whose route depends only on ``(current, dest)``.
+
+    Routes each head flit once per cycle instead of once per output
+    (see the module docstring); decisions are identical to
+    :class:`Switch`'s rescan.  :class:`~repro.noc.network.Network` uses
+    it for XY routing.
+    """
+
+    _oblivious = True

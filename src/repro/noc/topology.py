@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 import networkx as nx
 
@@ -37,6 +37,16 @@ class Port(Enum):
             Port.LOCAL: Port.LOCAL,
         }[self]
 
+
+# ``index`` is a plain member attribute (like ``FlitKind.opens_route``):
+# the cycle kernel indexes its per-port lists with it instead of hashing
+# the enum on every lookup
+for _index, _port in enumerate(Port):
+    _port.index = _index
+del _index, _port
+
+#: ports by :attr:`Port.index` (N, S, E, W, L — the iteration order)
+PORTS: Tuple[Port, ...] = tuple(Port)
 
 _DELTAS: Dict[Port, Tuple[int, int]] = {
     Port.NORTH: (0, 1),
@@ -150,8 +160,8 @@ def compile_next_hop(topology: Topology):
     Decision-identical to :func:`next_hop` (see the equivalence test in
     ``tests/test_noc_topology.py``) but skips the bounds validation and
     the full-route list that :func:`xy_route` builds — the network cycle
-    kernel calls this once per buffered head flit per output port per
-    cycle, where materialising the whole remaining path is pure waste.
+    kernel calls this for every head flit it arbitrates, where
+    materialising the whole remaining path is pure waste.
     """
     east, west = Port.EAST, Port.WEST
     north, south = Port.NORTH, Port.SOUTH
@@ -235,3 +245,58 @@ def west_first_permitted(
     elif dy < 0:
         ports.append(Port.SOUTH)
     return ports
+
+
+def compile_west_first(
+    topology: Topology, links: Mapping[Tuple[Coord, Port], object]
+):
+    """A fast west-first adaptive ``(current, dest) -> Port`` closure.
+
+    Decision-identical to taking, among :func:`west_first_permitted`,
+    the port whose outgoing link in ``links`` (keyed ``(node, port)``)
+    has the lowest ``occupancy``, ties broken by ``port.value`` (see
+    ``tests/test_noc_adaptive.py``).  Occupancy is read when the closure
+    is called, so decisions follow the links as they fill and drain.
+    Skips the bounds checks (:meth:`Network.offer_packet
+    <repro.noc.network.Network.offer_packet>` rejects out-of-mesh
+    destinations) and reads the links from a flat list indexed
+    ``(y * cols + x) * 5 + port.index`` instead of hashing
+    ``(node, Port)`` keys.
+    """
+    if topology.torus:
+        raise ValueError("west-first turn model requires a mesh, not a torus")
+    cols = topology.cols
+    n_ports = len(PORTS)
+    slots: List[object] = [None] * (topology.n_nodes * n_ports)
+    for (node, port), link in links.items():
+        slots[(node[1] * cols + node[0]) * n_ports + port.index] = link
+    east, west = Port.EAST, Port.WEST
+    north, south = Port.NORTH, Port.SOUTH
+    local = Port.LOCAL
+    east_i, north_i, south_i = east.index, north.index, south.index
+
+    def west_first_route(current: Coord, dest: Coord) -> Port:
+        x, y = current
+        dx = dest[0] - x
+        if dx < 0:
+            return west
+        dy = dest[1] - y
+        if dx == 0:
+            if dy > 0:
+                return north
+            if dy < 0:
+                return south
+            return local
+        if dy == 0:
+            return east
+        base = (y * cols + x) * n_ports
+        if dy > 0:
+            other, other_i = north, north_i
+        else:
+            other, other_i = south, south_i
+        # "E" sorts before "N" and "S", so EAST wins occupancy ties
+        if slots[base + east_i].occupancy <= slots[base + other_i].occupancy:
+            return east
+        return other
+
+    return west_first_route

@@ -1,6 +1,7 @@
 """Tests for the ``repro bench`` subcommand and the bench harness."""
 
 import json
+import sys
 
 import pytest
 
@@ -149,10 +150,31 @@ class TestBenchCli:
         assert point["stats_match"] is True
         assert "cycles/sec" in capsys.readouterr().out
 
-    def test_bench_self_check_passes(self, tmp_path):
+    def test_bench_self_check_passes(self, tmp_path, capsys):
+        """The ``--check`` wiring against a fixed baseline: it names the
+        TINY point at its size and interpreter, with a speedup bar far
+        below any real timing, so this passes whatever the host's load.
+        Gating live timings is the CI bench job's business."""
         out = tmp_path / "bench.json"
         assert main(["bench", *TINY, "--json", str(out)]) == 0
-        assert main(["bench", *TINY, "--check", str(out)]) == 0
+        (point,) = json.loads(out.read_text())["points"]
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({
+            "schema": 5,
+            "python": sys.version.split()[0],
+            "suites": ["noc"],
+            "points": [{
+                "key": "2x2@0.1/uniform/xy/vc1/I3",
+                "suite": "noc",
+                "cycles": 60,
+                "speedup": 0.01,
+                "stats_match": True,
+            }],
+        }))
+        assert point["key"] == "2x2@0.1/uniform/xy/vc1/I3"
+        capsys.readouterr()
+        assert main(["bench", *TINY, "--check", str(baseline)]) == 0
+        assert "within 30% of" in capsys.readouterr().out
 
     def test_bench_check_fails_on_regression(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
@@ -381,7 +403,7 @@ class TestGateSuiteCli:
         with pytest.raises(SystemExit):
             main(["bench", "--suite", "gate", "--scale", "0"])
 
-    def test_committed_baseline_is_schema_4_with_every_suite(self):
+    def test_committed_baseline_is_schema_5_with_every_suite(self):
         """The committed baseline must gate every suite's speedups."""
         from pathlib import Path
 
@@ -389,7 +411,7 @@ class TestGateSuiteCli:
             (Path(__file__).resolve().parent.parent
              / "benchmarks" / "baseline_bench.json").read_text()
         )
-        assert baseline["schema"] == 4
+        assert baseline["schema"] == 5
         assert set(baseline["suites"]) == {
             "noc", "gate", "compiled", "sweep",
         }
@@ -400,11 +422,14 @@ class TestGateSuiteCli:
         assert len(by_suite["gate"]) == 4
         assert len(by_suite["compiled"]) == 2
         assert len(by_suite["sweep"]) == 1
-        # the committed fabric point: --fast grid, one local worker,
-        # dispatch efficiency recorded as the gateable speedup ratio
+        # the committed fabric point: --fast grid of the no-op workload
+        # (one in-process worker), dispatch efficiency recorded as the
+        # gateable speedup ratio
         (sweep_point,) = by_suite["sweep"]
         assert sweep_point["cycles"] == 32
-        assert sweep_point["workers"] == 1
+        assert sweep_point["workload"] == "noop"
+        assert sweep_point["unit"] == "points/sec"
+        assert sweep_point["lanes"] == 1
         assert 0 < sweep_point["speedup"] < 1.0
         gate_keys = {p["workload"] for p in by_suite["gate"]}
         assert "serializer-i3" in gate_keys

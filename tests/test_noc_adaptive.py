@@ -1,5 +1,7 @@
 """Tests for the west-first adaptive routing extension."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,8 @@ from repro.noc import (
     reset_packet_ids,
     west_first_permitted,
 )
+from repro.noc.switch import ObliviousSwitch, Switch
+from repro.noc.topology import compile_west_first
 from repro.tech import st012
 
 
@@ -90,6 +94,44 @@ class TestWestFirstPermitted:
             assert after == before - 1
 
 
+class _Occupancy:
+    """Stand-in link exposing only ``occupancy``."""
+
+    def __init__(self, occupancy):
+        self.occupancy = occupancy
+
+
+class TestCompiledWestFirst:
+    @pytest.mark.parametrize("rows", range(2, 7))
+    @pytest.mark.parametrize("cols", range(2, 7))
+    def test_agrees_with_permitted_min(self, cols, rows):
+        """The closure picks what the west-first rule plus the
+        least-occupancy, lowest-``value`` tie-break picks, reading the
+        occupancies live (re-drawn between trials, small so ties are
+        common)."""
+        topo = Topology(cols, rows)
+        links = {(src, port): _Occupancy(0) for src, port, _ in topo.links()}
+        route = compile_west_first(topo, links)
+        rng = random.Random(cols * 10 + rows)
+        for trial in range(3):
+            for link in links.values():
+                link.occupancy = rng.randrange(3)
+            for current in topo.nodes():
+                for dest in topo.nodes():
+                    ports = west_first_permitted(current, dest, topo)
+                    expected = ports[0] if len(ports) == 1 else min(
+                        ports,
+                        key=lambda p: (links[(current, p)].occupancy,
+                                       p.value),
+                    )
+                    assert route(current, dest) is expected, (
+                        cols, rows, trial, current, dest)
+
+    def test_torus_rejected(self):
+        with pytest.raises(ValueError):
+            compile_west_first(Topology(3, 3, torus=True), {})
+
+
 class TestAdaptiveNetwork:
     def _run(self, routing, rate=0.2, seed=17, cycles=1200):
         topo = Topology(4, 4)
@@ -102,6 +144,14 @@ class TestAdaptiveNetwork:
         net.run(cycles, traffic)
         net.drain(max_cycles=300_000)
         return net
+
+    def test_switch_kind_follows_routing(self):
+        topo = Topology(3, 3)
+        params = derive_link_params(st012(), "I1", 300)
+        xy = Network(topo, params, routing="xy")
+        adaptive = Network(topo, params, routing="west_first")
+        assert type(xy.switches[(1, 1)]) is ObliviousSwitch
+        assert type(adaptive.switches[(1, 1)]) is Switch
 
     def test_unknown_routing_rejected(self):
         with pytest.raises(ValueError):

@@ -60,6 +60,18 @@ class TestSinglePacket:
         with pytest.raises(ValueError):
             net.offer_packet(Packet(src=(9, 9), dest=(0, 0), length_flits=1))
 
+    @pytest.mark.parametrize("routing", ["xy", "west_first"])
+    def test_out_of_bounds_destination_rejected_at_offer(self, routing):
+        topo = Topology(3, 3)
+        net = Network(topo, derive_link_params(st012(), "I1", 300),
+                      routing=routing)
+        packet = Packet(src=(0, 0), dest=(5, 0), length_flits=1)
+        with pytest.raises(ValueError, match=(
+            rf"packet {packet.packet_id}: destination \(5, 0\)"
+        )):
+            net.offer_packet(packet)
+        assert not net.source_queues[(0, 0)]
+
 
 class TestManyPackets:
     def test_all_pairs_single_flit(self):

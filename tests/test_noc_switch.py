@@ -4,7 +4,9 @@ import pytest
 
 from repro.link.behavioral import BehavioralLinkParams, TokenLink
 from repro.noc import Flit, FlitKind, Packet, Port, Switch, Topology, next_hop
-from repro.noc.switch import InputQueue
+from repro.noc.reference import ReferenceSwitch
+from repro.noc.switch import InputQueue, ObliviousSwitch
+from repro.noc.topology import compile_next_hop
 
 
 def make_switch(position=(1, 1), topo=None, fifo_depth=4):
@@ -194,3 +196,54 @@ class TestBackpressure:
         sw.accept(Port.LOCAL, head(dest=(2, 1)))
         with pytest.raises(RuntimeError):
             sw.arbitrate_and_send(0, lambda f: None)
+
+
+def _wired(cls):
+    """A (1, 1) switch of ``cls`` in a 3x3 mesh, XY-routed, all links."""
+    sw = cls((1, 1), compile_next_hop(Topology(3, 3)))
+    params = BehavioralLinkParams("T", 1, 1.0, 8, 10, 300.0)
+    for port in (Port.NORTH, Port.SOUTH, Port.EAST, Port.WEST):
+        sw.out_links[port] = TokenLink(params)
+    return sw
+
+
+def _cycle(sw, cycle):
+    for link in sw.out_links.values():
+        link.begin_cycle()
+    return sw.arbitrate_and_send(cycle, lambda f: None)
+
+
+def _west(pid, kind, dest=(9, 9), seq=0):
+    return Flit(packet_id=pid, kind=kind, src=(0, 1), dest=dest, seq=seq)
+
+
+@pytest.mark.parametrize("cls", [Switch, ObliviousSwitch, ReferenceSwitch])
+class TestSameCycleSecondAdvance:
+    """Outputs are served in port order (N, S, E, W, L), and a lane that
+    advances on one output competes again on every *later* output in
+    the same cycle with its new head flit — never on an earlier one."""
+
+    def test_tail_north_then_head_tail_east(self, cls):
+        sw = _wired(cls)
+        north, east = sw.out_links[Port.NORTH], sw.out_links[Port.EAST]
+        sw.accept(Port.WEST, _west(1, FlitKind.HEAD, dest=(1, 2)))
+        assert _cycle(sw, 0) == 1  # packet 1 locks NORTH
+        sw.accept(Port.WEST, _west(1, FlitKind.TAIL, seq=1))
+        sw.accept(Port.WEST, _west(2, FlitKind.HEAD_TAIL, dest=(2, 1)))
+        assert _cycle(sw, 1) == 2
+        assert [f.packet_id for _, f in north._in_flight] == [1, 1]
+        assert [f.packet_id for _, f in east._in_flight] == [2]
+        assert sw.queue(Port.WEST).empty
+
+    def test_new_head_for_earlier_port_waits(self, cls):
+        sw = _wired(cls)
+        north, east = sw.out_links[Port.NORTH], sw.out_links[Port.EAST]
+        sw.accept(Port.WEST, _west(1, FlitKind.HEAD, dest=(2, 1)))
+        assert _cycle(sw, 0) == 1  # packet 1 locks EAST
+        sw.accept(Port.WEST, _west(1, FlitKind.TAIL, seq=1))
+        sw.accept(Port.WEST, _west(2, FlitKind.HEAD_TAIL, dest=(1, 2)))
+        assert _cycle(sw, 1) == 1  # NORTH was served before EAST
+        assert [f.packet_id for _, f in east._in_flight] == [1, 1]
+        assert north.flits_sent == 0
+        assert _cycle(sw, 2) == 1
+        assert [f.packet_id for _, f in north._in_flight] == [2]

@@ -31,6 +31,13 @@ class TestTrafficGenerator:
         with pytest.raises(ValueError):
             TrafficGenerator(Topology(4, 4), TrafficConfig(pattern="hotspot"))
 
+    def test_hotspot_out_of_bounds_rejected(self):
+        with pytest.raises(ValueError, match=r"hotspot \(4, 0\)"):
+            TrafficGenerator(
+                Topology(4, 4),
+                TrafficConfig(pattern="hotspot", hotspot=(4, 0)),
+            )
+
     def test_deterministic_given_seed(self):
         topo = Topology(4, 4)
         runs = []
