@@ -1,8 +1,8 @@
 """Package metadata: the ``repro`` package under ``src/``.
 
-``pip install -e .`` installs it with its one runtime dependency,
-``networkx`` (imported by ``repro.noc.topology``).  The test suite
-additionally needs ``pytest``, ``pytest-benchmark`` and ``hypothesis``.
+``pip install -e .`` installs it.  It has no runtime dependency beyond
+the Python standard library; the test suite needs ``pytest``,
+``pytest-benchmark`` and ``hypothesis``.
 """
 
 from setuptools import find_packages, setup
@@ -17,5 +17,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["networkx"],
 )

@@ -60,13 +60,15 @@ from pathlib import Path
 from typing import List, Optional
 
 from .analysis.report import format_table
-from .obs import analyze as obs_analyze
 from .obs import metrics as obs_metrics
 from .obs import telemetry as obs_telemetry
 from .runner import engine, registry, sweep
 from . import store as run_store_pkg
-from .store import diff as store_diff
 from .store import journal as store_journal
+
+# Modules only some subcommands need (the compiled backend, lint,
+# telemetry analysis, tree diffing, the bench) are imported inside
+# those subcommands, so ``run`` and ``list`` never pay for them.
 
 
 def _parse_tags(raw: Optional[str]) -> List[str]:
@@ -716,6 +718,8 @@ def _cmd_bench(args, parser) -> int:
 
 
 def _cmd_telemetry(args, parser) -> int:
+    from .obs import analyze as obs_analyze
+
     try:
         report = obs_analyze.summarize(args.target)
     except FileNotFoundError as exc:
@@ -743,6 +747,8 @@ def _cmd_telemetry(args, parser) -> int:
 
 
 def _cmd_diff(args, parser) -> int:
+    from .store import diff as store_diff
+
     try:
         report = store_diff.diff_trees(
             args.old, args.new, drift_tolerance=args.drift_tolerance

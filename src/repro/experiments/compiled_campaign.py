@@ -30,7 +30,6 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..compiled import ALL, build_bench, compile_component, stimulus_phases
 from ..design import Design
 from ..obs.metrics import REGISTRY as _OBS
 from ..runner.registry import ParamSpec, scenario
@@ -103,6 +102,10 @@ def _run_campaign(param_sets: Sequence[Dict[str, object]]
     fault lanes).  Requests beyond one word's capacity run in further
     compiled passes — callers never need to mind the 64-lane boundary.
     """
+    # deferred: registering this scenario must not load the backend
+    from ..compiled import ALL, build_bench, compile_component, \
+        stimulus_phases
+
     first = param_sets[0]
     kind = str(first["kind"])
     faults = int(first["faults"])
@@ -214,6 +217,8 @@ def build_design(
     **_ignored,
 ) -> Design:
     """Structural view for ``repro inspect`` (and its compiled stats)."""
+    from ..compiled import build_bench
+
     sim = Simulator()
     bench = build_bench(sim, kind, width)
     # the campaign's scoreboard reads exactly these nets; declaring

@@ -3,17 +3,17 @@
 Switch positions are (x, y) coordinates; ports are compass directions
 plus LOCAL for the attached core.  A topology is a description object —
 :class:`~repro.noc.network.Network` instantiates switches and links from
-it.  ``networkx`` views are provided for analysis (path lengths,
-bisection cuts) and the design-space examples.
+it.  :meth:`Topology.links` enumerates the directed links, which
+graph analyses (such as :meth:`Topology.average_hop_count`) walk
+directly; the package needs no graph library.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterator, List, Mapping, Tuple
-
-import networkx as nx
 
 Coord = Tuple[int, int]
 
@@ -107,24 +107,29 @@ class Topology:
     def n_directed_links(self) -> int:
         return sum(1 for _ in self.links())
 
-    def to_networkx(self) -> "nx.DiGraph":
-        """Directed graph view of the topology."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.nodes())
-        for src, port, dst in self.links():
-            graph.add_edge(src, dst, port=port.value)
-        return graph
-
     def average_hop_count(self) -> float:
-        """Mean shortest-path hops over all src≠dst pairs."""
-        graph = self.to_networkx()
-        lengths = dict(nx.all_pairs_shortest_path_length(graph))
+        """Mean shortest-path hops over all reachable src≠dst pairs.
+
+        One breadth-first search over :meth:`links` per source, so tori
+        (wrap links) are covered as well as meshes.
+        """
+        successors: Dict[Coord, List[Coord]] = {
+            node: [] for node in self.nodes()
+        }
+        for src, _port, dst in self.links():
+            successors[src].append(dst)
         total, pairs = 0, 0
-        for src, dsts in lengths.items():
-            for dst, hops in dsts.items():
-                if src != dst:
-                    total += hops
-                    pairs += 1
+        for src in successors:
+            hops = {src: 0}
+            frontier = deque((src,))
+            while frontier:
+                node = frontier.popleft()
+                for dst in successors[node]:
+                    if dst not in hops:
+                        hops[dst] = hops[node] + 1
+                        frontier.append(dst)
+            total += sum(hops.values())
+            pairs += len(hops) - 1
         return total / pairs if pairs else 0.0
 
 

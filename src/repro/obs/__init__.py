@@ -17,7 +17,8 @@ is off and nobody above it needs to know which kernel ran:
   periodic log lines when stdout is not a TTY.
 * :mod:`repro.obs.analyze` — ``repro telemetry <dir>``: summarize a
   sweep's stream (slowest points, failure clusters, store-hit ratio,
-  kernel counter rollups) with JSON/CSV export.
+  kernel counter rollups) with JSON/CSV export.  Only that subcommand
+  needs it, so this package does not import it.
 """
 
 from .metrics import (  # noqa: F401
@@ -44,4 +45,3 @@ from .telemetry import (  # noqa: F401
     write_snapshot,
 )
 from .progress import SweepProgress  # noqa: F401
-from .analyze import TelemetryReport, summarize  # noqa: F401

@@ -30,6 +30,14 @@ tuples lives on verbatim in :mod:`repro.sim.reference`):
   superseded inertial drive never executes, never counts against the
   ``max_events`` livelock budget, and never shows up in
   :attr:`Simulator.pending_events` (which reports *live* events only).
+* **no-op elision** — an inertial drive to the value its net already
+  holds schedules nothing; the net keeps a *shadow* of the FIFO slot
+  the drive would have taken and turns it into a real event only if
+  another writer changes the net first (:mod:`repro.sim.signal`).  A
+  shadow's timestamp always has a bucket (a placeholder holding one
+  cancelled cell if nothing else is queued there), so ``run`` still
+  advances ``now`` through it as the seed does by executing the no-op.
+  :attr:`Simulator.drives_elided` counts them.
 
 Time unit helpers (`NS`, `PS`, `US`, `MHZ_PERIOD_PS`) are provided so that
 user code can speak nanoseconds while the kernel stays integral.
@@ -117,6 +125,8 @@ class Simulator:
         "_seq",
         "_live",
         "_cancelled",
+        "_elided",
+        "_revived",
         "_events_executed",
         "_migrations",
         "_running",
@@ -139,6 +149,10 @@ class Simulator:
         self._seq: int = 0
         self._live: int = 0
         self._cancelled: int = 0
+        #: no-op inertial drives elided (also their FIFO ordinals) and
+        #: shadows later revived into real events
+        self._elided: int = 0
+        self._revived: int = 0
         self._events_executed: int = 0
         self._migrations: int = 0
         self._running: bool = False
@@ -169,6 +183,11 @@ class Simulator:
     def events_cancelled(self) -> int:
         """Total number of events cancelled before execution."""
         return self._cancelled
+
+    @property
+    def drives_elided(self) -> int:
+        """No-op inertial drives that never became events."""
+        return self._elided - self._revived
 
     @property
     def band_migrations(self) -> int:
@@ -294,7 +313,8 @@ class Simulator:
         # the registry this call's deltas in bulk (never per event)
         obs_base = None
         if _OBS.enabled:
-            obs_base = (self._cancelled, self._migrations, self._live)
+            obs_base = (self._cancelled, self._migrations, self._live,
+                        self._elided, self._revived)
             occupancy = _OBS.histogram(
                 "sim.bucket_occupancy", (1, 2, 4, 8, 16, 32)
             )
@@ -383,8 +403,9 @@ class Simulator:
         finally:
             self._running = False
             if obs_base is not None and _OBS.enabled:
-                cancelled0, migrations0, live0 = obs_base
+                cancelled0, migrations0, live0, elided0, revived0 = obs_base
                 cancelled_d = self._cancelled - cancelled0
+                revived_d = self._revived - revived0
                 _OBS.counter("sim.events_executed").inc(executed)
                 _OBS.counter("sim.events_cancelled").inc(cancelled_d)
                 # everything scheduled while running either executed,
@@ -392,6 +413,10 @@ class Simulator:
                 _OBS.counter("sim.events_scheduled").inc(
                     executed + cancelled_d + (self._live - live0)
                 )
+                _OBS.counter("sim.drives_elided").inc(
+                    self._elided - elided0 - revived_d
+                )
+                _OBS.counter("sim.shadows_revived").inc(revived_d)
                 _OBS.counter("sim.band_migrations").inc(
                     self._migrations - migrations0
                 )

@@ -20,6 +20,21 @@ Hot-path design (the seed implementation is frozen verbatim in
   a bound method created once at construction — superseding it is a true
   kernel-level :meth:`~repro.sim.kernel.Simulator.cancel`, so stale
   drives never execute and never count against event budgets;
+* a *no-op* inertial drive — one that, once any pending drive is
+  cancelled, drives the value the net already holds, with a delay > 0
+  and a maturity time ``W`` in the near band — schedules nothing.  The
+  net records a *shadow* instead: ``W``, the cell queued last at ``W``
+  (its *anchor*; a vacant placeholder bucket is made if ``W`` has none)
+  and an elision ordinal, which together fix the FIFO slot the seed
+  kernel's apply would occupy.  A later inertial drive discards the
+  shadow, as the seed cancels the drive.  If another writer (``set``, a
+  transport apply, ``Bus.set``, ``force``) changes the net first, the
+  shadow becomes a real pending apply in that slot, because the seed's
+  apply would then restore the old value at ``W``; a change at ``W``
+  after the slot ran drops it.  The clocked flag synchronizers re-drive
+  every stage on every edge, so about two thirds of the paper run's
+  events were such no-ops.  Traces, transition counters and ``now`` stay
+  identical to the seed; only event counts differ;
 * transport drives reuse two per-net callbacks (``set 0`` / ``set 1``)
   instead of allocating a closure per scheduled edge.
 
@@ -28,7 +43,7 @@ provides integer read/write helpers, which keeps the serializer slicing
 code close to the paper's ``DIN(15:8)`` notation.  ``set`` runs a single
 pass that only pays the ``set`` dispatch for bits that actually change
 (checked at visit time, so it is exact); ``drive`` visits every bit but
-each visit is allocation-free.
+each visit is allocation-free, and no-op bits leave a shadow.
 """
 
 from __future__ import annotations
@@ -39,6 +54,11 @@ from typing import Callable, Iterable, Optional
 from .kernel import SimulationError, Simulator
 
 Listener = Callable[["Signal"], None]
+
+#: the cancelled cell that opens a bucket made only to anchor shadows:
+#: the run loop skips it for free but still advances ``now`` to its time,
+#: as the seed kernel does by executing the elided no-op there
+_VACANT = [None]
 
 
 class Signal:
@@ -56,6 +76,7 @@ class Signal:
         "_forced",
         "_pending",
         "_pending_value",
+        "_shadow",
         "_apply_cb",
         "_set0_cb",
         "_set1_cb",
@@ -86,6 +107,9 @@ class Signal:
         #: handle of the one outstanding inertial drive, if any
         self._pending = None
         self._pending_value: int = 0
+        #: ``(W, anchor cell, ordinal)`` of an elided no-op inertial
+        #: drive, or None (see the module docstring)
+        self._shadow: Optional[tuple] = None
         # per-net callbacks, created once so drives allocate nothing
         self._apply_cb = self._apply_pending
         self._set0_cb = self._apply_0
@@ -158,6 +182,8 @@ class Signal:
         """Apply a normalized value, bypassing the force guard."""
         if value == self._value:
             return
+        if self._shadow is not None:
+            self._revive_shadow()
         self._value = value
         if value:
             self.rising += 1
@@ -177,6 +203,8 @@ class Signal:
         value = 1 if value else 0
         if value == self._value:
             return
+        if self._shadow is not None:
+            self._revive_shadow()
         self._value = value
         if value:
             self.rising += 1
@@ -197,31 +225,49 @@ class Signal:
         (transport / wire semantics) every scheduled drive matures
         independently.
 
+        An inertial drive of the value the net already holds schedules
+        nothing and leaves a shadow instead (see the module docstring).
+
         The event insert is a manual inline of
         :meth:`~repro.sim.kernel.Simulator.schedule` — a gate netlist
         issues one drive per input edge, so the call overhead is the
         single hottest line of the whole simulator.  Keep it in sync
         with the kernel's scheduler representation.
         """
+        sim = self.sim
         if delay < 0:
             raise SimulationError(
                 f"cannot schedule {delay} ps into the past at "
-                f"t={self.sim._now}"
+                f"t={sim._now}"
             )
+        when = sim._now + delay
         if inertial:
             pending = self._pending
             if pending is not None:
-                self.sim.cancel(pending)
+                sim.cancel(pending)
                 self._pending = None
             if delay == 0:
+                self._shadow = None
                 self.set(value)
                 return
-            self._pending_value = 1 if value else 0
+            value = 1 if value else 0
+            if value == self._value and when < sim._horizon:
+                near = sim._near
+                bucket = near.get(when)
+                if bucket is None:
+                    near[when] = bucket = [1, _VACANT]
+                    heappush(sim._times, when)
+                elif len(bucket) == 1:
+                    near[when] = bucket = [1, bucket]
+                # replaces any earlier shadow, as the seed cancels it
+                self._shadow = (when, bucket[-1], sim._elided)
+                sim._elided += 1
+                return
+            self._shadow = None
+            self._pending_value = value
             cell = [self._apply_cb]
         else:
             cell = [self._set1_cb if value else self._set0_cb]
-        sim = self.sim
-        when = sim._now + delay
         if when < sim._horizon:
             near = sim._near
             bucket = near.get(when)
@@ -239,9 +285,53 @@ class Signal:
         if inertial:
             self._pending = cell
 
+    def _revive_shadow(self) -> None:
+        """Turn the shadow into the pending apply the seed kernel holds.
+
+        Called just before another writer changes the net, so the
+        apply re-drives the value the net holds now.  The apply goes
+        into the shadow's slot at ``W``: after its anchor and after
+        shadows revived there with a smaller ordinal.  If ``W`` is
+        past, or is now and the slot has run, the seed's apply already
+        ran as a no-op and the shadow is dropped.  Anchor buckets are
+        never single-cell (``drive`` promotes them), so they stay in
+        place, with their cursor, while they run.
+        """
+        when, anchor, ordinal = self._shadow
+        self._shadow = None
+        sim = self.sim
+        bucket = sim._near.get(when)
+        if bucket is None:
+            return
+        slot = 1
+        end = len(bucket)
+        while slot < end and bucket[slot] is not anchor:
+            slot += 1
+        if slot == end:  # W's bucket already ran and was replaced
+            return
+        slot += 1
+        while slot < end:
+            cell = bucket[slot]
+            if len(cell) != 3 or cell[1] is not anchor \
+                    or cell[2] > ordinal:
+                break
+            slot += 1
+        if slot < bucket[0]:
+            return
+        # a revived cell carries its anchor and ordinal, so a later
+        # revival into the same slot can order itself after it
+        cell = [self._apply_cb, anchor, ordinal]
+        bucket.insert(slot, cell)
+        sim._live += 1
+        sim._revived += 1
+        self._pending = cell
+        self._pending_value = self._value
+
     def _apply_pending(self) -> None:
         # inlined ``set(self._pending_value)``; the force guard stays —
-        # a drive issued *while* forced still schedules its apply
+        # a drive issued *while* forced still schedules its apply.  A
+        # net never holds a live pending drive and a shadow at once, so
+        # there is no shadow to revive here
         self._pending = None
         if self._forced:
             return
@@ -350,10 +440,11 @@ class Bus:
         """Schedule an integer value onto every bit after ``delay`` ps.
 
         Every bit is driven, including bits already at their target
-        value: an inertial drive's scheduled apply re-asserts the bit at
-        maturity, which matters when another driver (a transport wire, a
-        direct ``set``) flips it in the meantime — skipping "unchanged"
-        bits would diverge from the frozen seed kernel.
+        value: an inertial drive's apply re-asserts the bit at maturity,
+        which matters when another driver (a transport wire, a direct
+        ``set``) flips it in the meantime.  An inertial bit already at
+        its target schedules nothing but leaves a shadow, exactly as
+        :meth:`Signal.drive` does, which keeps that re-assertion.
 
         The per-bit work is :meth:`Signal.drive` inlined (registers and
         flit pipelines issue a full bus drive per clock edge, so the
@@ -373,39 +464,53 @@ class Bus:
                 if pending is not None:
                     sim.cancel(pending)
                     sig._pending = None
+                sig._shadow = None
                 sig.set((value >> i) & 1)
             return
         sim = self.sim
         when = sim._now + delay
+        near_band = when < sim._horizon
         near = sim._near
-        far = sim._far
-        times = sim._times
-        horizon = sim._horizon
+        # no listener runs during a delayed drive, so W's bucket can be
+        # tracked locally across the bits
+        bucket = near.get(when) if near_band else None
+        elided = sim._elided
         live = 0
         for i, sig in enumerate(self.signals):
+            bit = (value >> i) & 1
             if inertial:
                 pending = sig._pending
                 if pending is not None:
                     sim.cancel(pending)
-                sig._pending_value = (value >> i) & 1
+                    sig._pending = None
+                if bit == sig._value and near_band:
+                    if bucket is None:
+                        near[when] = bucket = [1, _VACANT]
+                        heappush(sim._times, when)
+                    elif len(bucket) == 1:
+                        near[when] = bucket = [1, bucket]
+                    sig._shadow = (when, bucket[-1], elided)
+                    elided += 1
+                    continue
+                sig._shadow = None
+                sig._pending_value = bit
                 cell = [sig._apply_cb]
                 sig._pending = cell
             else:
-                cell = [sig._set1_cb if (value >> i) & 1 else sig._set0_cb]
-            if when < horizon:
-                bucket = near.get(when)
-                if bucket is None:
-                    near[when] = cell
-                    heappush(times, when)
-                elif len(bucket) == 1:
-                    near[when] = [1, bucket, cell]
-                else:
-                    bucket.append(cell)
-            else:
+                cell = [sig._set1_cb if bit else sig._set0_cb]
+            if not near_band:
                 sim._seq += 1
-                heappush(far, (when, sim._seq, cell))
+                heappush(sim._far, (when, sim._seq, cell))
+            elif bucket is None:
+                near[when] = bucket = cell
+                heappush(sim._times, when)
+            elif len(bucket) == 1:
+                near[when] = bucket = [1, bucket, cell]
+            else:
+                bucket.append(cell)
             live += 1
         sim._live += live
+        sim._elided = elided
 
     def _check(self, value: int) -> None:
         if value < 0 or value >= (1 << self.width):

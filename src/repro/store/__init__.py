@@ -16,27 +16,23 @@ parallel; this package makes them *durable* and *comparable*:
   other three share, plus the additive sha256 integrity checksums;
 * :mod:`~repro.store.fsck` — offline verification and repair of all of
   the above (and fabric state), powering ``repro fsck``.
+
+``diff`` and ``fsck`` serve one subcommand each, so this package does
+not import them.
 """
 
 from .codec import outcome_from_record, outcome_to_record
-from .diff import DiffReport, diff_trees, load_summary
-from .fsck import FsckReport, fsck_tree
 from .journal import Journal, JournalError, journal_path
 from .store import RunStore, code_fingerprint, request_key
 from . import journal
 
 __all__ = [
-    "DiffReport",
-    "FsckReport",
     "Journal",
     "JournalError",
     "RunStore",
-    "fsck_tree",
     "code_fingerprint",
-    "diff_trees",
     "journal",
     "journal_path",
-    "load_summary",
     "outcome_from_record",
     "outcome_to_record",
     "request_key",

@@ -50,14 +50,39 @@ class TestTopology:
         # every node has 4 out-links
         assert Topology(4, 4, torus=True).n_directed_links == 64
 
-    def test_networkx_view(self):
-        graph = Topology(3, 3).to_networkx()
-        assert graph.number_of_nodes() == 9
-        assert graph.has_edge((0, 0), (1, 0))
+    def test_links_3x3(self):
+        links = set(Topology(3, 3).links())
+        assert len(links) == 24
+        assert ((0, 0), Port.EAST, (1, 0)) in links
+        assert ((1, 0), Port.WEST, (0, 0)) in links
+        # a mesh corner has no link off the edge
+        assert not any(src == (0, 0) and port in (Port.SOUTH, Port.WEST)
+                       for src, port, _dst in links)
+        assert {src for src, _port, _dst in links} == \
+            set(Topology(3, 3).nodes())
 
     def test_average_hop_count_2x2(self):
         # pairs at distance 1 (8 ordered) and 2 (4 ordered): mean = 4/3
         assert Topology(2, 2).average_hop_count() == pytest.approx(4 / 3)
+
+    # every mesh and torus size the tests build, pinned to the values
+    # the all-pairs shortest paths of networkx gave (exact floats)
+    @pytest.mark.parametrize("cols,rows,torus,expected", [
+        (1, 1, False, 0.0), (2, 1, False, 1.0), (4, 1, False, 20 / 12),
+        (2, 2, False, 16 / 12), (2, 3, False, 50 / 30),
+        (3, 2, False, 50 / 30), (3, 3, False, 2.0),
+        (3, 5, False, 2.6666666666666665),
+        (5, 3, False, 2.6666666666666665), (4, 4, False, 640 / 240),
+        (5, 5, False, 2000 / 600), (8, 8, False, 21504 / 4032),
+        (1, 1, True, 0.0), (2, 1, True, 1.0),
+        (4, 1, True, 1.3333333333333333), (2, 2, True, 16 / 12),
+        (3, 3, True, 108 / 72), (3, 5, True, 2.0), (5, 3, True, 420 / 210),
+        (4, 4, True, 512 / 240), (5, 5, True, 1500 / 600),
+        (8, 8, True, 4.063492063492063),
+    ])
+    def test_average_hop_count_pinned(self, cols, rows, torus, expected):
+        topo = Topology(cols, rows, torus=torus)
+        assert topo.average_hop_count() == expected
 
     def test_in_bounds(self):
         topo = Topology(3, 3)

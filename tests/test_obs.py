@@ -212,6 +212,28 @@ class TestKernelsCountWhenEnabled:
         # the entry live-set, not of the scheduled-during-run delta
         assert counters["sim.events_scheduled"] >= 299
 
+    def test_elided_drive_counters(self):
+        """No-op inertial drives issued while running are published in
+        bulk when run() returns: 3 re-drives of a held value, of which
+        one is revived by a later set."""
+        from repro.sim import Simulator
+
+        with metrics.collecting(reset=True) as reg:
+            sim = Simulator()
+            nets = [sim.signal(f"n{i}") for i in range(3)]
+
+            def redrive():
+                for net in nets:
+                    net.drive(0, 100)
+
+            sim.schedule(5, redrive)
+            sim.schedule(50, lambda: nets[0].set(1))
+            sim.run()
+            counters = reg.counters()
+        assert counters["sim.drives_elided"] == 2
+        assert counters["sim.shadows_revived"] == 1
+        assert nets[0].value == 0  # the revived apply restored it
+
     def test_noc_kernel_counters(self):
         from repro.bench import Point
         from repro.bench import counters as replay_counters

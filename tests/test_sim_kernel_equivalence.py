@@ -14,8 +14,9 @@ inertial no-ops) — and the observable behaviour is pinned bit-identical:
 * the rendered VCD text.
 
 ``events_executed`` is deliberately *not* compared: the seed executed
-superseded inertial drives as no-op callbacks, the optimized kernel
-cancels them outright (that difference is itself pinned below).
+superseded inertial drives, and inertial drives of the value a net
+already holds, as no-op callbacks; the optimized kernel cancels the
+former and elides the latter (that difference is itself pinned below).
 """
 
 import io
@@ -503,11 +504,15 @@ class TestBusDriveEquivalence:
 
 
 class TestDeterminismProperty:
-    @pytest.mark.parametrize("seed", [13, 99, 31337])
+    @pytest.mark.parametrize(
+        "seed", [13, 99, 31337] + [s for s in range(1, 39) if s != 13])
     def test_shared_net_drive_interleaving(self, seed):
-        """Seeded random schedules of transport + inertial drives on
-        shared nets produce identical traces on serial re-runs of the
-        optimized kernel and between both kernels."""
+        """Seeded random schedules of transport + inertial drives, direct
+        sets and force/release windows on shared nets produce identical
+        traces on serial re-runs of the optimized kernel and between
+        both kernels.  Delays are multiples of one step, so drives from
+        different writers keep colliding on the same timestamp — the
+        FIFO slots elided no-op drives must be revived into."""
 
         def run(stack):
             sim = stack.Simulator()
@@ -517,26 +522,234 @@ class TestDeterminismProperty:
             x1 = Xor2(sim, nets[0], nets[1], name="x1")
             Xor2(sim, x1.output, nets[2], name="x2")
 
-            def driver(tag, rng_seed):
+            def driver(rng_seed):
                 rng = random.Random(rng_seed)
                 for _ in range(120):
                     tgt = nets[rng.randrange(len(nets))]
                     tgt.drive(
                         rng.getrandbits(1),
-                        rng.choice([0, 2, 5, 11, 60, 150]),
+                        rng.choice([0, 4, 8, 12, 60, 150]),
                         inertial=rng.random() < 0.5,
                     )
-                    yield Delay(rng.choice([3, 9, 21, 55]))
+                    yield Delay(rng.choice([4, 8, 12, 56]))
+
+            def writer(rng_seed):
+                rng = random.Random(rng_seed)
+                for _ in range(80):
+                    tgt = nets[rng.randrange(len(nets))]
+                    roll = rng.random()
+                    if roll < 0.6:
+                        tgt.set(rng.getrandbits(1))
+                    elif roll < 0.8:
+                        tgt.force(rng.getrandbits(1))
+                    else:
+                        tgt.release()
+                    yield Delay(rng.choice([4, 8, 20]))
 
             enable_all_traces(sim)
-            stack.spawn(sim, driver("d1", seed), "d1")
-            stack.spawn(sim, driver("d2", seed * 31 + 7), "d2")
+            stack.spawn(sim, driver(seed), "d1")
+            stack.spawn(sim, driver(seed * 31 + 7), "d2")
+            stack.spawn(sim, writer(seed * 17 + 3), "w")
             sim.run(until=30_000)
-            return snapshot(sim)
+            for net in nets:
+                net.release()
+            sim.run()
+            return snapshot(sim), sim.now
 
         first = run(OPT)
-        assert first == run(OPT), "optimized kernel is not deterministic"
-        assert first == run(REF), "optimized kernel diverged from seed"
+        assert first == run(OPT), \
+            f"seed {seed}: optimized kernel is not deterministic"
+        assert first == run(REF), \
+            f"seed {seed}: optimized kernel diverged from seed kernel"
+
+
+class TestNoOpElisionEquivalence:
+    """Directed cases for the elided no-op inertial drive: every way a
+    shadow can be revived, dropped or left to mature, run on both
+    kernels with traces, transition order and ``now`` compared."""
+
+    @staticmethod
+    def _run(scenario):
+        """``scenario(stack, sim, log)`` on both kernels; every created
+        net traced and every transition logged in order."""
+        results = []
+        for stack in STACKS:
+            sim = stack.Simulator()
+            log = []
+            scenario(stack, sim, log)
+            results.append(
+                (snapshot(sim), tuple(log), sim.now, sim.pending_events))
+        return results
+
+    @staticmethod
+    def _nets(sim, log, *names):
+        nets = [sim.signal(name) for name in names]
+        for net in nets:
+            net.enable_trace()
+            net.on_change(
+                lambda sig: log.append((sim.now, sig.name, sig.value)))
+        return nets
+
+    def test_set_before_maturity_revives(self):
+        def scenario(stack, sim, log):
+            (a,) = self._nets(sim, log, "a")
+            a.drive(0, delay=100)  # the net is 0: elided
+            sim.run(until=40)
+            a.set(1)  # the seed's pending apply restores 0 at t=100
+            sim.run()
+
+        opt, ref = self._run(scenario)
+        assert opt == ref
+        assert opt[1] == ((40, "a", 1), (100, "a", 0))
+
+    def test_transport_apply_before_maturity_revives(self):
+        def scenario(stack, sim, log):
+            (a,) = self._nets(sim, log, "a")
+            a.drive(0, delay=100)
+            a.drive(1, delay=30, inertial=False)
+            sim.run()
+
+        opt, ref = self._run(scenario)
+        assert opt == ref
+        assert opt[1] == ((30, "a", 1), (100, "a", 0))
+
+    @pytest.mark.parametrize("writer_first", [True, False])
+    def test_change_at_maturity(self, writer_first):
+        """A change at W itself: ahead of the shadow's FIFO slot the
+        apply still restores the old value; behind it the apply already
+        ran as a no-op and the change stands."""
+
+        def scenario(stack, sim, log):
+            (a,) = self._nets(sim, log, "a")
+            other = sim.signal("other")  # keeps W's bucket non-empty
+            other.drive(1, delay=100)
+
+            def flip():
+                a.set(1)
+
+            if writer_first:
+                sim.call_at(100, flip)
+                a.drive(0, delay=100)
+            else:
+                a.drive(0, delay=100)
+                sim.call_at(100, flip)
+            sim.run()
+
+        opt, ref = self._run(scenario)
+        assert opt == ref
+        final = opt[0][0][3][-1]
+        assert final == ((100, 0) if writer_first else (100, 1))
+
+    @pytest.mark.parametrize("reverse", [True, False])
+    @pytest.mark.parametrize("between", [False, True])
+    def test_revivals_keep_elision_order(self, between, reverse):
+        """Two shadows on two nets revived in either order mature in
+        elision order (sharing one anchor, or split by a real event
+        queued between them)."""
+
+        def scenario(stack, sim, log):
+            a, b = self._nets(sim, log, "a", "b")
+            a.drive(0, delay=100)
+            if between:
+                sim.call_at(100, lambda: log.append((sim.now, "mid")))
+            b.drive(0, delay=100)
+            first, second = (b, a) if reverse else (a, b)
+            sim.run(until=10)
+            first.set(1)
+            sim.run(until=20)
+            second.set(1)
+            sim.run()
+
+        opt, ref = self._run(scenario)
+        assert opt == ref
+        matured = [entry[1] for entry in opt[1] if entry[0] == 100]
+        assert matured == (["a", "mid", "b"] if between else ["a", "b"])
+
+    @pytest.mark.parametrize("release_at", [50, 150])
+    def test_force_and_release_inside_window(self, release_at):
+        """A force revives the shadow; the revived apply is blocked while
+        forced and applies once released before W."""
+
+        def scenario(stack, sim, log):
+            (a,) = self._nets(sim, log, "a")
+            a.drive(0, delay=100)
+            sim.run(until=10)
+            a.force(1)
+            sim.run(until=release_at)
+            a.release()
+            sim.run()
+
+        opt, ref = self._run(scenario)
+        assert opt == ref
+        assert opt[0][0][3][-1] == ((100, 0) if release_at < 100
+                                    else (10, 1))
+
+    def test_run_until_maturity_then_set(self):
+        """run(until=W) stops before W's events: a set at W comes ahead
+        of the shadow's slot."""
+
+        def scenario(stack, sim, log):
+            (a,) = self._nets(sim, log, "a")
+            a.drive(0, delay=100)
+            sim.run(until=100)
+            a.set(1)
+            sim.run()
+
+        opt, ref = self._run(scenario)
+        assert opt == ref
+        assert opt[1] == ((100, "a", 1), (100, "a", 0))
+
+    def test_set_after_drained_maturity_is_dropped(self):
+        def scenario(stack, sim, log):
+            (a,) = self._nets(sim, log, "a")
+            a.drive(0, delay=100)
+            sim.drain()
+            a.set(1)
+            sim.drain()
+
+        opt, ref = self._run(scenario)
+        assert opt == ref
+        assert opt[0][0][3] == ((0, 0), (100, 1))
+
+    @pytest.mark.parametrize("superseded", [False, True])
+    def test_now_after_drain(self, superseded):
+        """A drain ends at the last elided W, where the seed ends after
+        executing (or skipping the cancelled) no-op."""
+
+        def scenario(stack, sim, log):
+            (a,) = self._nets(sim, log, "a")
+            a.drive(0, delay=500)
+            if superseded:
+                a.drive(0, delay=200)
+            sim.drain()
+
+        opt, ref = self._run(scenario)
+        assert opt == ref
+        assert opt[2] == 500
+
+    def test_bus_drive_shadows_revived_by_bus_set(self):
+        def scenario(stack, sim, log):
+            bus = sim.bus(4, "b")
+            for net in bus:
+                net.enable_trace()
+                net.on_change(
+                    lambda sig: log.append((sim.now, sig.name, sig.value)))
+            bus.drive(0b0101, delay=100)  # bits 1 and 3 are no-ops
+            sim.run(until=30)
+            bus.set(0b1010)
+            sim.run()
+
+        opt, ref = self._run(scenario)
+        assert opt == ref
+        assert opt[0][-1][3][-1] == (100, 0)
+
+    def test_revival_counted(self):
+        sim = OPT.Simulator()
+        a = sim.signal("a")
+        a.drive(0, delay=100)
+        assert (sim.drives_elided, sim.pending_events) == (1, 0)
+        a.set(1)
+        assert (sim.drives_elided, sim.pending_events) == (0, 1)
 
 
 class TestDesignPathForceEquivalence:
@@ -610,7 +823,10 @@ class TestCancellationDivergence:
         sim, sig = self._pulse_storm(OPT, max_events=10)
         assert sig.value == 1
         assert sim.events_executed == 1
-        assert sim.events_cancelled == 300
+        # the 150 drives of 0 hold the net's value and are elided; the
+        # 150 drives of 1 before the last are cancelled
+        assert sim.events_cancelled == 150
+        assert sim.drives_elided == 150
         # the same storm spuriously trips the seed kernel's livelock guard
         with pytest.raises(SimulationError, match="budget"):
             self._pulse_storm(REF, max_events=10)

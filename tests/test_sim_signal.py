@@ -335,10 +335,13 @@ class TestInertialCancellation:
         sig = Signal(sim, "s")
         sig.drive(1, delay=100, inertial=True)
         sig.drive(0, delay=50, inertial=True)
-        assert sim.pending_events == 1  # the superseded event is gone
+        # the superseded event is gone, and its successor drives the
+        # value the net holds, so it is elided instead of queued
+        assert sim.pending_events == 0
         sim.run()
-        assert sim.events_executed == 1
+        assert sim.events_executed == 0
         assert sim.events_cancelled == 1
+        assert sim.drives_elided == 1
 
     def test_zero_delay_inertial_cancels_pending(self, sim):
         sig = Signal(sim, "s")
@@ -353,7 +356,9 @@ class TestInertialCancellation:
         sig = Signal(sim, "s")
         sig.drive(1, delay=50, inertial=False)
         sig.drive(0, delay=100, inertial=True)
-        assert sim.pending_events == 2
+        # the inertial drive holds the net's value: a shadow until the
+        # transport edge at t=50 revives it into a real event
+        assert sim.pending_events == 1
         sim.run()
         assert sig.rising == 1
         assert sig.falling == 1
