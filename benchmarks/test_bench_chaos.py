@@ -38,9 +38,9 @@ def _grid(n):
 
 
 def _mesh_requests():
-    """The sweep-suite workload: the small mesh design-space grid —
-    the same shape ``test_bench_sweep`` times, with real per-point
-    simulation cost (the denominator ``points/sec`` refers to)."""
+    """The small mesh design-space grid: four points with real
+    per-point simulation cost (the denominator ``points/sec`` refers
+    to)."""
     sc = registry.get("mesh-design-space")
     return sweep.build_requests(
         sc,
@@ -91,15 +91,6 @@ def test_no_chaos_spec_means_no_chaos_machinery(monkeypatch, tmp_path):
     )
 
 
-def test_bench_sweep_with_checksums(benchmark, tmp_path):
-    # a fresh directory per round: a reused store would serve every
-    # point and time nothing but cache reads
-    rounds = iter(range(10_000))
-    assert benchmark(
-        lambda: _sweep_points(tmp_path / str(next(rounds)))
-    ) == 4
-
-
 def test_checksum_overhead_within_five_percent(monkeypatch, tmp_path):
     """The ≤5% points/sec gate from the robustness acceptance bar.
 
@@ -128,7 +119,9 @@ def test_checksum_overhead_within_five_percent(monkeypatch, tmp_path):
     monkeypatch.setattr(codec, "attach_hash", timed(real_hash))
     monkeypatch.setattr(codec, "verify_hash", timed(real_verify))
 
-    _sweep_points(tmp_path / "warmup")
+    # every run uses a fresh directory: a reused store would serve
+    # every point from cache and execute nothing
+    assert _sweep_points(tmp_path / "warmup") == 4
     spent[0] = 0.0
     total = 0.0
     for i in range(5):

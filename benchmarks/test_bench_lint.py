@@ -3,8 +3,8 @@
 Lint runs as a sweep pre-flight and a CI smoke job, so a full-registry
 pass has to stay interactive: the acceptance budget is five seconds
 for every registered scenario, rules, waiver matching and rendering
-included.  The timed benchmark tracks drift; the hard assert keeps the
-pre-flight honest even on a loaded machine.
+included.  The hard assert keeps the pre-flight honest even on a
+loaded machine.
 """
 
 import time
@@ -20,15 +20,10 @@ def _full_registry_lint():
     return reports
 
 
-def test_bench_lint_full_registry(benchmark, report):
-    reports = benchmark(_full_registry_lint)
-    report(format_text(reports))
-    assert all(r.worst != "error" for r in reports)
-
-
 def test_full_registry_lint_under_five_seconds():
     t0 = time.perf_counter()
     reports = _full_registry_lint()
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"full-registry lint took {elapsed:.2f}s"
     assert reports  # the registry is never empty
+    assert all(r.worst != "error" for r in reports)

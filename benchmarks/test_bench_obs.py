@@ -8,11 +8,10 @@ no registry mutation.  Two kinds of protection:
   leave the registry byte-for-byte empty (any metric object appearing
   means an instrumentation site lost its ``if _OBS.enabled`` guard and
   is now paying on every run);
-* timed benchmarks of the same publish-heavy workload in both modes,
-  plus a generous wall-clock ratio bound — disabled mode does strictly
-  less work than enabled mode, so a disabled run that costs
-  significantly *more* than an enabled one signals work leaking ahead
-  of the guard.
+* a generous wall-clock ratio bound on the same publish-heavy
+  workload in both modes — disabled mode does strictly less work than
+  enabled mode, so a disabled run that costs significantly *more* than
+  an enabled one signals work leaking ahead of the guard.
 """
 
 import time
@@ -67,29 +66,12 @@ def test_disabled_run_leaves_registry_untouched():
         metrics.REGISTRY.enabled = prior
 
 
-def test_bench_kernel_metrics_disabled(benchmark):
-    prior = metrics.REGISTRY.enabled
-    metrics.REGISTRY.enabled = False
-    try:
-        assert benchmark(_publish_heavy) == 120 * 50
-    finally:
-        metrics.REGISTRY.enabled = prior
-
-
-def test_bench_kernel_metrics_enabled(benchmark):
-    def run_enabled():
-        with metrics.collecting(reset=True):
-            return _publish_heavy()
-
-    assert benchmark(run_enabled) == 120 * 50
-
-
 def test_disabled_mode_not_slower_than_enabled():
     """Disabled does strictly less work; a big inversion means cost
     leaked ahead of the ``if _OBS.enabled`` guard.  The bound is loose
     (1.5x on best-of-5 minima) because both sides are fast and CI
     timers are noisy — this catches structural regressions, not
-    percentage drift (the pytest-benchmark entries above track that).
+    percentage drift.
     """
     prior = metrics.REGISTRY.enabled
     try:
@@ -98,9 +80,10 @@ def test_disabled_mode_not_slower_than_enabled():
 
         def run_enabled():
             with metrics.collecting(reset=True):
-                _publish_heavy()
+                return _publish_heavy()
 
         enabled = _best_of(run_enabled)
+        assert run_enabled() == 120 * 50
     finally:
         metrics.REGISTRY.enabled = prior
         metrics.REGISTRY.reset()

@@ -1,8 +1,8 @@
 """Package metadata: the ``repro`` package under ``src/``.
 
 ``pip install -e .`` installs it.  It has no runtime dependency beyond
-the Python standard library; the test suite needs ``pytest``,
-``pytest-benchmark`` and ``hypothesis``.
+the Python standard library; the test suite needs ``pytest`` and
+``hypothesis``.
 """
 
 from setuptools import find_packages, setup

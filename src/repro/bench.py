@@ -62,12 +62,8 @@ from .noc import (Network, Topology, TrafficConfig, TrafficGenerator,
 from .noc.reference import ReferenceNetwork
 from .tech import st012
 
-#: bench schema version, bumped on incompatible JSON layout changes
-#: (2: added the gate-level suite; points carry a ``suite`` field;
-#: 3: added the compiled suite — lane counts and wall-clock fields;
-#: 4: added the sweep suite — fabric scheduling-overhead points;
-#: 5: one record layout for every suite;
-#: readers keep accepting schema-1 to -4 documents unchanged)
+#: bench schema version, bumped on incompatible JSON layout changes;
+#: :func:`load_baseline` reads this schema only
 SCHEMA = 5
 
 #: ``--fast``: NoC points run at most this many cycles, and every other
@@ -650,16 +646,13 @@ def gate(
     speedups are not comparable) and an interpreter mismatch: the two
     kernels stress CPython differently, so the ratio is only stable
     within one major.minor version.  Baseline points of suites
-    ``document`` did not run are skipped (schema-1 points count as noc).
+    ``document`` did not run are skipped.
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError(f"tolerance {tolerance} is outside [0, 1)")
     problems: List[str] = []
     points = document.get("points", [])
-    suites = set(document.get("suites") or [])
-    if not suites:
-        # pre-suite document: infer from the recorded points
-        suites = {p.get("suite", "noc") for p in points}
+    suites = set(document["suites"])
     base_python = _major_minor(baseline.get("python"))
     cur_python = _major_minor(document.get("python"))
     if base_python and cur_python and base_python != cur_python:
@@ -673,7 +666,7 @@ def gate(
     gated = {}
     for base in baseline.get("points", []):
         if (base.get("speedup") is None
-                or base.get("suite", "noc") not in suites):
+                or base["suite"] not in suites):
             continue
         if base["key"] in keys:
             gated[base["key"]] = base
@@ -688,16 +681,13 @@ def gate(
                 f"{key}: optimized kernel diverged from reference stats"
             )
         bars = []
-        row = WORKLOADS.get(
-            (point.get("suite", "noc"), point.get("workload"))
-        )
+        row = WORKLOADS.get((point["suite"], point.get("workload")))
         if row is not None and row.floor is not None:
             bars.append((row.floor, f"the {row.floor:g}x floor"))
         base = gated.get(key)
         if base is not None and base.get("cycles") not in (
                 None, point.get("cycles")):
-            flag = "--cycles" if base.get("suite", "noc") == "noc" \
-                else "--scale"
+            flag = "--cycles" if base["suite"] == "noc" else "--scale"
             problems.append(
                 f"{key}: measured at size {point.get('cycles')} but the "
                 f"baseline used {base['cycles']} — rerun with matching "
@@ -725,12 +715,11 @@ def gate(
 
 
 def load_baseline(path: str) -> Dict[str, object]:
-    """Read a committed bench document; any schema up to ours loads.
+    """Read a committed bench document of schema :data:`SCHEMA`.
 
-    :func:`gate` reads only fields every schema has.  Anything but an
-    object with a list of keyed ``points`` is refused, as is a *newer*
-    schema: silently gating against a file this code does not
-    understand would make the check vacuous.
+    Anything but an object with a list of keyed ``points`` is refused,
+    as is any other schema: silently gating against a file this code
+    does not understand would make the check vacuous.
     """
     document = json.loads(Path(path).read_text(encoding="utf-8"))
     points = document.get("points") if isinstance(document, dict) else None
@@ -742,11 +731,10 @@ def load_baseline(path: str) -> Dict[str, object]:
             "keyed records)"
         )
     schema = document.get("schema")
-    if isinstance(schema, int) and schema > SCHEMA:
+    if schema != SCHEMA:
         raise ValueError(
-            f"baseline {path} has schema {schema}, newer than the "
-            f"supported schema {SCHEMA}; update the code or regenerate "
-            f"the baseline"
+            f"baseline {path} has schema {schema}, but this code reads "
+            f"only schema {SCHEMA}; regenerate the baseline"
         )
     return document
 

@@ -18,7 +18,7 @@ The fabric's control plane is four tiny record kinds:
 
 :class:`Transport` is the abstract surface; :class:`FileTransport`
 implements it over a shared directory with the repo's usual atomicity
-discipline (exclusive create for claims, write-temp-then-rename for
+discipline (write-temp-then-link for claims, write-temp-then-rename for
 everything else), so the fabric works across processes — and across
 machines sharing a mount — with no daemon in the middle.  A socket
 transport can slot in behind the same surface later.
@@ -254,15 +254,20 @@ class FileTransport(Transport):
         return sorted(workers.glob("*/telemetry.jsonl"))
 
     # ------------------------------------------------------------------
-    def _write_atomic(self, path: Path, payload: Dict[str, object]) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
+    @staticmethod
+    def _write_temp(path: Path, payload: Dict[str, object]) -> Path:
+        """``payload`` written in full to a fresh sibling of ``path``."""
         tmp = path.with_name(
             f"{path.name}.{os.getpid()}.{uuid.uuid4().hex[:6]}.tmp"
         )
         tmp.write_text(
             json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"
         )
-        os.replace(tmp, path)
+        return tmp
+
+    def _write_atomic(self, path: Path, payload: Dict[str, object]) -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        os.replace(self._write_temp(path, payload), path)
 
     @staticmethod
     def _read_json(path: Path) -> Optional[Dict[str, object]]:
@@ -294,16 +299,20 @@ class FileTransport(Transport):
         record = LeaseRecord(item=item, owner=owner,
                              deadline=now + ttl, attempt=1)
         path.parent.mkdir(parents=True, exist_ok=True)
+        # the full record is written aside, then hard-linked onto the
+        # lease path: the link is exclusive and a racing claimer never
+        # sees the lease file empty
+        tmp = self._write_temp(path, record.to_json())
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            os.link(tmp, path)
         except FileExistsError:
             existing = self.lease(item)
             if existing is not None and not existing.expired(now):
                 return None
             # stale takeover: replace the record, then read back — the
             # last writer wins and only the winner sees itself as owner.
-            # An unreadable record (a writer died mid-write) is stale
-            # too: leaving it in place would block the item forever.
+            # An unreadable record can only be debris (a foreign or
+            # damaged file): leaving it would block the item forever.
             attempt = existing.attempt + 1 if existing else 1
             record = LeaseRecord(item=item, owner=owner,
                                  deadline=now + ttl,
@@ -314,8 +323,8 @@ class FileTransport(Transport):
                     and current.deadline == record.deadline):
                 return record
             return None
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
+        finally:
+            tmp.unlink()
         return record
 
     def renew(self, item: str, owner: str, ttl: float) -> bool:

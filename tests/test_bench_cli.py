@@ -1,24 +1,39 @@
-"""Tests for the ``repro bench`` subcommand and the bench harness."""
+"""Tests for the ``repro bench`` subcommand and the bench harness.
+
+Tiny workloads (milliseconds) exercise the timing, cross-check and
+gating plumbing of every suite; timing stability is the CI bench
+job's business.
+"""
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
+from repro import bench
 from repro.__main__ import main
 from repro.bench import (
+    SCHEMA,
     WORKLOADS,
     Point,
+    Workload,
     _measure,
     counters,
     default_points,
     gate,
+    load_baseline,
     profile,
+    run_bench,
     run_point,
 )
 
 #: tiny workload: 2x2 mesh, 60 cycles — milliseconds per kernel
 TINY = ["--mesh", "2", "--rates", "0.1", "--cycles", "60", "--repeats", "1"]
+
+#: the committed baseline the CI bench job gates against
+BASELINE = (Path(__file__).resolve().parent.parent
+            / "benchmarks" / "baseline_bench.json")
 
 
 def noc_point(mesh_size, injection_rate, cycles=1500):
@@ -26,8 +41,77 @@ def noc_point(mesh_size, injection_rate, cycles=1500):
                  injection_rate=injection_rate)
 
 
-def suite_points(suite, **options):
-    return [p for p in default_points(**options) if p.suite == suite]
+#: one point per suite, milliseconds each
+TINY_POINTS = {
+    "noc": noc_point(2, 0.1, cycles=60),
+    "gate": Point("gate", "serializer-i3", 4),
+    "compiled": Point("compiled", "ringosc", 64),
+    "sweep": Point("sweep", "noop", 8),
+}
+SUITES = tuple(TINY_POINTS)
+
+
+def floor_document(*points):
+    """A bench document of ``(suite, workload, speedup)`` points."""
+    return {
+        "schema": SCHEMA, "python": "3.11.7",
+        "suites": sorted({suite for suite, _w, _s in points}),
+        "points": [
+            {"suite": suite, "workload": workload, "speedup": speedup,
+             "key": f"{suite}/{workload}@6", "cycles": 6,
+             "stats_match": True}
+            for suite, workload, speedup in points
+        ],
+    }
+
+
+class TestEverySuite:
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_reference_skippable(self, suite):
+        record = run_point(TINY_POINTS[suite], reference=False, repeats=1)
+        assert record["reference_wall_s"] is None
+        assert record["speedup"] is None
+        assert record["stats_match"] is None
+        assert record["rate"] > 0
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_unknown_workload_rejected(self, suite):
+        with pytest.raises(ValueError, match="unknown bench workload"):
+            run_point(Point(suite, "warp-drive", 8), repeats=1)
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_run_bench_tags_the_suite(self, suite):
+        document = run_bench([TINY_POINTS[suite]], reference=False,
+                             repeats=1, collect_metrics=False)
+        assert document["schema"] == SCHEMA == 5
+        assert document["suites"] == [suite]
+        assert [p["suite"] for p in document["points"]] == [suite]
+
+    @pytest.mark.parametrize("suite,options,keys", [
+        # the nominal 4x4 point and the 8x8 acceptance gates
+        ("noc", {"cycles": 300}, ["4x4@0.1/uniform/xy/vc1/I3",
+                                  "8x8@0.02/uniform/xy/vc1/I3",
+                                  "8x8@0.35/uniform/xy/vc1/I3"]),
+        ("gate", {}, ["gate/serializer-i3@24", "gate/serializer-i2@16",
+                      "gate/fourphase-chain@40", "gate/ringosc@40000"]),
+        # scaling never goes below a row's floor
+        ("gate", {"scale": 0.01}, ["gate/serializer-i3@4",
+                                   "gate/serializer-i2@4",
+                                   "gate/fourphase-chain@4",
+                                   "gate/ringosc@400"]),
+        ("compiled", {}, ["compiled/fault-batch@12",
+                          "compiled/ringosc@20000"]),
+        ("compiled", {"scale": 0.5}, ["compiled/fault-batch@6",
+                                      "compiled/ringosc@10000"]),
+        ("sweep", {}, ["sweep/noop@64"]),
+        ("sweep", {"scale": 0.5}, ["sweep/noop@32"]),
+        # the floor keeps a micro-scale run a real grid, not one point
+        ("sweep", {"scale": 0.01}, ["sweep/noop@8"]),
+    ], ids=["noc", "gate", "gate-floor", "compiled", "compiled-half",
+            "sweep", "sweep-half", "sweep-floor"])
+    def test_default_points(self, suite, options, keys):
+        assert [p.key for p in default_points(**options)
+                if p.suite == suite] == keys
 
 
 class TestBenchHarness:
@@ -43,18 +127,6 @@ class TestBenchHarness:
         assert record["stats_match"] is True
         assert counters(point)["noc.flits_delivered"] > 0
 
-    def test_reference_skippable(self):
-        record = run_point(noc_point(2, 0.1, cycles=60), reference=False,
-                           repeats=1)
-        assert record["reference_wall_s"] is None
-        assert record["speedup"] is None
-        assert record["stats_match"] is None
-
-    def test_default_points_cover_the_acceptance_gates(self):
-        keys = [p.key for p in default_points(cycles=300)]
-        assert "8x8@0.02/uniform/xy/vc1/I3" in keys
-        assert "8x8@0.35/uniform/xy/vc1/I3" in keys
-
     def test_point_key_stable(self):
         assert noc_point(4, 0.1).key == "4x4@0.1/uniform/xy/vc1/I3"
 
@@ -68,8 +140,11 @@ class TestBaselineCheck:
     def _doc(self, speedup, key="2x2@0.1/uniform/xy/vc1/I3",
              stats_match=True):
         return {
-            "schema": 1,
+            "schema": SCHEMA,
+            "suites": ["noc"],
             "points": [{
+                "suite": "noc",
+                "workload": "mesh",
                 "key": key,
                 "speedup": speedup,
                 "stats_match": stats_match,
@@ -109,13 +184,11 @@ class TestBaselineCheck:
         baseline = self._doc(3.0)
         current["python"] = "3.12.1"
         baseline["python"] = "3.11.7"
-        problems = gate(current, baseline,
-                                          tolerance=0.30)
+        problems = gate(current, baseline, tolerance=0.30)
         assert any("interpreter mismatch" in p for p in problems)
         # patch releases of the same minor are fine
         current["python"] = "3.11.2"
-        assert gate(current, baseline,
-                                      tolerance=0.30) == []
+        assert gate(current, baseline, tolerance=0.30) == []
 
     def test_tolerance_outside_unit_interval_rejected(self):
         """A tolerance of 1 or more turns every floor into zero or less:
@@ -133,9 +206,51 @@ class TestBaselineCheck:
         baseline = self._doc(3.0)
         current["points"][0]["cycles"] = 1500
         baseline["points"][0]["cycles"] = 300
-        problems = gate(current, baseline,
-                                          tolerance=0.30)
+        problems = gate(current, baseline, tolerance=0.30)
         assert any("cycles" in p for p in problems)
+
+    @pytest.mark.parametrize("suite,workload,speedup", [
+        ("compiled", "fault-batch", 50.0), ("sweep", "noop", 0.008),
+    ], ids=["compiled", "sweep"])
+    def test_size_mismatch_names_the_scale_flag(self, suite, workload,
+                                                speedup):
+        baseline = floor_document((suite, workload, speedup))
+        current = floor_document((suite, workload, speedup))
+        current["points"][0]["cycles"] = 64
+        problems = gate(current, baseline)
+        assert len(problems) == 1
+        assert "--scale" in problems[0]
+        assert "measured at size 64" in problems[0]
+
+    def test_committed_schema5_baseline_loads(self):
+        assert load_baseline(str(BASELINE))["schema"] == 5
+
+    @pytest.mark.parametrize("document", [
+        # a sweep artifact summary: an object, but no bench points
+        "baselines/mesh-design-space/summary.json",
+        {"schema": SCHEMA},
+        [{"key": "4x4@0.1/uniform/xy/vc1/I3", "speedup": 5.0}],
+    ], ids=["sweep-summary", "no-points", "json-list"])
+    def test_non_bench_document_refused(self, tmp_path, document):
+        if isinstance(document, str):
+            path = Path(__file__).resolve().parent / document
+        else:
+            path = tmp_path / "other.json"
+            path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match="not a bench document"):
+            load_baseline(str(path))
+
+    @pytest.mark.parametrize("schema", [SCHEMA - 1, SCHEMA + 1],
+                             ids=["older", "newer"])
+    def test_other_schema_refused_by_name(self, tmp_path, schema):
+        """Only this schema is gated: the committed baseline under any
+        other schema number is refused, and the error names it."""
+        document = json.loads(BASELINE.read_text())
+        document["schema"] = schema
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=f"has schema {schema}, "):
+            load_baseline(str(path))
 
 
 class TestBenchCli:
@@ -259,13 +374,7 @@ class TestBenchCli:
         """The checked-in baseline must gate the default --fast points
         of every suite (guards against the baseline going stale when
         points change)."""
-        from pathlib import Path
-
-        baseline_path = (
-            Path(__file__).resolve().parent.parent
-            / "benchmarks" / "baseline_bench.json"
-        )
-        baseline = json.loads(baseline_path.read_text())
+        baseline = json.loads(BASELINE.read_text())
         assert {p["key"] for p in baseline["points"]} == {
             p.key for p in default_points(fast=True)
         }
@@ -312,20 +421,6 @@ class TestGateSuiteHarness:
     def test_gate_point_key_stable(self):
         assert Point("gate", "serializer-i3", 24).key == \
             "gate/serializer-i3@24"
-
-    def test_default_gate_points_cover_the_acceptance_gate(self):
-        points = suite_points("gate")
-        assert points[0].workload == "serializer-i3"
-        assert {p.workload for p in points} == {
-            "serializer-i3", "serializer-i2", "fourphase-chain", "ringosc",
-        }
-        # --fast halves the workloads but never below the floor
-        fast = suite_points("gate", scale=0.01)
-        assert all(p.size >= 4 for p in fast)
-
-    def test_unknown_workload_rejected(self):
-        with pytest.raises(ValueError, match="unknown bench workload"):
-            run_point(Point("gate", "warp-drive", 4), repeats=1)
 
     def test_profile_gate_point_names_the_kernel(self):
         text = profile(Point("gate", "serializer-i3", 4))
@@ -419,13 +514,9 @@ class TestGateSuiteCli:
             main(["bench", "--suite", "gate", "--scale", "0"])
 
     def test_committed_baseline_is_schema_5_with_every_suite(self):
-        """The committed baseline must gate every suite's speedups."""
-        from pathlib import Path
-
-        baseline = json.loads(
-            (Path(__file__).resolve().parent.parent
-             / "benchmarks" / "baseline_bench.json").read_text()
-        )
+        """The committed baseline must load and gate every suite's
+        speedups."""
+        baseline = load_baseline(str(BASELINE))
         assert baseline["schema"] == 5
         assert set(baseline["suites"]) == {
             "noc", "gate", "compiled", "sweep",
@@ -465,20 +556,6 @@ class TestGateSuiteCli:
             main(["bench", "--suite", "noc", "--scale", "2.0"])
 
 
-def floor_document(*points):
-    """A bench document of ``(suite, workload, speedup)`` points."""
-    return {
-        "schema": 5, "python": "3.11.7",
-        "suites": sorted({suite for suite, _w, _s in points}),
-        "points": [
-            {"suite": suite, "workload": workload, "speedup": speedup,
-             "key": f"{suite}/{workload}@6", "cycles": 6,
-             "stats_match": True}
-            for suite, workload, speedup in points
-        ],
-    }
-
-
 class TestCompiledSuiteCli:
     COMPILED_TINY = [
         "--suite", "compiled", "--scale", "0.005", "--repeats", "1",
@@ -494,6 +571,23 @@ class TestCompiledSuiteCli:
         assert set(points) == {"fault-batch", "ringosc"}
         assert all(p["stats_match"] for p in points.values())
         assert "lane-steps/sec" in capsys.readouterr().out
+
+    def test_fault_batch_reports_lanes_and_matching_stats(self):
+        record = run_point(Point("compiled", "fault-batch", 2), repeats=1)
+        assert record["lanes"] == 64
+        assert record["stats_match"] is True
+        assert record["speedup"] is not None and record["speedup"] > 0
+        assert record["rate"] > 0
+        assert record["unit"] == "lane-steps/sec"
+        assert record["suite"] == "compiled"
+        assert record["key"] == "compiled/fault-batch@2"
+        assert record["cycles"] == 2
+
+    def test_ringosc_is_single_lane(self):
+        record = run_point(TINY_POINTS["compiled"], repeats=1)
+        assert record["lanes"] == 1
+        assert record["stats_match"] is True
+        assert record["speedup"] is not None
 
     def test_min_compiled_speedup_gate_passes(self):
         document = floor_document(("compiled", "fault-batch", 4.0),
@@ -552,3 +646,75 @@ class TestCompiledSuiteCli:
         keys = {p["key"] for p in document["points"]}
         assert keys == {"compiled/fault-batch@6",
                         "compiled/ringosc@10000"}
+
+
+class TestSweepSuite:
+    """The fabric's scheduling overhead: a real coordinator, file-lease
+    transport and in-process worker on a no-op grid, cross-checked
+    canonically against the bare engine, and gated like every suite."""
+
+    def test_fabric_throughput_and_matching_results(self):
+        record = run_point(TINY_POINTS["sweep"], repeats=1)
+        assert record["rate"] > 0
+        assert record["reference_wall_s"] > 0
+        assert record["stats_match"] is True
+        assert record["speedup"] is not None and record["speedup"] > 0
+        assert record["suite"] == "sweep"
+        assert record["key"] == "sweep/noop@8"
+        assert record["cycles"] == 8
+        assert record["unit"] == "points/sec"
+
+    def test_record_keeps_four_significant_figures(self, monkeypatch):
+        """An efficiency of 0.00555 is recorded as such, not rounded up
+        to 0.006 — above the 0.0056 line a 0.008 baseline gates at."""
+
+        def side():
+            return (lambda: None), (lambda _result: (8, ()))
+
+        monkeypatch.setitem(
+            bench.WORKLOADS, ("sweep", "fixed"),
+            Workload("sweep", "fixed", 8, 8, "points/sec",
+                     lambda point: (side, side)),
+        )
+        # fast side: 0 -> 1 s; reference side: 0 -> 0.00555 s
+        ticks = iter([0.0, 1.0, 0.0, 0.00555])
+        monkeypatch.setattr(bench.time, "perf_counter",
+                            lambda: next(ticks))
+        record = run_point(Point("sweep", "fixed", 8), repeats=1)
+        assert record["speedup"] == 0.00555
+        assert record["wall_s"] == 1.0
+
+    def test_metrics_replay_counts_fabric_traffic(self):
+        document = run_bench(
+            [TINY_POINTS["sweep"]], reference=False, repeats=1,
+            collect_metrics=True,
+        )
+        metrics = document["points"][0]["metrics"]
+        assert metrics["fabric.points_executed"] == 8
+        assert metrics["fabric.items_claimed"] >= 1
+        assert metrics["fabric.results"] == 8
+
+    def test_matching_run_passes(self):
+        document = floor_document(("sweep", "noop", 0.008))
+        assert gate(document, document) == []
+
+    def test_efficiency_drop_beyond_tolerance_fails(self):
+        problems = gate(floor_document(("sweep", "noop", 0.004)),
+                        floor_document(("sweep", "noop", 0.008)),
+                        tolerance=0.30)
+        assert len(problems) == 1
+        assert "fell below" in problems[0]
+
+    def test_efficiency_below_floor_fails_within_tolerance(self):
+        """The sweep point is held to 0.002 of bare-engine throughput
+        whatever its baseline says."""
+        document = floor_document(("sweep", "noop", 0.0019))
+        problems = gate(document, document, tolerance=0.30)
+        assert len(problems) == 1
+        assert "0.002x floor" in problems[0]
+
+    def test_noc_only_run_skips_sweep_points(self):
+        current = {"schema": SCHEMA, "python": "3.11.7",
+                   "suites": ["noc"], "points": []}
+        assert gate(current, floor_document(("sweep", "noop", 0.008))) \
+            == []

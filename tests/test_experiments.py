@@ -86,6 +86,10 @@ class TestSimulatedExperiments:
         result = throughput.run(simulate=True)
         assert result.all_ok, [c.row() for c in result.failures()]
 
+    def test_fig14_with_activity(self):
+        result = fig14.run(with_activity=True, activity_flits=16)
+        assert result.all_ok, [c.row() for c in result.failures()]
+
     def test_wirelength_with_simulation(self):
         from repro.experiments import wirelength
 

@@ -181,6 +181,42 @@ class TestLeaseProtocol:
         transport.try_claim("item-000000", "wk-a", ttl=30.0)
         assert transport.try_claim("item-000000", "wk-b", ttl=1.0) is None
 
+    def test_concurrent_claims_have_one_winner(self, tmp_path):
+        """Racing claimers of a fresh item: exactly one wins.  A lease
+        file seen before its record is in it would read as stale debris
+        and hand the item to a second claimer."""
+        # switch threads often so claims interleave inside try_claim
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        transport = FileTransport(tmp_path)
+        n_threads, n_items = 8, 40
+        start = threading.Barrier(n_threads, timeout=30.0)
+        owners = {item_id(i): [] for i in range(n_items)}
+
+        def claimer(worker):
+            for item in owners:
+                start.wait()
+                if transport.try_claim(item, worker, ttl=30.0) is not None:
+                    owners[item].append(worker)
+
+        threads = [
+            threading.Thread(target=claimer, args=(f"wk-{t}",))
+            for t in range(n_threads)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert {item: len(won) for item, won in owners.items()} == {
+            item: 1 for item in owners
+        }
+        for item, (winner,) in owners.items():
+            assert transport.lease(item).owner == winner
+
     def test_publish_is_idempotent_first_wins(self, tmp_path):
         transport = FileTransport(tmp_path)
         assert transport.publish_result(7, {"who": "first"}) is True

@@ -36,9 +36,14 @@ class TestMeshParity:
         net.drain()
         return net
 
-    def test_i3_latency_within_25pct_of_i1(self):
-        i1 = self._run("I1")
-        i3 = self._run("I3")
+    @pytest.mark.parametrize("rate,cycles,seed", [
+        (0.08, 1500, 42),
+        # run_mesh_point's default seed, as the sweeps run it
+        (0.1, 1200, 2008),
+    ], ids=["rate0.08", "rate0.1"])
+    def test_i3_latency_within_25pct_of_i1(self, rate, cycles, seed):
+        i1 = self._run("I1", rate=rate, cycles=cycles, seed=seed)
+        i3 = self._run("I3", rate=rate, cycles=cycles, seed=seed)
         assert i3.stats.mean_packet_latency == pytest.approx(
             i1.stats.mean_packet_latency, rel=0.25
         )
@@ -94,16 +99,21 @@ class TestTrafficPatternsAcrossLinks:
 
 
 class TestLoadSweep:
-    def test_saturation_ordering(self):
-        """At low load all links give similar latency; the sweep output
-        is monotone enough to spot saturation."""
-        topo = Topology(4, 4)
-        params = derive_link_params(st012(), "I1", 300)
+    @pytest.mark.parametrize("kind,rates,warmup,measure", [
+        ("I1", [0.05, 0.15, 0.30], 200, 900),
+        *((kind, [0.05, 0.15, 0.25, 0.35], 300, 1200)
+          for kind in ("I1", "I2", "I3")),
+    ], ids=["I1-3-rates", "I1", "I2", "I3"])
+    def test_saturation_ordering(self, kind, rates, warmup, measure):
+        """4x4 mesh at a 300 MHz switch clock: below saturation every
+        link type accepts the offered load, and the sweep output is
+        monotone enough to spot saturation."""
         sweep = latency_vs_load(
-            topo, params,
-            injection_rates=[0.05, 0.15, 0.30],
-            warmup_cycles=200, measure_cycles=900,
+            Topology(4, 4), derive_link_params(st012(), kind, 300),
+            injection_rates=rates,
+            warmup_cycles=warmup, measure_cycles=measure,
         )
+        assert sweep[0]["throughput"] >= 0.8 * sweep[0]["offered_rate"]
         latencies = [row["mean_latency"] for row in sweep]
         assert latencies == sorted(latencies)
 

@@ -1,10 +1,12 @@
 """Tests for the scenario registry, sweep engine and artifact writer."""
 
 import json
+import time
 from collections import Counter
 
 import pytest
 
+from repro.experiments import fig12
 from repro.experiments.common import ExperimentResult
 from repro.runner import artifacts, engine, registry, sweep
 from repro.runner.registry import ParamSpec, ScenarioError, scenario
@@ -197,6 +199,29 @@ class TestEngine:
         finally:
             registry.unregister("broken-test-scenario")
 
+    def test_engine_overhead_vs_direct(self):
+        """The engine is a thin shell: registry lookup, parameter
+        resolution and result collection may not multiply the cost of
+        the scenarios it runs (a generous bound for CI noise)."""
+        n = 5
+
+        def engined_runs():
+            requests = [engine.RunRequest.create("fig12") for _ in range(n)]
+            return engine.execute(requests, jobs=1)
+
+        # a warm-up run, so neither timing pays first-call costs
+        assert all(o.ok for o in engined_runs())
+
+        t0 = time.perf_counter()
+        for _ in range(n):
+            fig12.run()
+        direct = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        engined_runs()
+        engined = time.perf_counter() - t0
+        assert engined < direct * 5 + 0.05
+
     def test_parallel_matches_serial_byte_identical(self, tmp_path):
         """--jobs 4 must be indistinguishable from a serial run."""
         sc = registry.get("mesh-design-space")
@@ -206,6 +231,7 @@ class TestEngine:
             fixed={"cycles": 200},
         )
         serial = engine.execute(requests, jobs=1)
+        assert all(o.ok for o in serial)
         parallel = engine.execute(requests, jobs=4)
         artifacts.write_artifacts(serial, tmp_path / "serial")
         artifacts.write_artifacts(parallel, tmp_path / "parallel")
