@@ -120,12 +120,3 @@ def link_wire_count_from_tree(link) -> int:
         "not a built link tree"
     )
 
-
-def wire_count_by_instance(root, sim) -> dict:
-    """Number of created nets per owning instance path (wire inventory)."""
-    from ..design.design import Design
-
-    return {
-        path: len(nets)
-        for path, nets in Design(root, sim).nets_by_instance().items()
-    }

@@ -1,10 +1,12 @@
 """Deterministic chaos engineering for the sweep fabric.
 
 Seeded fault schedules (:mod:`.policy`), deterministic retry/backoff
-(:mod:`.retry`), and a fault-injecting :class:`ChaosTransport`
-decorator (:mod:`.transport`).  Same seed, same workload ⇒ same
-injected faults ⇒ same recovered artifacts — failure handling becomes
-a replayable, CI-gated property instead of a rare-event hope.
+(:mod:`.retry`), and :class:`ChaosTransport` (:mod:`.transport`), a
+fault-injecting decorator over the fabric's
+:class:`~repro.fabric.transport.FileTransport`.  Same seed, same
+workload ⇒ same injected faults ⇒ same recovered artifacts — failure
+handling becomes a replayable, CI-gated property instead of a
+rare-event hope.
 """
 
 from .policy import (

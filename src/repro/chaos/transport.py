@@ -1,34 +1,36 @@
-"""A fault-injecting decorator over any fabric :class:`Transport`.
+"""A fault-injecting decorator over :class:`FileTransport`.
 
-Wrap a real transport and a :class:`~repro.chaos.policy.ChaosPolicy`;
-every protocol call first consults the policy at its named seam and
-may raise an injected ``OSError``, stall, lose a claim race, report a
-lost lease, tear a result write, or publish a duplicate — then (unless
-the fault preempts it) delegates to the inner transport.  The wrapper
-changes *when* calls fail, never *what* a successful call does, so
-everything the fabric recovers to under chaos is still protocol-legal.
+Wrap a :class:`~repro.fabric.transport.FileTransport` and a
+:class:`~repro.chaos.policy.ChaosPolicy`; every call at a named seam
+first consults the policy and may raise an injected ``OSError``,
+stall, lose a claim race, report a lost lease, tear a result write, or
+publish a duplicate — then (unless the fault preempts it) delegates to
+the inner transport.  Calls without a seam pass straight through.  The
+wrapper changes *when* calls fail, never *what* a successful call
+does, so everything the fabric recovers to under chaos is still
+protocol-legal.
 """
 
 from __future__ import annotations
 
+import json
 import time
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional
 
-from ..fabric.transport import FileTransport, LeaseRecord, Transport
+from ..fabric.transport import FileTransport, LeaseRecord
 from .policy import ChaosPolicy, ChaosRule
 
 
-class ChaosTransport(Transport):
+class ChaosTransport:
     """Inject policy-scheduled faults in front of ``inner``."""
 
-    def __init__(self, inner: Transport, policy: ChaosPolicy) -> None:
+    def __init__(self, inner: FileTransport, policy: ChaosPolicy) -> None:
         self.inner = inner
         self.policy = policy
 
     def __getattr__(self, name: str):
-        # FileTransport extras (worker_dir, segment_journals, root, ...)
-        # pass straight through so callers needing the concrete surface
-        # can keep using the wrapped instance.
+        # everything without a fault seam (leases, break_lease,
+        # result_indices, worker_dir, root, ...) is the inner call
         return getattr(self.inner, name)
 
     # ------------------------------------------------------------------
@@ -51,9 +53,6 @@ class ChaosTransport(Transport):
         self._consult("transport.read_plan")
         return self.inner.read_plan()
 
-    def write_plan(self, plan: Dict[str, object]) -> None:
-        self.inner.write_plan(plan)
-
     # -- leases --------------------------------------------------------
     def try_claim(self, item: str, owner: str,
                   ttl: float) -> Optional[LeaseRecord]:
@@ -71,15 +70,6 @@ class ChaosTransport(Transport):
     def release(self, item: str, owner: str) -> None:
         self._consult("transport.release")
         self.inner.release(item, owner)
-
-    def lease(self, item: str) -> Optional[LeaseRecord]:
-        return self.inner.lease(item)
-
-    def leases(self) -> Dict[str, LeaseRecord]:
-        return self.inner.leases()
-
-    def break_lease(self, item: str) -> bool:
-        return self.inner.break_lease(item)
 
     # -- results -------------------------------------------------------
     def publish_result(self, index: int,
@@ -99,10 +89,6 @@ class ChaosTransport(Transport):
 
     def _tear(self, index: int, record: Dict[str, object]) -> None:
         """Leave half a record at the result path, non-atomically."""
-        import json
-
-        if not isinstance(self.inner, FileTransport):
-            return  # only the file transport has a path to tear
         path = self.inner._result_path(index)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(record, sort_keys=True)
@@ -113,19 +99,7 @@ class ChaosTransport(Transport):
         self._consult("transport.read_result")
         return self.inner.read_result(index)
 
-    def discard_result(self, index: int) -> bool:
-        return self.inner.discard_result(index)
-
-    def result_indices(self) -> Set[int]:
-        return self.inner.result_indices()
-
     # -- workers -------------------------------------------------------
     def heartbeat(self, worker_id: str) -> None:
         self._consult("transport.heartbeat")
         self.inner.heartbeat(worker_id)
-
-    def worker_ids(self) -> List[str]:
-        return self.inner.worker_ids()
-
-    def alive_workers(self, ttl: float) -> List[str]:
-        return self.inner.alive_workers(ttl)

@@ -157,10 +157,6 @@ class Port:
     def path(self) -> str:
         return f"{self.component.path}.{self.name}"
 
-    @property
-    def is_scalar(self) -> bool:
-        return self.width == 1
-
     def describe(self) -> str:
         return f"{self.path} ({self.direction}, width {self.width})"
 

@@ -13,7 +13,7 @@ here via :meth:`Design.elaborate`) or a legacy eagerly built circuit
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .component import Component, DesignError
 
@@ -111,9 +111,6 @@ class Design:
         """Every (path, component) in the tree, pre-order."""
         return list(self.top.walk())
 
-    def instance_paths(self) -> List[str]:
-        return [path for path, _comp in self.top.walk()]
-
     def _prefix_map(self) -> Dict[str, str]:
         """Name-prefix → instance-path lookup for net ownership.
 
@@ -150,11 +147,6 @@ class Design:
                 owner_path(sig.name, prefixes), []
             ).append(sig)
         return grouped
-
-    def iter_nets(self) -> Iterator:
-        if self.sim is None:
-            raise DesignError("design is not elaborated yet")
-        return iter(self.sim.created_signals)
 
     # ------------------------------------------------------------------
     def tree(self, ports: bool = True) -> str:

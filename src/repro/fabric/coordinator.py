@@ -3,8 +3,8 @@
 ``run_fabric_sweep`` is the whole coordinator side of a distributed
 sweep.  It seeds the shared directory with the plan (grid requests in
 canonical order plus the engine's batch-packed work items), optionally
-spawns ``repro worker`` subprocesses under a capacity-limited
-dispatcher that restarts dead workers, then sits in a monitor loop:
+spawns local ``repro worker`` subprocesses, then sits in a monitor loop
+that wakes every ``poll_s`` to:
 
 * ingest newly published results the moment they land (the
   ``on_outcome`` callback fires in completion order, exactly like the
@@ -16,7 +16,9 @@ dispatcher that restarts dead workers, then sits in a monitor loop:
   published, and publish them — work a worker finished in its last
   instants is never re-executed;
 * export fabric gauges/counters (leased, workers alive, results,
-  expired leases, salvages) when telemetry is enabled.
+  expired leases, salvages) when telemetry is enabled;
+* poll the local workers and respawn one that died, up to
+  ``max_restarts`` times per slot.
 
 When every grid point has a published result, the outcomes are
 reassembled in request order and handed back; the caller (the sweep
@@ -31,7 +33,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,13 +44,7 @@ from ..runner.engine import RunOutcome, RunRequest
 from ..store import codec
 from ..store import journal as journal_mod
 from ..store.store import code_fingerprint, request_key
-from .dispatch import CapacityDispatcher, Deferred
-from .transport import (
-    FabricError,
-    FileTransport,
-    Transport,
-    encode_requests,
-)
+from .transport import FabricError, FileTransport, encode_requests
 
 #: how many times a dead local worker is relaunched before giving up
 DEFAULT_MAX_RESTARTS = 3
@@ -80,7 +75,7 @@ class FabricSweep:
 
 
 def plan_fabric(
-    transport: Transport,
+    transport: FileTransport,
     scenario_id: str,
     requests: Sequence[RunRequest],
     fingerprint: str = "",
@@ -155,73 +150,60 @@ def _worker_env() -> Dict[str, str]:
 
 
 class _WorkerCrew:
-    """Local worker subprocesses under capacity-limited supervision."""
+    """Local worker subprocesses, one per slot, polled by the monitor loop.
+
+    :meth:`poll` respawns a slot whose worker exited non-zero, until
+    that slot has died more than ``max_restarts`` times.
+    """
 
     def __init__(self, count: int, spawn: Callable[[int], subprocess.Popen],
                  max_restarts: int) -> None:
         self._spawn = spawn
         self._max_restarts = max_restarts
-        self.done = threading.Event()
         self.restarts = 0
-        self.spawned = 0
-        self._lock = threading.Lock()
-        self._procs: Set[subprocess.Popen] = set()
-        self._dispatcher = CapacityDispatcher(
-            capacity=count, name="fabric-workers"
-        )
-        self.handles: List[Deferred] = [
-            self._dispatcher.submit(
-                self._supervise, index, label=f"worker-{index}"
-            )
-            for index in range(count)
-        ]
+        self._deaths = [0] * count
+        self._procs: List[subprocess.Popen] = []
+        try:
+            for index in range(count):
+                self._procs.append(spawn(index))
+        except BaseException:
+            self.shutdown()  # no worker outlives a failed start
+            raise
+        self.spawned = count
 
-    def _supervise(self, index: int) -> int:
-        restarts = 0
-        while not self.done.is_set():
-            proc = self._spawn(index)
-            with self._lock:
-                self.spawned += 1
-                self._procs.add(proc)
-            try:
-                rc = proc.wait()
-            finally:
-                with self._lock:
-                    self._procs.discard(proc)
-            if rc == 0 or self.done.is_set():
-                return rc
-            restarts += 1
-            with self._lock:
-                self.restarts += 1
+    def poll(self) -> bool:
+        """Respawn dead workers; ``True`` once every slot exited cleanly.
+
+        Raises :class:`FabricError` for a slot out of restarts.
+        """
+        for index, proc in enumerate(self._procs):
+            rc = proc.poll()
+            if not rc:  # still running (None) or finished cleanly (0)
+                continue
+            self._deaths[index] += 1
+            self.restarts += 1
             if REGISTRY.enabled:
                 REGISTRY.counter("fabric.worker_restarts").inc()
-            if restarts > self._max_restarts:
+            if self._deaths[index] > self._max_restarts:
                 raise FabricError(
-                    f"fabric worker {index} died {restarts} times "
-                    f"(last exit code {rc}); giving up on this slot"
+                    f"fabric worker {index} died {self._deaths[index]} "
+                    f"times (last exit code {rc}); giving up on this slot"
                 )
-        return 0
-
-    def all_exited(self) -> bool:
-        return all(handle.done for handle in self.handles)
-
-    def first_failure(self) -> Optional[BaseException]:
-        failed = self._dispatcher.failures()
-        return failed[0].exception if failed else None
+            self._procs[index] = self._spawn(index)
+            self.spawned += 1
+        return all(proc.poll() == 0 for proc in self._procs)
 
     def shutdown(self) -> None:
-        self.done.set()
-        with self._lock:
-            procs = list(self._procs)
-        for proc in procs:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in procs:
+        """Terminate every live worker; kill any that will not stop."""
+        live = [proc for proc in self._procs if proc.poll() is None]
+        for proc in live:
+            proc.terminate()
+        for proc in live:
             try:
                 proc.wait(timeout=5.0)
             except subprocess.TimeoutExpired:
                 proc.kill()
-        self._dispatcher.drain(timeout=10.0)
+                proc.wait()
 
 
 def _salvage(
@@ -251,7 +233,7 @@ def _salvage(
 
 
 def run_fabric_sweep(
-    fabric: Union[str, Path, Transport, None],
+    fabric: Union[str, Path, FileTransport, None],
     scenario_id: str,
     requests: Sequence[RunRequest],
     workers: int = 0,
@@ -294,14 +276,8 @@ def run_fabric_sweep(
                 quarantine_after=quarantine_after, retry=retry,
             )
     retry_policy = retry if retry is not None else RetryPolicy()
-    if isinstance(fabric, Transport):
-        transport = fabric
-    else:
-        transport = FileTransport(fabric)
-    if not isinstance(transport, FileTransport):
-        raise FabricError(
-            "run_fabric_sweep currently requires a FileTransport"
-        )
+    transport = (FileTransport(fabric) if isinstance(fabric, (str, Path))
+                 else fabric)
     requests = list(requests)
     sweep = FabricSweep()
     if not requests:
@@ -397,31 +373,22 @@ def run_fabric_sweep(
                     len(transport.alive_workers(lease_ttl * 2))
                 )
 
-            if crew is not None:
-                failure = crew.first_failure()
-                if failure is not None:
-                    raise failure
-                if crew.all_exited():
-                    # one more ingest pass: they may have published
-                    # everything and exited cleanly between our scans
-                    if transport.result_indices() >= set(
-                        range(total)
-                    ):
-                        continue
-                    # last resort: a worker that exhausted its publish
-                    # retries exits with the work journaled but not
-                    # published — rescue those segments before giving up
-                    salvaged = _salvage(
-                        transport, key_to_index, set(by_index)
-                    )
-                    if salvaged:
-                        sweep.salvaged += salvaged
-                        continue
-                    raise FabricError(
-                        "every fabric worker exited but "
-                        f"{total - len(by_index)} points remain "
-                        "unpublished"
-                    )
+            if crew is not None and crew.poll():
+                # one more ingest pass: they may have published
+                # everything and exited cleanly between our scans
+                if transport.result_indices() >= set(range(total)):
+                    continue
+                # last resort: a worker that exhausted its publish
+                # retries exits with the work journaled but not
+                # published — rescue those segments before giving up
+                salvaged = _salvage(transport, key_to_index, set(by_index))
+                if salvaged:
+                    sweep.salvaged += salvaged
+                    continue
+                raise FabricError(
+                    "every fabric worker exited but "
+                    f"{total - len(by_index)} points remain unpublished"
+                )
             if timeout is not None and time.monotonic() - start > timeout:
                 raise FabricError(
                     f"fabric sweep incomplete after {timeout:.0f}s: "

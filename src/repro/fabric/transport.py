@@ -16,12 +16,11 @@ The fabric's control plane is four tiny record kinds:
 * **worker heartbeats** — liveness beacons the coordinator turns into
   gauges.
 
-:class:`Transport` is the abstract surface; :class:`FileTransport`
-implements it over a shared directory with the repo's usual atomicity
-discipline (write-temp-then-link for claims, write-temp-then-rename for
-everything else), so the fabric works across processes — and across
-machines sharing a mount — with no daemon in the middle.  A socket
-transport can slot in behind the same surface later.
+:class:`FileTransport` keeps them in a shared directory with the repo's
+usual atomicity discipline (write-temp-then-link for claims,
+write-temp-then-rename for everything else), so the fabric works across
+processes — and across machines sharing a mount — with no daemon in the
+middle.
 
 Layout::
 
@@ -36,7 +35,6 @@ Layout::
 
 from __future__ import annotations
 
-import abc
 import json
 import os
 import socket
@@ -141,82 +139,7 @@ def decode_requests(plan: Dict[str, object]) -> List[RunRequest]:
     ]
 
 
-class Transport(abc.ABC):
-    """The fabric control-plane surface.
-
-    Everything the coordinator and workers say to each other goes
-    through these calls; swapping the shared directory for a socket
-    protocol means implementing exactly this class.
-    """
-
-    # -- plan ----------------------------------------------------------
-    @abc.abstractmethod
-    def read_plan(self) -> Optional[Dict[str, object]]:
-        """The current plan document, or ``None`` before seeding."""
-
-    @abc.abstractmethod
-    def write_plan(self, plan: Dict[str, object]) -> None:
-        """Atomically publish the plan document."""
-
-    # -- leases --------------------------------------------------------
-    @abc.abstractmethod
-    def try_claim(self, item: str, owner: str,
-                  ttl: float) -> Optional[LeaseRecord]:
-        """Claim an unleased (or expired) item; ``None`` if lost."""
-
-    @abc.abstractmethod
-    def renew(self, item: str, owner: str, ttl: float) -> bool:
-        """Heartbeat an owned lease; ``False`` if ownership was lost."""
-
-    @abc.abstractmethod
-    def release(self, item: str, owner: str) -> None:
-        """Drop an owned lease (after its results are published)."""
-
-    @abc.abstractmethod
-    def lease(self, item: str) -> Optional[LeaseRecord]:
-        """The item's current lease record, if any."""
-
-    @abc.abstractmethod
-    def leases(self) -> Dict[str, LeaseRecord]:
-        """Every live lease record by item id."""
-
-    @abc.abstractmethod
-    def break_lease(self, item: str) -> bool:
-        """Coordinator-side: delete a lease so the item is claimable."""
-
-    # -- results -------------------------------------------------------
-    @abc.abstractmethod
-    def publish_result(self, index: int,
-                       record: Dict[str, object]) -> bool:
-        """Idempotently publish one point; ``False`` if already there."""
-
-    @abc.abstractmethod
-    def read_result(self, index: int) -> Optional[Dict[str, object]]:
-        """The published record for one point, if any."""
-
-    @abc.abstractmethod
-    def discard_result(self, index: int) -> bool:
-        """Coordinator-side: drop a corrupt record so it is republished."""
-
-    @abc.abstractmethod
-    def result_indices(self) -> Set[int]:
-        """Indices of every published point."""
-
-    # -- workers -------------------------------------------------------
-    @abc.abstractmethod
-    def heartbeat(self, worker_id: str) -> None:
-        """Record that ``worker_id`` is alive right now."""
-
-    @abc.abstractmethod
-    def worker_ids(self) -> List[str]:
-        """Every worker that ever attached, sorted."""
-
-    @abc.abstractmethod
-    def alive_workers(self, ttl: float) -> List[str]:
-        """Workers whose heartbeat is fresher than ``ttl`` seconds."""
-
-
-class FileTransport(Transport):
+class FileTransport:
     """The shared-directory transport (see the module docstring)."""
 
     def __init__(self, root) -> None:
@@ -294,6 +217,7 @@ class FileTransport(Transport):
     # -- leases --------------------------------------------------------
     def try_claim(self, item: str, owner: str,
                   ttl: float) -> Optional[LeaseRecord]:
+        """Claim an unleased (or expired) item; ``None`` if lost."""
         now = time.time()
         path = self._lease_path(item)
         record = LeaseRecord(item=item, owner=owner,
@@ -328,6 +252,7 @@ class FileTransport(Transport):
         return record
 
     def renew(self, item: str, owner: str, ttl: float) -> bool:
+        """Heartbeat an owned lease; ``False`` if ownership was lost."""
         path = self._lease_path(item)
         existing = self.lease(item)
         if existing is None or existing.owner != owner:
@@ -339,6 +264,7 @@ class FileTransport(Transport):
         return True
 
     def release(self, item: str, owner: str) -> None:
+        """Drop an owned lease (after its results are published)."""
         existing = self.lease(item)
         if existing is not None and existing.owner == owner:
             self._lease_path(item).unlink(missing_ok=True)
@@ -364,6 +290,7 @@ class FileTransport(Transport):
         return out
 
     def break_lease(self, item: str) -> bool:
+        """Coordinator-side: delete a lease so the item is claimable."""
         path = self._lease_path(item)
         try:
             path.unlink()
@@ -374,6 +301,7 @@ class FileTransport(Transport):
     # -- results -------------------------------------------------------
     def publish_result(self, index: int,
                        record: Dict[str, object]) -> bool:
+        """Idempotently publish one point; ``False`` if already there."""
         path = self._result_path(index)
         if path.exists():
             existing = self._read_json(path)
@@ -392,6 +320,7 @@ class FileTransport(Transport):
         return self._read_json(self._result_path(index))
 
     def discard_result(self, index: int) -> bool:
+        """Coordinator-side: drop a corrupt record so it is republished."""
         try:
             self._result_path(index).unlink()
         except FileNotFoundError:
@@ -424,6 +353,7 @@ class FileTransport(Transport):
         return sorted(p.name for p in workers.iterdir() if p.is_dir())
 
     def alive_workers(self, ttl: float) -> List[str]:
+        """Workers whose heartbeat is fresher than ``ttl`` seconds."""
         now = time.time()
         alive = []
         for worker_id in self.worker_ids():

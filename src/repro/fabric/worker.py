@@ -57,7 +57,6 @@ from ..obs.telemetry import TelemetryWriter
 from .transport import (
     FabricError,
     FileTransport,
-    Transport,
     decode_requests,
     item_id,
     worker_identity,
@@ -123,7 +122,7 @@ class _LeaseRenewer:
     of a TTL of slack, so the renewer just tries again next tick.
     """
 
-    def __init__(self, transport: Transport, item: str, owner: str,
+    def __init__(self, transport: FileTransport, item: str, owner: str,
                  ttl: float, join_timeout: float = 5.0) -> None:
         self._transport = transport
         self._item = item
@@ -243,7 +242,7 @@ def _scribble_last_line(path: Path) -> None:
 
 
 def run_worker(
-    fabric: Union[str, Path, Transport],
+    fabric: Union[str, Path, FileTransport],
     worker_id: Optional[str] = None,
     lease_ttl: float = 20.0,
     poll_s: float = 0.5,
@@ -273,23 +272,16 @@ def run_worker(
     from ..chaos.retry import RetryPolicy
     from ..chaos.transport import ChaosTransport
 
-    if isinstance(fabric, Transport):
-        transport = fabric
-    else:
-        transport = FileTransport(fabric)
+    transport = (FileTransport(fabric) if isinstance(fabric, (str, Path))
+                 else fabric)
     policy = chaos if chaos is not None else policy_from_env(os.environ)
+    # ``bus`` takes the protocol calls (through the chaos decorator when
+    # there is one); ``transport`` is the plain FileTransport underneath
+    bus = transport
     if isinstance(transport, ChaosTransport):
-        bus: Transport = transport
         transport = transport.inner
     elif policy is not None:
         bus = ChaosTransport(transport, policy)
-    else:
-        bus = transport
-    if not isinstance(transport, FileTransport):
-        raise FabricError(
-            "run_worker currently requires a FileTransport for journal "
-            "and telemetry segments"
-        )
     retry_policy: RetryPolicy = retry if retry is not None else RetryPolicy()
     wid = worker_id or worker_identity()
     stats = WorkerStats(worker_id=wid)

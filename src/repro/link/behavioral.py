@@ -192,17 +192,6 @@ class TokenLink:
         """True if the head flit has completed its traversal."""
         return bool(self._in_flight) and self._in_flight[0][0] <= now_cycle
 
-    @property
-    def next_deliverable_cycle(self) -> Optional[int]:
-        """Cycle the head flit matures at, or None for an empty link.
-
-        The network's active-link set uses this to turn the seed's
-        per-cycle ``begin_cycle``/``deliverable`` polling of *every*
-        link into a single integer comparison on in-flight links only.
-        """
-        in_flight = self._in_flight
-        return in_flight[0][0] if in_flight else None
-
     def peek(self) -> object:
         return self._in_flight[0][1]
 

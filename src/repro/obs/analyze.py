@@ -264,14 +264,6 @@ def _from_journal(path: Path) -> TelemetryReport:
     return report
 
 
-def _worker_streams(target: Path) -> List[Path]:
-    """Per-worker telemetry segments under a fabric directory."""
-    workers = target / "workers"
-    if not workers.is_dir():
-        return []
-    return sorted(workers.glob(f"*/{telemetry_mod.STREAM_FILENAME}"))
-
-
 def _segment_utilization(
     points: List[Dict[str, object]]
 ) -> Tuple[float, Optional[float], Optional[float]]:
@@ -290,8 +282,9 @@ def _segment_utilization(
     return busy, span, min(busy / span, 1.0)
 
 
-def _from_fabric(target: Path, streams: List[Path]) -> TelemetryReport:
-    """Aggregate every worker's telemetry segment in a fabric directory.
+def _from_fabric(target: Path) -> Optional[TelemetryReport]:
+    """Aggregate every worker's telemetry segment in a fabric directory
+    (``None`` when ``target`` holds no worker segments).
 
     The merged report sums counter rollups and point lists across the
     whole fleet (each point tagged with its worker), treats the worker
@@ -300,6 +293,11 @@ def _from_fabric(target: Path, streams: List[Path]) -> TelemetryReport:
     worker SIGKILLed before writing its header — are skipped, matching
     the journal merge's damage-bounding rule.
     """
+    from ..fabric.transport import FileTransport  # lazy: pulls in runner
+
+    streams = FileTransport(target).segment_streams()
+    if not streams:
+        return None
     report = TelemetryReport(
         source=str(target),
         has_store_info=True,
@@ -353,9 +351,9 @@ def summarize(target) -> TelemetryReport:
     stream = telemetry_mod.stream_path(target)
     if stream.exists():
         return _from_stream(stream)
-    worker_streams = _worker_streams(target)
-    if worker_streams:
-        return _from_fabric(target, worker_streams)
+    report = _from_fabric(target)
+    if report is not None:
+        return report
     journal_file = target / _JOURNAL_FILENAME
     if journal_file.exists():
         return _from_journal(journal_file)

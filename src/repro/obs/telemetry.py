@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 #: file names inside a sweep/run output directory
 STREAM_FILENAME = "telemetry.jsonl"
@@ -114,33 +114,48 @@ class TelemetryWriter:
         self._append(record)
 
 
-def _read(path: Path) -> Tuple[Dict[str, object],
-                               List[Dict[str, object]], int]:
-    """Parse the stream; also return the valid-prefix byte length."""
-    header: Dict[str, object] = {}
-    records: List[Dict[str, object]] = []
+def read_valid_prefix(
+    path: Path, error: type, noun: str,
+    accept: Optional[Callable[[Dict[str, object]], bool]] = None,
+) -> Tuple[List[Dict[str, object]], int]:
+    """A JSONL log's valid prefix: ``(entries, valid_bytes)``.
+
+    A line counts only if it is newline-terminated, parses, and passes
+    ``accept`` (the journal's per-line checksum); the walk stops at the
+    first line that fails, since a writer killed mid-line leaves a torn
+    tail and nothing after damage is trusted.  The first entry must be
+    a header; an empty or headerless log raises ``error``.  Shared by
+    the journal and telemetry readers.
+    """
+    entries: List[Dict[str, object]] = []
     valid_bytes = 0
     with path.open("rb") as fh:
         raw = fh.read()
-    for i, line in enumerate(raw.splitlines(keepends=True)):
+    for line in raw.splitlines(keepends=True):
         if not line.endswith(b"\n"):
             break
         try:
             entry = json.loads(line.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):
             break  # killed mid-write; the rest is untrustworthy
-        if i == 0:
-            if entry.get("kind") != "header":
-                raise TelemetryError(
-                    f"{path}: first line is not a telemetry header"
-                )
-            header = entry
-        else:
-            records.append(entry)
+        if accept is not None and not accept(entry):
+            break
+        if not entries and entry.get("kind") != "header":
+            raise error(f"{path}: first line is not a {noun} header")
+        entries.append(entry)
         valid_bytes += len(line)
-    if not header:
-        raise TelemetryError(f"{path}: empty or headerless stream")
-    return header, records, valid_bytes
+    if not entries:
+        raise error(f"{path}: empty or headerless {noun}")
+    return entries, valid_bytes
+
+
+def _read(path: Path) -> Tuple[Dict[str, object],
+                               List[Dict[str, object]], int]:
+    """Parse the stream; also return the valid-prefix byte length."""
+    entries, valid_bytes = read_valid_prefix(
+        path, TelemetryError, "telemetry stream"
+    )
+    return entries[0], entries[1:], valid_bytes
 
 
 def read_stream(path) -> Tuple[Dict[str, object], List[Dict[str, object]]]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..experiments.common import Check, ExperimentResult
 from ..runner.engine import RunOutcome, RunRequest
@@ -140,11 +140,6 @@ def outcome_from_record(record: Dict[str, object]) -> RunOutcome:
         t_mono=record.get("t_mono"),
         metrics=dict(record.get("metrics") or {}),
     )
-
-
-def record_params(record: Dict[str, object]) -> List[list]:
-    """The record's raw ``[name, value]`` pairs (display helper)."""
-    return [list(pair) for pair in record.get("params", [])]
 
 
 def strip_volatile(record: Dict[str, object]) -> Dict[str, object]:

@@ -28,6 +28,7 @@ import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from ..obs.telemetry import read_valid_prefix
 from ..runner.engine import RunOutcome
 from . import codec
 from .store import code_fingerprint, request_key
@@ -111,35 +112,22 @@ class Journal:
 
 def _read(path: Path) -> Tuple[Dict[str, object], List[RunOutcome], int]:
     """Parse the journal; also returns the byte length of the valid
-    prefix (a line is valid only if newline-terminated AND parseable —
-    a sweep killed mid-write leaves a torn tail that fails one of the
-    two)."""
-    header: Dict[str, object] = {}
-    outcomes: List[RunOutcome] = []
-    valid_bytes = 0
-    with path.open("rb") as fh:
-        raw = fh.read()
-    for i, line in enumerate(raw.splitlines(keepends=True)):
-        if not line.endswith(b"\n"):
-            break
-        try:
-            entry = json.loads(line.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            break  # killed mid-write; the rest is untrustworthy
-        if codec.verify_hash(entry) is False:
-            break  # checksum mismatch: bit rot or an in-place scribble
-        if i == 0:
-            if entry.get("kind") != "header":
-                raise JournalError(
-                    f"{path}: first line is not a journal header"
-                )
-            header = entry
-        elif entry.get("kind") == "outcome":
-            outcomes.append(codec.outcome_from_record(entry))
-        valid_bytes += len(line)
-    if not header:
-        raise JournalError(f"{path}: empty or headerless journal")
-    return header, outcomes, valid_bytes
+    prefix (newline-terminated, parseable lines with intact checksums —
+    a sweep killed mid-write leaves a torn tail, bit rot fails the
+    checksum)."""
+    entries, valid_bytes = _valid_prefix(path)
+    outcomes = [
+        codec.outcome_from_record(entry) for entry in entries[1:]
+        if entry.get("kind") == "outcome"
+    ]
+    return entries[0], outcomes, valid_bytes
+
+
+def _valid_prefix(path: Path) -> Tuple[List[Dict[str, object]], int]:
+    return read_valid_prefix(
+        path, JournalError, "journal",
+        accept=lambda entry: codec.verify_hash(entry) is not False,
+    )
 
 
 def load(path) -> Tuple[Dict[str, object], List[RunOutcome]]:
@@ -172,27 +160,11 @@ def canonical_bytes(path) -> bytes:
     tests and ``repro diff``-style tooling; raises like :func:`load`
     on a headerless file.
     """
-    path = Path(path)
-    lines = []
-    with path.open("rb") as fh:
-        raw = fh.read()
-    for i, line in enumerate(raw.splitlines(keepends=True)):
-        if not line.endswith(b"\n"):
-            break
-        try:
-            entry = json.loads(line.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            break
-        if codec.verify_hash(entry) is False:
-            break
-        if i == 0 and entry.get("kind") != "header":
-            raise JournalError(f"{path}: first line is not a journal header")
-        lines.append(
-            json.dumps(codec.strip_volatile(entry), sort_keys=True) + "\n"
-        )
-    if not lines:
-        raise JournalError(f"{path}: empty or headerless journal")
-    return "".join(lines).encode("utf-8")
+    entries, _ = _valid_prefix(Path(path))
+    return "".join(
+        json.dumps(codec.strip_volatile(entry), sort_keys=True) + "\n"
+        for entry in entries
+    ).encode("utf-8")
 
 
 def merge_segments(segment_paths: Iterable) -> Dict[str, RunOutcome]:

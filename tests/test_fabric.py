@@ -1,18 +1,18 @@
 """Tests for the distributed sweep fabric.
 
-Covers the four layers separately and then together: the
-capacity-limited dispatcher (pure threading), the file-lease protocol
-(claim / renew / stale takeover / idempotent publish), the journal
-merge-and-rewrite primitives the fabric's byte-identity contract rests
-on, and the coordinator + worker loop end to end — including the case
-the fabric exists for: a worker SIGKILLed mid-lease, its item
-re-leased, and the finished sweep still byte-identical to a serial
-run.
+Covers the layers separately and then together: the file-lease
+protocol (claim / renew / stale takeover / idempotent publish), the
+journal merge-and-rewrite primitives the fabric's byte-identity
+contract rests on, and the coordinator + worker loop end to end —
+including the case the fabric exists for: a worker SIGKILLed
+mid-lease, its item re-leased, and the finished sweep still
+byte-identical to a serial run.
 """
 
 import json
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -20,7 +20,6 @@ import time
 import pytest
 
 from repro.fabric import (
-    CapacityDispatcher,
     FabricError,
     FileTransport,
     LeaseRecord,
@@ -59,83 +58,6 @@ def _canonical(outcomes):
         )
         for o in outcomes
     ]
-
-
-# ----------------------------------------------------------------------
-class TestCapacityDispatcher:
-    def test_result_and_exception_pass_through(self):
-        dispatcher = CapacityDispatcher(capacity=2)
-        ok = dispatcher.submit(lambda: 41 + 1)
-        assert ok.result(timeout=5.0) == 42
-
-        def boom():
-            raise ValueError("no")
-
-        bad = dispatcher.submit(boom)
-        with pytest.raises(ValueError, match="no"):
-            bad.result(timeout=5.0)
-        assert isinstance(bad.exception, ValueError)
-        dispatcher.drain(timeout=5.0)
-
-    def test_unfinished_result_times_out(self):
-        dispatcher = CapacityDispatcher(capacity=1)
-        gate = threading.Event()
-        handle = dispatcher.submit(gate.wait)
-        with pytest.raises(TimeoutError):
-            handle.result(timeout=0.05)
-        gate.set()
-        assert handle.result(timeout=5.0) is True
-        dispatcher.drain(timeout=5.0)
-
-    def test_at_most_capacity_run_concurrently(self):
-        dispatcher = CapacityDispatcher(capacity=2)
-        lock = threading.Lock()
-        running = [0]
-        peak = [0]
-        release = threading.Event()
-
-        def task():
-            with lock:
-                running[0] += 1
-                peak[0] = max(peak[0], running[0])
-            release.wait(5.0)
-            with lock:
-                running[0] -= 1
-
-        handles = [dispatcher.submit(task) for _ in range(5)]
-        time.sleep(0.1)  # let the first wave start
-        assert peak[0] <= 2
-        release.set()
-        for handle in handles:
-            handle.result(timeout=5.0)
-        assert peak[0] == 2
-        dispatcher.drain(timeout=5.0)
-
-    def test_failures_in_submission_order(self):
-        dispatcher = CapacityDispatcher(capacity=2)
-
-        def boom(msg):
-            def inner():
-                raise ValueError(msg)
-            return inner
-
-        first = dispatcher.submit(boom("first"))
-        ok = dispatcher.submit(lambda: 42)
-        second = dispatcher.submit(boom("second"))
-        dispatcher.drain(timeout=5.0)
-        failed = dispatcher.failures()
-        assert failed == [first, second]
-        assert ok not in failed
-        assert str(failed[0].exception) == "first"
-
-    def test_done_callback_fires(self):
-        dispatcher = CapacityDispatcher(capacity=1)
-        seen = []
-        handle = dispatcher.submit(lambda: "x")
-        handle.result(timeout=5.0)
-        handle.add_done_callback(seen.append)  # already done: immediate
-        assert seen == [handle]
-        dispatcher.drain(timeout=5.0)
 
 
 # ----------------------------------------------------------------------
@@ -508,3 +430,23 @@ class TestWorkerDeathRecovery:
         record = transport.read_result(0)
         assert record["worker"] != "wk-doomed"
         assert _canonical(result.outcomes) == _canonical(serial)
+
+    def test_failed_sweep_leaves_no_worker_running(self, tmp_path):
+        """A sweep that raises (here: its timeout) still stops every
+        worker it spawned before returning."""
+        procs = []
+
+        def spawn(index):
+            proc = subprocess.Popen(
+                [sys.executable, "-c", "import time; time.sleep(120)"]
+            )
+            procs.append(proc)
+            return proc
+
+        with pytest.raises(FabricError, match="incomplete"):
+            run_fabric_sweep(
+                tmp_path, "sweep-noop", _grid(4),
+                workers=2, poll_s=0.05, timeout=0.5, spawn=spawn,
+            )
+        assert len(procs) == 2
+        assert all(proc.poll() is not None for proc in procs)
