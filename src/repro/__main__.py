@@ -645,8 +645,10 @@ def _cmd_bench(args, parser) -> int:
 
     # --fast shortens sizes only: best-of-N repeats absorb the
     # scheduler noise that dominates sub-second timings
-    shape = dict(pattern=args.pattern, routing=args.routing,
-                 n_vcs=args.vcs, kind=args.kind)
+    shape = dict(pattern=args.pattern, n_vcs=args.vcs, kind=args.kind)
+    if args.routing:
+        # without --routing every point keeps its own routing
+        shape["routing"] = args.routing
     points = [
         replace(p, **shape) if p.suite == "noc" else p
         for p in bench_mod.default_points(
@@ -1130,8 +1132,11 @@ def build_parser() -> argparse.ArgumentParser:
                  "neighbor"),
         help="traffic pattern (default uniform)",
     )
-    p_bench.add_argument("--routing", default="xy",
-                         choices=("xy", "west_first"))
+    p_bench.add_argument(
+        "--routing", choices=("xy", "west_first"),
+        help="routing for every noc point (default: each point's own; "
+             "with --mesh, xy)",
+    )
     p_bench.add_argument("--vcs", type=int, default=1, metavar="N",
                          help="virtual channels (default 1)")
     p_bench.add_argument("--kind", default="I3", choices=("I1", "I2", "I3"),

@@ -72,10 +72,13 @@ SCHEMA = 5
 FAST_CYCLES = 300
 FAST_SCALE = 0.5
 
-#: the NoC suite's (mesh_size, injection_rate) points — the nominal 4x4
-#: point plus the 8x8 low-load and saturation gates from the perf
-#: acceptance criteria
-NOC_POINTS: Sequence[Tuple[int, float]] = ((4, 0.10), (8, 0.02), (8, 0.35))
+#: the NoC suite's (mesh_size, injection_rate, routing) points — the
+#: nominal 4x4 point, the 8x8 low-load and saturation gates from the
+#: perf acceptance criteria, and an 8x8 point under adaptive routing
+NOC_POINTS: Sequence[Tuple[int, float, str]] = (
+    (4, 0.10, "xy"), (8, 0.02, "xy"), (8, 0.35, "xy"),
+    (8, 0.15, "west_first"),
+)
 
 #: a side: builds its workload, returns ``(run, finish)``
 Side = Callable[[], Tuple[Callable[[], object], Callable[[object], tuple]]]
@@ -502,8 +505,8 @@ def default_points(fast: bool = False, scale: float = 1.0,
             n = min(n, FAST_CYCLES)
         points += [
             Point(row.suite, row.name, n, mesh_size=mesh,
-                  injection_rate=rate)
-            for mesh, rate in NOC_POINTS
+                  injection_rate=rate, routing=routing)
+            for mesh, rate, routing in NOC_POINTS
         ]
     return points
 

@@ -29,9 +29,10 @@ verbatim in :mod:`repro.noc.reference`), :meth:`Network.step` maintains
   to enter the network (``drain`` no longer rescans every queue).
 
 Switches index their lanes, owners and links by integer port (see
-:mod:`repro.noc.switch`); under XY routing each head flit is routed
-once per cycle (:class:`~repro.noc.switch.ObliviousSwitch`), under
-west-first once per output port, as its adaptive choice requires.
+:mod:`repro.noc.switch`) and route each head flit once per cycle; a
+west-first switch (:class:`~repro.noc.switch.WestFirstSwitch`) also
+rescans its lanes for EAST after NORTH or SOUTH sent, since only then
+can an adaptive choice change within a cycle.
 Rate credit accrues lazily and in batch (see
 :meth:`~repro.link.behavioral.TokenLink.accrue_to`), only for links
 that might send this cycle.  All of this is decision-identical to the
@@ -50,7 +51,7 @@ from ..link.behavioral import BehavioralLinkParams, TokenLink
 from ..obs.metrics import REGISTRY as _OBS
 from .flit import Flit, Packet
 from .stats import NetworkStats
-from .switch import ObliviousSwitch, Switch
+from .switch import Switch, WestFirstSwitch
 from .topology import (
     Coord,
     Port,
@@ -109,16 +110,15 @@ class Network:
             self._link_dst[key] = (dst, port.opposite)
 
         if routing == "xy":
-            # dimension-ordered and oblivious: each head flit is routed
-            # once per cycle (ObliviousSwitch); the compiled closure
-            # skips the full-route construction of topology.next_hop
+            # dimension-ordered; the compiled closure skips the
+            # full-route construction of topology.next_hop
             route = compile_next_hop(topology)
-            switch_cls = ObliviousSwitch
+            switch_cls = Switch
         else:
             # west-first adaptive: among the permitted productive ports,
             # steer towards the least-occupied outgoing link
             route = compile_west_first(topology, self.links)
-            switch_cls = Switch
+            switch_cls = WestFirstSwitch
         self.switches: Dict[Coord, Switch] = {
             node: switch_cls(node, route, fifo_depth, n_vcs)
             for node in topology.nodes()

@@ -31,21 +31,26 @@ Inside the kernel ports are the ints :attr:`Port.index` (N, S, E, W, L
 out-links and route locks are int-indexed lists, so no lookup hashes a
 :class:`Port`.  Empty switches return before touching any lane.
 
-The outputs are served in port order, and a lane that advances on one
-output may advance again on a later one in the same cycle (its new head
-wants that output).  The arbitration loop finds each output's
-candidates in one of two ways, both exact:
+The outputs are served in port order (N, S, E, W, L), and a lane that
+advances on one output may advance again on a later one in the same
+cycle (its new head wants that output).  One arbitration loop serves
+every routing: an up-front pass routes each head flit once and fills
+the five per-output request lists; when a lane advances on output
+``o`` only its new head is routed, and if it wants a later output it
+joins that output's list.  For :class:`Switch` — any route that
+depends only on ``(current, dest)``, such as XY — this is exact
+because an output's wormhole owners only change while that output is
+being served.
 
-* :class:`Switch` rescans the occupied lanes for every output.  That is
-  what adaptive (``west_first``) routing needs: a lane's desired output
-  may change *within* a cycle as earlier outputs send and their link
-  occupancies shift, so desired outputs cannot be cached across ports.
-* :class:`ObliviousSwitch`, for routes that depend only on
-  ``(current, dest)`` (XY), routes each head flit once per cycle: one
-  pass builds the per-output request lists, and when a lane advances on
-  output ``o`` only its new head is routed; if it wants a later output
-  it joins that output's list.  This is exact because an output's
-  wormhole owners only change while that output is being served.
+:class:`WestFirstSwitch` adds one rule for west-first adaptive routing
+(:func:`~repro.noc.topology.compile_west_first`).  A west-first route
+is either fixed (W, L, or a pure N, S or E move) or a choice between
+EAST and one of NORTH/SOUTH by out-link occupancy; an out-link's
+occupancy only changes when its own output sends.  So a route computed
+at the start of the cycle still holds when its output is served,
+except at EAST: once NORTH or SOUTH has sent, a head that chose it may
+now prefer EAST.  Before serving EAST after such a send, the switch
+rebuilds EAST's candidates with one scan of the occupied lanes.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ RouteFn = Callable[[Coord, Coord], Port]
 Lane = Tuple[Port, int]
 
 _N_PORTS = len(PORTS)
+_EAST = Port.EAST.index
 _LOCAL = Port.LOCAL.index
 
 
@@ -137,13 +143,15 @@ class PortLinks(MutableMapping):
 class Switch:
     """A 5-port synchronous wormhole switch with optional VCs.
 
-    Arbitration rescans the lanes for every output, which is correct
-    for any routing function, adaptive ones included.
+    Routes each head flit once per cycle, which is exact for any route
+    that depends only on ``(current, dest)`` (see the module
+    docstring); adaptive west-first routing needs
+    :class:`WestFirstSwitch`.
     """
 
-    #: route each head flit once per cycle (:class:`ObliviousSwitch`)
-    #: instead of rescanning the lanes for every output
-    _oblivious = False
+    #: rebuild EAST's candidates after NORTH or SOUTH sent this cycle
+    #: (:class:`WestFirstSwitch`)
+    _rescan_east = False
 
     def __init__(
         self,
@@ -243,32 +251,31 @@ class Switch:
         out_links = self.out_links.slots
         route_fn = self.route_fn
         position = self.position
-        oblivious = self._oblivious
-        if oblivious:
-            # every head flit is routed once, up front (_request inlined)
-            requests: Tuple[List[int], ...] = ([], [], [], [], [])
-            for lane, queue in enumerate(lanes):
-                fifo = queue.fifo
-                if not fifo:
-                    continue
-                flit = fifo[0]
-                if flit.kind.opens_route:
-                    out = route_fn(position, flit.dest).index
-                    owner = owners[out * n_vcs + flit.vc]
-                    if owner is None or owner == lane:
-                        requests[out].append(lane)
-                elif queue.locked_output is not None:
-                    requests[queue.locked_output].append(lane)
-        else:
-            request = self._request
-            occupied = [lane for lane, queue in enumerate(lanes) if queue.fifo]
+        rescan_east = self._rescan_east
+        # every head flit is routed once, up front (_request inlined)
+        requests: Tuple[List[int], ...] = ([], [], [], [], [])
+        for lane, queue in enumerate(lanes):
+            fifo = queue.fifo
+            if not fifo:
+                continue
+            flit = fifo[0]
+            if flit.kind.opens_route:
+                out = route_fn(position, flit.dest).index
+                owner = owners[out * n_vcs + flit.vc]
+                if owner is None or owner == lane:
+                    requests[out].append(lane)
+            elif queue.locked_output is not None:
+                requests[queue.locked_output].append(lane)
         moved = 0
         for out in range(_N_PORTS):
-            if oblivious:
-                candidates = requests[out]
-            else:
+            candidates = requests[out]
+            if rescan_east and out == _EAST and moved:
+                # NORTH or SOUTH sent (only they precede EAST), so a
+                # head that chose one of them may now prefer EAST
+                request = self._request
                 candidates = [
-                    lane for lane in occupied if request(lane) == out
+                    lane for lane, queue in enumerate(lanes)
+                    if queue.fifo and request(lane) == _EAST
                 ]
             if not candidates:
                 continue
@@ -304,10 +311,10 @@ class Switch:
             if out == _LOCAL:
                 eject(flit)
             rr[out] = (pick + 1) % n_lanes
-            if oblivious and fifo:
-                # the new head competes for a later output this cycle,
-                # just as the rescan would find it there; a body or tail
-                # follows the lock, which is now ``out`` or released
+            if fifo:
+                # the new head competes for a later output this cycle;
+                # a body or tail follows the lock, which is now ``out``
+                # or released
                 flit = fifo[0]
                 if flit.kind.opens_route:
                     later = route_fn(position, flit.dest).index
@@ -344,13 +351,14 @@ class Switch:
         return sum(len(queue.fifo) for queue in self._lanes)
 
 
-class ObliviousSwitch(Switch):
-    """A switch whose route depends only on ``(current, dest)``.
+class WestFirstSwitch(Switch):
+    """A switch for west-first adaptive routing.
 
-    Routes each head flit once per cycle instead of once per output
-    (see the module docstring); decisions are identical to
-    :class:`Switch`'s rescan.  :class:`~repro.noc.network.Network` uses
-    it for XY routing.
+    Arbitrates like :class:`Switch` and rebuilds EAST's candidates
+    after NORTH or SOUTH sent in the same cycle, which keeps it exact
+    for :func:`~repro.noc.topology.compile_west_first` routes (see the
+    module docstring).  :class:`~repro.noc.network.Network` uses it for
+    ``west_first`` routing.
     """
 
-    _oblivious = True
+    _rescan_east = True

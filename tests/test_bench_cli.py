@@ -88,10 +88,12 @@ class TestEverySuite:
         assert [p["suite"] for p in document["points"]] == [suite]
 
     @pytest.mark.parametrize("suite,options,keys", [
-        # the nominal 4x4 point and the 8x8 acceptance gates
+        # the nominal 4x4 point, the 8x8 acceptance gates and the
+        # adaptive-routing point
         ("noc", {"cycles": 300}, ["4x4@0.1/uniform/xy/vc1/I3",
                                   "8x8@0.02/uniform/xy/vc1/I3",
-                                  "8x8@0.35/uniform/xy/vc1/I3"]),
+                                  "8x8@0.35/uniform/xy/vc1/I3",
+                                  "8x8@0.15/uniform/west_first/vc1/I3"]),
         ("gate", {}, ["gate/serializer-i3@24", "gate/serializer-i2@16",
                       "gate/fourphase-chain@40", "gate/ringosc@40000"]),
         # scaling never goes below a row's floor
@@ -368,7 +370,19 @@ class TestBenchCli:
         assert {p["pattern"] for p in points} == {"transpose"}
         # the default mesh x rate gate points are preserved
         assert {(p["mesh_size"], p["injection_rate"]) for p in points} \
-            == {(4, 0.10), (8, 0.02), (8, 0.35)}
+            == {(4, 0.10), (8, 0.02), (8, 0.35), (8, 0.15)}
+
+    def test_points_keep_their_routing_without_flag(self, tmp_path):
+        out = tmp_path / "bench.json"
+        rc = main([
+            "bench", "--suite", "noc", "--cycles", "20", "--repeats", "1",
+            "--no-reference", "--json", str(out),
+        ])
+        assert rc == 0
+        points = json.loads(out.read_text())["points"]
+        assert [p["routing"] for p in points] == [
+            "xy", "xy", "xy", "west_first",
+        ]
 
     def test_committed_baseline_matches_default_points(self):
         """The checked-in baseline must gate the default --fast points
@@ -524,7 +538,7 @@ class TestGateSuiteCli:
         by_suite = {}
         for point in baseline["points"]:
             by_suite.setdefault(point["suite"], []).append(point)
-        assert len(by_suite["noc"]) == 3
+        assert len(by_suite["noc"]) == 4
         assert len(by_suite["gate"]) == 4
         assert len(by_suite["compiled"]) == 2
         assert len(by_suite["sweep"]) == 1

@@ -17,7 +17,7 @@ from repro.noc import (
     reset_packet_ids,
     west_first_permitted,
 )
-from repro.noc.switch import ObliviousSwitch, Switch
+from repro.noc.switch import Switch, WestFirstSwitch
 from repro.noc.topology import compile_west_first
 from repro.tech import st012
 
@@ -150,8 +150,8 @@ class TestAdaptiveNetwork:
         params = derive_link_params(st012(), "I1", 300)
         xy = Network(topo, params, routing="xy")
         adaptive = Network(topo, params, routing="west_first")
-        assert type(xy.switches[(1, 1)]) is ObliviousSwitch
-        assert type(adaptive.switches[(1, 1)]) is Switch
+        assert type(xy.switches[(1, 1)]) is Switch
+        assert type(adaptive.switches[(1, 1)]) is WestFirstSwitch
 
     def test_unknown_routing_rejected(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,8 @@ import pytest
 from repro.link.behavioral import BehavioralLinkParams, TokenLink
 from repro.noc import Flit, FlitKind, Packet, Port, Switch, Topology, next_hop
 from repro.noc.reference import ReferenceSwitch
-from repro.noc.switch import InputQueue, ObliviousSwitch
-from repro.noc.topology import compile_next_hop
+from repro.noc.switch import InputQueue, WestFirstSwitch
+from repro.noc.topology import compile_next_hop, compile_west_first
 
 
 def make_switch(position=(1, 1), topo=None, fifo_depth=4):
@@ -217,7 +217,7 @@ def _west(pid, kind, dest=(9, 9), seq=0):
     return Flit(packet_id=pid, kind=kind, src=(0, 1), dest=dest, seq=seq)
 
 
-@pytest.mark.parametrize("cls", [Switch, ObliviousSwitch, ReferenceSwitch])
+@pytest.mark.parametrize("cls", [Switch, WestFirstSwitch, ReferenceSwitch])
 class TestSameCycleSecondAdvance:
     """Outputs are served in port order (N, S, E, W, L), and a lane that
     advances on one output competes again on every *later* output in
@@ -247,3 +247,33 @@ class TestSameCycleSecondAdvance:
         assert north.flits_sent == 0
         assert _cycle(sw, 2) == 1
         assert [f.packet_id for _, f in north._in_flight] == [2]
+
+
+@pytest.mark.parametrize("cls", [WestFirstSwitch, ReferenceSwitch])
+class TestWestFirstEastFlip:
+    """Under west-first routing a head choosing between EAST and NORTH
+    takes the less-occupied link, so when NORTH sends first in a cycle
+    a head that wanted NORTH may take EAST later in the same cycle."""
+
+    def test_head_that_lost_north_leaves_east_same_cycle(self, cls):
+        topo = Topology(3, 3)
+        params = BehavioralLinkParams("T", 1, 1.0, 8, 10, 300.0)
+        links = {
+            ((1, 1), port): TokenLink(params)
+            for port in (Port.NORTH, Port.SOUTH, Port.EAST, Port.WEST)
+        }
+        sw = cls((1, 1), compile_west_first(topo, links))
+        for (_node, port), link in links.items():
+            sw.out_links[port] = link
+        north, east = sw.out_links[Port.NORTH], sw.out_links[Port.EAST]
+        east.begin_cycle()
+        assert east.try_send(head((2, 1), pid=9), 0)
+        # occ[E] = 1 > occ[N] = 0: both heads for (2, 2) want NORTH
+        sw.accept(Port.SOUTH, head((2, 2), pid=1))
+        sw.accept(Port.WEST, head((2, 2), pid=2))
+        assert _cycle(sw, 1) == 2
+        # SOUTH wins NORTH round-robin; NORTH's send ties the two links,
+        # and EAST wins ties, so WEST's head leaves on EAST
+        assert [f.packet_id for _, f in north._in_flight] == [1]
+        assert [f.packet_id for _, f in east._in_flight] == [9, 2]
+        assert sw.queue(Port.SOUTH).empty and sw.queue(Port.WEST).empty

@@ -460,6 +460,32 @@ class TestCommittedBaseline:
         assert not report.regressed, report.render()
         assert report.added == [] and report.row_deltas == []
 
+    def test_fresh_fault_injection_sweep_matches_committed_baseline(
+        self, tmp_path
+    ):
+        """The west-first baseline: the fault-injection scenario routes
+        adaptively, so this tree pins the switch's adaptive arbitration
+        (see tests/baselines/README.md)."""
+        from pathlib import Path
+
+        from repro.runner import artifacts
+
+        baseline = Path(__file__).parent / "baselines" / "fault-injection"
+        requests = sweep.build_requests(
+            registry.get("fault-injection"),
+            axes={
+                "mesh_size": [4, 6],
+                "n_faults": [0, 3],
+                "injection_rate": [0.10, 0.15],
+            },
+            fixed={"cycles": 200},
+        )
+        fresh = tmp_path / "fresh"
+        artifacts.write_artifacts(engine.execute(requests), fresh)
+        report = diff.diff_trees(baseline, fresh)
+        assert not report.regressed, report.render()
+        assert report.added == [] and report.row_deltas == []
+
 
 class TestCliDiffAndHistory:
     def test_diff_identical_sweeps_exit_zero(self, tmp_path, capsys):
