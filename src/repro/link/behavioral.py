@@ -22,7 +22,7 @@ gate-level measurements in the integration tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..tech.technology import Technology
 from .assemblies import LinkConfig
@@ -123,10 +123,18 @@ class TokenLink:
     at most ``ceil(cap / rate)`` steps.  :meth:`accrue_to` replays
     exactly the per-cycle ``min(credit + rate, cap)`` updates (the same
     float operations in the same order, so results stay bit-identical)
-    but stops early once the clamp is reached — the network only calls
-    it for links that might actually send this cycle, instead of
-    touching every link every cycle.  ``_accruals`` counts how many
-    per-cycle accruals have been applied since construction.
+    but stops early once the clamp is reached.  Credit is read only
+    when a flit is offered, so the network accrues nothing per cycle:
+    the switch offers every flit through :meth:`accrue_and_send`, which
+    catches the credit up to the current cycle just before the send.
+    ``_accruals`` is the number of per-cycle accruals applied since
+    construction (the cycle the credit is caught up to) and
+    ``_accrual_batches`` the :meth:`accrue_to` calls that applied any.
+
+    Inside a :class:`~repro.noc.network.Network` a link also carries its
+    delivery ``target`` and the network's timing ``wheel``: a send that
+    makes an idle link busy files the link under the cycle its flit
+    matures, so the network never visits a link between deliveries.
     """
 
     def __init__(self, params: BehavioralLinkParams, name: str = "link") -> None:
@@ -139,11 +147,15 @@ class TokenLink:
         self._capacity = params.capacity_flits
         self._latency = params.latency_cycles
         self._accruals = 0
-        #: accrue_to calls that applied work (accruals / batches gives
-        #: the mean catch-up batch size the lazy-accrual scheme earns)
         self._accrual_batches = 0
         self.flits_sent = 0
         self.flits_delivered = 0
+        #: the network's timing wheel (cycle -> links whose head flit
+        #: matures then), or None for a standalone link
+        self.wheel: Optional[Dict[int, List["TokenLink"]]] = None
+        #: where a delivered flit goes, set by the network:
+        #: (downstream switch, its node, first lane of the input port)
+        self.target: Optional[Tuple[object, object, int]] = None
 
     def begin_cycle(self) -> None:
         """Accrue rate credit for this cycle (call once per cycle)."""
@@ -180,13 +192,32 @@ class TokenLink:
     def try_send(self, flit: object, now_cycle: int) -> bool:
         """Accept a flit if the link has rate credit and space."""
         # can_send(), inlined: the switch calls this once per grant
-        if (self._rate_credit < 1.0
-                or len(self._in_flight) >= self._capacity):
+        in_flight = self._in_flight
+        if self._rate_credit < 1.0 or len(in_flight) >= self._capacity:
             return False
         self._rate_credit -= 1.0
-        self._in_flight.append((now_cycle + self._latency, flit))
+        ready = now_cycle + self._latency
+        if not in_flight and self.wheel is not None:
+            # idle -> busy: file the link under its head's maturity
+            bucket = self.wheel.get(ready)
+            if bucket is None:
+                self.wheel[ready] = [self]
+            else:
+                bucket.append(self)
+        in_flight.append((ready, flit))
         self.flits_sent += 1
         return True
+
+    def accrue_and_send(self, flit: object, now_cycle: int) -> bool:
+        """Catch the credit up through ``now_cycle``, then :meth:`try_send`.
+
+        The credit a send reads is the same float whether it was
+        accrued cycle by cycle or here, because :meth:`accrue_to`
+        replays the skipped cycles exactly and is a no-op when they
+        are already applied (as after :meth:`begin_cycle`).
+        """
+        self.accrue_to(now_cycle + 1)
+        return self.try_send(flit, now_cycle)
 
     def deliverable(self, now_cycle: int) -> bool:
         """True if the head flit has completed its traversal."""

@@ -11,7 +11,7 @@ its hot path, so anything offering flits to a :class:`Network` or
 :class:`Switch` must provide real :class:`Flit` instances rather than
 duck-typed stand-ins without ``vc``.
 
-The cycle kernel itself is activity-driven (see
+The cycle kernel itself is event-driven (see
 :mod:`repro.noc.network`); the original full-scan kernel is preserved
 in :mod:`repro.noc.reference` as the differential-testing oracle and
 the baseline that ``python -m repro bench`` measures speedups against.

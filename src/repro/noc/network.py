@@ -10,18 +10,27 @@ network performance.
 
 Each cycle:
 
-1. links accrue rate credit and deliver matured flits into downstream
-   input FIFOs (respecting FIFO space — backpressure);
+1. links deliver matured flits into downstream input FIFOs (respecting
+   FIFO space — backpressure);
 2. the traffic generator injects new packets into per-node source
    queues; one flit per node per cycle may enter the LOCAL input;
 3. every switch arbitrates and forwards at most one flit per output.
 
-The cycle kernel is **activity-driven**: instead of polling every link
+The cycle kernel is **event-driven**: instead of polling every link
 twice and sorting every switch each cycle (the seed kernel, preserved
-verbatim in :mod:`repro.noc.reference`), :meth:`Network.step` maintains
+verbatim in :mod:`repro.noc.reference`), :meth:`Network.step` keeps
 
-* ``_active_links`` — links with flits in flight (delivery is a single
-  integer comparison against the head flit's ready cycle);
+* ``_wheel`` — a timing wheel, ``cycle -> [links]``.  A link is filed
+  exactly once while it has flits in flight, under the cycle its head
+  flit matures: the send that makes an idle link busy files it, and
+  phase 1 pops only the current cycle's bucket.  A link that delivered
+  and still holds flits is filed again under its next head's cycle (or
+  the next cycle, if that head has matured already), a backpressured
+  one under the next cycle.  Each link carries its delivery target
+  (downstream switch, node and first lane of the input port), so a
+  delivery is one FIFO-space test and an append.  Delivery order
+  within a bucket does not matter: every link feeds its own input
+  port, and phase 1 is the only phase that writes those lanes;
 * ``_active_switches`` — switches with buffered flits (empty switches
   are never visited; the sorted node order is hoisted to ``__init__``
   and reused whenever every switch is active);
@@ -33,19 +42,25 @@ Switches index their lanes, owners and links by integer port (see
 west-first switch (:class:`~repro.noc.switch.WestFirstSwitch`) also
 rescans its lanes for EAST after NORTH or SOUTH sent, since only then
 can an adaptive choice change within a cycle.
-Rate credit accrues lazily and in batch (see
-:meth:`~repro.link.behavioral.TokenLink.accrue_to`), only for links
-that might send this cycle.  All of this is decision-identical to the
-seed kernel — ``tests/test_kernel_equivalence.py`` pins bit-identical
-statistics, link counters and traced routes across routing modes, VC
-counts, traffic patterns and mesh sizes; ``python -m repro bench``
-measures the resulting speedup.
+Rate credit is accrued only where it is read: a switch offers each flit
+through :meth:`~repro.link.behavioral.TokenLink.accrue_and_send`, which
+replays the link's skipped per-cycle accruals in one batch just before
+the send, so no phase walks the links to accrue.  All of this is
+decision-identical to the seed kernel — ``tests/test_kernel_equivalence.py``
+pins bit-identical statistics, link counters and traced routes across
+routing modes, VC counts, traffic patterns and mesh sizes;
+``python -m repro bench`` measures the resulting speedup.
+
+The statistics keep one per-packet table (see
+:class:`~repro.noc.stats.NetworkStats`): :meth:`Network.offer_packet`
+opens a packet's entry, after checking its VC once, and the ejection
+of its last flit frees it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..link.behavioral import BehavioralLinkParams, TokenLink
 from ..obs.metrics import REGISTRY as _OBS
@@ -98,16 +113,16 @@ class Network:
 
         #: directed links keyed by (src_node, src_port)
         self.links: Dict[Tuple[Coord, Port], TokenLink] = {}
-        self._link_dst: Dict[Tuple[Coord, Port], Tuple[Coord, Port]] = {}
+        link_dst: Dict[TokenLink, Tuple[Coord, Port]] = {}
         for src, port, dst in topology.links():
-            key = (src, port)
             params = link_params
             if link_params_for is not None:
                 override = link_params_for(src, port, dst)
                 if override is not None:
                     params = override
-            self.links[key] = TokenLink(params, name=f"link{src}{port.value}")
-            self._link_dst[key] = (dst, port.opposite)
+            link = TokenLink(params, name=f"link{src}{port.value}")
+            self.links[(src, port)] = link
+            link_dst[link] = (dst, port.opposite)
 
         if routing == "xy":
             # dimension-ordered; the compiled closure skips the
@@ -123,47 +138,34 @@ class Network:
             node: switch_cls(node, route, fifo_depth, n_vcs)
             for node in topology.nodes()
         }
+        #: timing wheel: cycle -> links whose head flit matures then;
+        #: a link is filed exactly once while it has flits in flight
+        self._wheel: Dict[int, List[TokenLink]] = {}
         for (src, port), link in self.links.items():
             self.switches[src].out_links[port] = link
+            dst, dport = link_dst[link]
+            link.target = (self.switches[dst], dst, dport.index * n_vcs)
+            link.wheel = self._wheel
 
         #: per-node source queues of flits waiting to enter the network
         self.source_queues: Dict[Coord, Deque[Flit]] = {
             node: deque() for node in topology.nodes()
         }
-        self._packet_meta: Dict[int, Tuple[int, int]] = {}
         #: when True, every head flit records the switches it visits in
         #: ``self.routes[packet_id]`` (debug/observability aid)
         self.trace_routes: bool = False
         self.routes: Dict[int, list[Coord]] = {}
 
         # ------------------------------------------------------------------
-        # activity-driven kernel state
+        # event-driven kernel state (the timing wheel is built above)
         # ------------------------------------------------------------------
         #: arbitration order, hoisted out of the cycle loop
         self._node_order: Tuple[Coord, ...] = tuple(sorted(self.switches))
         self._n_switches = len(self.switches)
         #: nodes whose switches hold buffered flits
         self._active_switches: set = set()
-        #: links with flits in flight, mapped to their precomputed
-        #: delivery target (dst switch, dst node, dst port's first lane)
-        self._active_links: Dict[TokenLink, Tuple[Switch, Coord, int]] = {}
         #: nodes with non-empty source queues
         self._pending_sources: set = set()
-        # per node, the switch and its (link, delivery-target) tuples, so
-        # phase 3 can accrue credit and (re)activate links with one lookup
-        self._switch_links: Dict[
-            Coord,
-            Tuple[Switch,
-                  Tuple[Tuple[TokenLink, Tuple[Switch, Coord, int]], ...]],
-        ] = {}
-        for node, switch in self.switches.items():
-            entries = []
-            for port, link in switch.out_links.items():
-                dst, dport = self._link_dst[(node, port)]
-                entries.append(
-                    (link, (self.switches[dst], dst, dport.index * n_vcs))
-                )
-            self._switch_links[node] = (switch, tuple(entries))
 
     # ------------------------------------------------------------------
     def offer_packet(self, packet: Packet) -> None:
@@ -176,9 +178,9 @@ class Network:
                 f"packet {packet.packet_id}: destination {packet.dest} is "
                 f"outside the {topology.cols}x{topology.rows} mesh"
             )
-        self._packet_meta[packet.packet_id] = (
-            packet.length_flits,
-            packet.created_cycle,
+        self.switches[packet.src]._check_vc(packet.vc)
+        self.stats.open_packet(
+            packet.packet_id, packet.length_flits, packet.created_cycle
         )
         self.source_queues[packet.src].extend(packet.flits())
         self._pending_sources.add(packet.src)
@@ -189,26 +191,37 @@ class Network:
         now = self.cycle
         active_switches = self._active_switches
 
-        # 1. link transport — only links with flits in flight; delivery
-        # of a matured head flit is one integer comparison
-        active_links = self._active_links
-        if active_links:
-            for link in list(active_links):
+        # 1. link transport — only the links whose head flit matures
+        # now.  A link that still holds flits is filed again under its
+        # next head's cycle, or under the next cycle if that head has
+        # matured already or this one met a full lane (backpressure).
+        wheel = self._wheel
+        due = wheel.pop(now, None)
+        if due is not None:
+            later = now + 1
+            for link in due:
                 in_flight = link._in_flight
-                ready, flit = in_flight[0]
-                if ready > now:
-                    continue
-                switch, dst_node, lane_base = active_links[link]
+                flit = in_flight[0][1]
+                switch, dst_node, lane_base = link.target
                 queue = switch._lanes[lane_base + flit.vc]
-                if len(queue.fifo) >= queue.depth:
-                    continue  # backpressure: retry next cycle
-                del in_flight[0]
-                link.flits_delivered += 1
-                queue.fifo.append(flit)
-                switch._buffered += 1
-                active_switches.add(dst_node)
-                if not in_flight:
-                    del active_links[link]
+                if len(queue.fifo) < queue.depth:
+                    del in_flight[0]
+                    link.flits_delivered += 1
+                    queue.fifo.append(flit)
+                    switch._buffered += 1
+                    active_switches.add(dst_node)
+                    if not in_flight:
+                        continue
+                    ready = in_flight[0][0]
+                    if ready < later:
+                        ready = later
+                else:
+                    ready = later
+                bucket = wheel.get(ready)
+                if bucket is None:
+                    wheel[ready] = [link]
+                else:
+                    bucket.append(link)
 
         # 2. traffic injection — only nodes with queued flits
         if traffic is not None:
@@ -217,18 +230,15 @@ class Network:
         pending = self._pending_sources
         if pending:
             stats = self.stats
-            packet_meta = self._packet_meta
             local_base = Port.LOCAL.index * self.n_vcs
             for node in list(pending):
                 queue = self.source_queues[node]
                 switch = self.switches[node]
                 flit = queue[0]
-                switch._check_vc(flit.vc)
                 lane = switch._lanes[local_base + flit.vc]
                 if len(lane.fifo) < lane.depth:
                     queue.popleft()
-                    length, created = packet_meta[flit.packet_id]
-                    stats.record_injection(flit, now, length, created)
+                    stats.record_injection(flit, now)
                     lane.fifo.append(flit)
                     switch._buffered += 1
                     active_switches.add(node)
@@ -242,23 +252,16 @@ class Network:
                 order: Iterable[Coord] = self._node_order
             else:
                 order = sorted(active_switches)
-            switch_links = self._switch_links
+            switches = self.switches
             eject = self._eject
             trace = self.trace_routes
-            target_accruals = now + 1
             for node in order:
-                switch, links = switch_links[node]
-                for link, _info in links:
-                    link.accrue_to(target_accruals)
+                switch = switches[node]
                 if trace:
                     self._record_heads(node, switch)
-                # only a switch that moved flits can have filled a link
-                if switch.arbitrate_and_send(now, eject):
-                    for link, info in links:
-                        if link._in_flight:
-                            active_links[link] = info
-                    if switch._buffered == 0:
-                        active_switches.discard(node)
+                switch.arbitrate_and_send(now, eject)
+                if switch._buffered == 0:
+                    active_switches.discard(node)
 
         self.cycle = now + 1
         self.stats.cycles = self.cycle
@@ -315,7 +318,12 @@ class Network:
 
     # ------------------------------------------------------------------
     # observability: plain-int counters summed at the coarse run/drain
-    # boundaries only — the cycle loop never touches the registry
+    # boundaries only — the cycle loop never touches the registry.
+    # Credit is accrued only when a flit is offered to a link, so
+    # ``noc.credit_accruals`` sums, over links, the cycle each link's
+    # credit was last caught up to (its last send attempt, plus one),
+    # and ``noc.accrual_batches`` counts the send attempts that had
+    # cycles to catch up (at most one per link per cycle).
     # ------------------------------------------------------------------
     _OBS_COUNTERS = (
         "noc.arbitration_fast",
@@ -361,9 +369,10 @@ class Network:
 
     @property
     def active_component_counts(self) -> Dict[str, int]:
-        """Live sizes of the kernel's activity sets (observability)."""
+        """Live sizes of the kernel's wheel and activity sets
+        (observability); a busy link sits in the wheel exactly once."""
         return {
-            "links_in_flight": len(self._active_links),
+            "links_in_flight": sum(map(len, self._wheel.values())),
             "switches_buffered": len(self._active_switches),
             "sources_pending": len(self._pending_sources),
         }
@@ -372,8 +381,8 @@ class Network:
         """Flits carried per cycle for every directed link (load map).
 
         One pass over the link table; ``flits_delivered`` is maintained
-        incrementally by the active-link delivery fast path, so this is
-        a pure read — no per-link polling.  (Division stays per-link:
+        incrementally by the timing-wheel delivery, so this is a pure
+        read — no per-link polling.  (Division stays per-link:
         multiplying by a hoisted reciprocal changes the last ulp and
         would break bit-identity with the seed kernel.)
         """
@@ -467,8 +476,12 @@ def latency_vs_load(
 ) -> list[dict[str, float]]:
     """Mean packet latency and accepted throughput per offered load.
 
-    The standard NoC load-latency sweep; the mesh example and the
-    design-space benches build on it.
+    The standard NoC load-latency sweep.  Each rate runs
+    ``warmup_cycles`` of traffic first, so the network fills to its
+    steady state, and then reports only the measure window: the
+    latencies of packets whose tail ejects in the last
+    ``measure_cycles`` cycles, and the flits ejected in them per node
+    per cycle.
     """
     results = []
     for rate in injection_rates:
@@ -480,17 +493,25 @@ def latency_vs_load(
             seed=seed,
         )
         traffic = TrafficGenerator(topology, config)
-        network.run(warmup_cycles + measure_cycles, traffic)
-        stats = network.stats
+        stats = network.run(warmup_cycles, traffic)
+        warm_packets = stats.packets_ejected
+        warm_flits = stats.flits_ejected
+        network.run(measure_cycles, traffic)
+        window = NetworkStats(
+            cycles=measure_cycles,
+            flits_ejected=stats.flits_ejected - warm_flits,
+            packets_ejected=stats.packets_ejected - warm_packets,
+            packet_latencies=stats.packet_latencies[warm_packets:],
+        )
         results.append(
             {
                 "offered_rate": rate,
-                "throughput": stats.throughput_flits_per_node_cycle(
+                "throughput": window.throughput_flits_per_node_cycle(
                     topology.n_nodes
                 ),
-                "mean_latency": stats.mean_packet_latency,
-                "p99_latency": stats.p99_packet_latency,
-                "packets": float(stats.packets_ejected),
+                "mean_latency": window.mean_packet_latency,
+                "p99_latency": window.p99_packet_latency,
+                "packets": float(window.packets_ejected),
             }
         )
     return results

@@ -19,41 +19,35 @@ class NetworkStats:
     flits_ejected: int = 0
     packets_ejected: int = 0
     packet_latencies: List[int] = field(default_factory=list)
-    #: per-packet bookkeeping: flits seen so far
-    _packet_progress: Dict[int, int] = field(default_factory=dict)
-    _packet_lengths: Dict[int, int] = field(default_factory=dict)
-    _packet_created: Dict[int, int] = field(default_factory=dict)
+    #: the one per-packet table: packet id -> [flits still to eject,
+    #: created cycle], opened when the packet is offered and freed when
+    #: its last flit ejects
+    _packets: Dict[int, List[int]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    # Both recorders run once per flit on the network's cycle hot path;
-    # they are written as straight-line dict operations (no method
-    # dispatch, one lookup per dict) so recording stays cheap even at
-    # saturation.
-    def record_injection(self, flit: Flit, cycle: int,
-                         packet_length: int, created_cycle: int) -> None:
+    # The recorders run once per flit on the network's cycle hot path;
+    # they are written as straight-line operations (no method dispatch,
+    # one table lookup) so recording stays cheap even at saturation.
+    def open_packet(self, packet_id: int, length_flits: int,
+                    created_cycle: int) -> None:
+        """Start tracking a packet of ``length_flits`` flits."""
+        self._packets[packet_id] = [length_flits, created_cycle]
+
+    def record_injection(self, flit: Flit, cycle: int) -> None:
         flit.injected_cycle = cycle
         self.flits_injected += 1
-        pid = flit.packet_id
-        if pid not in self._packet_lengths:
-            self._packet_lengths[pid] = packet_length
-            self._packet_created[pid] = created_cycle
 
     def record_ejection(self, flit: Flit, cycle: int) -> None:
         flit.ejected_cycle = cycle
         self.flits_ejected += 1
-        pid = flit.packet_id
-        progress = self._packet_progress
-        seen = progress.get(pid, 0) + 1
-        if seen != self._packet_lengths.get(pid, -1):
-            progress[pid] = seen
+        packets = self._packets
+        entry = packets[flit.packet_id]
+        entry[0] -= 1
+        if entry[0]:
             return
         self.packets_ejected += 1
-        created = self._packet_created.get(pid, flit.injected_cycle)
-        self.packet_latencies.append(cycle - created)
-        # free the bookkeeping
-        progress.pop(pid, None)
-        del self._packet_lengths[pid]
-        del self._packet_created[pid]
+        self.packet_latencies.append(cycle - entry[1])
+        del packets[flit.packet_id]
 
     # ------------------------------------------------------------------
     @property

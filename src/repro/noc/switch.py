@@ -15,7 +15,11 @@ provides that substrate: a 5-port input-buffered wormhole switch with
 * credit-style backpressure: a flit advances only if the downstream
   link accepts it (the links are
   :class:`~repro.link.behavioral.TokenLink` instances whose rate and
-  capacity come from the link implementation under study).
+  capacity come from the link implementation under study).  The
+  switch offers each flit through
+  :meth:`~repro.link.behavioral.TokenLink.accrue_and_send`, which
+  catches the link's rate credit up to the current cycle first, so
+  nothing has to accrue credit for the switch's links beforehand.
 
 The switch is cycle-driven: the network calls :meth:`arbitrate_and_send`
 once per clock after link deliveries have been drained into the input
@@ -266,7 +270,7 @@ class Switch:
                     requests[out].append(lane)
             elif queue.locked_output is not None:
                 requests[queue.locked_output].append(lane)
-        moved = 0
+        moved = fast = conflicts = 0
         for out in range(_N_PORTS):
             candidates = requests[out]
             if rescan_east and out == _EAST and moved:
@@ -280,10 +284,10 @@ class Switch:
             if not candidates:
                 continue
             if len(candidates) == 1:
-                self.arbitration_fast += 1
+                fast += 1
                 pick = candidates[0]
             else:
-                self.arbitration_conflicts += 1
+                conflicts += 1
                 # round-robin: the first candidate at or after the pointer
                 start = rr[out]
                 pick = min(candidates,
@@ -296,7 +300,7 @@ class Switch:
                     raise RuntimeError(
                         f"{self.name}: no link attached on {PORTS[out]}"
                     )
-                if not link.try_send(fifo[0], now_cycle):
+                if not link.accrue_and_send(fifo[0], now_cycle):
                     continue
             flit = fifo.popleft()
             moved += 1
@@ -324,6 +328,8 @@ class Switch:
                             requests[later].append(pick)
         self._buffered -= moved
         self.flits_routed += moved
+        self.arbitration_fast += fast
+        self.arbitration_conflicts += conflicts
         return moved
 
     def _request(self, lane: int) -> Optional[int]:

@@ -2,16 +2,18 @@
 
 import pytest
 
-from repro.link.behavioral import derive_link_params
+from repro.link.behavioral import BehavioralLinkParams, derive_link_params
 from repro.noc import (
     Network,
     Packet,
+    Port,
     Topology,
     TrafficConfig,
     TrafficGenerator,
     message_sequence,
     reset_packet_ids,
 )
+from repro.noc.reference import ReferenceNetwork
 from repro.tech import st012
 
 
@@ -71,6 +73,36 @@ class TestSinglePacket:
         )):
             net.offer_packet(packet)
         assert not net.source_queues[(0, 0)]
+
+    @pytest.mark.parametrize("vc", [2, -1])
+    def test_out_of_range_vc_rejected_at_offer(self, vc):
+        topo = Topology(3, 3)
+        net = Network(topo, derive_link_params(st012(), "I1", 300),
+                      n_vcs=2)
+        packet = Packet(src=(1, 1), dest=(2, 2), length_flits=2, vc=vc)
+        with pytest.raises(ValueError, match=(
+            rf"flit carries VC {vc} but switch has 2 VC\(s\)"
+        )):
+            net.offer_packet(packet)
+        assert not net.source_queues[(1, 1)]
+        assert net.stats._packets == {}
+        net.drain()  # nothing was queued, so nothing is stuck
+        assert net.stats.flits_injected == 0
+
+
+class TestPacketTable:
+    def test_one_entry_per_unfinished_packet_freed_at_ejection(self):
+        net, topo = make_network(cols=3, rows=3)
+        traffic = TrafficGenerator(
+            topo, TrafficConfig(injection_rate=0.2, seed=5)
+        )
+        net.run(300, traffic)
+        stats = net.stats
+        offered = traffic.packets_generated
+        assert len(stats._packets) == offered - stats.packets_ejected > 0
+        net.drain()
+        assert stats._packets == {}
+        assert stats.packets_ejected == offered
 
 
 class TestManyPackets:
@@ -156,6 +188,34 @@ class TestLatencyVsLoad:
         )
         assert sweep[0]["throughput"] == pytest.approx(0.05, rel=0.25)
 
+    def test_warmup_is_excluded_from_the_report(self):
+        """Only the measure window counts: the packets and flits that
+        eject in it, over ``measure_cycles`` cycles."""
+        from repro.noc import latency_vs_load
+
+        topo = Topology(3, 3)
+        params = derive_link_params(st012(), "I2", 300)
+        warmup, measure, rate = 150, 400, 0.2
+        [row] = latency_vs_load(
+            topo, params, injection_rates=[rate],
+            warmup_cycles=warmup, measure_cycles=measure, seed=4,
+        )
+        net = Network(topo, params)
+        traffic = TrafficGenerator(
+            topo, TrafficConfig(injection_rate=rate, seed=4)
+        )
+        net.run(warmup, traffic)
+        warm_flits = net.stats.flits_ejected
+        warm_latencies = list(net.stats.packet_latencies)
+        net.run(measure, traffic)
+        window = net.stats.packet_latencies[len(warm_latencies):]
+        assert warm_latencies and window
+        assert row["packets"] == len(window)
+        assert row["mean_latency"] == sum(window) / len(window)
+        assert row["throughput"] == (
+            (net.stats.flits_ejected - warm_flits) / (measure * topo.n_nodes)
+        )
+
 
 class TestDrainTimeout:
     def test_drain_raises_when_stuck(self):
@@ -166,3 +226,94 @@ class TestDrainTimeout:
         net.offer_packet(packet)
         with pytest.raises(TimeoutError):
             net.drain(max_cycles=1)
+
+
+#: a slow link: one flit per ten cycles
+SLOW = BehavioralLinkParams(
+    kind="slow", latency_cycles=2, rate_flits_per_cycle=0.1,
+    capacity_flits=2, wire_count=10, serial_ceiling_mflits=30.0,
+)
+
+
+@pytest.mark.parametrize("kernel", [Network, ReferenceNetwork],
+                         ids=["Network", "ReferenceNetwork"])
+class TestTimingWheel:
+    """Link delivery when the downstream lane is full, on the kernel
+    that files busy links in a timing wheel and on the frozen one that
+    polls every link every cycle."""
+
+    def _blocked_network(self, kernel):
+        """A 2x2 mesh where packets from (0, 0) to (1, 0) wait at
+        (1, 0)'s WEST lane behind a 6-flit packet from (1, 1) that
+        holds the LOCAL output while it trickles in over a slow link."""
+        def slow_in(src, port, dst):
+            return SLOW if (src, dst) == ((1, 1), (1, 0)) else None
+
+        net = kernel(Topology(2, 2), derive_link_params(st012(), "I1", 300),
+                     link_params_for=slow_in)
+        blocker = Packet(src=(1, 1), dest=(1, 0), length_flits=6)
+        net.offer_packet(blocker)
+        return net, blocker
+
+    def test_blocked_head_resumes_one_flit_per_cycle_in_order(self, kernel):
+        net, blocker = self._blocked_network(kernel)
+        link = net.links[((0, 0), Port.EAST)]
+        ejected = []
+        eject = net._eject
+
+        def spy(flit):
+            ejected.append((flit.packet_id, flit.seq))
+            eject(flit)
+
+        net._eject = spy
+        net.run(15)
+        victims = [Packet(src=(0, 0), dest=(1, 0), length_flits=4)
+                   for _ in range(3)]
+        for packet in victims:
+            net.offer_packet(packet)
+        # per cycle: (flits delivered, flits matured in the link before)
+        trace = []
+        for _ in range(200):
+            now = net.cycle
+            matured = sum(1 for ready, _ in link._in_flight if ready <= now)
+            before = link.flits_delivered
+            net.step()
+            trace.append((link.flits_delivered - before, matured))
+            if not (net.stats.in_flight_flits
+                    or any(net.source_queues.values())):
+                break
+        assert net.stats.in_flight_flits == 0, "flits stuck in the network"
+
+        # the longest stall with a matured head: the lane stays full
+        stall_end, stall = 0, 0
+        run = 0
+        for cycle, (delivered, matured) in enumerate(trace):
+            run = run + 1 if matured and not delivered else 0
+            if run > stall:
+                stall_end, stall = cycle, run
+        assert stall >= 30
+        backlog = trace[stall_end][1]
+        assert backlog == link.params.capacity_flits  # all matured behind
+        resumed = trace[stall_end + 1:stall_end + 1 + backlog]
+        assert resumed == [(1, backlog - i) for i in range(backlog)]
+
+        victim_flits = [(packet.packet_id, seq)
+                        for packet in victims for seq in range(4)]
+        assert [entry for entry in ejected
+                if entry[0] != blocker.packet_id] == victim_flits
+        assert link.flits_sent == link.flits_delivered == len(victim_flits)
+        assert net.stats.packets_ejected == 1 + len(victims)
+
+    def test_drain_leaves_no_link_busy(self, kernel):
+        net, _blocker = self._blocked_network(kernel)
+        traffic = TrafficGenerator(
+            net.topology, TrafficConfig(injection_rate=0.3, seed=8)
+        )
+        net.run(200, traffic)
+        net.drain()
+        assert all(not link._in_flight for link in net.links.values())
+        assert all(link.flits_sent == link.flits_delivered
+                   for link in net.links.values())
+        if kernel is Network:
+            assert net._wheel == {}
+            assert net.active_component_counts["links_in_flight"] == 0

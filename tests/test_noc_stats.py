@@ -18,7 +18,8 @@ class TestNetworkStats:
     def test_single_flit_packet_latency(self):
         stats = NetworkStats()
         f = flit()
-        stats.record_injection(f, cycle=10, packet_length=1, created_cycle=5)
+        stats.open_packet(f.packet_id, length_flits=1, created_cycle=5)
+        stats.record_injection(f, cycle=10)
         stats.record_ejection(f, cycle=30)
         assert stats.packets_ejected == 1
         assert stats.packet_latencies == [25]  # creation → ejection
@@ -26,9 +27,9 @@ class TestNetworkStats:
     def test_multi_flit_packet_completes_on_last_flit(self):
         stats = NetworkStats()
         flits = [flit(pid=2, seq=i) for i in range(3)]
+        stats.open_packet(2, length_flits=3, created_cycle=0)
         for f in flits:
-            stats.record_injection(f, cycle=0, packet_length=3,
-                                   created_cycle=0)
+            stats.record_injection(f, cycle=0)
         stats.record_ejection(flits[0], cycle=10)
         stats.record_ejection(flits[1], cycle=11)
         assert stats.packets_ejected == 0
@@ -39,10 +40,10 @@ class TestNetworkStats:
     def test_bookkeeping_freed_after_packet(self):
         stats = NetworkStats()
         f = flit(pid=3)
-        stats.record_injection(f, cycle=0, packet_length=1, created_cycle=0)
+        stats.open_packet(f.packet_id, length_flits=1, created_cycle=0)
+        stats.record_injection(f, cycle=0)
         stats.record_ejection(f, cycle=5)
-        assert stats._packet_progress == {}
-        assert stats._packet_lengths == {}
+        assert stats._packets == {}
 
     def test_mean_and_p99(self):
         stats = NetworkStats()
@@ -62,8 +63,9 @@ class TestNetworkStats:
     def test_in_flight(self):
         stats = NetworkStats()
         f1, f2 = flit(pid=4), flit(pid=5)
-        stats.record_injection(f1, 0, 1, 0)
-        stats.record_injection(f2, 0, 1, 0)
+        for f in (f1, f2):
+            stats.open_packet(f.packet_id, 1, 0)
+            stats.record_injection(f, 0)
         stats.record_ejection(f1, 3)
         assert stats.in_flight_flits == 1
 
@@ -76,7 +78,8 @@ class TestNetworkStats:
     def test_flit_timestamps_written(self):
         stats = NetworkStats()
         f = flit(pid=6)
-        stats.record_injection(f, cycle=7, packet_length=1, created_cycle=7)
+        stats.open_packet(f.packet_id, length_flits=1, created_cycle=7)
+        stats.record_injection(f, cycle=7)
         stats.record_ejection(f, cycle=19)
         assert f.injected_cycle == 7
         assert f.ejected_cycle == 19
