@@ -139,7 +139,7 @@ def _capabilities(sc) -> List[str]:
     caps: List[str] = []
     if sc.has_batch:
         caps.append(
-            f"batchable ({sc.batch_axis} x {sc.batch_lanes} lanes/word)"
+            f"batchable ({sc.batch_axis}, up to {sc.batch_lanes} per call)"
         )
     if not sc.has_design:
         return caps
@@ -669,7 +669,9 @@ def _cmd_bench(args, parser) -> int:
             parser.error("--mesh needs sizes >= 1 and --rates values in "
                          "[0, 1] flits/node/cycle")
         grid = [
-            replace(points[0], mesh_size=mesh, injection_rate=rate)
+            replace(points[0], mesh_size=mesh, injection_rate=rate,
+                    size=bench_mod.noc_cycles(args.cycles, mesh,
+                                              args.fast))
             for mesh in meshes
             for rate in rates
         ]
@@ -1147,7 +1149,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="best-of-N timing repeats (default 3)")
     p_bench.add_argument(
         "--fast", action="store_true",
-        help="short run: at most 300 noc cycles and --scale 0.5; "
+        help="short run: noc points at most 300 cycles of an 8x8 "
+             "mesh in node-cycles (1200 on 4x4) and --scale 0.5; "
              "repeats stay (CI smoke)",
     )
     p_bench.add_argument(

@@ -66,7 +66,9 @@ from .tech import st012
 #: :func:`load_baseline` reads this schema only
 SCHEMA = 5
 
-#: ``--fast``: NoC points run at most this many cycles, and every other
+#: ``--fast``: NoC points run at most this many cycles of an 8x8 mesh
+#: (``FAST_CYCLES * 64`` node-cycles, so a 4x4 point runs 1200 cycles
+#: and every point times a comparable amount of work), and every other
 #: workload at most this fraction of its default size — the sizes the
 #: committed baseline was recorded at
 FAST_CYCLES = 300
@@ -483,6 +485,14 @@ def _row(point: Point) -> Workload:
         ) from None
 
 
+def noc_cycles(cycles: int, mesh_size: int, fast: bool) -> int:
+    """Cycles a NoC point runs: ``cycles``, capped under ``fast`` at
+    :data:`FAST_CYCLES` 8x8-mesh cycles' worth of node-cycles."""
+    if not fast:
+        return cycles
+    return min(cycles, FAST_CYCLES * 64 // (mesh_size * mesh_size))
+
+
 def default_points(fast: bool = False, scale: float = 1.0,
                    cycles: Optional[int] = None) -> List[Point]:
     """The standard points of every suite, in suite order.
@@ -490,7 +500,7 @@ def default_points(fast: bool = False, scale: float = 1.0,
     NoC points run ``cycles`` (default: the row's size) at each of
     :data:`NOC_POINTS`; every other row's size is multiplied by
     ``scale`` but kept at or above its minimum.  ``fast`` caps the two
-    at :data:`FAST_CYCLES` and :data:`FAST_SCALE`.
+    (:func:`noc_cycles`, :data:`FAST_SCALE`).
     """
     if fast:
         scale = min(scale, FAST_SCALE)
@@ -501,11 +511,9 @@ def default_points(fast: bool = False, scale: float = 1.0,
             points.append(Point(row.suite, row.name, size))
             continue
         n = cycles or row.size
-        if fast:
-            n = min(n, FAST_CYCLES)
         points += [
-            Point(row.suite, row.name, n, mesh_size=mesh,
-                  injection_rate=rate, routing=routing)
+            Point(row.suite, row.name, noc_cycles(n, mesh, fast),
+                  mesh_size=mesh, injection_rate=rate, routing=routing)
             for mesh, rate, routing in NOC_POINTS
         ]
     return points

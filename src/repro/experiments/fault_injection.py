@@ -13,12 +13,20 @@ to *route around* the slow links; the scenario also runs the identical
 traffic on a healthy mesh so the reported table shows the latency cost
 of the faults directly.  Checks are invariants: degraded links must
 slow traffic down, never drop it.
+
+The scenario registers a ``batch`` hook on ``n_faults``: sweep requests
+that differ only in the fault count pack into one call, and the group
+simulates each distinct mesh once.  The healthy run does not depend on
+``n_faults``, so every member shares it, and a member with no fault
+sites reuses it as its damaged run — a ``{0, 1, 3, 6}`` group simulates
+four networks instead of eight.  Every member's result is identical to
+its solo run (``tests/test_scenarios_gals_fault.py`` pins that).
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..design import Design, MeshDesign
 from ..link.behavioral import BehavioralLinkParams, derive_link_params
@@ -111,6 +119,15 @@ def build_design(
     return Design(mesh)
 
 
+def _batch(tech: Optional[Technology] = None,
+           param_sets: Sequence[Dict[str, object]] = ()
+           ) -> List[ExperimentResult]:
+    """Shared solo/batch core: one result per parameter set, one
+    network simulation per distinct mesh across the whole list."""
+    runs: Dict[Tuple, Dict[str, float]] = {}
+    return [_point(runs, tech, **params) for params in param_sets]
+
+
 @scenario(
     "fault-injection",
     description=(
@@ -166,8 +183,20 @@ def build_design(
     ),
     fast_params={"cycles": 200},
     design=build_design,
+    batch=_batch,
+    batch_axis="n_faults",
+    # a group runs serially in one worker; 4 holds the default n_faults
+    # sweep, and a larger group saves one healthy run per group it
+    # absorbs at the cost of longer serial items
+    batch_lanes=4,
 )
-def run(
+def run(tech: Optional[Technology] = None, **params) -> ExperimentResult:
+    """One campaign point; parameters and defaults as :func:`_point`."""
+    return _batch(tech, [params])[0]
+
+
+def _point(
+    runs: Dict[Tuple, Dict[str, float]],
     tech: Optional[Technology] = None,
     mesh_size: int = 4,
     injection_rate: float = 0.10,
@@ -204,10 +233,22 @@ def run(
         seed=seed,
         routing=routing,
     )
-    healthy = run_mesh_point(topology, base, **common)
-    damaged = run_mesh_point(
-        topology, base, link_params_for=link_params_for, **common
-    )
+    # ``runs`` holds one simulation per distinct mesh, keyed by every
+    # parameter that shapes the network and its traffic, then by the
+    # fault-site set: empty for the healthy mesh, which a point without
+    # sites (not merely n_faults == 0: fault_paths overrides the
+    # sampler) reuses as its damaged run
+    mesh_key = (mesh_size, kind, freq_mhz, rate_factor, latency_penalty,
+                injection_rate, cycles, seed, routing)
+
+    def simulate(sites, **hook) -> Dict[str, float]:
+        key = (mesh_key, frozenset(sites))
+        if key not in runs:
+            runs[key] = run_mesh_point(topology, base, **hook, **common)
+        return runs[key]
+
+    healthy = simulate(())
+    damaged = simulate(faulty, link_params_for=link_params_for)
 
     headers = (
         "mesh", "link", "routing", "faulty links",

@@ -117,10 +117,12 @@ def _batch_key(request: RunRequest, axis: str) -> Tuple:
 def _execute_batch(requests: Sequence[RunRequest]) -> list[RunOutcome]:
     """Run a packed group through the scenario's batch hook.
 
-    The hook receives every request's resolved parameters at once (the
-    compiled backend maps them onto bit-parallel lanes) and must return
-    one result per request, each identical to what a solo run would
-    have produced.  A raising hook fails the whole group — per-request
+    The hook receives every request's resolved parameters at once and
+    may share work across the group (the compiled backend maps the
+    requests onto bit-parallel lanes; fault-injection simulates the
+    group's healthy reference mesh once).  It must return one result
+    per request, each identical to what a solo run would have
+    produced.  A raising hook fails the whole group — per-request
     outcomes all carry the same traceback.
     """
     registry.load_builtin()
@@ -172,8 +174,8 @@ def execute_item(item: WorkItem) -> list[RunOutcome]:
     """Run one planned work item in the current process.
 
     Public seam: the fabric worker executes leased items through this
-    exact call, so a leased batch group runs the compiled backend's
-    lane packing identically to a local sweep.
+    exact call, so a leased batch group runs its scenario's batch hook
+    identically to a local sweep.
     """
     kind, payload = item
     if kind == "one":

@@ -108,13 +108,16 @@ class Scenario:
     design: Optional[Callable[..., object]] = None
     #: optional batched executor
     #: ``batch(tech=None, param_sets=[{...}, ...]) -> [ExperimentResult]``
-    #: — requests that differ only in ``batch_axis`` pack into one call
-    #: (the compiled backend runs them as bit-parallel lanes); must
-    #: return one result per param set, each identical to a solo run
+    #: — requests that differ only in ``batch_axis`` pack into one call,
+    #: so the hook may share work across its group (the compiled
+    #: backend runs them as bit-parallel lanes; fault-injection shares
+    #: one healthy reference run); must return one result per param
+    #: set, each identical to a solo run
     batch: Optional[Callable[..., object]] = None
     #: the parameter along which requests may be packed together
     batch_axis: str = "seed"
-    #: maximum requests per batched call (compiled backends: lanes/word)
+    #: maximum requests per batched call (compiled backends: the lanes
+    #: one word holds; otherwise the group the hook shares work over)
     batch_lanes: int = 64
 
     def param(self, name: str) -> ParamSpec:

@@ -608,7 +608,8 @@ class TestCliTelemetry:
     def test_list_verbose_reports_capabilities(self, capsys):
         assert main(["list", "--verbose"]) == 0
         text = capsys.readouterr().out
-        assert "batchable (seed x 16 lanes/word)" in text
+        assert "batchable (seed, up to 16 per call)" in text
+        assert "batchable (n_faults, up to 4 per call)" in text
         assert "compilable (depth" in text
         assert "not compilable" in text
 

@@ -251,6 +251,47 @@ class TestEngine:
             ).read_bytes(), rel
 
 
+class TestPlanItems:
+    """The fault-injection ``n_faults`` hook packs only where the axis is
+    innermost, so adjacent requests differ in it alone."""
+
+    @staticmethod
+    def _grid(axes):
+        return sweep.build_requests(
+            registry.get("fault-injection"), axes=axes,
+            fixed={"cycles": 200},
+        )
+
+    def test_n_faults_innermost_packs_groups_of_at_most_four(self):
+        requests = self._grid({
+            "mesh_size": [4, 6],
+            "injection_rate": [0.05, 0.10, 0.15],
+            "n_faults": [0, 1, 2, 3, 6],
+        })
+        items = engine.plan_items(requests)
+        assert [kind for kind, _ in items] == ["batch", "one"] * 6
+        flat = []
+        for kind, payload in items:
+            group = payload if kind == "batch" else [payload]
+            assert len(group) <= 4
+            shared = {
+                (p["mesh_size"], p["injection_rate"])
+                for p in (r.params_dict() for r in group)
+            }
+            assert len(shared) == 1
+            flat += group
+        assert flat == requests
+
+    def test_n_faults_not_innermost_stays_unpacked(self):
+        requests = self._grid({
+            "mesh_size": [4, 6],
+            "n_faults": [0, 3],
+            "injection_rate": [0.10, 0.15],
+        })
+        items = engine.plan_items(requests)
+        assert [kind for kind, _ in items] == ["one"] * len(requests)
+
+
 class TestPointSlug:
     def _outcome(self, value):
         request = engine.RunRequest(

@@ -118,3 +118,81 @@ class TestFaultInjection:
         assert result.failures() == []
         healthy, damaged = result.rows
         assert float(damaged[6]) > float(healthy[6])  # mean latency
+
+
+class TestFaultInjectionBatch:
+    """The ``n_faults`` batch hook simulates each distinct mesh once and
+    returns exactly what solo runs would."""
+
+    GROUP = (0, 1, 3, 6)
+
+    @staticmethod
+    def _params(n_faults, **extra):
+        sc = registry.get("fault-injection")
+        return sc.resolve_params(
+            {"n_faults": n_faults, "cycles": 150, **extra}
+        )
+
+    @staticmethod
+    def _count_simulations(monkeypatch):
+        from repro.experiments import fault_injection
+
+        calls = []
+        real = fault_injection.run_mesh_point
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("link_params_for"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fault_injection, "run_mesh_point", counting)
+        return calls
+
+    def test_registered_on_n_faults(self):
+        sc = registry.get("fault-injection")
+        assert sc.has_batch
+        assert sc.batch_axis == "n_faults"
+        assert sc.batch_lanes == 4
+
+    def test_batch_matches_solo_runs(self):
+        sc = registry.get("fault-injection")
+        param_sets = [self._params(n) for n in self.GROUP]
+        batched = sc.batch(tech=None, param_sets=param_sets)
+        assert len(batched) == len(self.GROUP)
+        for params, result in zip(param_sets, batched):
+            solo = sc.func(tech=None, **params)
+            assert result.rows == solo.rows
+            assert result.checks == solo.checks
+            assert result.description == solo.description
+            assert result.failures() == []
+
+    def test_group_simulates_each_distinct_mesh_once(self, monkeypatch):
+        calls = self._count_simulations(monkeypatch)
+        registry.get("fault-injection").batch(
+            tech=None, param_sets=[self._params(n) for n in self.GROUP],
+        )
+        # one healthy mesh plus the damaged meshes of 1, 3 and 6 faults
+        assert len(calls) == 4
+        assert sum(hook is None for hook in calls) == 1
+
+    @pytest.mark.parametrize("n_faults, expected", [(0, 1), (3, 2)])
+    def test_solo_point_simulations(self, monkeypatch, n_faults,
+                                    expected):
+        calls = self._count_simulations(monkeypatch)
+        sc = registry.get("fault-injection")
+        sc.func(tech=None, **self._params(n_faults))
+        assert len(calls) == expected
+
+    def test_explicit_fault_paths_still_simulate_damage(self, monkeypatch):
+        """Sharing keys on the fault-site set, not on n_faults: explicit
+        sites override the sampler even at n_faults=0."""
+        calls = self._count_simulations(monkeypatch)
+        sc = registry.get("fault-injection")
+        result = sc.func(tech=None, **self._params(
+            0, fault_paths="node[1][1].east,node[1][2].west",
+            routing="xy", rate_factor=0.25, latency_penalty=8,
+        ))
+        assert len(calls) == 2
+        assert calls[1] is not None
+        healthy, damaged = result.rows
+        assert damaged[3] == 2
+        assert float(damaged[6]) > float(healthy[6])  # mean latency

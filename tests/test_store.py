@@ -487,6 +487,42 @@ class TestCommittedBaseline:
         assert report.added == [] and report.row_deltas == []
 
 
+    def test_fault_injection_batched_order_matches_committed_baseline(
+        self, tmp_path
+    ):
+        """The same grid with ``n_faults`` innermost packs into batch
+        groups (the hook shares each group's healthy run) and runs on a
+        2-job pool: it must reproduce the committed baseline exactly,
+        per-point CSVs byte for byte."""
+        from pathlib import Path
+
+        from repro.runner import artifacts
+
+        baseline = Path(__file__).parent / "baselines" / "fault-injection"
+        requests = sweep.build_requests(
+            registry.get("fault-injection"),
+            axes={
+                "mesh_size": [4, 6],
+                "injection_rate": [0.10, 0.15],
+                "n_faults": [0, 3],
+            },
+            fixed={"cycles": 200},
+        )
+        assert "batch" in {kind for kind, _ in engine.plan_items(requests)}
+        fresh = tmp_path / "fresh"
+        artifacts.write_artifacts(engine.execute(requests, jobs=2), fresh)
+        report = diff.diff_trees(baseline, fresh)
+        assert not report.regressed, report.render()
+        assert report.added == [] and report.row_deltas == []
+        committed = sorted((baseline / "fault-injection").iterdir())
+        assert [f.name for f in committed] == sorted(
+            f.name for f in (fresh / "fault-injection").iterdir()
+        )
+        for csv in committed:
+            assert (fresh / "fault-injection" / csv.name).read_bytes() \
+                == csv.read_bytes(), csv.name
+
+
 class TestCliDiffAndHistory:
     def test_diff_identical_sweeps_exit_zero(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
