@@ -483,7 +483,20 @@ def _sweep_grid(args, parser):
     return sc, requests, fixed
 
 
+def _check_fabric_options(args, parser) -> None:
+    """Reject fabric settings no worker could honour, before any spawns."""
+    if args.lease_ttl <= 0:
+        parser.error("--lease-ttl must be positive")
+    for name in ("fabric_timeout", "point_timeout"):
+        value = getattr(args, name, None)
+        if value is not None and value <= 0:
+            parser.error(f"--{name.replace('_', '-')} must be positive")
+    if args.quarantine_after is not None and args.quarantine_after < 1:
+        parser.error("--quarantine-after must be >= 1")
+
+
 def _cmd_sweep(args, parser) -> int:
+    _check_fabric_options(args, parser)
     if args.progress:
         # --progress implies telemetry: the display and the stream feed
         # from the same counters, and enable() exports REPRO_TELEMETRY
@@ -569,8 +582,7 @@ def _cmd_worker(args, parser) -> int:
     from .chaos import ChaosSpecError, parse_spec
     from .fabric import FabricError, run_worker
 
-    if args.lease_ttl <= 0:
-        parser.error("--lease-ttl must be positive")
+    _check_fabric_options(args, parser)
     chaos = None
     if args.chaos:
         try:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from ..runner.registry import ParamSpec
 from ..tech.technology import Technology
 from ..tech.st012 import st012
 from ..analysis.report import format_table, relative_error
@@ -129,3 +130,58 @@ class ExperimentResult:
 def resolve_tech(tech: Optional[Technology]) -> Technology:
     """Default to the calibrated ST 0.12 µm technology."""
     return tech if tech is not None else st012()
+
+
+# -- shared by the six NoC scenarios -----------------------------------
+
+MESH_SIZE = ParamSpec(
+    "mesh_size", int, 4,
+    help="mesh is mesh_size x mesh_size switches",
+    choices=(2, 3, 4, 5, 6, 7, 8),
+)
+INJECTION_RATE = ParamSpec(
+    "injection_rate", float, 0.15,
+    help="offered load, flits/node/cycle",
+    sweep=(0.05, 0.10, 0.15, 0.20, 0.25),
+)
+KIND = ParamSpec(
+    "kind", str, "I3",
+    help="link implementation under study",
+    choices=("I1", "I2", "I3"),
+)
+FREQ_MHZ = ParamSpec("freq_mhz", float, 300.0, help="switch clock")
+CYCLES = ParamSpec("cycles", int, 800, help="traffic cycles before drain")
+SEED = ParamSpec("seed", int, 2008)
+
+
+def noc_cells(point: Dict[str, float]) -> List[str]:
+    """The accepted-throughput, mean- and p99-latency table cells of one
+    ``run_mesh_point`` result."""
+    return [
+        f"{point['throughput']:.4f}",
+        f"{point['mean_latency']:.1f}",
+        f"{point['p99_latency']:.0f}",
+    ]
+
+
+def noc_checks(
+    point: Dict[str, float],
+    conservation: str = "flit conservation (ejected vs injected)",
+    delivery: Optional[str] = "traffic delivered (packets ejected >= 1)",
+) -> List[Check]:
+    """The invariants of one drained ``run_mesh_point`` result, under the
+    given check names: the network ejected every flit it injected and,
+    unless ``delivery`` is None, delivered at least one packet."""
+    checks = [
+        Check(
+            conservation,
+            point["flits_ejected"],
+            max(point["flits_injected"], 1),
+            0.0,
+        ),
+    ]
+    if delivery is not None:
+        checks.append(Check(
+            delivery, point["packets_ejected"], 1.0, 0.0, mode="at_least",
+        ))
+    return checks

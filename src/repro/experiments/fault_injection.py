@@ -21,11 +21,16 @@ simulates each distinct mesh once.  The healthy run does not depend on
 sites reuses it as its damaged run — a ``{0, 1, 3, 6}`` group simulates
 four networks instead of eight.  Every member's result is identical to
 its solo run (``tests/test_scenarios_gals_fault.py`` pins that).
+
+The parameters, checks and table cells it shares with the other NoC
+scenarios live in :mod:`.common`; the per-link hook keeps it off the
+``mesh-design-space`` point core, whose links are all alike.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..design import Design, MeshDesign
@@ -33,7 +38,10 @@ from ..link.behavioral import BehavioralLinkParams, derive_link_params
 from ..noc import Topology, run_mesh_point
 from ..runner.registry import ParamSpec, scenario
 from ..tech.technology import Technology
-from .common import Check, ExperimentResult, resolve_tech
+from .common import (
+    CYCLES, FREQ_MHZ, INJECTION_RATE, KIND, MESH_SIZE, SEED,
+    ExperimentResult, noc_cells, noc_checks, resolve_tech,
+)
 
 
 def degraded_params(
@@ -42,13 +50,12 @@ def degraded_params(
     latency_penalty: int,
 ) -> BehavioralLinkParams:
     """Behavioural parameters of a marginal link: slower and later."""
-    return BehavioralLinkParams(
+    return replace(
+        base,
         kind=f"{base.kind}-degraded",
         latency_cycles=base.latency_cycles + latency_penalty,
         rate_flits_per_cycle=max(base.rate_flits_per_cycle * rate_factor,
                                  1e-3),
-        capacity_flits=base.capacity_flits,
-        wire_count=base.wire_count,
         serial_ceiling_mflits=base.serial_ceiling_mflits * rate_factor,
     )
 
@@ -61,8 +68,7 @@ def pick_faulty_links(
     """Deterministically sample ``n_faults`` directed links to degrade."""
     all_links = [(src, port) for src, port, _dst in topology.links()]
     rng = random.Random(fault_seed)
-    count = min(n_faults, len(all_links))
-    return set(rng.sample(all_links, count)) if count else set()
+    return set(rng.sample(all_links, min(n_faults, len(all_links))))
 
 
 def pick_faulty_paths(
@@ -136,16 +142,8 @@ def _batch(tech: Optional[Technology] = None,
     ),
     tags=("noc", "fault", "extension", "sweep"),
     params=(
-        ParamSpec(
-            "mesh_size", int, 4,
-            help="mesh is mesh_size x mesh_size switches",
-            choices=(2, 3, 4, 5, 6, 7, 8),
-        ),
-        ParamSpec(
-            "injection_rate", float, 0.10,
-            help="offered load, flits/node/cycle",
-            sweep=(0.05, 0.10, 0.15),
-        ),
+        MESH_SIZE,
+        replace(INJECTION_RATE, default=0.10, sweep=(0.05, 0.10, 0.15)),
         ParamSpec(
             "n_faults", int, 3,
             help="number of degraded directed links",
@@ -164,14 +162,10 @@ def _batch(tech: Optional[Technology] = None,
             help="routing mode (west_first adapts around slow links)",
             choices=("xy", "west_first"),
         ),
-        ParamSpec(
-            "kind", str, "I3",
-            help="link implementation under study",
-            choices=("I1", "I2", "I3"),
-        ),
-        ParamSpec("freq_mhz", float, 300.0, help="switch clock"),
-        ParamSpec("cycles", int, 800, help="traffic cycles before drain"),
-        ParamSpec("seed", int, 2008),
+        KIND,
+        FREQ_MHZ,
+        CYCLES,
+        SEED,
         ParamSpec("fault_seed", int, 13,
                   help="seed of the fault-site sampler"),
         ParamSpec(
@@ -213,26 +207,15 @@ def _point(
 ) -> ExperimentResult:
     # the structural view owns the fault sites (build_design resolves
     # tech and validates rate_factor/latency_penalty for both entry
-    # points): links are addressed by
-    # instance path and the kernel hook reads the tree
-    design = build_design(
+    # points): links are addressed by instance path and the kernel hook
+    # reads the tree
+    mesh = build_design(
         tech=tech, mesh_size=mesh_size, n_faults=n_faults,
         rate_factor=rate_factor, latency_penalty=latency_penalty,
         kind=kind, freq_mhz=freq_mhz, fault_seed=fault_seed,
         fault_paths=fault_paths,
-    )
-    mesh = design.top
-    topology = mesh.topology
-    base = mesh.base_params
+    ).top
     faulty = mesh.fault_paths
-    link_params_for = mesh.link_params_for()
-
-    common = dict(
-        injection_rate=injection_rate,
-        cycles=cycles,
-        seed=seed,
-        routing=routing,
-    )
     # ``runs`` holds one simulation per distinct mesh, keyed by every
     # parameter that shapes the network and its traffic, then by the
     # fault-site set: empty for the healthy mesh, which a point without
@@ -244,53 +227,15 @@ def _point(
     def simulate(sites, **hook) -> Dict[str, float]:
         key = (mesh_key, frozenset(sites))
         if key not in runs:
-            runs[key] = run_mesh_point(topology, base, **hook, **common)
+            runs[key] = run_mesh_point(
+                mesh.topology, mesh.base_params, **hook,
+                injection_rate=injection_rate, cycles=cycles, seed=seed,
+                routing=routing,
+            )
         return runs[key]
 
     healthy = simulate(())
-    damaged = simulate(faulty, link_params_for=link_params_for)
-
-    headers = (
-        "mesh", "link", "routing", "faulty links",
-        "offered (flit/node/cyc)", "accepted", "mean lat (cyc)",
-        "p99 lat (cyc)",
-    )
-    rows: List[Sequence[object]] = []
-    for label, point, count in (
-        ("healthy", healthy, 0),
-        ("damaged", damaged, len(faulty)),
-    ):
-        rows.append([
-            f"{mesh_size}x{mesh_size}",
-            kind if label == "healthy" else f"{kind} ({label})",
-            routing,
-            count,
-            injection_rate,
-            f"{point['throughput']:.4f}",
-            f"{point['mean_latency']:.1f}",
-            f"{point['p99_latency']:.0f}",
-        ])
-    checks = [
-        Check(
-            "flit conservation on the damaged mesh",
-            damaged["flits_ejected"],
-            max(damaged["flits_injected"], 1),
-            0.0,
-        ),
-        Check(
-            "traffic delivered through the damage (packets >= 1)",
-            damaged["packets_ejected"],
-            1.0,
-            0.0,
-            mode="at_least",
-        ),
-        Check(
-            "healthy mesh conserves flits too",
-            healthy["flits_ejected"],
-            max(healthy["flits_injected"], 1),
-            0.0,
-        ),
-    ]
+    damaged = simulate(faulty, link_params_for=mesh.link_params_for())
     return ExperimentResult(
         experiment_id="Fault-injection campaign",
         description=(
@@ -300,7 +245,22 @@ def _point(
             f"{routing} routing at {injection_rate} flit/node/cycle"
             + (f"; fault sites: {', '.join(faulty)}" if faulty else "")
         ),
-        headers=headers,
-        rows=rows,
-        checks=checks,
+        headers=(
+            "mesh", "link", "routing", "faulty links",
+            "offered (flit/node/cyc)", "accepted", "mean lat (cyc)",
+            "p99 lat (cyc)",
+        ),
+        rows=[
+            [f"{mesh_size}x{mesh_size}", link, routing, count,
+             injection_rate, *noc_cells(point)]
+            for link, point, count in (
+                (kind, healthy, 0),
+                (f"{kind} (damaged)", damaged, len(faulty)),
+            )
+        ],
+        checks=noc_checks(
+            damaged,
+            "flit conservation on the damaged mesh",
+            "traffic delivered through the damage (packets >= 1)",
+        ) + noc_checks(healthy, "healthy mesh conserves flits too", None),
     )

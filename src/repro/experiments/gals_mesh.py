@@ -21,21 +21,25 @@ fast-domain cycles.
 Checks are invariants (flit conservation, traffic delivered), not paper
 numbers: the paper evaluates a single link, this is an extension study
 exercising the activity-driven cycle kernel with heterogeneous links.
+The parameters, checks and table cells it shares with the other NoC
+scenarios live in :mod:`.common`; the per-link hook keeps it off the
+``mesh-design-space`` point core, whose links are all alike.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from dataclasses import replace
+from typing import Optional
 
 from ..design import Design, MeshDesign
-from ..link.behavioral import BehavioralLinkParams, derive_link_params
+from ..link.behavioral import derive_link_params
 from ..noc import Topology, run_mesh_point
 from ..runner.registry import ParamSpec, scenario
 from ..tech.technology import Technology
-from .common import Check, ExperimentResult, resolve_tech
-
-#: load axis, matching the other traffic extension sweeps
-_RATE_AXIS = (0.05, 0.10, 0.15, 0.20, 0.25)
+from .common import (
+    CYCLES, INJECTION_RATE, KIND, MESH_SIZE, SEED,
+    ExperimentResult, noc_cells, noc_checks, resolve_tech,
+)
 
 
 def build_design(
@@ -62,15 +66,13 @@ def build_design(
     # at the clock ratio (never above 1: a "slow" domain faster than
     # the fast one degenerates to a uniform mesh)
     ratio = min(1.0, slow_mhz / fast_mhz)
-    slow_params = BehavioralLinkParams(
+    slow_params = replace(
+        base,
         kind=f"{kind}-gals",
         latency_cycles=max(1, round(base.latency_cycles / ratio)),
         rate_flits_per_cycle=max(
             min(base.rate_flits_per_cycle * ratio, 1.0), 1e-3
         ),
-        capacity_flits=base.capacity_flits,
-        wire_count=base.wire_count,
-        serial_ceiling_mflits=base.serial_ceiling_mflits,
     )
     for link in mesh.links():
         src_domain = mesh.node_at(link.src).domain
@@ -92,27 +94,15 @@ def build_design(
     ),
     tags=("noc", "gals", "extension", "sweep"),
     params=(
-        ParamSpec(
-            "mesh_size", int, 4,
-            help="mesh is mesh_size x mesh_size switches",
-            choices=(2, 3, 4, 5, 6, 7, 8),
-        ),
-        ParamSpec(
-            "injection_rate", float, 0.15,
-            help="offered load, flits/node/cycle",
-            sweep=_RATE_AXIS,
-        ),
-        ParamSpec(
-            "kind", str, "I3",
-            help="link implementation under study",
-            choices=("I1", "I2", "I3"),
-        ),
+        MESH_SIZE,
+        INJECTION_RATE,
+        KIND,
         ParamSpec("fast_mhz", float, 400.0,
                   help="clock of the west (fast) domain"),
         ParamSpec("slow_mhz", float, 200.0,
                   help="clock of the east (slow) domain"),
-        ParamSpec("cycles", int, 800, help="traffic cycles before drain"),
-        ParamSpec("seed", int, 2008),
+        CYCLES,
+        SEED,
     ),
     fast_params={"cycles": 200},
     design=build_design,
@@ -130,56 +120,18 @@ def run(
     # clock domains are assigned on the structural mesh tree by node
     # path; the kernel's per-link hook reads the tree back
     # (build_design validates the frequencies for both entry points)
-    design = build_design(
+    mesh = build_design(
         tech=tech, mesh_size=mesh_size, kind=kind,
         fast_mhz=fast_mhz, slow_mhz=slow_mhz,
-    )
-    mesh = design.top
-    topology = mesh.topology
-    base = mesh.base_params
-    cross_domain = len(mesh.cross_domain_links())
-    link_params_for = mesh.link_params_for()
-
+    ).top
     point = run_mesh_point(
-        topology,
-        base,
+        mesh.topology,
+        mesh.base_params,
         injection_rate=injection_rate,
         cycles=cycles,
         seed=seed,
-        link_params_for=link_params_for,
+        link_params_for=mesh.link_params_for(),
     )
-
-    headers = (
-        "mesh", "link", "west clk (MHz)", "east clk (MHz)",
-        "cross-domain links", "offered (flit/node/cyc)", "accepted",
-        "mean lat (fast cyc)", "p99 lat (fast cyc)",
-    )
-    rows: List[Sequence[object]] = [[
-        f"{mesh_size}x{mesh_size}",
-        kind,
-        f"{fast_mhz:.0f}",
-        f"{slow_mhz:.0f}",
-        cross_domain,
-        injection_rate,
-        f"{point['throughput']:.4f}",
-        f"{point['mean_latency']:.1f}",
-        f"{point['p99_latency']:.0f}",
-    ]]
-    checks = [
-        Check(
-            "flit conservation (ejected vs injected)",
-            point["flits_ejected"],
-            max(point["flits_injected"], 1),
-            0.0,
-        ),
-        Check(
-            "traffic delivered (packets ejected >= 1)",
-            point["packets_ejected"],
-            1.0,
-            0.0,
-            mode="at_least",
-        ),
-    ]
     return ExperimentResult(
         experiment_id="GALS mixed-clock mesh",
         description=(
@@ -187,7 +139,19 @@ def run(
             f"{fast_mhz:.0f} MHz / east domain {slow_mhz:.0f} MHz, "
             f"uniform traffic at {injection_rate} flit/node/cycle"
         ),
-        headers=headers,
-        rows=rows,
-        checks=checks,
+        headers=(
+            "mesh", "link", "west clk (MHz)", "east clk (MHz)",
+            "cross-domain links", "offered (flit/node/cyc)", "accepted",
+            "mean lat (fast cyc)", "p99 lat (fast cyc)",
+        ),
+        rows=[[
+            f"{mesh_size}x{mesh_size}",
+            kind,
+            f"{fast_mhz:.0f}",
+            f"{slow_mhz:.0f}",
+            len(mesh.cross_domain_links()),
+            injection_rate,
+            *noc_cells(point),
+        ]],
+        checks=noc_checks(point),
     )

@@ -15,20 +15,58 @@ ack, I3 per-word ack), drains every in-flight flit, and reports
 accepted throughput, packet latency, total wiring and the Fig 12/13
 link-power estimate.  The checks are invariants, not paper numbers:
 the run must conserve flits and actually deliver traffic.
+
+:func:`mesh_point` is the point core of the NoC scenarios whose links
+are all alike: the three ``traffic-*`` scenarios
+(:mod:`.traffic_patterns`) run it with their own pattern.  The
+parameters, checks and table cells that all six NoC scenarios share
+live in :mod:`.common`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import replace
+from typing import Dict, Optional, Tuple
 
 from ..analysis.power import link_power_uw
 from ..link.behavioral import derive_link_params
 from ..noc import Topology, run_mesh_point
 from ..runner.registry import ParamSpec, scenario
 from ..tech.technology import Technology
-from .common import Check, ExperimentResult, resolve_tech
+from .common import (
+    CYCLES, FREQ_MHZ, INJECTION_RATE, KIND, MESH_SIZE, SEED,
+    ExperimentResult, noc_cells, noc_checks, resolve_tech,
+)
 
-LINK_KINDS = ("I1", "I2", "I3")
+
+def mesh_point(
+    tech: Optional[Technology],
+    mesh_size: int,
+    kind: str,
+    freq_mhz: float,
+    **traffic,
+) -> Tuple[Dict[str, float], float]:
+    """One drained run of a ``mesh_size`` x ``mesh_size`` mesh whose
+    links are all ``kind`` at ``freq_mhz`` (``traffic`` holds the
+    ``run_mesh_point`` keywords).  Returns its metrics and the
+    estimated power of all its links, mW."""
+    tech = resolve_tech(tech)
+    topology = Topology(mesh_size, mesh_size)
+    point = run_mesh_point(
+        topology, derive_link_params(tech, kind, freq_mhz), **traffic
+    )
+    link_uw = link_power_uw(tech, kind, 4, freq_mhz, usage=0.5)
+    return point, link_uw * topology.n_directed_links / 1000.0
+
+
+def describe(mesh_size: int, kind: str, pattern: str,
+             injection_rate: float, freq_mhz: float) -> str:
+    """The result description of a :func:`mesh_point` run."""
+    return (
+        f"{mesh_size}x{mesh_size} mesh, {kind} links, {pattern} "
+        f"traffic at {injection_rate} flit/node/cycle, "
+        f"{freq_mhz:.0f} MHz"
+    )
 
 
 @scenario(
@@ -39,28 +77,15 @@ LINK_KINDS = ("I1", "I2", "I3")
     ),
     tags=("noc", "sweep", "extension"),
     params=(
-        ParamSpec(
-            "mesh_size", int, 4,
-            help="mesh is mesh_size x mesh_size switches",
-            choices=(2, 3, 4, 5, 6, 7, 8),
-            sweep=(2, 3, 4, 5, 6, 7, 8),
-        ),
-        ParamSpec(
-            "injection_rate", float, 0.15,
-            help="offered load, flits/node/cycle",
-            sweep=(0.05, 0.15, 0.25),
-        ),
-        ParamSpec(
-            "kind", str, "I3",
-            help="link implementation under study",
-            choices=LINK_KINDS,
-        ),
-        ParamSpec("freq_mhz", float, 300.0, help="switch clock"),
-        ParamSpec("cycles", int, 800, help="traffic cycles before drain"),
+        replace(MESH_SIZE, sweep=MESH_SIZE.choices),
+        replace(INJECTION_RATE, sweep=(0.05, 0.15, 0.25)),
+        KIND,
+        FREQ_MHZ,
+        CYCLES,
         ParamSpec("pattern", str, "uniform",
                   choices=("uniform", "transpose", "bit_complement",
                            "hotspot", "neighbor")),
-        ParamSpec("seed", int, 2008),
+        SEED,
     ),
 )
 def run(
@@ -73,60 +98,28 @@ def run(
     pattern: str = "uniform",
     seed: int = 2008,
 ) -> ExperimentResult:
-    tech = resolve_tech(tech)
-    topology = Topology(mesh_size, mesh_size)
-    params = derive_link_params(tech, kind, freq_mhz)
-    point = run_mesh_point(
-        topology,
-        params,
-        injection_rate=injection_rate,
-        cycles=cycles,
-        pattern=pattern,
+    point, mesh_power_mw = mesh_point(
+        tech, mesh_size, kind, freq_mhz,
+        injection_rate=injection_rate, cycles=cycles, pattern=pattern,
         seed=seed,
     )
-    link_uw = link_power_uw(tech, kind, 4, freq_mhz, usage=0.5)
-    mesh_power_mw = link_uw * topology.n_directed_links / 1000.0
-
-    headers = (
-        "mesh", "link", "offered (flit/node/cyc)", "accepted",
-        "mean lat (cyc)", "p99 lat (cyc)", "total wires",
-        "est. link power (mW)",
-    )
-    rows = [[
-        f"{mesh_size}x{mesh_size}",
-        kind,
-        injection_rate,
-        f"{point['throughput']:.4f}",
-        f"{point['mean_latency']:.1f}",
-        f"{point['p99_latency']:.0f}",
-        point["total_wires"],
-        f"{mesh_power_mw:.1f}",
-    ]]
-
-    checks = [
-        # a drained network must conserve every injected flit
-        Check(
-            "flit conservation (ejected vs injected)",
-            point["flits_ejected"],
-            max(point["flits_injected"], 1),
-            0.0,
-        ),
-        Check(
-            "traffic delivered (packets ejected >= 1)",
-            point["packets_ejected"],
-            1.0,
-            0.0,
-            mode="at_least",
-        ),
-    ]
     return ExperimentResult(
         experiment_id="Mesh design space",
-        description=(
-            f"{mesh_size}x{mesh_size} mesh, {kind} links, {pattern} "
-            f"traffic at {injection_rate} flit/node/cycle, "
-            f"{freq_mhz:.0f} MHz"
+        description=describe(
+            mesh_size, kind, pattern, injection_rate, freq_mhz
         ),
-        headers=headers,
-        rows=rows,
-        checks=checks,
+        headers=(
+            "mesh", "link", "offered (flit/node/cyc)", "accepted",
+            "mean lat (cyc)", "p99 lat (cyc)", "total wires",
+            "est. link power (mW)",
+        ),
+        rows=[[
+            f"{mesh_size}x{mesh_size}",
+            kind,
+            injection_rate,
+            *noc_cells(point),
+            point["total_wires"],
+            f"{mesh_power_mw:.1f}",
+        ]],
+        checks=noc_checks(point),
     )

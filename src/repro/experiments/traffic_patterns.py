@@ -19,192 +19,98 @@ serialized links differently:
 Checks are invariants (flit conservation, traffic actually delivered),
 not paper numbers: the paper evaluates a single link, these are
 extension studies.
+
+The scenarios register from one table (:data:`PATTERNS`) over the
+``mesh-design-space`` point core (:func:`.mesh_design_space.mesh_point`);
+the parameters, checks and table cells come from :mod:`.common`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
-from ..analysis.power import link_power_uw
-from ..link.behavioral import derive_link_params
-from ..noc import Topology, run_mesh_point
 from ..runner.registry import ParamSpec, scenario
 from ..tech.technology import Technology
-from .common import Check, ExperimentResult, resolve_tech
+from .common import (
+    CYCLES, FREQ_MHZ, INJECTION_RATE, KIND, MESH_SIZE, SEED,
+    ExperimentResult, noc_cells, noc_checks,
+)
+from .mesh_design_space import describe, mesh_point
 
-#: load axis shared by the three pattern sweeps
-_RATE_AXIS = (0.05, 0.10, 0.15, 0.20, 0.25)
-
-
-def _pattern_params(extra: Sequence[ParamSpec] = ()) -> tuple:
-    return (
-        ParamSpec(
-            "mesh_size", int, 4,
-            help="mesh is mesh_size x mesh_size switches",
-            choices=(2, 3, 4, 5, 6, 7, 8),
-        ),
-        ParamSpec(
-            "injection_rate", float, 0.15,
-            help="offered load, flits/node/cycle",
-            sweep=_RATE_AXIS,
-        ),
-        ParamSpec(
-            "kind", str, "I3",
-            help="link implementation under study",
-            choices=("I1", "I2", "I3"),
-        ),
-        ParamSpec("freq_mhz", float, 300.0, help="switch clock"),
-        ParamSpec("cycles", int, 800, help="traffic cycles before drain"),
-        ParamSpec("seed", int, 2008),
-    ) + tuple(extra)
-
-
-def _run_pattern(
-    tech: Optional[Technology],
-    pattern: str,
-    title: str,
-    mesh_size: int,
-    injection_rate: float,
-    kind: str,
-    freq_mhz: float,
-    cycles: int,
-    seed: int,
-    hotspot_fraction: float = 0.5,
-) -> ExperimentResult:
-    tech = resolve_tech(tech)
-    topology = Topology(mesh_size, mesh_size)
-    params = derive_link_params(tech, kind, freq_mhz)
-    point = run_mesh_point(
-        topology,
-        params,
-        injection_rate=injection_rate,
-        cycles=cycles,
-        pattern=pattern,
-        seed=seed,
-        hotspot_fraction=hotspot_fraction,
-    )
-    link_uw = link_power_uw(tech, kind, 4, freq_mhz, usage=0.5)
-    mesh_power_mw = link_uw * topology.n_directed_links / 1000.0
-
-    headers = (
-        "mesh", "link", "pattern", "offered (flit/node/cyc)", "accepted",
-        "mean lat (cyc)", "p99 lat (cyc)", "est. link power (mW)",
-    )
-    rows: List[Sequence[object]] = [[
-        f"{mesh_size}x{mesh_size}",
-        kind,
-        pattern,
-        injection_rate,
-        f"{point['throughput']:.4f}",
-        f"{point['mean_latency']:.1f}",
-        f"{point['p99_latency']:.0f}",
-        f"{mesh_power_mw:.1f}",
-    ]]
-    checks = [
-        Check(
-            "flit conservation (ejected vs injected)",
-            point["flits_ejected"],
-            max(point["flits_injected"], 1),
-            0.0,
-        ),
-        Check(
-            "traffic delivered (packets ejected >= 1)",
-            point["packets_ejected"],
-            1.0,
-            0.0,
-            mode="at_least",
-        ),
-    ]
-    return ExperimentResult(
-        experiment_id=title,
-        description=(
-            f"{mesh_size}x{mesh_size} mesh, {kind} links, {pattern} "
-            f"traffic at {injection_rate} flit/node/cycle, "
-            f"{freq_mhz:.0f} MHz"
-        ),
-        headers=headers,
-        rows=rows,
-        checks=checks,
-    )
-
-
-@scenario(
-    "traffic-hotspot",
-    description=(
+#: one scenario per row: id, generator pattern, result title,
+#: description and the parameters beyond the shared ones
+PATTERNS = (
+    (
+        "traffic-hotspot", "hotspot", "Hotspot traffic",
         "Hotspot traffic sweep: a fraction of all packets converge on "
-        "the mesh centre (congestion probe)"
+        "the mesh centre (congestion probe)",
+        (ParamSpec("hotspot_fraction", float, 0.5,
+                   help="fraction of traffic aimed at the hotspot node"),),
     ),
-    tags=("noc", "sweep", "traffic", "extension"),
-    params=_pattern_params(extra=(
-        ParamSpec(
-            "hotspot_fraction", float, 0.5,
-            help="fraction of traffic aimed at the hotspot node",
-        ),
-    )),
-    fast_params={"cycles": 200},
-)
-def run_hotspot(
-    tech: Optional[Technology] = None,
-    mesh_size: int = 4,
-    injection_rate: float = 0.15,
-    kind: str = "I3",
-    freq_mhz: float = 300.0,
-    cycles: int = 800,
-    seed: int = 2008,
-    hotspot_fraction: float = 0.5,
-) -> ExperimentResult:
-    return _run_pattern(
-        tech, "hotspot", "Hotspot traffic",
-        mesh_size, injection_rate, kind, freq_mhz, cycles, seed,
-        hotspot_fraction=hotspot_fraction,
-    )
-
-
-@scenario(
-    "traffic-transpose",
-    description=(
+    (
+        "traffic-transpose", "transpose", "Transpose traffic",
         "Transpose traffic sweep: (x, y) sends to (y, x) — adversarial "
-        "for XY routing"
+        "for XY routing",
+        (),
     ),
-    tags=("noc", "sweep", "traffic", "extension"),
-    params=_pattern_params(),
-    fast_params={"cycles": 200},
-)
-def run_transpose(
-    tech: Optional[Technology] = None,
-    mesh_size: int = 4,
-    injection_rate: float = 0.15,
-    kind: str = "I3",
-    freq_mhz: float = 300.0,
-    cycles: int = 800,
-    seed: int = 2008,
-) -> ExperimentResult:
-    return _run_pattern(
-        tech, "transpose", "Transpose traffic",
-        mesh_size, injection_rate, kind, freq_mhz, cycles, seed,
-    )
-
-
-@scenario(
-    "traffic-bit-complement",
-    description=(
+    (
+        "traffic-bit-complement", "bit_complement", "Bit-complement traffic",
         "Bit-complement traffic sweep: (x, y) sends to "
-        "(cols-1-x, rows-1-y) — every packet crosses the bisection"
+        "(cols-1-x, rows-1-y) — every packet crosses the bisection",
+        (),
     ),
-    tags=("noc", "sweep", "traffic", "extension"),
-    params=_pattern_params(),
-    fast_params={"cycles": 200},
 )
-def run_bit_complement(
-    tech: Optional[Technology] = None,
-    mesh_size: int = 4,
-    injection_rate: float = 0.15,
-    kind: str = "I3",
-    freq_mhz: float = 300.0,
-    cycles: int = 800,
-    seed: int = 2008,
-) -> ExperimentResult:
-    return _run_pattern(
-        tech, "bit_complement", "Bit-complement traffic",
-        mesh_size, injection_rate, kind, freq_mhz, cycles, seed,
+
+HEADERS = (
+    "mesh", "link", "pattern", "offered (flit/node/cyc)", "accepted",
+    "mean lat (cyc)", "p99 lat (cyc)", "est. link power (mW)",
+)
+
+
+def _register(scenario_id: str, pattern: str, title: str,
+              description: str, extra: tuple) -> None:
+    @scenario(
+        scenario_id,
+        description=description,
+        tags=("noc", "sweep", "traffic", "extension"),
+        params=(MESH_SIZE, INJECTION_RATE, KIND, FREQ_MHZ, CYCLES, SEED)
+        + extra,
+        fast_params={"cycles": 200},
     )
+    def run(
+        tech: Optional[Technology] = None,
+        *,
+        mesh_size: int,
+        injection_rate: float,
+        kind: str,
+        freq_mhz: float,
+        cycles: int,
+        seed: int,
+        **pattern_params,
+    ) -> ExperimentResult:
+        # the registry passes every declared parameter, defaults included
+        point, mesh_power_mw = mesh_point(
+            tech, mesh_size, kind, freq_mhz,
+            injection_rate=injection_rate, cycles=cycles, pattern=pattern,
+            seed=seed, **pattern_params,
+        )
+        return ExperimentResult(
+            experiment_id=title,
+            description=describe(
+                mesh_size, kind, pattern, injection_rate, freq_mhz
+            ),
+            headers=HEADERS,
+            rows=[[
+                f"{mesh_size}x{mesh_size}",
+                kind,
+                pattern,
+                injection_rate,
+                *noc_cells(point),
+                f"{mesh_power_mw:.1f}",
+            ]],
+            checks=noc_checks(point),
+        )
+
+
+for _row in PATTERNS:
+    _register(*_row)

@@ -4,7 +4,7 @@ Four pieces, layered so that each backend pays nothing when the layer
 is off and nobody above it needs to know which kernel ran:
 
 * :mod:`repro.obs.metrics` — the process-wide metrics registry
-  (counters, gauges, timers, fixed-bucket histograms).  Disabled by
+  (counters, gauges, fixed-bucket histograms).  Disabled by
   default; every instrumentation site in the kernels guards on a
   single attribute check (``if REGISTRY.enabled:``), so the hot paths
   of all three backends are untouched until somebody opts in.
@@ -27,7 +27,6 @@ from .metrics import (  # noqa: F401
     Histogram,
     MetricsRegistry,
     REGISTRY,
-    Timer,
     collecting,
     disable,
     enable,

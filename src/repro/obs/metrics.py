@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, timers, histograms.
+"""Process-wide metrics registry: counters, gauges, histograms.
 
 One :data:`REGISTRY` instance exists per process, **disabled** by
 default.  The contract with the kernels' hot paths is strict: an
@@ -30,7 +30,7 @@ from __future__ import annotations
 import bisect
 import os
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 #: environment variable that enables the registry at import time (how
 #: spawn-start sweep workers inherit the parent's opt-in)
@@ -61,26 +61,6 @@ class Gauge:
 
     def set(self, value) -> None:
         self.value = value
-
-
-class Timer:
-    """Accumulated wall-clock observations (count/total/min/max)."""
-
-    __slots__ = ("count", "total", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, seconds: float) -> None:
-        self.count += 1
-        self.total += seconds
-        if self.min is None or seconds < self.min:
-            self.min = seconds
-        if self.max is None or seconds > self.max:
-            self.max = seconds
 
 
 class Histogram:
@@ -115,20 +95,19 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named metrics of four kinds, keyed once and cached forever.
+    """Named metrics of three kinds, keyed once and cached forever.
 
     ``enabled`` is public and checked by every instrumentation site;
     everything else is get-or-create accessors plus deterministic
     snapshot/reset.
     """
 
-    __slots__ = ("enabled", "_counters", "_gauges", "_timers", "_hists")
+    __slots__ = ("enabled", "_counters", "_gauges", "_hists")
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._timers: Dict[str, Timer] = {}
         self._hists: Dict[str, Histogram] = {}
 
     # ------------------------------------------------------------------
@@ -142,12 +121,6 @@ class MetricsRegistry:
         metric = self._gauges.get(name)
         if metric is None:
             metric = self._gauges[name] = Gauge()
-        return metric
-
-    def timer(self, name: str) -> Timer:
-        metric = self._timers.get(name)
-        if metric is None:
-            metric = self._timers[name] = Timer()
         return metric
 
     def histogram(self, name: str,
@@ -166,8 +139,7 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, object]:
         """Flat, deterministic view of every metric.
 
-        Keys are ``counter:<name>``, ``gauge:<name>``,
-        ``timer:<name>`` (a ``[count, total, min, max]`` list) and
+        Keys are ``counter:<name>``, ``gauge:<name>`` and
         ``hist:<name>`` (``[bounds..., counts...]`` is unambiguous
         because bounds have fixed length ``len(counts) - 1``), sorted
         so serialization is reproducible.
@@ -177,9 +149,6 @@ class MetricsRegistry:
             out[f"counter:{name}"] = self._counters[name].value
         for name in sorted(self._gauges):
             out[f"gauge:{name}"] = self._gauges[name].value
-        for name in sorted(self._timers):
-            t = self._timers[name]
-            out[f"timer:{name}"] = [t.count, t.total, t.min, t.max]
         for name in sorted(self._hists):
             h = self._hists[name]
             out[f"hist:{name}"] = [list(h.bounds), list(h.counts)]
@@ -196,12 +165,11 @@ class MetricsRegistry:
         """Drop every metric (the enabled flag is left alone)."""
         self._counters.clear()
         self._gauges.clear()
-        self._timers.clear()
         self._hists.clear()
 
     def is_empty(self) -> bool:
         return not (
-            self._counters or self._gauges or self._timers or self._hists
+            self._counters or self._gauges or self._hists
         )
 
 
@@ -210,7 +178,7 @@ def snapshot_delta(
 ) -> Dict[str, object]:
     """What changed between two snapshots of the same registry.
 
-    Counters and timer totals subtract; gauges and histograms report
+    Counters subtract; gauges and histograms report
     the ``after`` state (a gauge is a level, not a flow).  Metrics
     that did not move are omitted, so a point that never touched a
     subsystem carries no keys for it.
@@ -222,10 +190,6 @@ def snapshot_delta(
             continue
         if key.startswith("counter:"):
             delta[key] = value - (prev or 0)
-        elif key.startswith("timer:"):
-            count, total, tmin, tmax = value
-            pcount, ptotal = (prev[0], prev[1]) if prev else (0, 0.0)
-            delta[key] = [count - pcount, total - ptotal, tmin, tmax]
         else:
             delta[key] = value
     return delta

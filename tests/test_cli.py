@@ -143,6 +143,50 @@ class TestSweep:
             main(["sweep", "fig10"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lease-ttl", "0"),
+        ("--lease-ttl", "-1"),
+        ("--fabric-timeout", "0"),
+        ("--point-timeout", "0"),
+        ("--quarantine-after", "0"),
+    ])
+    def test_unusable_fabric_option_exits_2_before_spawn(
+        self, monkeypatch, flag, value
+    ):
+        """A worker could not honour these settings: the sweep must stop
+        at the command line, not spawn workers that loop or quarantine
+        every point unexecuted."""
+        import repro.fabric
+
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("a fabric executor was built")
+
+        monkeypatch.setattr(repro.fabric, "fabric_executor", no_spawn)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", "mesh-design-space", "--param", "mesh_size=2",
+                "--workers", "1", flag, value,
+            ])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lease-ttl", "0"),
+        ("--point-timeout", "0"),
+        ("--quarantine-after", "0"),
+    ])
+    def test_worker_rejects_unusable_option(
+        self, monkeypatch, tmp_path, flag, value
+    ):
+        import repro.fabric
+
+        def no_worker(*args, **kwargs):
+            raise AssertionError("the worker loop started")
+
+        monkeypatch.setattr(repro.fabric, "run_worker", no_worker)
+        with pytest.raises(SystemExit) as exc:
+            main(["worker", str(tmp_path), flag, value])
+        assert exc.value.code == 2
+
 
 class TestTopLevel:
     def test_no_subcommand_prints_help(self, capsys):

@@ -55,20 +55,17 @@ def _outcome(params=(), error="", duration=None, t_mono=None,
 
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_counter_gauge_timer_histogram(self):
+    def test_counter_gauge_histogram(self):
         reg = metrics.MetricsRegistry(enabled=True)
         reg.counter("a").inc()
         reg.counter("a").inc(4)
         reg.gauge("g").set(7)
-        reg.timer("t").observe(0.5)
-        reg.timer("t").observe(1.5)
         hist = reg.histogram("h", (1, 4, 8))
         for value in (0, 1, 2, 9):
             hist.observe(value)
         snap = reg.snapshot()
         assert snap["counter:a"] == 5
         assert snap["gauge:g"] == 7
-        assert snap["timer:t"] == [2, 2.0, 0.5, 1.5]
         assert snap["hist:h"] == [[1, 4, 8], [2, 1, 0, 1]]
 
     def test_snapshot_keys_sorted_and_json_stable(self):
@@ -95,17 +92,13 @@ class TestRegistry:
         reg = metrics.MetricsRegistry(enabled=True)
         reg.counter("c").inc(3)
         reg.gauge("g").set(10)
-        reg.timer("t").observe(1.0)
         before = reg.snapshot()
         reg.counter("c").inc(2)
         reg.gauge("g").set(4)
-        reg.timer("t").observe(3.0)
         after = reg.snapshot()
         delta = metrics.snapshot_delta(before, after)
         assert delta["counter:c"] == 2           # counters subtract
         assert delta["gauge:g"] == 4             # gauges report levels
-        assert delta["timer:t"][0] == 1          # observation count delta
-        assert delta["timer:t"][1] == pytest.approx(3.0)
 
     def test_snapshot_delta_omits_unchanged(self):
         reg = metrics.MetricsRegistry(enabled=True)

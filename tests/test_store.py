@@ -442,20 +442,29 @@ class TestCliSweepDurability:
 
 
 class TestCommittedBaseline:
-    def test_fresh_sweep_matches_committed_baseline(self, tmp_path):
-        """The regression-gate baseline in tests/baselines must track
+    @pytest.mark.parametrize("scenario_id", [
+        pytest.param("mesh-design-space", id="design-space"),
+        pytest.param("gals-mesh", id="gals-mesh"),
+        pytest.param("traffic-hotspot", id="hotspot"),
+        pytest.param("traffic-transpose", id="transpose"),
+        pytest.param("traffic-bit-complement", id="bit-complement"),
+    ])
+    def test_fresh_sweep_matches_committed_baseline(self, tmp_path,
+                                                    scenario_id):
+        """The regression-gate baselines in tests/baselines must track
         the code: when a change intentionally shifts sweep results,
         regenerate the baseline (see tests/baselines/README.md)."""
         from pathlib import Path
 
         from repro.runner import artifacts
 
-        baseline = (
-            Path(__file__).parent / "baselines" / "mesh-design-space"
+        baseline = Path(__file__).parent / "baselines" / scenario_id
+        requests = sweep.build_requests(
+            registry.get(scenario_id),
+            axes={"mesh_size": [2, 3]}, fixed={"cycles": 200},
         )
-        outcomes = engine.execute(_mesh_requests(sizes=(2, 3), cycles=200))
         fresh = tmp_path / "fresh"
-        artifacts.write_artifacts(outcomes, fresh)
+        artifacts.write_artifacts(engine.execute(requests), fresh)
         report = diff.diff_trees(baseline, fresh)
         assert not report.regressed, report.render()
         assert report.added == [] and report.row_deltas == []
