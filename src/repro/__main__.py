@@ -55,9 +55,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .analysis.report import format_table
 from .obs import metrics as obs_metrics
@@ -71,18 +72,71 @@ from .store import journal as store_journal
 # those subcommands, so ``run`` and ``list`` never pay for them.
 
 
-def _parse_tags(raw: Optional[str]) -> List[str]:
-    if not raw:
-        return []
-    return [t.strip() for t in raw.split(",") if t.strip()]
+# ----------------------------------------------------------------------
+# input checks: each kind of command-line input has one parser here
+# ----------------------------------------------------------------------
+def _checked(kind: type, rule: str, ok: Callable[[object], bool]):
+    """argparse ``type=``: a ``kind`` value that ``ok`` accepts.
+
+    A value ``kind`` cannot parse reads "invalid int value: 'x'" as
+    with a bare ``type=int``; one out of range reads "must be RULE".
+    The predicates are written so NaN fails them.
+    """
+    def parse(raw: str):
+        value = kind(raw)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {raw}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
 
 
-def _select(
-    parser: argparse.ArgumentParser,
-    ids: List[str],
-    tags: List[str],
+def _listed(item: Callable[[str], object]):
+    """argparse ``type=``: a comma list of ``item`` values, at least one
+    (blank entries are skipped)."""
+    def parse(raw: str) -> list:
+        values = [item(v) for v in raw.split(",") if v.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("needs at least one value")
+        return values
+
+    parse.__name__ = f"{item.__name__} list"
+    return parse
+
+
+_AT_LEAST_1 = _checked(int, ">= 1", lambda n: n >= 1)
+_AT_LEAST_0 = _checked(int, ">= 0", lambda n: n >= 0)
+_POSITIVE = _checked(float, "> 0 and finite", lambda x: 0 < x < math.inf)
+_NON_NEGATIVE = _checked(float, ">= 0", lambda x: x >= 0.0)
+_UNIT_RATE = _checked(float, "in [0, 1]", lambda x: 0.0 <= x <= 1.0)
+_BELOW_1 = _checked(float, "in [0, 1)", lambda x: 0.0 <= x < 1.0)
+
+
+class _Pairs(argparse.Action):
+    """A repeatable ``NAME=VALUE`` option, collected as ``{name: raw}``.
+
+    A value without ``=`` or a name given twice exits 2; the handler
+    coerces the values for the scenario it selected.
+    """
+
+    def __call__(self, parser, namespace, raw, option_string=None):
+        pairs = dict(getattr(namespace, self.dest) or {})
+        name, eq, value = raw.partition("=")
+        name = name.strip()
+        if not eq:
+            parser.error(f"{option_string} expects "
+                         f"{self.metavar.lower()}, got {raw!r}")
+        if name in pairs:
+            parser.error(f"{option_string} {name} given twice")
+        pairs[name] = value
+        setattr(namespace, self.dest, pairs)
+
+
+def _scenarios(
+    parser: argparse.ArgumentParser, ids: List[str]
 ) -> List[registry.Scenario]:
-    """Scenarios chosen by explicit ids and/or tag filter."""
+    """The registered scenarios ``ids`` name; exits 2 on an unknown id."""
     registry.load_builtin()
     known = set(registry.ids())
     unknown = [i for i in ids if i not in known]
@@ -91,15 +145,30 @@ def _select(
             f"unknown scenario(s) {unknown}; choose from "
             f"{', '.join(sorted(known))}"
         )
-    if ids:
-        selected = [registry.get(i) for i in ids]
-        if tags:
-            wanted = frozenset(tags)
-            selected = [sc for sc in selected if wanted <= sc.tags]
-        return selected
-    if tags:
-        return registry.find(tags=tags)
-    return registry.find(tags=("paper",))
+    return [registry.get(i) for i in ids]
+
+
+def _write(target: str, text: str, what: str) -> None:
+    """``text`` to stdout for ``-`` (machine output only, so stdout
+    stays parseable), else into file ``target`` with a note."""
+    if target == "-":
+        print(text, end="")
+    else:
+        Path(target).write_text(text, encoding="utf-8")
+        print(f"{what} written to {target}")
+
+
+def _select(
+    parser: argparse.ArgumentParser,
+    ids: List[str],
+    tags: List[str],
+) -> List[registry.Scenario]:
+    """Scenarios chosen by explicit ids and/or tag filter."""
+    selected = _scenarios(parser, ids)
+    if not ids:
+        return registry.find(tags=tags or ("paper",))
+    wanted = frozenset(tags)
+    return [sc for sc in selected if wanted <= sc.tags]
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +176,7 @@ def _select(
 # ----------------------------------------------------------------------
 def _cmd_list(args, parser) -> int:
     registry.load_builtin()
-    scenarios = registry.find(tags=_parse_tags(args.tags))
+    scenarios = registry.find(tags=args.tags or ())
     if args.verbose:
         return _list_verbose(scenarios)
     rows = []
@@ -204,11 +273,7 @@ def _list_verbose(scenarios) -> int:
 
 
 def _cmd_inspect(args, parser) -> int:
-    registry.load_builtin()
-    try:
-        sc = registry.get(args.scenario)
-    except registry.ScenarioError as exc:
-        parser.error(str(exc))
+    (sc,) = _scenarios(parser, [args.scenario])
     if not sc.has_design:
         with_design = [s.id for s in registry.all_scenarios()
                        if s.has_design]
@@ -216,16 +281,9 @@ def _cmd_inspect(args, parser) -> int:
             f"scenario {sc.id!r} exposes no design tree; scenarios "
             f"that do: {', '.join(with_design) or 'none'}"
         )
-    overrides = {}
-    for raw in args.set or []:
-        name, eq, value = raw.partition("=")
-        if not eq:
-            parser.error(f"--set expects name=value, got {raw!r}")
-        try:
-            overrides[name.strip()] = sc.param(name.strip()).coerce(value)
-        except registry.ScenarioError as exc:
-            parser.error(str(exc))
     try:
+        overrides = {name: sc.param(name).coerce(value)
+                     for name, value in (args.set or {}).items()}
         design = sc.design_for(overrides=overrides, fast=args.fast)
     except (registry.ScenarioError, ValueError) as exc:
         # covers DesignError (bad fault_paths) and config validation
@@ -317,36 +375,21 @@ def _cmd_lint(args, parser) -> int:
                 s.id for s in registry.all_scenarios() if s.has_design
             )
         )
-    ids = None
-    if not args.all:
-        known = set(registry.ids())
-        unknown = [i for i in args.scenarios if i not in known]
-        if unknown:
-            parser.error(
-                f"unknown scenario(s) {unknown}; choose from "
-                f"{', '.join(sorted(known))}"
-            )
-        ids = list(args.scenarios)
-    overrides = {}
-    for raw in args.set or []:
-        name, eq, value = raw.partition("=")
-        if not eq:
-            parser.error(f"--set expects name=value, got {raw!r}")
-        overrides[name.strip()] = value
-    if ids and overrides:
-        declared = set()
-        for sid in ids:
-            declared |= {spec.name for spec in registry.get(sid).params}
-        bogus = sorted(set(overrides) - declared)
-        if bogus:
-            parser.error(
-                f"--set {', '.join(bogus)}: no selected scenario "
-                f"declares such a parameter"
-            )
+    named = _scenarios(parser, args.scenarios)
+    selected = registry.all_scenarios() if args.all else named
+    overrides = args.set or {}
+    declared = {spec.name for sc in selected for spec in sc.params}
+    bogus = sorted(set(overrides) - declared)
+    if bogus:
+        parser.error(
+            f"--set {', '.join(bogus)}: no selected scenario "
+            f"declares such a parameter"
+        )
     waivers = _load_default_waivers(parser, args.waivers)
     try:
         reports = lint_pkg.lint_registry(
-            ids=ids, overrides=overrides or None,
+            ids=None if args.all else [sc.id for sc in selected],
+            overrides=overrides or None,
             fast=not args.full, waivers=waivers,
         )
     except (registry.ScenarioError, ValueError) as exc:
@@ -401,7 +444,7 @@ def _lint_preflight(args, parser, sc, fixed) -> int:
 
 
 def _cmd_run(args, parser) -> int:
-    scenarios = _select(parser, args.scenarios, _parse_tags(args.tags))
+    scenarios = _select(parser, args.scenarios, args.tags or [])
     if not scenarios:
         parser.error("selection matches no scenarios")
     skipped = [sc.id for sc in scenarios if args.fast and sc.fast_skip]
@@ -451,30 +494,12 @@ def _cmd_run(args, parser) -> int:
 
 def _sweep_grid(args, parser):
     """The swept scenario, its grid requests and its ``--set`` pins."""
-    registry.load_builtin()
+    (sc,) = _scenarios(parser, [args.scenario])
     try:
-        sc = registry.get(args.scenario)
-        axes = {}
-        for raw in args.param or []:
-            name, _, values = raw.partition("=")
-            if not _:
-                parser.error(f"--param expects name=v1,v2,... got {raw!r}")
-            name = name.strip()
-            if name in axes:
-                parser.error(
-                    f"--param {name} given twice; list every value in "
-                    f"one axis: --param {name}=v1,v2,..."
-                )
-            axes[name] = sweep.parse_axis(sc, name, values)
-        fixed = {}
-        for raw in args.set or []:
-            name, _, value = raw.partition("=")
-            if not _:
-                parser.error(f"--set expects name=value, got {raw!r}")
-            name = name.strip()
-            if name in fixed:
-                parser.error(f"--set {name} given twice")
-            fixed[name] = sc.param(name).coerce(value)
+        axes = {name: sweep.parse_axis(sc, name, values)
+                for name, values in (args.param or {}).items()}
+        fixed = {name: sc.param(name).coerce(value)
+                 for name, value in (args.set or {}).items()}
         requests = sweep.build_requests(
             sc, axes=axes or None, fixed=fixed or None, fast=args.fast
         )
@@ -483,20 +508,7 @@ def _sweep_grid(args, parser):
     return sc, requests, fixed
 
 
-def _check_fabric_options(args, parser) -> None:
-    """Reject fabric settings no worker could honour, before any spawns."""
-    if args.lease_ttl <= 0:
-        parser.error("--lease-ttl must be positive")
-    for name in ("fabric_timeout", "point_timeout"):
-        value = getattr(args, name, None)
-        if value is not None and value <= 0:
-            parser.error(f"--{name.replace('_', '-')} must be positive")
-    if args.quarantine_after is not None and args.quarantine_after < 1:
-        parser.error("--quarantine-after must be >= 1")
-
-
 def _cmd_sweep(args, parser) -> int:
-    _check_fabric_options(args, parser)
     if args.progress:
         # --progress implies telemetry: the display and the stream feed
         # from the same counters, and enable() exports REPRO_TELEMETRY
@@ -509,8 +521,6 @@ def _cmd_sweep(args, parser) -> int:
             return code
 
     fabric_mode = bool(args.fabric) or args.workers > 0
-    if args.workers < 0:
-        parser.error("--workers must be >= 0")
     if fabric_mode and args.jobs != 1:
         parser.error(
             "--jobs does not apply to fabric mode; use --workers N"
@@ -582,7 +592,6 @@ def _cmd_worker(args, parser) -> int:
     from .chaos import ChaosSpecError, parse_spec
     from .fabric import FabricError, run_worker
 
-    _check_fabric_options(args, parser)
     chaos = None
     if args.chaos:
         try:
@@ -621,33 +630,21 @@ def _cmd_fsck(args, parser) -> int:
     except FileNotFoundError as exc:
         parser.error(str(exc))
     if args.json is not None:
-        payload = json.dumps(report.to_json(), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)  # machine output only: keep stdout parseable
-        else:
-            Path(args.json).write_text(payload + "\n", encoding="utf-8")
-            print(f"fsck JSON written to {args.json}")
-            print(report.render())
-    else:
+        _write(args.json, json.dumps(report.to_json(), indent=2,
+                                     sort_keys=True) + "\n", "fsck JSON")
+    if args.json != "-":
         print(report.render())
     return 0 if report.ok else 1
 
 
 def _cmd_bench(args, parser) -> int:
-    from dataclasses import replace
-
     from . import bench as bench_mod
 
-    for flag in ("cycles", "repeats", "vcs"):
-        if getattr(args, flag) < 1:
-            parser.error(f"--{flag} must be >= 1")
-    if args.scale <= 0 or (args.suite == "noc" and args.scale != 1.0):
-        parser.error("--scale must be positive and does not apply to "
-                     "the noc suite (use --cycles)")
+    if args.suite == "noc" and args.scale != 1.0:
+        parser.error("--scale does not apply to the noc suite "
+                     "(use --cycles)")
     if args.suite not in ("noc", "all") and (args.mesh or args.rates):
         parser.error("--mesh/--rates only apply to the noc suite")
-    if not 0.0 <= args.tolerance < 1.0:
-        parser.error("--tolerance must be in [0, 1)")
     baseline = None
     if args.check:
         try:
@@ -657,37 +654,15 @@ def _cmd_bench(args, parser) -> int:
 
     # --fast shortens sizes only: best-of-N repeats absorb the
     # scheduler noise that dominates sub-second timings
-    shape = dict(pattern=args.pattern, n_vcs=args.vcs, kind=args.kind)
-    if args.routing:
-        # without --routing every point keeps its own routing
-        shape["routing"] = args.routing
     points = [
-        replace(p, **shape) if p.suite == "noc" else p
-        for p in bench_mod.default_points(
-            fast=args.fast, scale=args.scale, cycles=args.cycles
+        p for p in bench_mod.default_points(
+            fast=args.fast, scale=args.scale, cycles=args.cycles,
+            meshes=args.mesh or (), rates=args.rates or (),
+            pattern=args.pattern, n_vcs=args.vcs, kind=args.kind,
+            routing=args.routing,
         )
         if args.suite in (p.suite, "all")
     ]
-    if args.mesh or args.rates:
-        try:
-            meshes = [int(m) for m in (args.mesh or "4,8").split(",") if m]
-            rates = [
-                float(r) for r in (args.rates or "0.1").split(",") if r
-            ]
-        except ValueError as exc:
-            parser.error(f"bad --mesh/--rates value: {exc}")
-        if (not meshes or not rates or min(meshes) < 1
-                or not all(0.0 <= r <= 1.0 for r in rates)):
-            parser.error("--mesh needs sizes >= 1 and --rates values in "
-                         "[0, 1] flits/node/cycle")
-        grid = [
-            replace(points[0], mesh_size=mesh, injection_rate=rate,
-                    size=bench_mod.noc_cycles(args.cycles, mesh,
-                                              args.fast))
-            for mesh in meshes
-            for rate in rates
-        ]
-        points = grid + [p for p in points if p.suite != "noc"]
 
     def progress(record):
         speed = (
@@ -744,19 +719,11 @@ def _cmd_telemetry(args, parser) -> int:
             store_journal.JournalError, ValueError) as exc:
         parser.error(f"cannot read telemetry from {args.target}: {exc}")
     if args.json:
-        text = json.dumps(report.to_json(), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            Path(args.json).write_text(text + "\n", encoding="utf-8")
-            print(f"telemetry JSON written to {args.json}")
+        _write(args.json, json.dumps(report.to_json(), indent=2,
+                                     sort_keys=True) + "\n",
+               "telemetry JSON")
     if args.csv:
-        text = report.to_csv()
-        if args.csv == "-":
-            print(text, end="")
-        else:
-            Path(args.csv).write_text(text, encoding="utf-8")
-            print(f"telemetry CSV written to {args.csv}")
+        _write(args.csv, report.to_csv(), "telemetry CSV")
     if not args.json and not args.csv:
         print(report.render())
     return 0
@@ -803,6 +770,15 @@ def _cmd_history(args, parser) -> int:
     return 0
 
 
+#: subcommand name -> handler, called as ``handler(args, parser)``
+_COMMANDS = {
+    "list": _cmd_list, "inspect": _cmd_inspect, "lint": _cmd_lint,
+    "run": _cmd_run, "sweep": _cmd_sweep, "worker": _cmd_worker,
+    "fsck": _cmd_fsck, "telemetry": _cmd_telemetry, "diff": _cmd_diff,
+    "history": _cmd_history, "bench": _cmd_bench,
+}
+
+
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -815,7 +791,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p_list = sub.add_parser("list", help="show registered scenarios")
-    p_list.add_argument("--tags", help="comma-separated tag filter")
+    p_list.add_argument("--tags", type=_listed(str.strip),
+                        help="comma-separated tag filter")
     p_list.add_argument(
         "--verbose", action="store_true",
         help="print each scenario's full typed parameter spec "
@@ -836,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="omit port declarations from the tree",
     )
     p_inspect.add_argument(
-        "--set", action="append", metavar="NAME=VALUE",
+        "--set", action=_Pairs, metavar="NAME=VALUE",
         help="pin a scenario parameter (repeatable)",
     )
     p_inspect.add_argument(
@@ -864,7 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
              "tree are listed as skipped)",
     )
     p_lint.add_argument(
-        "--set", action="append", metavar="NAME=VALUE",
+        "--set", action=_Pairs, metavar="NAME=VALUE",
         help="pin a scenario parameter (repeatable; applied to every "
              "selected scenario that declares it)",
     )
@@ -894,12 +871,13 @@ def build_parser() -> argparse.ArgumentParser:
         "scenarios", nargs="*", metavar="SCENARIO",
         help="scenario ids (default: every paper-tagged scenario)",
     )
-    p_run.add_argument("--tags", help="comma-separated tag filter")
+    p_run.add_argument("--tags", type=_listed(str.strip),
+                       help="comma-separated tag filter")
     p_run.add_argument(
         "--fast", action="store_true",
         help="skip gate-level simulations (analytical results only)",
     )
-    p_run.add_argument("--jobs", type=int, default=1, metavar="N",
+    p_run.add_argument("--jobs", type=_AT_LEAST_1, default=1, metavar="N",
                        help="worker processes (default 1)")
     p_run.add_argument("--out", metavar="DIR",
                        help="write CSV+JSON artifacts into DIR")
@@ -909,16 +887,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("scenario", metavar="SCENARIO")
     p_sweep.add_argument(
-        "--param", action="append", metavar="NAME=V1,V2,...",
+        "--param", action=_Pairs, metavar="NAME=V1,V2,...",
         help="sweep axis (repeatable; default: the scenario's declared axes)",
     )
     p_sweep.add_argument(
-        "--set", action="append", metavar="NAME=VALUE",
+        "--set", action=_Pairs, metavar="NAME=VALUE",
         help="pin a parameter across every point (repeatable)",
     )
     p_sweep.add_argument("--fast", action="store_true",
                          help="apply fast-mode parameter overrides")
-    p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
+    p_sweep.add_argument("--jobs", type=_AT_LEAST_1, default=1, metavar="N",
                          help="worker processes (default 1)")
     p_sweep.add_argument("--out", metavar="DIR",
                          help="write CSV+JSON artifacts into DIR")
@@ -947,23 +925,23 @@ def build_parser() -> argparse.ArgumentParser:
              "artifacts stay byte-identical to --jobs 1",
     )
     p_sweep.add_argument(
-        "--workers", type=int, default=0, metavar="N",
+        "--workers", type=_AT_LEAST_0, default=0, metavar="N",
         help="spawn N local fabric worker processes (uses a private "
              "temporary fabric directory unless --fabric names one)",
     )
     p_sweep.add_argument(
-        "--lease-ttl", type=float, default=20.0, metavar="SEC",
+        "--lease-ttl", type=_POSITIVE, default=20.0, metavar="SEC",
         help="fabric lease heartbeat deadline; a worker silent this "
              "long forfeits its lease and the point is re-leased "
              "(default 20)",
     )
     p_sweep.add_argument(
-        "--fabric-timeout", type=float, default=None, metavar="SEC",
+        "--fabric-timeout", type=_POSITIVE, default=None, metavar="SEC",
         help="give up if the fabric sweep has not completed after SEC "
              "seconds (default: wait forever)",
     )
     p_sweep.add_argument(
-        "--point-timeout", type=float, default=None, metavar="SEC",
+        "--point-timeout", type=_POSITIVE, default=None, metavar="SEC",
         help="fabric mode: wall-clock budget per work item; a point "
              "that blows it journals as a structured 'point timeout' "
              "failure instead of wedging its worker (default: none)",
@@ -975,7 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
              "grid if any unwaived error-level finding exists",
     )
     p_sweep.add_argument(
-        "--quarantine-after", type=int, default=None, metavar="N",
+        "--quarantine-after", type=_AT_LEAST_1, default=None, metavar="N",
         help="fabric mode: a work item whose executor died N times is "
              "quarantined — recorded as a structured failure without "
              "another execution attempt (default 2)",
@@ -999,16 +977,16 @@ def build_parser() -> argparse.ArgumentParser:
              "reusing an id resumes that worker's journal segment",
     )
     p_worker.add_argument(
-        "--lease-ttl", type=float, default=20.0, metavar="SEC",
+        "--lease-ttl", type=_POSITIVE, default=20.0, metavar="SEC",
         help="lease deadline to claim and heartbeat with (default 20)",
     )
     p_worker.add_argument(
-        "--poll", type=float, default=0.5, metavar="SEC",
+        "--poll", type=_POSITIVE, default=0.5, metavar="SEC",
         help="idle poll interval while other workers hold all "
              "remaining leases (default 0.5)",
     )
     p_worker.add_argument(
-        "--plan-timeout", type=float, default=60.0, metavar="SEC",
+        "--plan-timeout", type=_POSITIVE, default=60.0, metavar="SEC",
         help="give up if no plan appears in DIR (default 60)",
     )
     p_worker.add_argument(
@@ -1017,16 +995,16 @@ def build_parser() -> argparse.ArgumentParser:
              "for the plan to complete",
     )
     p_worker.add_argument(
-        "--max-items", type=int, default=None, metavar="N",
+        "--max-items", type=_AT_LEAST_1, default=None, metavar="N",
         help="exit after executing N leased work items",
     )
     p_worker.add_argument(
-        "--point-timeout", type=float, default=None, metavar="SEC",
+        "--point-timeout", type=_POSITIVE, default=None, metavar="SEC",
         help="wall-clock budget per work item; exceeded points journal "
              "as structured 'point timeout' failures (default: none)",
     )
     p_worker.add_argument(
-        "--quarantine-after", type=int, default=2, metavar="N",
+        "--quarantine-after", type=_AT_LEAST_1, default=2, metavar="N",
         help="quarantine a work item after its lease record shows N "
              "dead executors (default 2)",
     )
@@ -1102,7 +1080,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("new", metavar="CURRENT",
                         help="artifact directory or summary.json")
     p_diff.add_argument(
-        "--drift-tolerance", type=float, default=None, metavar="REL",
+        "--drift-tolerance", type=_NON_NEGATIVE, default=None, metavar="REL",
         help="relative measured-value drift to tolerate per check "
              "(default: each check's own recorded tolerance)",
     )
@@ -1128,16 +1106,16 @@ def build_parser() -> argparse.ArgumentParser:
              "bare engine) (default noc)",
     )
     p_bench.add_argument(
-        "--scale", type=float, default=1.0, metavar="FRAC",
+        "--scale", type=_POSITIVE, default=1.0, metavar="FRAC",
         help="scale factor for the gate, compiled and sweep workload "
              "sizes (default 1.0; --fast caps it at 0.5)",
     )
     p_bench.add_argument(
-        "--mesh", metavar="N1,N2,...",
+        "--mesh", type=_listed(_AT_LEAST_1), metavar="N1,N2,...",
         help="mesh sizes to bench (default: the standard 4/8 points)",
     )
     p_bench.add_argument(
-        "--rates", metavar="R1,R2,...",
+        "--rates", type=_listed(_UNIT_RATE), metavar="R1,R2,...",
         help="injection rates, flits/node/cycle (with --mesh; default 0.1)",
     )
     p_bench.add_argument(
@@ -1151,13 +1129,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="routing for every noc point (default: each point's own; "
              "with --mesh, xy)",
     )
-    p_bench.add_argument("--vcs", type=int, default=1, metavar="N",
+    p_bench.add_argument("--vcs", type=_AT_LEAST_1, default=1, metavar="N",
                          help="virtual channels (default 1)")
     p_bench.add_argument("--kind", default="I3", choices=("I1", "I2", "I3"),
                          help="link implementation (default I3)")
-    p_bench.add_argument("--cycles", type=int, default=1500, metavar="N",
+    p_bench.add_argument("--cycles", type=_AT_LEAST_1, default=1500,
+                         metavar="N",
                          help="timed cycles per point (default 1500)")
-    p_bench.add_argument("--repeats", type=int, default=3, metavar="N",
+    p_bench.add_argument("--repeats", type=_AT_LEAST_1, default=3, metavar="N",
                          help="best-of-N timing repeats (default 3)")
     p_bench.add_argument(
         "--fast", action="store_true",
@@ -1183,7 +1162,7 @@ def build_parser() -> argparse.ArgumentParser:
              "sweep grid); exit 1 on any regression",
     )
     p_bench.add_argument(
-        "--tolerance", type=float, default=0.30, metavar="REL",
+        "--tolerance", type=_BELOW_1, default=0.30, metavar="REL",
         help="relative speedup regression tolerated by --check, in "
              "[0, 1) (default 0.30)",
     )
@@ -1196,29 +1175,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    if getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be >= 1")
-    if args.command == "bench":
-        return _cmd_bench(args, parser)
-    if args.command == "list":
-        return _cmd_list(args, parser)
-    if args.command == "inspect":
-        return _cmd_inspect(args, parser)
-    if args.command == "lint":
-        return _cmd_lint(args, parser)
-    if args.command == "run":
-        return _cmd_run(args, parser)
-    if args.command == "diff":
-        return _cmd_diff(args, parser)
-    if args.command == "history":
-        return _cmd_history(args, parser)
-    if args.command == "telemetry":
-        return _cmd_telemetry(args, parser)
-    if args.command == "worker":
-        return _cmd_worker(args, parser)
-    if args.command == "fsck":
-        return _cmd_fsck(args, parser)
-    return _cmd_sweep(args, parser)
+    return _COMMANDS[args.command](args, parser)
 
 
 if __name__ == "__main__":

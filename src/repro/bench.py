@@ -82,6 +82,11 @@ NOC_POINTS: Sequence[Tuple[int, float, str]] = (
     (8, 0.15, "west_first"),
 )
 
+#: a custom NoC grid's mesh sizes when it names only rates, and its
+#: rates when it names only mesh sizes (``repro bench --rates/--mesh``)
+GRID_MESHES: Sequence[int] = (4, 8)
+GRID_RATES: Sequence[float] = (0.1,)
+
 #: a side: builds its workload, returns ``(run, finish)``
 Side = Callable[[], Tuple[Callable[[], object], Callable[[object], tuple]]]
 
@@ -494,16 +499,28 @@ def noc_cycles(cycles: int, mesh_size: int, fast: bool) -> int:
 
 
 def default_points(fast: bool = False, scale: float = 1.0,
-                   cycles: Optional[int] = None) -> List[Point]:
+                   cycles: Optional[int] = None,
+                   meshes: Sequence[int] = (), rates: Sequence[float] = (),
+                   pattern: str = "uniform", n_vcs: int = 1,
+                   kind: str = "I3", routing: Optional[str] = None,
+                   ) -> List[Point]:
     """The standard points of every suite, in suite order.
 
     NoC points run ``cycles`` (default: the row's size) at each of
-    :data:`NOC_POINTS`; every other row's size is multiplied by
+    :data:`NOC_POINTS`, or, when ``meshes`` or ``rates`` is given, at
+    every mesh x rate pair of that grid (missing side:
+    :data:`GRID_MESHES` or :data:`GRID_RATES`) routed xy.  ``pattern``,
+    ``n_vcs`` and ``kind`` shape every NoC point, and so does
+    ``routing`` when given.  Every other row's size is multiplied by
     ``scale`` but kept at or above its minimum.  ``fast`` caps the two
     (:func:`noc_cycles`, :data:`FAST_SCALE`).
     """
     if fast:
         scale = min(scale, FAST_SCALE)
+    noc = NOC_POINTS
+    if meshes or rates:
+        noc = [(mesh, rate, "xy") for mesh in meshes or GRID_MESHES
+               for rate in rates or GRID_RATES]
     points: List[Point] = []
     for row in _ROWS:
         if row.suite != "noc":
@@ -513,8 +530,9 @@ def default_points(fast: bool = False, scale: float = 1.0,
         n = cycles or row.size
         points += [
             Point(row.suite, row.name, noc_cycles(n, mesh, fast),
-                  mesh_size=mesh, injection_rate=rate, routing=routing)
-            for mesh, rate, routing in NOC_POINTS
+                  mesh_size=mesh, injection_rate=rate, pattern=pattern,
+                  routing=routing or own, n_vcs=n_vcs, kind=kind)
+            for mesh, rate, own in noc
         ]
     return points
 

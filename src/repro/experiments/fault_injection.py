@@ -111,6 +111,12 @@ def build_design(
         )
     tech = resolve_tech(tech)
     mesh = MeshDesign(Topology(mesh_size, mesh_size))
+    n_links = mesh.topology.n_directed_links
+    if not (0 <= n_faults <= n_links):
+        raise ValueError(
+            f"n_faults must be in [0, {n_links}] (the {mesh_size}x"
+            f"{mesh_size} mesh's directed links), got {n_faults}"
+        )
     base = derive_link_params(tech, kind, freq_mhz)
     slow = degraded_params(base, rate_factor, latency_penalty)
     paths = (
@@ -206,9 +212,9 @@ def _point(
     fault_paths: str = "",
 ) -> ExperimentResult:
     # the structural view owns the fault sites (build_design resolves
-    # tech and validates rate_factor/latency_penalty for both entry
-    # points): links are addressed by instance path and the kernel hook
-    # reads the tree
+    # tech and validates n_faults/rate_factor/latency_penalty for both
+    # entry points): links are addressed by instance path and the
+    # kernel hook reads the tree
     mesh = build_design(
         tech=tech, mesh_size=mesh_size, n_faults=n_faults,
         rate_factor=rate_factor, latency_penalty=latency_penalty,

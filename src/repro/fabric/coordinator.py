@@ -232,6 +232,19 @@ def _salvage(
     return salvaged
 
 
+def _decode_result(record: Optional[Dict[str, object]]
+                   ) -> Optional[RunOutcome]:
+    """The outcome a published result record holds, or None for debris:
+    an unreadable record, one that fails its checksum, or parseable
+    JSON that is not a result record (an old writer's debris)."""
+    if record is None or codec.verify_hash(record) is False:
+        return None
+    try:
+        return codec.outcome_from_record(record)
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
 def run_fabric_sweep(
     fabric: Union[str, Path, FileTransport, None],
     scenario_id: str,
@@ -313,26 +326,13 @@ def run_fabric_sweep(
         while True:
             fresh = transport.result_indices() - by_index.keys()
             for index in sorted(fresh):
-                record = transport.read_result(index)
-                if (record is None
-                        or codec.verify_hash(record) is False):
-                    # the index is listed but its record is unreadable
-                    # or fails its checksum: torn/corrupt debris at the
-                    # result path.  Leaving it would wedge the sweep
-                    # (the scan would skip it forever while workers see
-                    # it as published) — discard so it is republished.
-                    if transport.discard_result(index):
-                        sweep.corrupt_results += 1
-                        if REGISTRY.enabled:
-                            REGISTRY.counter(
-                                "fabric.corrupt_results"
-                            ).inc()
-                    continue
-                try:
-                    outcome = codec.outcome_from_record(record)
-                except (KeyError, TypeError, ValueError):
-                    # parseable JSON, but not a result record (an old
-                    # writer's debris): same treatment
+                outcome = _decode_result(transport.read_result(index))
+                if outcome is None:
+                    # the index is listed but its record is torn or
+                    # corrupt debris at the result path.  Leaving it
+                    # would wedge the sweep (the scan would skip it
+                    # forever while workers see it as published) —
+                    # discard so it is republished.
                     if transport.discard_result(index):
                         sweep.corrupt_results += 1
                         if REGISTRY.enabled:

@@ -173,6 +173,8 @@ class TestSweep:
         ("--lease-ttl", "0"),
         ("--point-timeout", "0"),
         ("--quarantine-after", "0"),
+        ("--poll", "0"),
+        ("--plan-timeout", "0"),
     ])
     def test_worker_rejects_unusable_option(
         self, monkeypatch, tmp_path, flag, value
@@ -186,6 +188,18 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(["worker", str(tmp_path), flag, value])
         assert exc.value.code == 2
+
+
+class TestSetPins:
+    @pytest.mark.parametrize("command", ["inspect", "lint", "sweep"])
+    def test_repeated_set_name_exits_2(self, capsys, command):
+        """Every --set takes each name once: a repeat is a usage error,
+        not a silent last-one-wins."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "gals-mesh",
+                  "--set", "mesh_size=2", "--set", "mesh_size=3"])
+        assert exc.value.code == 2
+        assert "--set mesh_size given twice" in capsys.readouterr().err
 
 
 class TestTopLevel:

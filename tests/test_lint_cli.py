@@ -60,10 +60,22 @@ class TestLintCommand:
             main(["lint", "no-such-thing"])
         assert "unknown scenario" in capsys.readouterr().err
 
+    def test_unknown_scenario_rejected_under_all(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--all", "no-such-thing"])
+        assert exc.value.code == 2
+        assert "unknown scenario" in capsys.readouterr().err
+
     def test_unknown_set_param_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["lint", "gals-mesh", "--set", "bogus=1"])
         assert "bogus" in capsys.readouterr().err
+
+    def test_unknown_set_param_rejected_under_all(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "--all", "--set", "bogus=1"])
+        assert exc.value.code == 2
+        assert "--set bogus: no selected scenario" in capsys.readouterr().err
 
     def test_json_format_round_trips(self, capsys):
         assert main(["lint", "--all", "--format", "json",

@@ -106,6 +106,12 @@ class TestFaultInjection:
             registry.get("fault-injection").run(
                 overrides={"rate_factor": 0.0},
             )
+        # a 2x2 mesh has 8 directed links: n_faults must sample from them
+        for n_faults in (-1, 9):
+            with pytest.raises(ValueError, match="n_faults"):
+                registry.get("fault-injection").run(
+                    overrides={"mesh_size": 2, "n_faults": n_faults},
+                )
 
     def test_damage_costs_latency_under_xy_routing(self):
         """Deterministic XY routing cannot steer around the slow links,
