@@ -21,10 +21,11 @@ A row's builder returns a fast and a reference *side*.  A side builds
 its workload and returns ``(run, finish)``; only ``run()`` is timed (so
 the NoC build and the compile are outside the clock, the fabric's
 worker start-up inside), and ``finish(result)`` returns ``(work,
-fingerprint)``.  The rest is shared: best-of-N timing, the cross-check
-(``stats_match``: a fast kernel with wrong answers fails the bench),
-``speedup = lanes × reference_wall / fast_wall``, one JSON record, an
-untimed counter replay and :func:`gate`.
+fingerprint)``.  The rest is shared: best-of-N timing with the two
+sides taking turns, the cross-check (``stats_match``: a fast kernel
+with wrong answers fails the bench), ``speedup = lanes ×
+reference_wall / fast_wall``, one JSON record, an untimed counter
+replay and :func:`gate`.
 
 :func:`gate` compares the *speedup ratio* against a committed
 baseline, not absolute throughput: the ratio of two kernels timed on
@@ -73,6 +74,13 @@ SCHEMA = 5
 #: committed baseline was recorded at
 FAST_CYCLES = 300
 FAST_SCALE = 0.5
+
+#: least wall time a row's timing spends per ``--repeats``.  The two
+#: sides take turns, run by run, so both see the same drift of a shared
+#: host's speed, and a short row runs until the best of many runs is
+#: stable (timed one side after the other, best of five runs each, a
+#: ~10 ms row's speedup swung by up to 2x on a 2-vCPU host)
+ROUND_S = 0.1
 
 #: the NoC suite's (mesh_size, injection_rate, routing) points — the
 #: nominal 4x4 point, the 8x8 low-load and saturation gates from the
@@ -547,10 +555,20 @@ def _measure(side: Side) -> Tuple[float, int, object]:
     return wall, work, fingerprint
 
 
-def _best(side: Side, repeats: int) -> Tuple[float, int, object]:
-    """The fastest of ``repeats`` runs of ``side``."""
-    return min((_measure(side) for _ in range(repeats)),
-               key=lambda measured: measured[0])
+def _best(sides: Sequence[Side],
+          repeats: int) -> List[Tuple[float, int, object]]:
+    """The fastest run of each of ``sides``.  The sides take turns, one
+    run each, until every side ran ``repeats`` times and ``repeats`` x
+    :data:`ROUND_S` of wall time has passed."""
+    best: List[Tuple[float, int, object]] = []
+    deadline = time.monotonic() + repeats * ROUND_S
+    turns = 0
+    while turns < repeats or time.monotonic() < deadline:
+        runs = [_measure(side) for side in sides]
+        best = runs if not best else [min(pair, key=lambda m: m[0])
+                                      for pair in zip(best, runs)]
+        turns += 1
+    return best
 
 
 def _sig(value: Optional[float]) -> Optional[float]:
@@ -560,9 +578,9 @@ def _sig(value: Optional[float]) -> Optional[float]:
 
 def run_point(point: Point, reference: bool = True,
               repeats: int = 3) -> Dict[str, object]:
-    """Time ``point``'s fast side (and its reference side), best of
-    ``repeats`` each, cross-check their fingerprints and return the
-    point's JSON record.
+    """Time ``point``'s fast side (and its reference side), best of at
+    least ``repeats`` runs each (:func:`_best`), cross-check their
+    fingerprints and return the point's JSON record.
 
     ``rate`` is the fast side's ``lanes * work / wall_s`` in ``unit``
     and ``speedup`` is ``lanes * reference_wall_s / wall_s``; the
@@ -570,11 +588,11 @@ def run_point(point: Point, reference: bool = True,
     keeps 4 significant figures.
     """
     row = _row(point)
-    fast, slow = row.build(point)
-    wall, work, fingerprint = _best(fast, repeats)
+    best = _best(row.build(point)[:2 if reference else 1], repeats)
+    wall, work, fingerprint = best[0]
     ref_wall = speedup = stats_match = None
     if reference:
-        ref_wall, _work, ref_fingerprint = _best(slow, repeats)
+        ref_wall, _work, ref_fingerprint = best[1]
         speedup = row.lanes * ref_wall / wall
         stats_match = fingerprint == ref_fingerprint
     record: Dict[str, object] = {

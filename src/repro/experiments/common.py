@@ -154,6 +154,14 @@ CYCLES = ParamSpec("cycles", int, 800, help="traffic cycles before drain")
 SEED = ParamSpec("seed", int, 2008)
 
 
+def noc_cost(params: Dict[str, object]) -> float:
+    """The NoC scenarios' ``cost`` hook: offered flit-hops of one point,
+    nodes x cycles x injection rate x mesh_size, the last factor
+    standing in for the mean hop count."""
+    size = params["mesh_size"]
+    return size * size * params["cycles"] * params["injection_rate"] * size
+
+
 def noc_cells(point: Dict[str, float]) -> List[str]:
     """The accepted-throughput, mean- and p99-latency table cells of one
     ``run_mesh_point`` result."""

@@ -40,7 +40,7 @@ from ..runner.registry import ParamSpec, scenario
 from ..tech.technology import Technology
 from .common import (
     CYCLES, FREQ_MHZ, INJECTION_RATE, KIND, MESH_SIZE, SEED,
-    ExperimentResult, noc_cells, noc_checks, resolve_tech,
+    ExperimentResult, noc_cells, noc_checks, noc_cost, resolve_tech,
 )
 
 
@@ -189,6 +189,7 @@ def _batch(tech: Optional[Technology] = None,
     # sweep, and a larger group saves one healthy run per group it
     # absorbs at the cost of longer serial items
     batch_lanes=4,
+    cost=noc_cost,
 )
 def run(tech: Optional[Technology] = None, **params) -> ExperimentResult:
     """One campaign point; parameters and defaults as :func:`_point`."""

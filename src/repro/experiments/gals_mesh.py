@@ -38,7 +38,7 @@ from ..runner.registry import ParamSpec, scenario
 from ..tech.technology import Technology
 from .common import (
     CYCLES, INJECTION_RATE, KIND, MESH_SIZE, SEED,
-    ExperimentResult, noc_cells, noc_checks, resolve_tech,
+    ExperimentResult, noc_cells, noc_checks, noc_cost, resolve_tech,
 )
 
 
@@ -106,6 +106,7 @@ def build_design(
     ),
     fast_params={"cycles": 200},
     design=build_design,
+    cost=noc_cost,
 )
 def run(
     tech: Optional[Technology] = None,

@@ -35,7 +35,7 @@ from ..runner.registry import ParamSpec, scenario
 from ..tech.technology import Technology
 from .common import (
     CYCLES, FREQ_MHZ, INJECTION_RATE, KIND, MESH_SIZE, SEED,
-    ExperimentResult, noc_cells, noc_checks, resolve_tech,
+    ExperimentResult, noc_cells, noc_checks, noc_cost, resolve_tech,
 )
 
 
@@ -87,6 +87,7 @@ def describe(mesh_size: int, kind: str, pattern: str,
                            "hotspot", "neighbor")),
         SEED,
     ),
+    cost=noc_cost,
 )
 def run(
     tech: Optional[Technology] = None,

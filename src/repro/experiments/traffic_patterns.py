@@ -33,7 +33,7 @@ from ..runner.registry import ParamSpec, scenario
 from ..tech.technology import Technology
 from .common import (
     CYCLES, FREQ_MHZ, INJECTION_RATE, KIND, MESH_SIZE, SEED,
-    ExperimentResult, noc_cells, noc_checks,
+    ExperimentResult, noc_cells, noc_checks, noc_cost,
 )
 from .mesh_design_space import describe, mesh_point
 
@@ -76,6 +76,7 @@ def _register(scenario_id: str, pattern: str, title: str,
         params=(MESH_SIZE, INJECTION_RATE, KIND, FREQ_MHZ, CYCLES, SEED)
         + extra,
         fast_params={"cycles": 200},
+        cost=noc_cost,
     )
     def run(
         tech: Optional[Technology] = None,

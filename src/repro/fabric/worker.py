@@ -1,7 +1,8 @@
 """The fabric worker loop: claim a lease, execute, publish, repeat.
 
 A worker attaches to a fabric directory, waits for the coordinator's
-plan, then scans for work items whose results are not yet published.
+plan, then scans for work items whose results are not yet published,
+costliest first (:func:`repro.runner.engine.dispatch_order`).
 For each one it wins a lease on, it executes the item through the
 ordinary sweep engine — a batch-packed item runs through the compiled
 backend's lane packing exactly as ``--jobs 1`` would — while a
@@ -314,6 +315,14 @@ def run_worker(
     stats.scenario = scenario_id
     requests = decode_requests(plan)
     items: List[dict] = list(plan["items"])
+    groups = [[requests[idx] for idx in item["indices"]] for item in items]
+    works: List[engine.WorkItem] = [
+        ("batch", group) if item["kind"] == "batch" else ("one", group[0])
+        for item, group in zip(items, groups)
+    ]
+    # claims scan the items costliest first, the order the pool
+    # dispatches in; the plan itself keeps grid order
+    claim_order = engine.dispatch_order(works)
 
     journal, telemetry = _open_segments(
         transport, wid, scenario_id, fingerprint
@@ -330,8 +339,8 @@ def run_worker(
             heartbeat()
             published = transport.result_indices()
             missing = [
-                i for i, item in enumerate(items)
-                if any(idx not in published for idx in item["indices"])
+                i for i in claim_order
+                if any(idx not in published for idx in items[i]["indices"])
             ]
             if not missing:
                 break
@@ -365,11 +374,7 @@ def run_worker(
                     REGISTRY.counter("fabric.items_claimed").inc()
                     if lease.attempt > 1:
                         REGISTRY.counter("fabric.takeovers").inc()
-                group = [requests[idx] for idx in item["indices"]]
-                work = (
-                    ("batch", group) if item["kind"] == "batch"
-                    else ("one", group[0])
-                )
+                group, work = groups[index], works[index]
                 renewer: Optional[_LeaseRenewer] = None
                 die_pending = False
                 if lease.attempt > quarantine_after:

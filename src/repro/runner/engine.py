@@ -242,6 +242,39 @@ def plan_items(requests: Sequence[RunRequest]) -> list[WorkItem]:
     return items
 
 
+def _request_cost(request: RunRequest) -> float:
+    """The scenario's work estimate of one request: 0 without a
+    ``cost`` hook, for a value not > 0, and when the lookup, parameter
+    resolution or the hook raises (the point then fails in its own
+    outcome when it runs)."""
+    try:
+        sc = registry.get(request.scenario_id)
+        if sc.cost is None:
+            return 0.0
+        value = float(sc.cost(
+            sc.resolve_params(request.params_dict(), fast=request.fast)
+        ))
+    except Exception:
+        return 0.0
+    return value if value > 0 else 0.0
+
+
+def dispatch_order(items: Sequence[WorkItem]) -> list[int]:
+    """Plan positions of ``items``, costliest first.
+
+    An item's cost is the sum of its members' estimates.  Starting the
+    longest items first (LPT list scheduling) keeps the last item from
+    running alone while the other workers idle.  The sort is stable, so
+    ties, and items of scenarios without a ``cost`` hook, keep their
+    grid order.
+    """
+    costs = []
+    for kind, payload in items:
+        members = [payload] if kind == "one" else payload
+        costs.append(sum(_request_cost(r) for r in members))
+    return sorted(range(len(items)), key=lambda i: -costs[i])
+
+
 def _pool_context() -> multiprocessing.context.BaseContext:
     # fork (where available) spares workers the re-import of the whole
     # package and keeps sys.path handling out of the picture
@@ -276,6 +309,11 @@ def execute(
     differ only in the batch axis packed into one call (up to
     ``batch_lanes`` per group); results unpack per-request, so stores
     and journals see exactly the outcomes a solo sweep would produce.
+
+    Dispatch order: ``jobs == 1`` runs the items in grid order.  The
+    pool is fed in :func:`dispatch_order`, costliest item first by the
+    scenarios' ``cost`` estimates (grid order among ties and for
+    scenarios without one); only the order work starts in changes.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -296,7 +334,8 @@ def execute(
     ordered: list[Optional[list[RunOutcome]]] = [None] * len(items)
     with ctx.Pool(processes=min(jobs, len(items))) as pool:
         for index, group in pool.imap_unordered(
-            _execute_indexed, list(enumerate(items))
+            _execute_indexed,
+            [(i, items[i]) for i in dispatch_order(items)],
         ):
             ordered[index] = group
             for outcome in group:

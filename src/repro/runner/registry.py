@@ -119,6 +119,13 @@ class Scenario:
     #: maximum requests per batched call (compiled backends: the lanes
     #: one word holds; otherwise the group the hook shares work over)
     batch_lanes: int = 64
+    #: optional work estimate ``cost(params) -> float`` of one point,
+    #: given its resolved parameters (fast-mode overrides applied).  It
+    #: only orders work: pools and fabric workers start the costliest
+    #: items first, while outcomes, journals and artifacts keep grid
+    #: order.  Only ratios between points matter; a missing hook, a
+    #: value that is not > 0 or a raising hook counts as 0
+    cost: Optional[Callable[[Dict[str, object]], float]] = None
 
     def param(self, name: str) -> ParamSpec:
         for spec in self.params:
@@ -193,6 +200,7 @@ def scenario(
     batch: Optional[Callable[..., object]] = None,
     batch_axis: str = "seed",
     batch_lanes: int = 64,
+    cost: Optional[Callable[[Dict[str, object]], float]] = None,
 ) -> Callable[[Callable], Callable]:
     """Register the decorated function as a scenario; returns it unchanged."""
 
@@ -224,6 +232,7 @@ def scenario(
             batch=batch,
             batch_axis=batch_axis,
             batch_lanes=batch_lanes,
+            cost=cost,
         )
         return func
 

@@ -5,6 +5,7 @@ gating plumbing of every suite; timing stability is the CI bench
 job's business.
 """
 
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -63,6 +64,13 @@ def floor_document(*points):
             for suite, workload, speedup in points
         ],
     }
+
+
+@pytest.fixture(autouse=True)
+def no_round_time(monkeypatch):
+    """Run each side exactly ``repeats`` times: these tests check the
+    plumbing, not the timing, so they spend no :data:`bench.ROUND_S`."""
+    monkeypatch.setattr(bench, "ROUND_S", 0.0)
 
 
 class TestEverySuite:
@@ -128,6 +136,26 @@ class TestBenchHarness:
         )
         assert record["stats_match"] is True
         assert counters(point)["noc.flits_delivered"] > 0
+
+    def test_sides_take_turns_until_round_time_passed(self, monkeypatch):
+        """Each side runs once per turn, and turns go on past
+        ``repeats`` until ``repeats`` x ``ROUND_S`` of wall time passed."""
+        calls = []
+
+        def side(tag):
+            def build():
+                calls.append(tag)
+                return (lambda: None), (lambda _result: (1, tag))
+            return build
+
+        monkeypatch.setattr(bench, "ROUND_S", 2.5)
+        clock = itertools.count()  # one second per reading
+        monkeypatch.setattr(bench.time, "monotonic", lambda: next(clock))
+        best = bench._best([side("fast"), side("ref")], repeats=1)
+        # deadline 2.5: turns start at t = 0 (repeats), 1 and 2
+        assert calls == ["fast", "ref"] * 3
+        assert [fingerprint for _w, _n, fingerprint in best] == \
+            ["fast", "ref"]
 
     def test_point_key_stable(self):
         assert noc_point(4, 0.1).key == "4x4@0.1/uniform/xy/vc1/I3"

@@ -30,7 +30,7 @@ from repro.fabric import (
 from repro.fabric.coordinator import _worker_env
 from repro.fabric.transport import item_id
 from repro.obs import analyze as obs_analyze
-from repro.runner import engine, registry
+from repro.runner import engine, registry, sweep
 from repro.store import codec
 from repro.store import journal as journal_mod
 from repro.store.journal import Journal
@@ -314,6 +314,25 @@ class TestFabricSweep:
         assert result.expired_leases == 1
         assert _canonical(result.outcomes) == _canonical(outcomes)
         assert transport.lease(item_id(0)) is None
+
+    def test_worker_claims_the_costliest_item_first(self, tmp_path):
+        # three batch items in grid order 2x2, 4x4, 3x3; the plan keeps
+        # that order, the worker's first claim is the 4x4 group
+        requests = sweep.build_requests(
+            registry.get("fault-injection"),
+            axes={"mesh_size": [2, 4, 3], "n_faults": [0, 1]},
+            fixed={"cycles": 200},
+        )
+        transport = FileTransport(tmp_path)
+        plan = plan_fabric(transport, "fault-injection", requests)
+        assert [item["indices"] for item in plan["items"]] == [
+            [0, 1], [2, 3], [4, 5],
+        ]
+        stats = run_worker(
+            transport, worker_id="wk-lpt", max_items=1, lease_ttl=10.0
+        )
+        assert stats.claimed == 1
+        assert transport.result_indices() == {2, 3}
 
     def test_duplicate_execution_publishes_once(self, tmp_path):
         # one batch item covering indices 0-3; index 0 was already

@@ -161,9 +161,11 @@ class TestKernelsNoOpWhenDisabled:
         assert count == 200
         assert metrics.REGISTRY.is_empty()
 
-    def test_noc_kernel(self):
+    def test_noc_kernel(self, monkeypatch):
+        from repro import bench
         from repro.bench import Point, run_point
 
+        monkeypatch.setattr(bench, "ROUND_S", 0.0)  # one run is enough
         point = Point("noc", "mesh", 40, mesh_size=2, injection_rate=0.2)
         run_point(point, reference=False, repeats=1)
         assert metrics.REGISTRY.is_empty()

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from repro.experiments import fig12
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, noc_cost
 from repro.runner import artifacts, engine, registry, sweep
 from repro.runner.registry import ParamSpec, ScenarioError, scenario
 
@@ -290,6 +290,138 @@ class TestPlanItems:
         })
         items = engine.plan_items(requests)
         assert [kind for kind, _ in items] == ["one"] * len(requests)
+
+
+def _weight(params):
+    if params["w"] < 0:
+        raise ValueError("negative weight")
+    return params["w"]
+
+
+@pytest.fixture
+def weighted():
+    """``weighted-test``: its cost hook returns the ``w`` parameter; a
+    negative ``w`` makes both the hook and the point raise.  A point
+    returns its start time and then sleeps ``pause`` seconds."""
+
+    def _batch(tech=None, param_sets=()):
+        return [_run(**params) for params in param_sets]
+
+    @scenario(
+        "weighted-test",
+        description="no-op point with a declared work estimate",
+        params=(
+            ParamSpec("w", float, 1.0),
+            ParamSpec("pause", float, 0.0),
+            ParamSpec("seed", int, 0),
+        ),
+        batch=_batch,
+        cost=_weight,
+    )
+    def _run(tech=None, w=1.0, pause=0.0, seed=0):
+        start = time.monotonic()
+        _weight({"w": w})
+        time.sleep(pause)
+        return ExperimentResult("weighted", "", ("start",), [[start]])
+
+    yield lambda **params: engine.RunRequest.create("weighted-test", params)
+    registry.unregister("weighted-test")
+
+
+class TestDispatchOrder:
+    """Pools and fabric workers start the costliest work item first;
+    outcomes keep request order."""
+
+    def test_sorts_by_descending_estimate(self, weighted):
+        items = [("one", weighted(w=w)) for w in (1, 5, 3, 4)]
+        assert engine.dispatch_order(items) == [1, 3, 2, 0]
+
+    def test_ties_and_unestimated_items_keep_grid_order(self, weighted):
+        items = [
+            ("one", engine.RunRequest.create("table1")),
+            ("one", weighted(w=2)),
+            ("one", weighted(w=0)),
+            ("one", engine.RunRequest.create("fig12")),
+            ("one", weighted(w=2)),
+        ]
+        assert engine.dispatch_order(items) == [1, 4, 0, 2, 3]
+
+    def test_scenarios_without_a_hook_dispatch_in_grid_order(self):
+        ids = ("fig12", "table1", "fig10", "table2")
+        assert all(registry.get(i).cost is None for i in ids)
+        items = [("one", engine.RunRequest.create(i)) for i in ids]
+        assert engine.dispatch_order(items) == [0, 1, 2, 3]
+
+    def test_batch_item_counts_the_sum_of_its_members(self, weighted):
+        items = [
+            ("one", weighted(w=5)),
+            ("batch", [weighted(w=2, seed=s) for s in range(3)]),
+        ]
+        assert engine.dispatch_order(items) == [1, 0]
+
+    def test_raising_hook_sorts_as_zero_and_point_fails_alone(
+            self, weighted):
+        requests = [weighted(w=-1), weighted(w=0), weighted(w=1)]
+        items = [("one", r) for r in requests]
+        assert engine.dispatch_order(items) == [2, 0, 1]
+        outcomes = engine.execute(requests, jobs=2)
+        assert [o.request for o in outcomes] == requests
+        assert "negative weight" in outcomes[0].error
+        assert outcomes[1].ok and outcomes[2].ok
+
+    def test_unresolvable_request_sorts_as_zero(self, weighted):
+        bogus = engine.RunRequest("weighted-test", (("bogus", 1),))
+        unknown = engine.RunRequest("no-such-scenario")
+        items = [("one", bogus), ("one", unknown), ("one", weighted(w=1))]
+        assert engine.dispatch_order(items) == [2, 0, 1]
+
+    def test_hook_sees_fast_mode_params(self):
+        """``--fast`` runs the traffic scenarios at 200 cycles, so a
+        fast 3x3 point (27 nodes x 200 x 3 hops) costs less than a full
+        2x2 one (8 x 800 x 2)."""
+        fast = engine.RunRequest.create(
+            "gals-mesh", {"mesh_size": 3}, fast=True
+        )
+        full = engine.RunRequest.create("gals-mesh", {"mesh_size": 2})
+        assert engine.dispatch_order([("one", fast), ("one", full)]) == [
+            1, 0,
+        ]
+
+    def test_noc_scenarios_declare_offered_flit_hops(self):
+        for sid in ("mesh-design-space", "traffic-hotspot",
+                    "traffic-transpose", "traffic-bit-complement",
+                    "gals-mesh", "fault-injection"):
+            assert registry.get(sid).cost is noc_cost, sid
+        params = {"mesh_size": 4, "cycles": 800, "injection_rate": 0.1}
+        assert noc_cost(params) == pytest.approx(16 * 800 * 0.1 * 4)
+
+    def test_fault_injection_plan_starts_the_largest_group(self):
+        requests = sweep.build_requests(
+            registry.get("fault-injection"),
+            axes={"mesh_size": [4, 8, 6],
+                  "injection_rate": [0.15, 0.05],
+                  "n_faults": [0, 1, 3, 6]},
+            fixed={"cycles": 200},
+        )
+        items = engine.plan_items(requests)
+        order = engine.dispatch_order(items)
+        first = items[order[0]][1][0].params_dict()
+        assert (first["mesh_size"], first["injection_rate"]) == (8, 0.15)
+        last = items[order[-1]][1][0].params_dict()
+        assert (last["mesh_size"], last["injection_rate"]) == (4, 0.05)
+
+    def test_pool_starts_costliest_first_and_keeps_request_order(
+            self, weighted):
+        requests = [weighted(w=w, pause=0.2) for w in (1, 2, 3, 4)]
+        seen = []
+        outcomes = engine.execute(requests, jobs=2, on_outcome=seen.append)
+        assert [o.request for o in outcomes] == requests
+        assert Counter(o.request for o in seen) == Counter(requests)
+        assert all(o.ok for o in outcomes)
+        by_start = sorted(outcomes, key=lambda o: o.result.rows[0][0])
+        assert {o.request.params_dict()["w"] for o in by_start[:2]} == {
+            3.0, 4.0,
+        }
 
 
 class TestPointSlug:
