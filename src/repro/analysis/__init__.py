@@ -15,11 +15,9 @@ Each module maps to part of the paper's Section V:
 
 from .timing import (
     ThroughputEstimate,
-    link_upper_bound_mflits,
     per_transfer_cycle_delay,
     per_word_cycle_delay,
     scaled_word_timings,
-    sync_link_throughput,
 )
 from .wires import (
     WireCountPoint,
@@ -44,16 +42,13 @@ from .power import (
     power_breakdown,
     power_saving_percent,
 )
-from .cost import MeshCost, mesh_cost, mesh_cost_comparison
-from .report import format_series, format_table, relative_error, within
+from .report import format_table, relative_error
 
 __all__ = [
     "ThroughputEstimate",
-    "link_upper_bound_mflits",
     "per_transfer_cycle_delay",
     "per_word_cycle_delay",
     "scaled_word_timings",
-    "sync_link_throughput",
     "WireCountPoint",
     "async_wires_needed",
     "fig10_series",
@@ -71,11 +66,6 @@ __all__ = [
     "measure_link_activity",
     "power_breakdown",
     "power_saving_percent",
-    "MeshCost",
-    "mesh_cost",
-    "mesh_cost_comparison",
-    "format_series",
     "format_table",
     "relative_error",
-    "within",
 ]

@@ -144,12 +144,6 @@ class ActivityReport:
             return 0.0
         return self.switched_by_group.get(group, 0.0) / self.flits
 
-    @property
-    def total_per_flit(self) -> float:
-        if self.flits == 0:
-            return 0.0
-        return sum(self.switched_by_group.values()) / self.flits
-
 
 def measure_link_activity(
     kind: str,
@@ -238,23 +232,3 @@ def activity_by_instance(
             ("", 0, "-", len(leftovers), transitions, switched)
         )
     return rows
-
-
-def subtree_activity(rows: list) -> dict:
-    """Roll :func:`activity_by_instance` rows up into subtree totals.
-
-    Returns ``{path: (transitions, switched_fj)}`` where every
-    instance's total includes all of its descendants.
-    """
-    totals = {path: [0, 0.0] for path, *_rest in rows}
-    for path, _depth, _cls, _nets, transitions, switched in rows:
-        candidate = path
-        while True:
-            if candidate in totals:
-                totals[candidate][0] += transitions
-                totals[candidate][1] += switched
-            cut = candidate.rfind(".")
-            if cut < 0:
-                break
-            candidate = candidate[:cut]
-    return {path: (t, s) for path, (t, s) in totals.items()}

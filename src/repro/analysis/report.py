@@ -8,7 +8,7 @@ headless).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 def format_table(
@@ -29,23 +29,6 @@ def format_table(
     lines.append("  ".join("-" * w for w in widths))
     for row in str_rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def format_series(
-    series: Mapping[str, Sequence[tuple[object, object]]],
-    x_label: str,
-    y_label: str,
-    title: Optional[str] = None,
-) -> str:
-    """Aligned multi-series dump: one block per curve."""
-    lines = []
-    if title:
-        lines.append(title)
-    for label, points in series.items():
-        lines.append(f"[{label}]")
-        for x, y in points:
-            lines.append(f"  {x_label}={_fmt(x):>10}  {y_label}={_fmt(y)}")
     return "\n".join(lines)
 
 
@@ -125,8 +108,3 @@ def relative_error(measured: float, reference: float) -> float:
     if reference == 0:
         raise ValueError("reference value must be non-zero")
     return (measured - reference) / reference
-
-
-def within(measured: float, reference: float, tolerance: float) -> bool:
-    """True if ``measured`` is within ``tolerance`` (fraction) of reference."""
-    return abs(relative_error(measured, reference)) <= tolerance

@@ -113,42 +113,6 @@ def per_word_cycle_delay(
     return ThroughputEstimate(delay, 1e6 / delay)
 
 
-def sync_link_throughput(freq_mhz: float) -> ThroughputEstimate:
-    """I1 accepts one flit per switch clock: throughput = f."""
-    if freq_mhz <= 0:
-        raise ValueError(f"frequency must be positive: {freq_mhz}")
-    period_ps = 1e6 / freq_mhz
-    return ThroughputEstimate(period_ps, freq_mhz)
-
-
-def link_upper_bound_mflits(
-    tech: Technology,
-    kind: str,
-    freq_mhz: float,
-    n_slices: int = 4,
-    n_buffers: int = 4,
-) -> float:
-    """Deliverable throughput of a link *behind a switch at* ``freq_mhz``.
-
-    The switch injects at most one flit per clock, so the serial links
-    saturate at ``min(f, serial ceiling)``.
-    """
-    kind = kind.upper()
-    if kind == "I1":
-        return sync_link_throughput(freq_mhz).mflits
-    if kind == "I2":
-        ceiling = per_transfer_cycle_delay(
-            tech.handshake, n_slices, n_buffers
-        ).mflits
-    elif kind == "I3":
-        ceiling = per_word_cycle_delay(
-            tech.handshake, n_slices, n_buffers
-        ).mflits
-    else:
-        raise ValueError(f"unknown link kind {kind!r}")
-    return min(freq_mhz, ceiling)
-
-
 # ----------------------------------------------------------------------
 # tree-walking timing (hierarchy API)
 # ----------------------------------------------------------------------
@@ -198,5 +162,5 @@ def link_timing_from_tree(link, tech: Technology) -> ThroughputEstimate:
         )
     raise ValueError(
         f"{getattr(link, 'name', link)!r} has no serializer: the "
-        "synchronous link is clock-bound (use sync_link_throughput)"
+        "synchronous link is clock-bound, one flit per switch clock"
     )

@@ -16,7 +16,7 @@ Public surface:
 See README "Design API" for a build→connect→elaborate walkthrough.
 """
 
-from .component import Component, DesignError, Port, connect_many
+from .component import Component, DesignError, Port
 from .design import Design, owner_path
 
 # The library/mesh layers wrap repro.link and repro.noc, which in turn
@@ -48,7 +48,6 @@ __all__ = [
     "Component",
     "DesignError",
     "Port",
-    "connect_many",
     "Design",
     "owner_path",
     "LinkBench",

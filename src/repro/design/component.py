@@ -40,7 +40,7 @@ adopts them (:meth:`Component.adopt`).
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class DesignError(ValueError):
@@ -266,12 +266,6 @@ class Component:
     def ports(self) -> Dict[str, Port]:
         """Declared ports by name (insertion order preserved)."""
         return dict(self._ports)
-
-    def root(self) -> "Component":
-        node = self
-        while node.parent is not None:
-            node = node.parent
-        return node
 
     def add(self, leaf: str, child: "Component") -> "Component":
         """Register ``child`` under ``leaf`` (declarative children)."""
@@ -643,10 +637,3 @@ def _resolve_segment(target: object, segment: str, full_path: str):
                 f"cannot index {segment!r} in {full_path!r}: {exc}"
             ) from None
     return resolved
-
-
-def connect_many(scope: Component,
-                 *pairs: Tuple[Port, Port]) -> None:
-    """Convenience: ``connect`` every (src, dst) pair in ``scope``."""
-    for src, dst in pairs:
-        scope.connect(src, dst)

@@ -3,13 +3,10 @@
 Importing this package registers every experiment with the scenario
 registry (:mod:`repro.runner.registry`) — the modules register
 themselves via the ``@scenario`` decorator, nothing enumerates them by
-hand.  ``run_all()`` is kept as a convenience wrapper that executes the
-paper-tagged scenarios through the registry.
+hand.  To run them, query the registry (``registry.find(tags=("paper",))``)
+or use ``python -m repro run``.
 """
 
-from typing import Dict, Optional
-
-from ..tech.technology import Technology
 from .common import Check, ExperimentResult, resolve_tech
 
 # importing the modules is what populates the registry
@@ -37,24 +34,4 @@ __all__ = [
     "gals_mesh",
     "compiled_campaign",
     "noop",
-    "run_all",
 ]
-
-
-def run_all(
-    tech: Optional[Technology] = None,
-    simulate: bool = True,
-) -> Dict[str, ExperimentResult]:
-    """Run every paper experiment (figures, tables, Section V equations).
-
-    ``simulate=False`` runs each scenario with its fast-mode parameter
-    overrides (no gate-level simulation); analytical results are
-    unaffected.
-    """
-    from ..runner import registry
-
-    tech = resolve_tech(tech)
-    return {
-        sc.id: sc.run(tech=tech, fast=not simulate)
-        for sc in registry.find(tags=("paper",))
-    }

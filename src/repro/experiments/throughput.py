@@ -15,27 +15,54 @@ This experiment reports three numbers per link:
   overclocked switch (so the serial path, not the clock, limits);
 * the delivered throughput behind a 300 MHz switch (the paper's
   headline operating point).
+
+The equations and the Table 1 area model take slice and buffer counts
+as parameters.  On the simulate path the structure checks read those
+counts off the links just simulated instead (the ``*_from_tree``
+walkers), so a builder that drifts from the formulas fails here.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..sim.clock import Clock
 from ..sim.kernel import Simulator
 from ..tech.technology import Technology
-from ..link.assemblies import LinkConfig, build_link
+from ..link.assemblies import LinkConfig, LinkInstance, build_link
 from ..link.testbench import measure_throughput
+from ..analysis.area import link_area, link_area_from_tree
 from ..analysis.timing import (
+    link_timing_from_tree,
     per_transfer_cycle_delay,
     per_word_cycle_delay,
 )
+from ..analysis.wires import async_wires_needed, link_wire_count_from_tree
 from ..runner.registry import ParamSpec, scenario
 from .common import Check, ExperimentResult, resolve_tech
 
 PAPER_PER_WORD_DELAY_NS = 3.21
 PAPER_PER_WORD_CEILING_MFLITS = 311.0
 PAPER_OPERATING_MFLITS = 300.0
+#: switch clock fast enough that the serial path, not the clock, limits
+OVERCLOCK_MHZ = 1000.0
+
+
+def simulate_link(
+    kind: str,
+    tech: Technology,
+    freq_mhz: float,
+    n_buffers: int = 4,
+    n_flits: int = 24,
+) -> Tuple[float, LinkInstance]:
+    """Delivered throughput (MFlit/s) behind a switch at ``freq_mhz``,
+    and the gate-level link that delivered it."""
+    sim = Simulator()
+    clock = Clock.from_mhz(sim, freq_mhz)
+    link = build_link(sim, clock.signal, kind,
+                      LinkConfig(n_buffers=n_buffers), tech)
+    measurement = measure_throughput(sim, clock, link, n_flits=n_flits)
+    return measurement.throughput_mflits, link
 
 
 def simulate_ceiling_mflits(
@@ -43,31 +70,10 @@ def simulate_ceiling_mflits(
     tech: Technology,
     n_buffers: int = 4,
     n_flits: int = 32,
-    overclock_mhz: float = 1000.0,
+    overclock_mhz: float = OVERCLOCK_MHZ,
 ) -> float:
     """Gate-level serial ceiling: overclock the switch, measure the link."""
-    sim = Simulator()
-    clock = Clock.from_mhz(sim, overclock_mhz)
-    link = build_link(sim, clock.signal, kind,
-                      LinkConfig(n_buffers=n_buffers), tech)
-    measurement = measure_throughput(sim, clock, link, n_flits=n_flits)
-    return measurement.throughput_mflits
-
-
-def simulate_at_clock_mflits(
-    kind: str,
-    tech: Technology,
-    freq_mhz: float = 300.0,
-    n_buffers: int = 4,
-    n_flits: int = 24,
-) -> float:
-    """Delivered throughput behind a switch at ``freq_mhz``."""
-    sim = Simulator()
-    clock = Clock.from_mhz(sim, freq_mhz)
-    link = build_link(sim, clock.signal, kind,
-                      LinkConfig(n_buffers=n_buffers), tech)
-    measurement = measure_throughput(sim, clock, link, n_flits=n_flits)
-    return measurement.throughput_mflits
+    return simulate_link(kind, tech, overclock_mhz, n_buffers, n_flits)[0]
 
 
 def build_design(
@@ -125,9 +131,11 @@ def run(
     ]
 
     if simulate:
-        sim_i2 = simulate_ceiling_mflits("I2", tech, n_buffers)
-        sim_i3 = simulate_ceiling_mflits("I3", tech, n_buffers)
-        at300_i3 = simulate_at_clock_mflits("I3", tech, 300.0, n_buffers)
+        sim_i2, link_i2 = simulate_link("I2", tech, OVERCLOCK_MHZ,
+                                        n_buffers, n_flits=32)
+        sim_i3, link_i3 = simulate_link("I3", tech, OVERCLOCK_MHZ,
+                                        n_buffers, n_flits=32)
+        at300_i3, _ = simulate_link("I3", tech, 300.0, n_buffers)
         rows.extend(
             [
                 ["I2 gate-level ceiling", f"{1e3 / sim_i2:.3f}",
@@ -145,6 +153,21 @@ def run(
                       pw.mflits, 0.05),
                 Check("I3 delivered @300 MHz switch", at300_i3,
                       PAPER_OPERATING_MFLITS, 0.02),
+                # exact: the models' counts against the built links' own
+                Check("I2 cycle delay: structure vs eqn (ns)",
+                      link_timing_from_tree(link_i2, tech).cycle_delay_ns,
+                      pt.cycle_delay_ns, 0.0),
+                Check("I3 cycle delay: structure vs eqn (ns)",
+                      link_timing_from_tree(link_i3, tech).cycle_delay_ns,
+                      pw.cycle_delay_ns, 0.0),
+                Check("I3 area: structure vs Table 1 (um2)",
+                      link_area_from_tree(link_i3, tech).total_um2,
+                      link_area(tech, "I3", n_buffers).total_um2, 0.0),
+                Check("I3 wires: structure vs wire model",
+                      link_wire_count_from_tree(link_i3),
+                      async_wires_needed(pw.mflits, tech,
+                                         n_buffers=n_buffers,
+                                         count_control=True), 0.0),
             ]
         )
 

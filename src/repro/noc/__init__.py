@@ -27,7 +27,7 @@ from .topology import (
     xy_route,
 )
 from .switch import InputQueue, Switch
-from .traffic import TrafficConfig, TrafficGenerator, message_sequence
+from .traffic import TrafficConfig, TrafficGenerator
 from .network import Network, latency_vs_load, run_mesh_point
 from .stats import NetworkStats
 
@@ -47,7 +47,6 @@ __all__ = [
     "Switch",
     "TrafficConfig",
     "TrafficGenerator",
-    "message_sequence",
     "Network",
     "latency_vs_load",
     "run_mesh_point",

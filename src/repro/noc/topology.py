@@ -1,16 +1,18 @@
-"""Mesh/torus topologies for the NoC substrate.
+"""Mesh topologies for the NoC substrate.
 
 Switch positions are (x, y) coordinates; ports are compass directions
 plus LOCAL for the attached core.  A topology is a description object —
 :class:`~repro.noc.network.Network` instantiates switches and links from
-it.  :meth:`Topology.links` enumerates the directed links, which
-graph analyses (such as :meth:`Topology.average_hop_count`) walk
-directly; the package needs no graph library.
+it.  :meth:`Topology.links` enumerates the directed links; the package
+needs no graph library.
+
+There is no torus: XY wormhole routing over wrap links deadlocks
+without dateline virtual channels (Dally & Towles, ch. 14), and
+nothing here builds them.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterator, List, Mapping, Tuple
@@ -58,11 +60,10 @@ _DELTAS: Dict[Port, Tuple[int, int]] = {
 
 @dataclass(frozen=True)
 class Topology:
-    """A rectangular mesh (optionally wrapped into a torus)."""
+    """A rectangular mesh."""
 
     cols: int
     rows: int
-    torus: bool = False
 
     def __post_init__(self) -> None:
         if self.cols < 1 or self.rows < 1:
@@ -89,8 +90,6 @@ class Topology:
             return None
         dx, dy = _DELTAS[port]
         x, y = node[0] + dx, node[1] + dy
-        if self.torus:
-            return (x % self.cols, y % self.rows)
         if 0 <= x < self.cols and 0 <= y < self.rows:
             return (x, y)
         return None
@@ -107,31 +106,6 @@ class Topology:
     def n_directed_links(self) -> int:
         return sum(1 for _ in self.links())
 
-    def average_hop_count(self) -> float:
-        """Mean shortest-path hops over all reachable src≠dst pairs.
-
-        One breadth-first search over :meth:`links` per source, so tori
-        (wrap links) are covered as well as meshes.
-        """
-        successors: Dict[Coord, List[Coord]] = {
-            node: [] for node in self.nodes()
-        }
-        for src, _port, dst in self.links():
-            successors[src].append(dst)
-        total, pairs = 0, 0
-        for src in successors:
-            hops = {src: 0}
-            frontier = deque((src,))
-            while frontier:
-                node = frontier.popleft()
-                for dst in successors[node]:
-                    if dst not in hops:
-                        hops[dst] = hops[node] + 1
-                        frontier.append(dst)
-            total += sum(hops.values())
-            pairs += len(hops) - 1
-        return total / pairs if pairs else 0.0
-
 
 def xy_route(src: Coord, dest: Coord, topology: Topology) -> List[Port]:
     """Dimension-ordered (X then Y) route — deadlock-free on a mesh."""
@@ -140,12 +114,6 @@ def xy_route(src: Coord, dest: Coord, topology: Topology) -> List[Port]:
     route: List[Port] = []
     x, y = src
     dx, dy = dest[0] - x, dest[1] - y
-    if topology.torus:
-        # shortest wrap-aware direction
-        if abs(dx) > topology.cols // 2:
-            dx = dx - topology.cols if dx > 0 else dx + topology.cols
-        if abs(dy) > topology.rows // 2:
-            dy = dy - topology.rows if dy > 0 else dy + topology.rows
     route.extend([Port.EAST if dx > 0 else Port.WEST] * abs(dx))
     route.extend([Port.NORTH if dy > 0 else Port.SOUTH] * abs(dy))
     return route
@@ -172,48 +140,20 @@ def compile_next_hop(topology: Topology):
     north, south = Port.NORTH, Port.SOUTH
     local = Port.LOCAL
 
-    if not topology.torus:
-
-        def fast_next_hop(current: Coord, dest: Coord) -> Port:
-            dx = dest[0] - current[0]
-            if dx > 0:
-                return east
-            if dx < 0:
-                return west
-            dy = dest[1] - current[1]
-            if dy > 0:
-                return north
-            if dy < 0:
-                return south
-            return local
-
-        return fast_next_hop
-
-    cols, rows = topology.cols, topology.rows
-    half_cols, half_rows = cols // 2, rows // 2
-
-    def fast_next_hop_torus(current: Coord, dest: Coord) -> Port:
+    def fast_next_hop(current: Coord, dest: Coord) -> Port:
         dx = dest[0] - current[0]
-        if dx > half_cols:
-            dx -= cols
-        elif -dx > half_cols:
-            dx += cols
         if dx > 0:
             return east
         if dx < 0:
             return west
         dy = dest[1] - current[1]
-        if dy > half_rows:
-            dy -= rows
-        elif -dy > half_rows:
-            dy += rows
         if dy > 0:
             return north
         if dy < 0:
             return south
         return local
 
-    return fast_next_hop_torus
+    return fast_next_hop
 
 
 def west_first_permitted(
@@ -230,10 +170,8 @@ def west_first_permitted(
     room to steer around congestion.
 
     Returns the list of permitted *productive* ports (LOCAL when the
-    packet has arrived).  Only defined for meshes (no wraparound).
+    packet has arrived).
     """
-    if topology.torus:
-        raise ValueError("west-first turn model requires a mesh, not a torus")
     if not topology.in_bounds(current) or not topology.in_bounds(dest):
         raise ValueError(f"route endpoints out of bounds: {current}->{dest}")
     if current == dest:
@@ -268,8 +206,6 @@ def compile_west_first(
     ``(y * cols + x) * 5 + port.index`` instead of hashing
     ``(node, Port)`` keys.
     """
-    if topology.torus:
-        raise ValueError("west-first turn model requires a mesh, not a torus")
     cols = topology.cols
     n_ports = len(PORTS)
     slots: List[object] = [None] * (topology.n_nodes * n_ports)

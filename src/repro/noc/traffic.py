@@ -18,8 +18,8 @@ seed — the property tests rely on that.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from .flit import Packet
 from .topology import Coord, Topology
@@ -132,15 +132,3 @@ class TrafficGenerator:
             packets.append(packet)
             self.packets_generated += 1
         return packets
-
-
-def message_sequence(
-    topology: Topology,
-    pairs: List[tuple[Coord, Coord]],
-    packet_length: int = 4,
-) -> Iterator[Packet]:
-    """Explicit packet list for directed tests (src, dest) pairs."""
-    for src, dest in pairs:
-        if not topology.in_bounds(src) or not topology.in_bounds(dest):
-            raise ValueError(f"pair out of bounds: {src} -> {dest}")
-        yield Packet(src=src, dest=dest, length_flits=packet_length)

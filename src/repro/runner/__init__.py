@@ -13,9 +13,8 @@ stable id with a typed parameter spec and tags.  The pieces:
   ``run_sweep``, the one sweep pipeline (reuse, execute, persist);
 * :mod:`~repro.runner.artifacts` — CSV + JSON artifact output.
 
-The CLI (``python -m repro``) is a thin shell over this package, and
-``repro.experiments.run_all`` is a registry query — nothing enumerates
-experiments by hand anymore.
+The CLI (``python -m repro``) is a thin shell over this package;
+nothing enumerates experiments by hand.
 """
 
 from .registry import (

@@ -20,7 +20,6 @@ from .kernel import (
     Simulator,
     mhz_period_ps,
     ns,
-    to_ns,
 )
 from .signal import Bus, Signal
 from .process import (
@@ -32,7 +31,7 @@ from .process import (
     WaitValue,
     spawn,
 )
-from .clock import Clock, run_cycles
+from .clock import Clock
 from .trace import ActivityMonitor, Tracer
 from .vcd import write_vcd
 
@@ -44,7 +43,6 @@ __all__ = [
     "Simulator",
     "mhz_period_ps",
     "ns",
-    "to_ns",
     "Bus",
     "Signal",
     "Delay",
@@ -55,7 +53,6 @@ __all__ = [
     "WaitValue",
     "spawn",
     "Clock",
-    "run_cycles",
     "ActivityMonitor",
     "Tracer",
     "write_vcd",

@@ -9,8 +9,6 @@ model charges every clocked storage element to it.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .kernel import Simulator, mhz_period_ps
 from .signal import Signal
 
@@ -75,9 +73,3 @@ class Clock:
     def stop(self) -> None:
         """Freeze the clock at its current level."""
         self._running = False
-
-
-def run_cycles(sim: Simulator, clock: Clock, cycles: int,
-               max_events: Optional[int] = None) -> None:
-    """Run the simulator for ``cycles`` full periods of ``clock``."""
-    sim.run(until=sim.now + cycles * clock.period_ps, max_events=max_events)

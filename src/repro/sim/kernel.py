@@ -67,11 +67,6 @@ def ns(value: float) -> int:
     return round(value * NS)
 
 
-def to_ns(ps_value: int) -> float:
-    """Convert integer picoseconds back to (float) nanoseconds."""
-    return ps_value / NS
-
-
 def mhz_period_ps(freq_mhz: float) -> int:
     """Clock period in picoseconds for a frequency given in MHz.
 
@@ -170,11 +165,6 @@ class Simulator:
         return self._now
 
     @property
-    def now_ns(self) -> float:
-        """Current simulation time in nanoseconds."""
-        return self._now / NS
-
-    @property
     def events_executed(self) -> int:
         """Total number of *live* events executed so far."""
         return self._events_executed
@@ -188,11 +178,6 @@ class Simulator:
     def drives_elided(self) -> int:
         """No-op inertial drives that never became events."""
         return self._elided - self._revived
-
-    @property
-    def band_migrations(self) -> int:
-        """Total events migrated far→near by horizon advances."""
-        return self._migrations
 
     # ------------------------------------------------------------------
     # scheduling

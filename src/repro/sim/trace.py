@@ -79,11 +79,6 @@ class ActivityMonitor:
     Groups mirror the paper's Fig 14 component split: a link assembly
     registers its nets under e.g. ``"sync_to_async"``, ``"serializer"``,
     ``"buffers"``, ``"deserializer"``, ``"async_to_sync"``.
-
-    :meth:`add_tree` instead keys groups by *instance path*: every net
-    of an elaborated design lands in the group of the component that
-    created it, so per-instance power breakdowns fall out of the same
-    accounting machinery.
     """
 
     def __init__(self) -> None:
@@ -106,30 +101,9 @@ class ActivityMonitor:
             else:
                 raise TypeError(f"cannot monitor {item!r}")
 
-    def add_tree(self, root, sim, default_group: str = "") -> List[str]:
-        """Register every created net under its owning instance path.
-
-        ``root`` is a :class:`repro.design.Component` tree and ``sim``
-        the simulator its nets were created on; nets whose names match
-        no instance go to ``default_group``.  Returns the group names
-        added (instance paths, pre-order).
-        """
-        from ..design.design import Design
-
-        grouped = Design(root, sim).nets_by_instance()
-        added = []
-        for path, nets in grouped.items():
-            group = path or default_group
-            self.add(group, *nets)
-            added.append(group)
-        return added
-
     @property
     def groups(self) -> List[str]:
         return list(self._groups)
-
-    def signals_in(self, group: str) -> List[Signal]:
-        return list(self._groups.get(group, []))
 
     # ------------------------------------------------------------------
     def snapshot(self) -> None:

@@ -95,11 +95,6 @@ class MetalGeometry:
     #: minimum metal gap, µm (paper: METAL6 MetG = 0.46)
     met_g_um: float = 0.46
 
-    @property
-    def pitch_um(self) -> float:
-        """Wire pitch (width + gap), µm."""
-        return self.met_w_um + self.met_g_um
-
 
 @dataclass(frozen=True)
 class ModuleAreas:
@@ -176,9 +171,6 @@ class Technology:
     wire_delay_ps_per_mm: float = 60.0
     #: notes on where each constant comes from
     provenance: Dict[str, str] = field(default_factory=dict)
-
-    def with_gates(self, gates: GateDelays) -> "Technology":
-        return replace(self, gates=gates)
 
     def with_handshake(self, handshake: HandshakeTimings) -> "Technology":
         return replace(self, handshake=handshake)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import format_series, format_table, relative_error, within
+from repro.analysis import format_table, relative_error
 
 
 class TestFormatTable:
@@ -31,19 +31,6 @@ class TestFormatTable:
         assert "0.123" in text
 
 
-class TestFormatSeries:
-    def test_series_blocks(self):
-        text = format_series(
-            {"curve1": [(1, 10), (2, 20)]}, x_label="x", y_label="y"
-        )
-        assert "[curve1]" in text
-        assert "x=" in text and "y=" in text
-
-    def test_title(self):
-        text = format_series({}, "x", "y", title="T")
-        assert text == "T"
-
-
 class TestErrorHelpers:
     def test_relative_error_signed(self):
         assert relative_error(110, 100) == pytest.approx(0.10)
@@ -52,7 +39,3 @@ class TestErrorHelpers:
     def test_relative_error_zero_reference(self):
         with pytest.raises(ValueError):
             relative_error(1, 0)
-
-    def test_within(self):
-        assert within(102, 100, 0.05)
-        assert not within(110, 100, 0.05)

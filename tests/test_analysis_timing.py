@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.analysis import (
-    link_upper_bound_mflits,
-    per_transfer_cycle_delay,
-    per_word_cycle_delay,
-    sync_link_throughput,
-)
+from repro.analysis import per_transfer_cycle_delay, per_word_cycle_delay
 from repro.tech import HandshakeTimings, st012
 
 
@@ -97,34 +92,3 @@ class TestCrossoverProperties:
         assert (per_word_cycle_delay(t).mflits
                 > per_transfer_cycle_delay(t).mflits)
 
-
-class TestSyncThroughput:
-    def test_one_flit_per_cycle(self):
-        assert sync_link_throughput(300.0).mflits == 300.0
-        assert sync_link_throughput(100.0).cycle_delay_ps == pytest.approx(
-            10_000
-        )
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            sync_link_throughput(0)
-
-
-class TestUpperBound:
-    def test_i1_is_clock_limited(self):
-        assert link_upper_bound_mflits(st012(), "I1", 250.0) == 250.0
-
-    def test_i3_clock_limited_below_ceiling(self):
-        assert link_upper_bound_mflits(st012(), "I3", 100.0) == 100.0
-
-    def test_i3_serial_limited_above_ceiling(self):
-        bound = link_upper_bound_mflits(st012(), "I3", 500.0)
-        assert bound == pytest.approx(304.1, rel=0.001)
-
-    def test_i2_serial_limited_at_300(self):
-        bound = link_upper_bound_mflits(st012(), "I2", 300.0)
-        assert bound == pytest.approx(285.7, rel=0.001)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            link_upper_bound_mflits(st012(), "I7", 100.0)

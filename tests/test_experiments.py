@@ -14,7 +14,6 @@ from repro.experiments import (
     fig12,
     fig13,
     fig14,
-    run_all,
     table1,
     table2,
     throughput,
@@ -86,6 +85,38 @@ class TestSimulatedExperiments:
         result = throughput.run(simulate=True)
         assert result.all_ok, [c.row() for c in result.failures()]
 
+    def test_structure_checks_pass_on_the_real_builders(self):
+        result = throughput.run(simulate=True)
+        structure = [c for c in result.checks if "structure" in c.name]
+        assert len(structure) == 4
+        assert all(c.ok and c.tolerance == 0.0 for c in structure)
+
+    def test_structure_checks_catch_a_short_i3_builder(self, monkeypatch):
+        """An I3 builder one repeater station short of ``n_buffers``
+        fails the exact cycle-delay and area checks."""
+        from dataclasses import replace
+
+        from repro.link import LinkConfig, assemblies
+
+        real_build_i3 = assemblies.build_i3
+
+        def short_build_i3(sim, clk, config=None, tech=None, **kwargs):
+            config = config or LinkConfig()
+            return real_build_i3(
+                sim, clk, replace(config, n_buffers=config.n_buffers - 1),
+                tech, **kwargs)
+
+        monkeypatch.setattr(assemblies, "build_i3", short_build_i3)
+        result = throughput.run(simulate=True)
+        status = {c.name: c.ok for c in result.checks
+                  if "structure" in c.name}
+        assert status == {
+            "I2 cycle delay: structure vs eqn (ns)": True,
+            "I3 cycle delay: structure vs eqn (ns)": False,
+            "I3 area: structure vs Table 1 (um2)": False,
+            "I3 wires: structure vs wire model": True,
+        }
+
     def test_fig14_with_activity(self):
         result = fig14.run(with_activity=True, activity_flits=16)
         assert result.all_ok, [c.row() for c in result.failures()]
@@ -113,7 +144,11 @@ class TestSimulatedExperiments:
 
 class TestRunAll:
     def test_fast_mode_covers_every_artifact(self):
-        results = run_all(simulate=False)
+        from repro.runner import registry
+
+        results = {
+            sc.id: sc.run(fast=True) for sc in registry.find(tags=("paper",))
+        }
         assert set(results) == {
             "fig10", "fig11", "fig12", "fig13", "fig14",
             "table1", "table2", "throughput", "wirelength",

@@ -180,8 +180,6 @@ def _draw_case(seed):
     return dict(
         cols=cols,
         rows=rows,
-        # XY also runs on a torus; west-first is defined on meshes only
-        torus=routing == "xy" and rng.random() < 0.25,
         n_vcs=rng.randint(1, 3),
         fifo_depth=rng.randint(1, 4),
         routing=routing,
@@ -196,7 +194,7 @@ def _draw_case(seed):
 
 def _run_case(cls, case, seed, cycles=120, settle=80):
     reset_packet_ids()
-    topology = Topology(case["cols"], case["rows"], torus=case["torus"])
+    topology = Topology(case["cols"], case["rows"])
     params = derive_link_params(st012(), case["kind"], case["freq_mhz"])
     network = cls(topology, params, fifo_depth=case["fifo_depth"],
                   n_vcs=case["n_vcs"], routing=case["routing"])

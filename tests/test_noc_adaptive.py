@@ -50,10 +50,6 @@ class TestWestFirstPermitted:
         topo = Topology(4, 4)
         assert west_first_permitted((2, 2), (2, 2), topo) == [Port.LOCAL]
 
-    def test_torus_rejected(self):
-        with pytest.raises(ValueError):
-            west_first_permitted((0, 0), (1, 1), Topology(3, 3, torus=True))
-
     def test_out_of_bounds_rejected(self):
         with pytest.raises(ValueError):
             west_first_permitted((0, 0), (9, 9), Topology(4, 4))
@@ -126,10 +122,6 @@ class TestCompiledWestFirst:
                     )
                     assert route(current, dest) is expected, (
                         cols, rows, trial, current, dest)
-
-    def test_torus_rejected(self):
-        with pytest.raises(ValueError):
-            compile_west_first(Topology(3, 3, torus=True), {})
 
 
 class TestAdaptiveNetwork:

@@ -10,7 +10,6 @@ from repro.noc import (
     Topology,
     TrafficConfig,
     TrafficGenerator,
-    message_sequence,
     reset_packet_ids,
 )
 from repro.noc.reference import ReferenceNetwork
@@ -22,8 +21,8 @@ def fresh_ids():
     reset_packet_ids()
 
 
-def make_network(kind="I1", mhz=300, cols=4, rows=4, torus=False):
-    topo = Topology(cols, rows, torus=torus)
+def make_network(kind="I1", mhz=300, cols=4, rows=4):
+    topo = Topology(cols, rows)
     params = derive_link_params(st012(), kind, mhz)
     return Network(topo, params), topo
 
@@ -114,8 +113,8 @@ class TestManyPackets:
             for dst in topo.nodes()
             if src != dst
         ]
-        for packet in message_sequence(topo, pairs, packet_length=1):
-            net.offer_packet(packet)
+        for src, dest in pairs:
+            net.offer_packet(Packet(src=src, dest=dest, length_flits=1))
         net.drain()
         assert net.stats.packets_ejected == len(pairs)
 
@@ -143,16 +142,49 @@ class TestManyPackets:
         assert net.stats.flits_injected > 0
         assert net.stats.flits_ejected == net.stats.flits_injected
 
-    def test_torus_delivery(self):
-        net, topo = make_network(torus=True)
-        packet = Packet(src=(0, 0), dest=(3, 0), length_flits=2)
-        net.offer_packet(packet)
+
+class TestHeterogeneousMesh:
+    def test_per_link_override(self):
+        """Long east-west rows get I3 links, the rest stay I1."""
+        tech = st012()
+        i1 = derive_link_params(tech, "I1", 300)
+        i3 = derive_link_params(tech, "I3", 300)
+
+        def chooser(src, port, dst):
+            return i3 if port in (Port.EAST, Port.WEST) else None
+
+        net = Network(Topology(4, 4), i1, link_params_for=chooser)
+        east_west = sum(
+            1 for (src, port), link in net.links.items()
+            if link.params.kind == "I3"
+        )
+        assert east_west == 24  # 2 × 3 × 4 horizontal directed links
+        uniform = Network(Topology(4, 4), i1)
+        assert net.total_wires < uniform.total_wires
+
+    def test_heterogeneous_mesh_delivers(self):
+        tech = st012()
+        i1 = derive_link_params(tech, "I1", 300)
+        i2 = derive_link_params(tech, "I2", 300)
+        topo = Topology(4, 4)
+        net = Network(
+            topo, i1,
+            link_params_for=lambda s, p, d: i2 if p == Port.NORTH else None,
+        )
+        traffic = TrafficGenerator(
+            topo, TrafficConfig(injection_rate=0.1, seed=13)
+        )
+        net.run(800, traffic)
         net.drain()
-        assert net.stats.packets_ejected == 1
-        # wrap link used (0,0)->WEST->(3,0)
-        west = net.links[((0, 0), __import__(
-            "repro.noc.topology", fromlist=["Port"]).Port.WEST)]
-        assert west.flits_sent == 2
+        assert net.stats.flits_ejected == net.stats.flits_injected
+
+    def test_link_utilization_map(self):
+        net = Network(Topology(2, 2), derive_link_params(st012(), "I1", 300))
+        net.offer_packet(Packet(src=(0, 0), dest=(1, 0), length_flits=4))
+        net.drain()
+        util = net.link_utilization()
+        used = [u for u in util.values() if u > 0]
+        assert len(used) == 1  # only the (0,0)->EAST link carried flits
 
 
 class TestWireAccounting:

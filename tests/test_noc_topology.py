@@ -1,4 +1,4 @@
-"""Unit tests for mesh/torus topologies and XY routing."""
+"""Unit tests for mesh topologies and XY routing."""
 
 import pytest
 
@@ -34,21 +34,12 @@ class TestTopology:
         assert topo.neighbor((0, 0), Port.NORTH) == (0, 1)
         assert topo.neighbor((2, 2), Port.NORTH) is None
 
-    def test_torus_wraps(self):
-        topo = Topology(3, 3, torus=True)
-        assert topo.neighbor((0, 0), Port.WEST) == (2, 0)
-        assert topo.neighbor((2, 2), Port.NORTH) == (2, 0)
-
     def test_local_has_no_neighbor(self):
         assert Topology(2, 2).neighbor((0, 0), Port.LOCAL) is None
 
     def test_directed_link_count_mesh(self):
         # 4x4 mesh: 2*(3*4)*2 = 48 directed links
         assert Topology(4, 4).n_directed_links == 48
-
-    def test_directed_link_count_torus(self):
-        # every node has 4 out-links
-        assert Topology(4, 4, torus=True).n_directed_links == 64
 
     def test_links_3x3(self):
         links = set(Topology(3, 3).links())
@@ -60,29 +51,6 @@ class TestTopology:
                        for src, port, _dst in links)
         assert {src for src, _port, _dst in links} == \
             set(Topology(3, 3).nodes())
-
-    def test_average_hop_count_2x2(self):
-        # pairs at distance 1 (8 ordered) and 2 (4 ordered): mean = 4/3
-        assert Topology(2, 2).average_hop_count() == pytest.approx(4 / 3)
-
-    # every mesh and torus size the tests build, pinned to the values
-    # the all-pairs shortest paths of networkx gave (exact floats)
-    @pytest.mark.parametrize("cols,rows,torus,expected", [
-        (1, 1, False, 0.0), (2, 1, False, 1.0), (4, 1, False, 20 / 12),
-        (2, 2, False, 16 / 12), (2, 3, False, 50 / 30),
-        (3, 2, False, 50 / 30), (3, 3, False, 2.0),
-        (3, 5, False, 2.6666666666666665),
-        (5, 3, False, 2.6666666666666665), (4, 4, False, 640 / 240),
-        (5, 5, False, 2000 / 600), (8, 8, False, 21504 / 4032),
-        (1, 1, True, 0.0), (2, 1, True, 1.0),
-        (4, 1, True, 1.3333333333333333), (2, 2, True, 16 / 12),
-        (3, 3, True, 108 / 72), (3, 5, True, 2.0), (5, 3, True, 420 / 210),
-        (4, 4, True, 512 / 240), (5, 5, True, 1500 / 600),
-        (8, 8, True, 4.063492063492063),
-    ])
-    def test_average_hop_count_pinned(self, cols, rows, torus, expected):
-        topo = Topology(cols, rows, torus=torus)
-        assert topo.average_hop_count() == expected
 
     def test_in_bounds(self):
         topo = Topology(3, 3)
@@ -115,11 +83,6 @@ class TestXYRoute:
         with pytest.raises(ValueError):
             xy_route((0, 0), (9, 9), Topology(4, 4))
 
-    def test_torus_takes_short_way_around(self):
-        topo = Topology(4, 4, torus=True)
-        route = xy_route((0, 0), (3, 0), topo)
-        assert route == [Port.WEST]  # wrap is shorter than 3 hops east
-
     def test_next_hop_local_at_destination(self):
         assert next_hop((2, 2), (2, 2), Topology(4, 4)) == Port.LOCAL
 
@@ -143,18 +106,17 @@ class TestXYRoute:
 class TestCompiledNextHop:
     """The compiled fast router must agree with next_hop everywhere."""
 
-    @pytest.mark.parametrize("torus", [False, True])
     @pytest.mark.parametrize("cols,rows", [(1, 1), (2, 2), (3, 5),
                                            (4, 4), (5, 3), (8, 8)])
-    def test_agrees_with_next_hop_on_all_pairs(self, cols, rows, torus):
+    def test_agrees_with_next_hop_on_all_pairs(self, cols, rows):
         from repro.noc.topology import compile_next_hop
 
-        topo = Topology(cols, rows, torus=torus)
+        topo = Topology(cols, rows)
         fast = compile_next_hop(topo)
         for src in topo.nodes():
             for dest in topo.nodes():
                 assert fast(src, dest) is next_hop(src, dest, topo), \
-                    (src, dest, cols, rows, torus)
+                    (src, dest, cols, rows)
 
     def test_compiled_router_is_reused_by_the_network(self):
         from repro.link.behavioral import derive_link_params

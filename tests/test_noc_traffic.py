@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.noc import Topology, TrafficConfig, TrafficGenerator, message_sequence
+from repro.noc import Topology, TrafficConfig, TrafficGenerator
 
 
 class TestTrafficConfig:
@@ -139,17 +139,3 @@ class TestTrafficGenerator:
             for p in gen.packets_for_cycle(c):
                 assert p.created_cycle == c
 
-
-class TestMessageSequence:
-    def test_explicit_pairs(self):
-        topo = Topology(3, 3)
-        packets = list(
-            message_sequence(topo, [((0, 0), (2, 2)), ((1, 1), (0, 0))])
-        )
-        assert len(packets) == 2
-        assert packets[0].dest == (2, 2)
-
-    def test_out_of_bounds_rejected(self):
-        topo = Topology(2, 2)
-        with pytest.raises(ValueError):
-            list(message_sequence(topo, [((0, 0), (5, 5))]))

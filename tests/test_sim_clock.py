@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Clock, RisingEdge, Signal, Simulator, spawn, run_cycles
+from repro.sim import Clock, RisingEdge, Simulator, spawn
 
 
 @pytest.fixture
@@ -65,11 +65,6 @@ class TestClock:
         # consecutive rising edges exactly one period apart
         deltas = [b - a for a, b in zip(rises, rises[1:])]
         assert all(d == 3333 for d in deltas)
-
-    def test_run_cycles_advances_exactly(self, sim):
-        clock = Clock(sim, 2000)
-        run_cycles(sim, clock, 5)
-        assert sim.now == 10_000
 
     def test_duty_cycle_within_one_ps(self, sim):
         clock = Clock(sim, 3333)

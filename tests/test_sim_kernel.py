@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import SimulationError, Simulator, mhz_period_ps, ns, to_ns
+from repro.sim import SimulationError, Simulator, mhz_period_ps, ns
 
 
 class TestTimeHelpers:
@@ -18,9 +18,6 @@ class TestTimeHelpers:
     def test_ns_rejects_negative(self):
         with pytest.raises(ValueError):
             ns(-1.0)
-
-    def test_to_ns_roundtrip(self):
-        assert to_ns(ns(2.5)) == pytest.approx(2.5)
 
     def test_mhz_period_100(self):
         assert mhz_period_ps(100) == 10_000

@@ -116,13 +116,6 @@ class TestActivityMonitor:
             "g", energy_per_transition_fj=2.5
         ) == pytest.approx(2.5)
 
-    def test_signals_in_group(self, sim):
-        mon = ActivityMonitor()
-        sig = Signal(sim, "s")
-        mon.add("g", sig)
-        assert mon.signals_in("g") == [sig]
-        assert mon.signals_in("missing") == []
-
     def test_groups_listing(self, sim):
         mon = ActivityMonitor()
         mon.add("alpha", Signal(sim, "a"))

@@ -5,7 +5,6 @@ import pytest
 from repro.tech import (
     GateDelays,
     HandshakeTimings,
-    MetalGeometry,
     Technology,
     st012,
 )
@@ -38,10 +37,6 @@ class TestMetalGeometry:
         met = st012().metal
         assert met.met_w_um == pytest.approx(0.44)
         assert met.met_g_um == pytest.approx(0.46)
-
-    def test_pitch(self):
-        met = MetalGeometry(met_w_um=0.4, met_g_um=0.6)
-        assert met.pitch_um == pytest.approx(1.0)
 
 
 class TestSt012:
@@ -111,12 +106,6 @@ class TestTechnologyHelpers:
     def test_wire_delay_rejects_negative(self):
         with pytest.raises(ValueError):
             st012().wire_delay_ps(-1.0)
-
-    def test_with_gates_replaces(self):
-        tech = st012()
-        slow = tech.with_gates(tech.gates.scaled(3.0))
-        assert slow.gates.inv == 33
-        assert tech.gates.inv == 11  # original untouched
 
     def test_with_handshake_replaces(self):
         tech = st012()
