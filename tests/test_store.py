@@ -531,6 +531,31 @@ class TestCommittedBaseline:
             assert (fresh / "fault-injection" / csv.name).read_bytes() \
                 == csv.read_bytes(), csv.name
 
+    def test_fresh_paper_run_matches_committed_baseline(self, tmp_path,
+                                                        capsys):
+        """The nine paper scenarios, gate-level links included: a fresh
+        ``repro run --out`` must reproduce every committed file byte
+        for byte (``telemetry.json`` holds timings and is not
+        committed; see tests/baselines/README.md)."""
+        from pathlib import Path
+
+        baseline = Path(__file__).parent / "baselines" / "paper"
+        fresh = tmp_path / "fresh"
+        assert main(["run", "--out", str(fresh)]) == 0
+        capsys.readouterr()
+        committed = sorted(
+            p.relative_to(baseline)
+            for p in baseline.rglob("*") if p.is_file()
+        )
+        written = sorted(
+            p.relative_to(fresh) for p in fresh.rglob("*")
+            if p.is_file() and p.name != "telemetry.json"
+        )
+        assert written == committed
+        for rel in committed:
+            assert (fresh / rel).read_bytes() == (baseline / rel).read_bytes(), \
+                str(rel)
+
 
 class TestCliDiffAndHistory:
     def test_diff_identical_sweeps_exit_zero(self, tmp_path, capsys):
