@@ -460,9 +460,9 @@ _ROWS = (
     Workload("noc", "mesh", 1500, 1, "cycles/sec", _noc),
     # gate sizes: flits for the serializer testbenches, tokens for the
     # four-phase chain, nanoseconds of oscillation for the ring
-    Workload("gate", "serializer-i3", 24, 4, "events/sec",
+    Workload("gate", "serializer-i3", 144, 4, "events/sec",
              _gate(partial(_gate_serializer, kind="I3"))),
-    Workload("gate", "serializer-i2", 16, 4, "events/sec",
+    Workload("gate", "serializer-i2", 96, 4, "events/sec",
              _gate(partial(_gate_serializer, kind="I2"))),
     Workload("gate", "fourphase-chain", 40, 4, "events/sec",
              _gate(_gate_fourphase)),

@@ -14,6 +14,11 @@ The testbench reproduces the paper's measurement setup (Section V):
 The source/sink processes speak the synchronous port protocol shared by
 all three link builds: data+valid held until the link's accepted counter
 advances; valid flits sampled on rising clock edges.
+
+A run ends at its last delivery: the sink stops the kernel in the event
+where it has seen every flit, so no idle clock edge after the
+measurement is simulated.  The kernel is left stopped there, with the
+clocks' and gates' future events still queued.
 """
 
 from __future__ import annotations
@@ -145,6 +150,7 @@ class LinkTestbench(Component):
                 m.last_delivery_ps = self.sim.now
         link.stall_in.set(0)
         self._done = True
+        self.sim.stop()
 
     # ------------------------------------------------------------------
     def run(
@@ -156,17 +162,19 @@ class LinkTestbench(Component):
     ) -> LinkMeasurement:
         """Send ``flits`` through the link; return the measurement.
 
+        The run ends at the last delivery: ``sim.now`` is then
+        ``measurement.last_delivery_ps``, and the kernel is left stopped
+        with future events (clock edges, settling gates) still queued.
+
         Raises ``TimeoutError`` if the sink has not seen every flit by
-        ``timeout_ns`` — a deadlocked handshake fails loudly.
+        ``timeout_ns`` — a deadlocked handshake fails loudly, with
+        ``sim.now`` at the horizon.  ``max_events`` budgets the whole
+        run (one kernel call); exhausting it raises ``SimulationError``.
         """
         spawn(self.sim, self._source(flits), "tb.source")
         spawn(self.sim, self._sink(len(flits), stall_pattern), "tb.sink")
         horizon = self.sim.now + round(timeout_ns * 1000)
-        while not self._done and self.sim.now < horizon:
-            self.sim.run(
-                until=min(horizon, self.sim.now + 1_000_000),
-                max_events=max_events,
-            )
+        self.sim.run(until=horizon, max_events=max_events)
         if not self._done:
             raise TimeoutError(
                 f"link {self.link.kind}: sink saw "

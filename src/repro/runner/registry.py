@@ -152,15 +152,6 @@ class Scenario:
             params[name] = self.param(name).coerce(raw)
         return params
 
-    def run(
-        self,
-        tech=None,
-        overrides: Optional[Dict[str, object]] = None,
-        fast: bool = False,
-    ):
-        """Execute with resolved parameters, returning the result."""
-        return self.func(tech=tech, **self.resolve_params(overrides, fast))
-
     @property
     def has_design(self) -> bool:
         return self.design is not None

@@ -102,7 +102,7 @@ class TestEverySuite:
                                   "8x8@0.02/uniform/xy/vc1/I3",
                                   "8x8@0.35/uniform/xy/vc1/I3",
                                   "8x8@0.15/uniform/west_first/vc1/I3"]),
-        ("gate", {}, ["gate/serializer-i3@24", "gate/serializer-i2@16",
+        ("gate", {}, ["gate/serializer-i3@144", "gate/serializer-i2@96",
                       "gate/fourphase-chain@40", "gate/ringosc@40000"]),
         # scaling never goes below a row's floor
         ("gate", {"scale": 0.01}, ["gate/serializer-i3@4",

@@ -144,11 +144,16 @@ class TestSimulatedExperiments:
 
 class TestRunAll:
     def test_fast_mode_covers_every_artifact(self):
-        from repro.runner import registry
+        from repro.runner import engine, registry
 
-        results = {
-            sc.id: sc.run(fast=True) for sc in registry.find(tags=("paper",))
-        }
+        outcomes = engine.execute([
+            engine.RunRequest.create(sc.id, fast=True)
+            for sc in registry.find(tags=("paper",))
+        ])
+        results = {}
+        for outcome in outcomes:
+            assert not outcome.error, outcome.error
+            results[outcome.request.scenario_id] = outcome.result
         assert set(results) == {
             "fig10", "fig11", "fig12", "fig13", "fig14",
             "table1", "table2", "throughput", "wirelength",

@@ -2,14 +2,21 @@
 
 import pytest
 
+import repro.sim as OPT
+import repro.sim.reference as REF
 from repro.link import (
     LinkConfig,
     LinkMeasurement,
     LinkTestbench,
     WORST_CASE_PATTERN,
     build_i1,
+    build_i3,
 )
-from repro.sim import Clock, Simulator
+from repro.sim import Clock, SimulationError, Simulator
+from repro.tech import st012
+
+#: the optimized kernel and the frozen seed kernel both honour ``stop()``
+STACKS = [pytest.param(OPT, id="kernel"), pytest.param(REF, id="reference")]
 
 
 class TestLinkMeasurement:
@@ -78,3 +85,43 @@ class TestLinkTestbench:
             m = bench.run([1, 2, 3], timeout_ns=1e6)
             latencies[n] = m.mean_latency_ns
         assert latencies[8] > latencies[2]
+
+
+class TestRunEndsAtLastDelivery:
+    """A run stops the kernel in the event where the sink has seen its
+    last flit; only a stuck link runs on to the horizon."""
+
+    @pytest.mark.parametrize("stack", STACKS)
+    def test_kernel_stops_at_last_delivery(self, stack):
+        sim = stack.Simulator()
+        clock = stack.Clock.from_mhz(sim, 300)
+        link = build_i3(sim, clock.signal, LinkConfig(), st012())
+        bench = LinkTestbench(sim, clock, link)
+        m = bench.run(list(WORST_CASE_PATTERN))
+        assert m.flits_received == len(WORST_CASE_PATTERN)
+        assert sim.now == m.last_delivery_ps
+        # stopped, not drained: the next clock edge is still queued
+        assert sim.pending_events > 0
+
+    @pytest.mark.parametrize("stack", STACKS)
+    def test_stuck_link_times_out_at_horizon(self, stack):
+        sim = stack.Simulator()
+        clock = stack.Clock.from_mhz(sim, 100)
+        link = build_i1(sim, clock.signal, LinkConfig())
+        link.stall_in.set(1)
+        bench = LinkTestbench(sim, clock, link)
+        with pytest.raises(TimeoutError):
+            bench.run([1, 2, 3], timeout_ns=5_000.0)
+        assert sim.now == 5_000_000
+
+    @pytest.mark.parametrize("stack", STACKS)
+    def test_event_budget_covers_the_whole_run(self, stack):
+        """A stuck 100 MHz I1 link executes 400-500 events per µs, so
+        1,000 events outlast any one µs but not the 5 µs horizon."""
+        sim = stack.Simulator()
+        clock = stack.Clock.from_mhz(sim, 100)
+        link = build_i1(sim, clock.signal, LinkConfig())
+        link.stall_in.set(1)
+        bench = LinkTestbench(sim, clock, link)
+        with pytest.raises(SimulationError, match="budget of 1000"):
+            bench.run([1, 2, 3], timeout_ns=5_000.0, max_events=1_000)
