@@ -459,7 +459,10 @@ def _sweep_noop(point: Point):
 _ROWS = (
     Workload("noc", "mesh", 1500, 1, "cycles/sec", _noc),
     # gate sizes: flits for the serializer testbenches, tokens for the
-    # four-phase chain, nanoseconds of oscillation for the ring
+    # four-phase chain, nanoseconds of oscillation for the ring.  A
+    # serializer run ends at its last delivery, so its flit count alone
+    # sets its length: at --fast scale each side takes ~40 ms, and
+    # ~10 ms sides spread too widely for the 30% tolerance
     Workload("gate", "serializer-i3", 144, 4, "events/sec",
              _gate(partial(_gate_serializer, kind="I3"))),
     Workload("gate", "serializer-i2", 96, 4, "events/sec",
