@@ -103,25 +103,26 @@ class TestRunEndsAtLastDelivery:
         # stopped, not drained: the next clock edge is still queued
         assert sim.pending_events > 0
 
-    @pytest.mark.parametrize("stack", STACKS)
-    def test_stuck_link_times_out_at_horizon(self, stack):
+    @staticmethod
+    def _stuck_bench(stack):
+        """A 100 MHz I1 link whose sink is stalled for good."""
         sim = stack.Simulator()
         clock = stack.Clock.from_mhz(sim, 100)
         link = build_i1(sim, clock.signal, LinkConfig())
         link.stall_in.set(1)
-        bench = LinkTestbench(sim, clock, link)
+        return sim, LinkTestbench(sim, clock, link)
+
+    @pytest.mark.parametrize("stack", STACKS)
+    def test_stuck_link_times_out_at_horizon(self, stack):
+        sim, bench = self._stuck_bench(stack)
         with pytest.raises(TimeoutError):
             bench.run([1, 2, 3], timeout_ns=5_000.0)
         assert sim.now == 5_000_000
 
     @pytest.mark.parametrize("stack", STACKS)
     def test_event_budget_covers_the_whole_run(self, stack):
-        """A stuck 100 MHz I1 link executes 400-500 events per µs, so
-        1,000 events outlast any one µs but not the 5 µs horizon."""
-        sim = stack.Simulator()
-        clock = stack.Clock.from_mhz(sim, 100)
-        link = build_i1(sim, clock.signal, LinkConfig())
-        link.stall_in.set(1)
-        bench = LinkTestbench(sim, clock, link)
+        """The stuck link executes 400-500 events per µs, so 1,000
+        events outlast any one µs but not the 5 µs horizon."""
+        _sim, bench = self._stuck_bench(stack)
         with pytest.raises(SimulationError, match="budget of 1000"):
             bench.run([1, 2, 3], timeout_ns=5_000.0, max_events=1_000)
