@@ -58,8 +58,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .link.behavioral import derive_link_params
 from .obs import metrics as obs_metrics
-from .noc import (Network, Topology, TrafficConfig, TrafficGenerator,
-                  reset_packet_ids)
+from .noc import Network, Topology, build_run
 from .noc.reference import ReferenceNetwork
 from .tech import st012
 
@@ -151,19 +150,13 @@ class Workload:
 # noc suite: the cycle kernels on a mesh under synthetic traffic
 def _noc(point: Point):
     def setup(network_cls):
-        reset_packet_ids()
-        topology = Topology(point.mesh_size, point.mesh_size)
-        # the paper's 300 MHz operating point and a fixed traffic seed
-        params = derive_link_params(st012(), point.kind, 300.0)
-        network = network_cls(topology, params, n_vcs=point.n_vcs,
-                              routing=point.routing)
-        hotspot = None
-        if point.pattern == "hotspot":
-            hotspot = (topology.cols // 2, topology.rows // 2)
-        traffic = TrafficGenerator(topology, TrafficConfig(
-            pattern=point.pattern, injection_rate=point.injection_rate,
-            seed=2008, hotspot=hotspot, n_vcs=point.n_vcs,
-        ))
+        # the paper's 300 MHz operating point and the default traffic seed
+        network, traffic = build_run(
+            network_cls, Topology(point.mesh_size, point.mesh_size),
+            derive_link_params(st012(), point.kind, 300.0),
+            point.injection_rate, pattern=point.pattern,
+            routing=point.routing, n_vcs=point.n_vcs,
+        )
 
         def finish(stats):
             return point.size, (stats.summary(), stats.packet_latencies)

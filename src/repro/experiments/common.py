@@ -150,7 +150,10 @@ KIND = ParamSpec(
     choices=("I1", "I2", "I3"),
 )
 FREQ_MHZ = ParamSpec("freq_mhz", float, 300.0, help="switch clock")
-CYCLES = ParamSpec("cycles", int, 800, help="traffic cycles before drain")
+CYCLES = ParamSpec(
+    "cycles", int, 800,
+    help="traffic cycles before drain; the first quarter warms up",
+)
 SEED = ParamSpec("seed", int, 2008)
 
 

@@ -28,7 +28,7 @@ from .topology import (
 )
 from .switch import InputQueue, Switch
 from .traffic import TrafficConfig, TrafficGenerator
-from .network import Network, latency_vs_load, run_mesh_point
+from .network import Network, build_run, measure_point, run_mesh_point
 from .stats import NetworkStats
 
 __all__ = [
@@ -48,7 +48,8 @@ __all__ = [
     "TrafficConfig",
     "TrafficGenerator",
     "Network",
-    "latency_vs_load",
+    "build_run",
+    "measure_point",
     "run_mesh_point",
     "NetworkStats",
 ]

@@ -64,8 +64,8 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..link.behavioral import BehavioralLinkParams, TokenLink
 from ..obs.metrics import REGISTRY as _OBS
-from .flit import Flit, Packet
-from .stats import NetworkStats
+from .flit import Flit, Packet, reset_packet_ids
+from .stats import NetworkStats, accepted_rate, mean_latency, p99_latency
 from .switch import Switch, WestFirstSwitch
 from .topology import (
     Coord,
@@ -395,15 +395,14 @@ class Network:
         }
 
 
-def run_mesh_point(
+def build_run(
+    network_cls: Callable[..., Network],
     topology: Topology,
     link_params: BehavioralLinkParams,
     injection_rate: float,
     pattern: str = "uniform",
     packet_length: int = 4,
-    cycles: int = 2000,
     seed: int = 2008,
-    drain_max_cycles: int = 300_000,
     fifo_depth: int = 4,
     routing: str = "xy",
     hotspot: Optional[Coord] = None,
@@ -412,26 +411,20 @@ def run_mesh_point(
     link_params_for: Optional[
         Callable[[Coord, Port, Coord], Optional[BehavioralLinkParams]]
     ] = None,
-) -> Dict[str, float]:
-    """One fully-drained traffic run at a single operating point.
+) -> Tuple[Network, TrafficGenerator]:
+    """A fresh ``network_cls`` network and its seeded traffic generator.
 
-    The common mesh/link setup that the examples, the design-space
-    benches and the ``mesh-design-space`` scenario all share: build a
-    fresh :class:`Network`, drive seeded synthetic traffic for
-    ``cycles`` cycles, drain every in-flight flit, and report the
-    steady metrics.  Packet ids are reset first so repeated calls are
-    bit-for-bit reproducible within one process.  ``n_vcs`` and
-    ``link_params_for`` thread through to :class:`Network` (and the
-    traffic generator) so the VC, GALS and fault-injection scenarios
-    can reuse this entry point.
+    The one place a NoC run is set up: :func:`run_mesh_point`, both
+    kernels of the ``repro bench`` NoC rows and the kernel-equivalence
+    suite all build here.  Packet ids are reset first, so repeated
+    builds are bit-for-bit reproducible within one process, and a
+    hotspot pattern without a ``hotspot`` aims at the mesh centre.
     """
-    from .flit import reset_packet_ids
-
     reset_packet_ids()
     if pattern == "hotspot" and hotspot is None:
         # centre of the mesh: the worst-case convergence point
         hotspot = (topology.cols // 2, topology.rows // 2)
-    network = Network(
+    network = network_cls(
         topology, link_params, fifo_depth=fifo_depth, routing=routing,
         n_vcs=n_vcs, link_params_for=link_params_for,
     )
@@ -447,16 +440,48 @@ def run_mesh_point(
             n_vcs=n_vcs,
         ),
     )
-    network.run(cycles, traffic)
-    network.drain(max_cycles=drain_max_cycles)
+    return network, traffic
+
+
+def measure_point(
+    network: Network,
+    traffic: TrafficGenerator,
+    cycles: int,
+    drain_max_cycles: int = 300_000,
+) -> Dict[str, float]:
+    """Run a freshly built ``network`` under ``traffic``: the NoC
+    measurement protocol.
+
+    The first ``cycles // 4`` traffic cycles warm the network up, the
+    rest of ``cycles`` are the measurement window, and a drain then
+    ejects every flit still in flight.  ``throughput`` (accepted
+    traffic) counts the flits ejected in the window per node per window
+    cycle, and the latencies cover the packets created in the window;
+    the drain means none of them is censored.  The flit and packet
+    counts cover the whole run.  Either kernel runs it: the frozen
+    :class:`~repro.noc.reference.ReferenceNetwork` too.
+    """
+    warmup = cycles // 4
+    window = cycles - warmup
     stats = network.stats
+    network.run(warmup, traffic)
+    ejected = stats.flits_ejected
+    network.run(window, traffic)
+    ejected = stats.flits_ejected - ejected
+    network.drain(max_cycles=drain_max_cycles)
+    latencies = [
+        latency
+        for latency, created in zip(stats.packet_latencies,
+                                    stats.packet_created)
+        if created >= warmup
+    ]
     return {
-        "offered_rate": injection_rate,
-        "throughput": stats.throughput_flits_per_node_cycle(
-            topology.n_nodes
+        "offered_rate": traffic.config.injection_rate,
+        "throughput": accepted_rate(
+            ejected, network.topology.n_nodes, window
         ),
-        "mean_latency": stats.mean_packet_latency,
-        "p99_latency": stats.p99_packet_latency,
+        "mean_latency": mean_latency(latencies),
+        "p99_latency": p99_latency(latencies),
         "flits_injected": stats.flits_injected,
         "flits_ejected": stats.flits_ejected,
         "packets_ejected": stats.packets_ejected,
@@ -464,54 +489,19 @@ def run_mesh_point(
     }
 
 
-def latency_vs_load(
+def run_mesh_point(
     topology: Topology,
     link_params: BehavioralLinkParams,
-    injection_rates: Iterable[float],
-    pattern: str = "uniform",
-    packet_length: int = 4,
-    warmup_cycles: int = 500,
-    measure_cycles: int = 2000,
-    seed: int = 2008,
-) -> list[dict[str, float]]:
-    """Mean packet latency and accepted throughput per offered load.
-
-    The standard NoC load-latency sweep.  Each rate runs
-    ``warmup_cycles`` of traffic first, so the network fills to its
-    steady state, and then reports only the measure window: the
-    latencies of packets whose tail ejects in the last
-    ``measure_cycles`` cycles, and the flits ejected in them per node
-    per cycle.
-    """
-    results = []
-    for rate in injection_rates:
-        network = Network(topology, link_params)
-        config = TrafficConfig(
-            pattern=pattern,
-            injection_rate=rate,
-            packet_length=packet_length,
-            seed=seed,
-        )
-        traffic = TrafficGenerator(topology, config)
-        stats = network.run(warmup_cycles, traffic)
-        warm_packets = stats.packets_ejected
-        warm_flits = stats.flits_ejected
-        network.run(measure_cycles, traffic)
-        window = NetworkStats(
-            cycles=measure_cycles,
-            flits_ejected=stats.flits_ejected - warm_flits,
-            packets_ejected=stats.packets_ejected - warm_packets,
-            packet_latencies=stats.packet_latencies[warm_packets:],
-        )
-        results.append(
-            {
-                "offered_rate": rate,
-                "throughput": window.throughput_flits_per_node_cycle(
-                    topology.n_nodes
-                ),
-                "mean_latency": window.mean_packet_latency,
-                "p99_latency": window.p99_packet_latency,
-                "packets": float(window.packets_ejected),
-            }
-        )
-    return results
+    injection_rate: float,
+    cycles: int = 2000,
+    drain_max_cycles: int = 300_000,
+    **traffic: object,
+) -> Dict[str, float]:
+    """One fully-drained traffic run at a single operating point, the
+    entry point every NoC scenario, example and test shares:
+    :func:`build_run` (``traffic`` holds its keywords) then
+    :func:`measure_point`."""
+    network, generator = build_run(
+        Network, topology, link_params, injection_rate, **traffic
+    )
+    return measure_point(network, generator, cycles, drain_max_cycles)

@@ -33,7 +33,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from ..link.behavioral import BehavioralLinkParams
 from .flit import Flit, Packet
 from .topology import Coord, Port, Topology, next_hop, west_first_permitted
-from .traffic import TrafficConfig, TrafficGenerator
+from .traffic import TrafficGenerator
 
 #: an input lane: (input port, virtual channel)
 Lane = Tuple[Port, int]
@@ -53,6 +53,7 @@ class ReferenceNetworkStats:
         self.flits_ejected = 0
         self.packets_ejected = 0
         self.packet_latencies: List[int] = []
+        self.packet_created: List[int] = []
         self._packet_progress: Dict[int, int] = {}
         self._packet_lengths: Dict[int, int] = {}
         self._packet_created: Dict[int, int] = {}
@@ -74,6 +75,7 @@ class ReferenceNetworkStats:
             self.packets_ejected += 1
             created = self._packet_created.get(pid, flit.injected_cycle)
             self.packet_latencies.append(cycle - created)
+            self.packet_created.append(created)
             del self._packet_progress[pid]
             del self._packet_lengths[pid]
             del self._packet_created[pid]
@@ -91,11 +93,6 @@ class ReferenceNetworkStats:
         ordered = sorted(self.packet_latencies)
         idx = min(len(ordered) - 1, int(0.99 * len(ordered)))
         return float(ordered[idx])
-
-    def throughput_flits_per_node_cycle(self, n_nodes: int) -> float:
-        if self.cycles == 0 or n_nodes == 0:
-            return 0.0
-        return self.flits_ejected / (self.cycles * n_nodes)
 
     @property
     def in_flight_flits(self) -> int:
@@ -506,59 +503,3 @@ class ReferenceNetwork:
             for key, link in self.links.items()
         }
 
-
-def reference_mesh_point(
-    topology: Topology,
-    link_params: BehavioralLinkParams,
-    injection_rate: float,
-    pattern: str = "uniform",
-    packet_length: int = 4,
-    cycles: int = 2000,
-    seed: int = 2008,
-    drain_max_cycles: int = 300_000,
-    fifo_depth: int = 4,
-    routing: str = "xy",
-    hotspot: Optional[Coord] = None,
-    hotspot_fraction: float = 0.5,
-    n_vcs: int = 1,
-    link_params_for: Optional[
-        Callable[[Coord, Port, Coord], Optional[BehavioralLinkParams]]
-    ] = None,
-) -> Dict[str, float]:
-    """Seed-semantics twin of :func:`repro.noc.network.run_mesh_point`."""
-    from .flit import reset_packet_ids
-
-    reset_packet_ids()
-    if pattern == "hotspot" and hotspot is None:
-        hotspot = (topology.cols // 2, topology.rows // 2)
-    network = ReferenceNetwork(
-        topology, link_params, fifo_depth=fifo_depth, routing=routing,
-        n_vcs=n_vcs, link_params_for=link_params_for,
-    )
-    traffic = TrafficGenerator(
-        topology,
-        TrafficConfig(
-            pattern=pattern,
-            injection_rate=injection_rate,
-            packet_length=packet_length,
-            seed=seed,
-            hotspot=hotspot,
-            hotspot_fraction=hotspot_fraction,
-            n_vcs=n_vcs,
-        ),
-    )
-    network.run(cycles, traffic)
-    network.drain(max_cycles=drain_max_cycles)
-    stats = network.stats
-    return {
-        "offered_rate": injection_rate,
-        "throughput": stats.throughput_flits_per_node_cycle(
-            topology.n_nodes
-        ),
-        "mean_latency": stats.mean_packet_latency,
-        "p99_latency": stats.p99_packet_latency,
-        "flits_injected": stats.flits_injected,
-        "flits_ejected": stats.flits_ejected,
-        "packets_ejected": stats.packets_ejected,
-        "total_wires": network.total_wires,
-    }

@@ -10,6 +10,29 @@ import math
 from .flit import Flit
 
 
+def mean_latency(latencies: List[int]) -> float:
+    """Mean of ``latencies``, cycles; NaN when there are none."""
+    if not latencies:
+        return math.nan
+    return sum(latencies) / len(latencies)
+
+
+def p99_latency(latencies: List[int]) -> float:
+    """99th-percentile of ``latencies``, cycles; NaN when there are none."""
+    if not latencies:
+        return math.nan
+    ordered = sorted(latencies)
+    return float(ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))])
+
+
+def accepted_rate(flits: int, n_nodes: int, cycles: int) -> float:
+    """Accepted traffic: ``flits`` ejected over ``cycles`` cycles, per
+    node per cycle; 0.0 for an empty window."""
+    if cycles == 0:
+        return 0.0
+    return flits / (cycles * n_nodes)
+
+
 @dataclass
 class NetworkStats:
     """Accumulated over one simulation run."""
@@ -19,6 +42,9 @@ class NetworkStats:
     flits_ejected: int = 0
     packets_ejected: int = 0
     packet_latencies: List[int] = field(default_factory=list)
+    #: the created cycle of each packet in ``packet_latencies``, so a
+    #: measurement window can select the packets created in it
+    packet_created: List[int] = field(default_factory=list)
     #: the one per-packet table: packet id -> [flits still to eject,
     #: created cycle], opened when the packet is offered and freed when
     #: its last flit ejects
@@ -46,30 +72,20 @@ class NetworkStats:
         if entry[0]:
             return
         self.packets_ejected += 1
-        self.packet_latencies.append(cycle - entry[1])
+        created = entry[1]
+        self.packet_latencies.append(cycle - created)
+        self.packet_created.append(created)
         del packets[flit.packet_id]
 
     # ------------------------------------------------------------------
     @property
     def mean_packet_latency(self) -> float:
         """Mean creation-to-ejection latency, cycles."""
-        if not self.packet_latencies:
-            return math.nan
-        return sum(self.packet_latencies) / len(self.packet_latencies)
+        return mean_latency(self.packet_latencies)
 
     @property
     def p99_packet_latency(self) -> float:
-        if not self.packet_latencies:
-            return math.nan
-        ordered = sorted(self.packet_latencies)
-        idx = min(len(ordered) - 1, int(0.99 * len(ordered)))
-        return float(ordered[idx])
-
-    def throughput_flits_per_node_cycle(self, n_nodes: int) -> float:
-        """Accepted traffic: ejected flits per node per cycle."""
-        if self.cycles == 0 or n_nodes == 0:
-            return 0.0
-        return self.flits_ejected / (self.cycles * n_nodes)
+        return p99_latency(self.packet_latencies)
 
     @property
     def in_flight_flits(self) -> int:

@@ -9,8 +9,8 @@ from repro.noc import (
     Topology,
     TrafficConfig,
     TrafficGenerator,
-    latency_vs_load,
     reset_packet_ids,
+    run_mesh_point,
 )
 from repro.tech import st012
 
@@ -99,34 +99,31 @@ class TestTrafficPatternsAcrossLinks:
 
 
 class TestLoadSweep:
-    @pytest.mark.parametrize("kind,rates,warmup,measure", [
-        ("I1", [0.05, 0.15, 0.30], 200, 900),
-        *((kind, [0.05, 0.15, 0.25, 0.35], 300, 1200)
+    @pytest.mark.parametrize("kind,rates,cycles", [
+        ("I1", [0.05, 0.15, 0.30], 1100),
+        *((kind, [0.05, 0.15, 0.25, 0.35], 1500)
           for kind in ("I1", "I2", "I3")),
     ], ids=["I1-3-rates", "I1", "I2", "I3"])
-    def test_saturation_ordering(self, kind, rates, warmup, measure):
+    def test_saturation_ordering(self, kind, rates, cycles):
         """4x4 mesh at a 300 MHz switch clock: below saturation every
         link type accepts the offered load, and the sweep output is
         monotone enough to spot saturation."""
-        sweep = latency_vs_load(
-            Topology(4, 4), derive_link_params(st012(), kind, 300),
-            injection_rates=rates,
-            warmup_cycles=warmup, measure_cycles=measure,
-        )
+        params = derive_link_params(st012(), kind, 300)
+        sweep = [run_mesh_point(Topology(4, 4), params, rate, cycles=cycles)
+                 for rate in rates]
         assert sweep[0]["throughput"] >= 0.8 * sweep[0]["offered_rate"]
         latencies = [row["mean_latency"] for row in sweep]
         assert latencies == sorted(latencies)
 
     def test_sweep_rows_complete(self):
-        topo = Topology(3, 3)
-        params = derive_link_params(st012(), "I3", 300)
-        sweep = latency_vs_load(
-            topo, params, injection_rates=[0.05],
-            warmup_cycles=100, measure_cycles=400,
+        point = run_mesh_point(
+            Topology(3, 3), derive_link_params(st012(), "I3", 300), 0.05,
+            cycles=500,
         )
-        assert set(sweep[0]) == {
+        assert set(point) == {
             "offered_rate", "throughput", "mean_latency", "p99_latency",
-            "packets",
+            "flits_injected", "flits_ejected", "packets_ejected",
+            "total_wires",
         }
 
 

@@ -10,7 +10,9 @@ from repro.noc import (
     Topology,
     TrafficConfig,
     TrafficGenerator,
+    build_run,
     reset_packet_ids,
+    run_mesh_point,
 )
 from repro.noc.reference import ReferenceNetwork
 from repro.tech import st012
@@ -198,55 +200,75 @@ class TestWireAccounting:
 
 
 class TestLatencyVsLoad:
-    def test_latency_grows_with_load(self):
-        from repro.noc import latency_vs_load
+    """Load-latency behaviour of ``run_mesh_point``'s measurement
+    window: the first quarter of ``cycles`` warms up, the rest is
+    measured, and the drain after it adds no cycles to the window."""
 
+    def test_latency_grows_with_load(self):
         topo = Topology(4, 4)
         params = derive_link_params(st012(), "I1", 300)
-        sweep = latency_vs_load(
-            topo, params, injection_rates=[0.02, 0.35],
-            warmup_cycles=200, measure_cycles=800,
-        )
-        assert sweep[1]["mean_latency"] > sweep[0]["mean_latency"]
+        low, high = (run_mesh_point(topo, params, rate, cycles=1000)
+                     for rate in (0.02, 0.35))
+        assert high["mean_latency"] > low["mean_latency"]
 
     def test_throughput_tracks_offered_load_below_saturation(self):
-        from repro.noc import latency_vs_load
-
-        topo = Topology(4, 4)
-        params = derive_link_params(st012(), "I3", 300)
-        sweep = latency_vs_load(
-            topo, params, injection_rates=[0.05],
-            warmup_cycles=200, measure_cycles=1500,
+        point = run_mesh_point(
+            Topology(4, 4), derive_link_params(st012(), "I3", 300), 0.05,
+            cycles=2000,
         )
-        assert sweep[0]["throughput"] == pytest.approx(0.05, rel=0.25)
+        assert point["throughput"] == pytest.approx(0.05, rel=0.25)
+
+    @pytest.mark.parametrize("kind", ["I1", "I3"])
+    def test_accepted_is_not_diluted_by_the_drain(self, kind):
+        """An 8x8 mesh at 0.25 over 800 cycles delivers every flit, so
+        accepted must read the injection rate whatever the drain costs
+        (dividing by traffic plus drain cycles read 0.021 low on I1 and
+        0.014 low on I3)."""
+        point = run_mesh_point(
+            Topology(8, 8), derive_link_params(st012(), kind, 300), 0.25,
+            cycles=800,
+        )
+        assert point["flits_ejected"] == point["flits_injected"]
+        injected = point["flits_injected"] / (64 * 800)
+        assert abs(point["throughput"] - injected) <= 0.01
 
     def test_warmup_is_excluded_from_the_report(self):
-        """Only the measure window counts: the packets and flits that
-        eject in it, over ``measure_cycles`` cycles."""
-        from repro.noc import latency_vs_load
-
+        """Only the window counts: the flits that eject between its
+        edges, over its cycles, and the packets created in it, each
+        timed to its tail's ejection."""
         topo = Topology(3, 3)
         params = derive_link_params(st012(), "I2", 300)
-        warmup, measure, rate = 150, 400, 0.2
-        [row] = latency_vs_load(
-            topo, params, injection_rates=[rate],
-            warmup_cycles=warmup, measure_cycles=measure, seed=4,
-        )
-        net = Network(topo, params)
-        traffic = TrafficGenerator(
-            topo, TrafficConfig(injection_rate=rate, seed=4)
-        )
+        cycles, rate, seed = 550, 0.2, 4
+        point = run_mesh_point(topo, params, rate, cycles=cycles, seed=seed)
+
+        warmup = cycles // 4
+        net, traffic = build_run(Network, topo, params, rate, seed=seed)
+        created, tails = {}, {}
+        offer, eject = net.offer_packet, net._eject
+
+        def spy_offer(packet):
+            created[packet.packet_id] = packet.created_cycle
+            offer(packet)
+
+        def spy_eject(flit):
+            if flit.kind.closes_route:
+                tails[flit.packet_id] = net.cycle
+            eject(flit)
+
+        net.offer_packet, net._eject = spy_offer, spy_eject
         net.run(warmup, traffic)
-        warm_flits = net.stats.flits_ejected
-        warm_latencies = list(net.stats.packet_latencies)
-        net.run(measure, traffic)
-        window = net.stats.packet_latencies[len(warm_latencies):]
-        assert warm_latencies and window
-        assert row["packets"] == len(window)
-        assert row["mean_latency"] == sum(window) / len(window)
-        assert row["throughput"] == (
-            (net.stats.flits_ejected - warm_flits) / (measure * topo.n_nodes)
+        at_warmup = net.stats.flits_ejected
+        net.run(cycles - warmup, traffic)
+        in_window = net.stats.flits_ejected - at_warmup
+        net.drain()
+        window = sorted(tails[pid] - created[pid]
+                        for pid in created if created[pid] >= warmup)
+        assert window and len(window) < len(created)
+        assert point["throughput"] == (
+            in_window / ((cycles - warmup) * topo.n_nodes)
         )
+        assert point["mean_latency"] == sum(window) / len(window)
+        assert point["p99_latency"] == window[int(0.99 * len(window))]
 
 
 class TestDrainTimeout:

@@ -3,6 +3,7 @@
 import math
 
 from repro.noc import Flit, FlitKind, NetworkStats
+from repro.noc.stats import accepted_rate
 
 
 def flit(pid=1, seq=0, kind=FlitKind.HEAD_TAIL):
@@ -23,6 +24,7 @@ class TestNetworkStats:
         stats.record_ejection(f, cycle=30)
         assert stats.packets_ejected == 1
         assert stats.packet_latencies == [25]  # creation → ejection
+        assert stats.packet_created == [5]  # each latency's window tag
 
     def test_multi_flit_packet_completes_on_last_flit(self):
         stats = NetworkStats()
@@ -52,13 +54,10 @@ class TestNetworkStats:
         assert stats.p99_packet_latency == 100.0
 
     def test_throughput(self):
-        stats = NetworkStats()
-        stats.cycles = 100
-        stats.flits_ejected = 160
-        assert stats.throughput_flits_per_node_cycle(16) == 0.1
+        assert accepted_rate(160, 16, 100) == 0.1
 
     def test_throughput_zero_cycles(self):
-        assert NetworkStats().throughput_flits_per_node_cycle(16) == 0.0
+        assert accepted_rate(0, 16, 0) == 0.0
 
     def test_in_flight(self):
         stats = NetworkStats()
