@@ -19,13 +19,12 @@ suites (``--suite {noc,gate,compiled,sweep,all}``):
 
 A row's builder returns a fast and a reference *side*.  A side builds
 its workload and returns ``(run, finish)``; only ``run()`` is timed (so
-the NoC build and the compile are outside the clock, the fabric's
-worker start-up inside), and ``finish(result)`` returns ``(work,
-fingerprint)``.  The rest is shared: best-of-N timing with the two
-sides taking turns, the cross-check (``stats_match``: a fast kernel
-with wrong answers fails the bench), ``speedup = lanes ×
-reference_wall / fast_wall``, one JSON record, an untimed counter
-replay and :func:`gate`.
+the NoC build, the compile and the fabric's worker start-up are outside
+the clock), and ``finish(result)`` returns ``(work, fingerprint)``.
+The rest is shared: best-of-N timing with the two sides taking turns,
+the cross-check (``stats_match``: a fast kernel with wrong answers
+fails the bench), ``speedup = lanes × reference_wall / fast_wall``, one
+JSON record, an untimed counter replay and :func:`gate`.
 
 :func:`gate` compares the *speedup ratio* against a committed
 baseline, not absolute throughput: the ratio of two kernels timed on
@@ -399,8 +398,15 @@ def _compiled_ringosc(point: Point):
 def _sweep_noop(point: Point):
     """Sweep suite: a no-op grid through a coordinator and one
     in-process worker thread, vs the bare engine.  The fabric clock
-    covers worker start-up through the coordinator seeing the last
-    published result — everything a real fabric sweep pays."""
+    covers the coordinator planning the grid through it seeing the last
+    published result: leasing, executing, publishing and collecting.
+    The worker starts, and waits for the plan, off the clock, each side
+    starts from a collected heap, and the fabric directory sits on
+    tmpfs where the host has one, so the row times the fabric's
+    dispatch rather than thread start-up, a poll interval, a collection
+    of what earlier rows left behind or the host disk's write
+    latency."""
+    import gc
     import tempfile
     import threading
 
@@ -409,6 +415,8 @@ def _sweep_noop(point: Point):
     from .store import codec
 
     registry.load_builtin()
+    # None is the platform's temporary directory
+    fabric_dir = "/dev/shm" if Path("/dev/shm").is_dir() else None
     requests = [
         engine.RunRequest.create("sweep-noop", {"point": i})
         for i in range(point.size)
@@ -422,17 +430,21 @@ def _sweep_noop(point: Point):
         ]
 
     def fabric():
-        workdir = tempfile.TemporaryDirectory(prefix="repro-bench-fabric-")
+        gc.collect()
+        workdir = tempfile.TemporaryDirectory(prefix="repro-bench-fabric-",
+                                              dir=fabric_dir)
         transport = FileTransport(workdir.name)
         worker = threading.Thread(
             target=run_worker,
             kwargs=dict(fabric=transport, worker_id="bench-w0",
-                        lease_ttl=10.0, poll_s=0.01, plan_timeout=30.0),
+                        lease_ttl=10.0, poll_s=0.002, plan_timeout=30.0),
             daemon=True,
         )
 
+        # the worker waits for the plan off the clock
+        worker.start()
+
         def run():
-            worker.start()
             return run_fabric_sweep(
                 transport, "sweep-noop", requests,
                 workers=0, lease_ttl=10.0, poll_s=0.002, timeout=300.0,
@@ -445,8 +457,11 @@ def _sweep_noop(point: Point):
 
         return run, join
 
-    return fabric, lambda: (partial(engine.execute, requests, jobs=1),
-                            finish)
+    def bare():
+        gc.collect()
+        return partial(engine.execute, requests, jobs=1), finish
+
+    return fabric, bare
 
 
 _ROWS = (
@@ -473,8 +488,10 @@ _ROWS = (
     Workload("compiled", "ringosc", 20_000, 2, "lane-steps/sec",
              _compiled_ringosc, floor=1.0),
     # sweep size: grid points; the floor caps the fabric's dispatch
-    # overhead at 500x the bare engine's time
-    Workload("sweep", "noop", 64, 8, "points/sec", _sweep_noop,
+    # overhead at 500x the bare engine's time.  The bare engine's side
+    # is a fraction of a millisecond, so the row is sized to keep it
+    # clear of timer noise
+    Workload("sweep", "noop", 128, 8, "points/sec", _sweep_noop,
              floor=0.002),
 )
 

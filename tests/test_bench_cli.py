@@ -113,8 +113,8 @@ class TestEverySuite:
                           "compiled/ringosc@20000"]),
         ("compiled", {"scale": 0.5}, ["compiled/fault-batch@6",
                                       "compiled/ringosc@10000"]),
-        ("sweep", {}, ["sweep/noop@64"]),
-        ("sweep", {"scale": 0.5}, ["sweep/noop@32"]),
+        ("sweep", {}, ["sweep/noop@128"]),
+        ("sweep", {"scale": 0.5}, ["sweep/noop@64"]),
         # the floor keeps a micro-scale run a real grid, not one point
         ("sweep", {"scale": 0.01}, ["sweep/noop@8"]),
     ], ids=["noc", "gate", "gate-floor", "compiled", "compiled-half",
@@ -575,7 +575,7 @@ class TestGateSuiteCli:
         # (one in-process worker), dispatch efficiency recorded as the
         # gateable speedup ratio
         (sweep_point,) = by_suite["sweep"]
-        assert sweep_point["cycles"] == 32
+        assert sweep_point["cycles"] == 64
         assert sweep_point["workload"] == "noop"
         assert sweep_point["unit"] == "points/sec"
         assert sweep_point["lanes"] == 1
