@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Tuple
+from typing import Dict, List, Tuple
 
 Coord = Tuple[int, int]
 
@@ -46,7 +46,7 @@ FlitKind.TAIL.closes_route = True
 FlitKind.HEAD_TAIL.closes_route = True
 
 
-@dataclass
+@dataclass(slots=True)
 class Flit:
     """One 32-bit unit travelling the network."""
 
@@ -87,27 +87,31 @@ class Packet:
                 f"packet needs at least one flit, got {self.length_flits}"
             )
 
-    def flits(self) -> Iterator[Flit]:
-        """Generate the packet's flits in wire order."""
-        n = self.length_flits
-        for seq in range(n):
-            if n == 1:
-                kind = FlitKind.HEAD_TAIL
-            elif seq == 0:
-                kind = FlitKind.HEAD
-            elif seq == n - 1:
-                kind = FlitKind.TAIL
-            else:
-                kind = FlitKind.BODY
-            yield Flit(
-                packet_id=self.packet_id,
-                kind=kind,
-                src=self.src,
-                dest=self.dest,
-                seq=seq,
-                payload=(self.payload_base + seq) & 0xFFFFFFFF,
-                vc=self.vc,
-            )
+    def flits(self) -> List[Flit]:
+        """The packet's flits in wire order."""
+        packet_id, src, dest, vc = (
+            self.packet_id, self.src, self.dest, self.vc
+        )
+        base = self.payload_base
+        return [
+            Flit(packet_id, kind, src, dest, seq,
+                 (base + seq) & 0xFFFFFFFF, vc)
+            for seq, kind in enumerate(_kinds(self.length_flits))
+        ]
+
+
+#: flit kinds of a packet, in wire order, per packet length
+_KINDS: Dict[int, Tuple[FlitKind, ...]] = {1: (FlitKind.HEAD_TAIL,)}
+
+
+def _kinds(length: int) -> Tuple[FlitKind, ...]:
+    kinds = _KINDS.get(length)
+    if kinds is None:
+        kinds = _KINDS[length] = (
+            (FlitKind.HEAD,) + (FlitKind.BODY,) * (length - 2)
+            + (FlitKind.TAIL,)
+        )
+    return kinds
 
 
 def reset_packet_ids(start: int = 0) -> None:

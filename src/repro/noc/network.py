@@ -27,21 +27,29 @@ verbatim in :mod:`repro.noc.reference`), :meth:`Network.step` keeps
   and still holds flits is filed again under its next head's cycle (or
   the next cycle, if that head has matured already), a backpressured
   one under the next cycle.  Each link carries its delivery target
-  (downstream switch, node and first lane of the input port), so a
-  delivery is one FIFO-space test and an append.  Delivery order
-  within a bucket does not matter: every link feeds its own input
-  port, and phase 1 is the only phase that writes those lanes;
-* ``_active_switches`` — switches with buffered flits (empty switches
-  are never visited; the sorted node order is hoisted to ``__init__``
-  and reused whenever every switch is active);
-* ``_pending_sources`` — nodes whose source queues hold flits waiting
-  to enter the network (``drain`` no longer rescans every queue).
+  (downstream switch, node id and first lane of the input port), so a
+  delivery is one FIFO-space test, an append and the lane's bit set in
+  the switch's occupancy mask.  Delivery order within a bucket does not
+  matter: every link feeds its own input port, and phase 1 is the only
+  phase that writes those lanes;
+* ``_active_switches`` — ids of the switches with buffered flits (empty
+  switches are never visited);
+* ``_pending_sources`` — ids of the nodes whose source queues hold
+  flits waiting to enter the network (``drain`` no longer rescans
+  every queue).
 
-Switches index their lanes, owners and links by integer port (see
-:mod:`repro.noc.switch`) and route each head flit once per cycle; a
-west-first switch (:class:`~repro.noc.switch.WestFirstSwitch`) also
-rescans its lanes for EAST after NORTH or SOUTH sent, since only then
-can an adaptive choice change within a cycle.
+Inside the kernel a node is an int id, its index in sorted-coordinate
+order: the switches and source queues sit in lists indexed by id, and
+the seed's sorted switch order is ``sorted()`` over ints (or the whole
+id range when every switch is active), with no tuple comparisons.
+Delivery and injection append to the lane's FIFO and set its bit in
+the switch's ``_occ`` directly.  Each switch walks only its occupied
+lanes into per-output request bitmasks and serves them round-robin
+(see :mod:`repro.noc.switch`); an XY switch caches its route per
+destination, and a west-first switch
+(:class:`~repro.noc.switch.WestFirstSwitch`) routes every head afresh
+and rebuilds EAST's requests after NORTH or SOUTH sent, since only
+then can an adaptive choice change within a cycle.
 Rate credit is accrued only where it is read: a switch offers each flit
 through :meth:`~repro.link.behavioral.TokenLink.accrue_and_send`, which
 replays the link's skipped per-cycle accruals in one batch just before
@@ -60,7 +68,9 @@ of its last flit frees it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple,
+)
 
 from ..link.behavioral import BehavioralLinkParams, TokenLink
 from ..obs.metrics import REGISTRY as _OBS
@@ -138,19 +148,34 @@ class Network:
             node: switch_cls(node, route, fifo_depth, n_vcs)
             for node in topology.nodes()
         }
+        #: node coordinates by node id: the kernel names a node by its
+        #: index in sorted-coordinate order, so the arbitration order is
+        #: the ids' natural order
+        self._node_order: Tuple[Coord, ...] = tuple(sorted(self.switches))
+        node_id = {node: i for i, node in enumerate(self._node_order)}
+        self._node_id: Dict[Coord, int] = node_id
+        #: switches by node id
+        self._switch_list: List[Switch] = [
+            self.switches[node] for node in self._node_order
+        ]
         #: timing wheel: cycle -> links whose head flit matures then;
         #: a link is filed exactly once while it has flits in flight
         self._wheel: Dict[int, List[TokenLink]] = {}
         for (src, port), link in self.links.items():
             self.switches[src].out_links[port] = link
             dst, dport = link_dst[link]
-            link.target = (self.switches[dst], dst, dport.index * n_vcs)
+            link.target = (self.switches[dst], node_id[dst],
+                           dport.index * n_vcs)
             link.wheel = self._wheel
 
         #: per-node source queues of flits waiting to enter the network
         self.source_queues: Dict[Coord, Deque[Flit]] = {
             node: deque() for node in topology.nodes()
         }
+        #: the same source queues by node id
+        self._source_list: List[Deque[Flit]] = [
+            self.source_queues[node] for node in self._node_order
+        ]
         #: when True, every head flit records the switches it visits in
         #: ``self.routes[packet_id]`` (debug/observability aid)
         self.trace_routes: bool = False
@@ -159,31 +184,34 @@ class Network:
         # ------------------------------------------------------------------
         # event-driven kernel state (the timing wheel is built above)
         # ------------------------------------------------------------------
-        #: arbitration order, hoisted out of the cycle loop
-        self._node_order: Tuple[Coord, ...] = tuple(sorted(self.switches))
+        #: arbitration order when every switch is active
+        self._all_nodes = range(len(self._node_order))
         self._n_switches = len(self.switches)
-        #: nodes whose switches hold buffered flits
-        self._active_switches: set = set()
-        #: nodes with non-empty source queues
-        self._pending_sources: set = set()
+        #: ids of the nodes whose switches hold buffered flits
+        self._active_switches: Set[int] = set()
+        #: ids of the nodes with non-empty source queues
+        self._pending_sources: Set[int] = set()
 
     # ------------------------------------------------------------------
     def offer_packet(self, packet: Packet) -> None:
         """Queue a packet for injection at its source node."""
-        if packet.src not in self.source_queues:
+        node_id = self._node_id
+        node = node_id.get(packet.src)
+        if node is None:
             raise ValueError(f"unknown source node {packet.src}")
-        if packet.dest not in self.source_queues:
+        if packet.dest not in node_id:
             topology = self.topology
             raise ValueError(
                 f"packet {packet.packet_id}: destination {packet.dest} is "
                 f"outside the {topology.cols}x{topology.rows} mesh"
             )
-        self.switches[packet.src]._check_vc(packet.vc)
+        if not 0 <= packet.vc < self.n_vcs:
+            self._switch_list[node]._check_vc(packet.vc)
         self.stats.open_packet(
             packet.packet_id, packet.length_flits, packet.created_cycle
         )
-        self.source_queues[packet.src].extend(packet.flits())
-        self._pending_sources.add(packet.src)
+        self._source_list[node].extend(packet.flits())
+        self._pending_sources.add(node)
 
     # ------------------------------------------------------------------
     def step(self, traffic: Optional[TrafficGenerator] = None) -> None:
@@ -202,14 +230,17 @@ class Network:
             for link in due:
                 in_flight = link._in_flight
                 flit = in_flight[0][1]
-                switch, dst_node, lane_base = link.target
-                queue = switch._lanes[lane_base + flit.vc]
-                if len(queue.fifo) < queue.depth:
+                switch, dst, lane = link.target
+                lane += flit.vc
+                queue = switch._lanes[lane]
+                fifo = queue.fifo
+                if len(fifo) < queue.depth:
                     del in_flight[0]
                     link.flits_delivered += 1
-                    queue.fifo.append(flit)
+                    fifo.append(flit)
+                    switch._occ |= 1 << lane
                     switch._buffered += 1
-                    active_switches.add(dst_node)
+                    active_switches.add(dst)
                     if not in_flight:
                         continue
                     ready = in_flight[0][0]
@@ -228,39 +259,43 @@ class Network:
             for packet in traffic.packets_for_cycle(now):
                 self.offer_packet(packet)
         pending = self._pending_sources
+        switch_list = self._switch_list
         if pending:
             stats = self.stats
+            sources = self._source_list
             local_base = Port.LOCAL.index * self.n_vcs
             for node in list(pending):
-                queue = self.source_queues[node]
-                switch = self.switches[node]
-                flit = queue[0]
-                lane = switch._lanes[local_base + flit.vc]
-                if len(lane.fifo) < lane.depth:
-                    queue.popleft()
+                source = sources[node]
+                switch = switch_list[node]
+                flit = source[0]
+                lane = local_base + flit.vc
+                queue = switch._lanes[lane]
+                fifo = queue.fifo
+                if len(fifo) < queue.depth:
+                    source.popleft()
                     stats.record_injection(flit, now)
-                    lane.fifo.append(flit)
+                    fifo.append(flit)
+                    switch._occ |= 1 << lane
                     switch._buffered += 1
                     active_switches.add(node)
-                    if not queue:
+                    if not source:
                         pending.discard(node)
 
-        # 3. switching — only switches with buffered flits, in the same
-        # sorted node order the seed kernel used (hoisted to __init__)
+        # 3. switching — only switches with buffered flits, in the
+        # sorted-coordinate order the seed kernel used (node ids)
         if active_switches:
             if len(active_switches) == self._n_switches:
-                order: Iterable[Coord] = self._node_order
+                order: Iterable[int] = self._all_nodes
             else:
                 order = sorted(active_switches)
-            switches = self.switches
             eject = self._eject
             trace = self.trace_routes
             for node in order:
-                switch = switches[node]
+                switch = switch_list[node]
                 if trace:
-                    self._record_heads(node, switch)
+                    self._record_heads(self._node_order[node], switch)
                 switch.arbitrate_and_send(now, eject)
-                if switch._buffered == 0:
+                if not switch._occ:
                     active_switches.discard(node)
 
         self.cycle = now + 1

@@ -31,30 +31,40 @@ implementation (kept verbatim in :mod:`repro.noc.reference` and pinned
 by ``tests/test_kernel_equivalence.py``) but organised for speed.
 Inside the kernel ports are the ints :attr:`Port.index` (N, S, E, W, L
 = 0..4): the input lanes are one flat tuple indexed
-``port * n_vcs + vc``, and the wormhole owners, round-robin pointers,
-out-links and route locks are int-indexed lists, so no lookup hashes a
-:class:`Port`.  Empty switches return before touching any lane.
+``port * n_vcs + vc``, and the wormhole owners, the per-lane route
+locks, round-robin pointers and out-links are int-indexed lists, so no
+lookup hashes a :class:`Port`.
+
+Lane sets are int bitmasks (bit ``lane``).  ``_occ`` holds the occupied
+lanes: whatever appends a flit to a lane sets its bit (:meth:`accept`,
+and the network's delivery and injection phases directly), and the pop
+that empties a lane clears it.  An empty switch returns at once.
 
 The outputs are served in port order (N, S, E, W, L), and a lane that
 advances on one output may advance again on a later one in the same
 cycle (its new head wants that output).  One arbitration loop serves
-every routing: an up-front pass routes each head flit once and fills
-the five per-output request lists; when a lane advances on output
-``o`` only its new head is routed, and if it wants a later output it
-joins that output's list.  For :class:`Switch` — any route that
+every routing: an up-front pass walks only the set bits of ``_occ``,
+routes each head flit once and ORs its lane into one request bitmask
+per output; when a lane advances on output ``o`` only its new head is
+routed, and if it wants a later output it joins that output's mask.
+A lone request (``mask & (mask - 1) == 0``) wins outright; otherwise
+round-robin takes the lowest requesting lane at or after the output's
+pointer, else the lowest one, which is the seed's first candidate in
+cyclic order from the pointer.  For :class:`Switch` — any route that
 depends only on ``(current, dest)``, such as XY — this is exact
 because an output's wormhole owners only change while that output is
-being served.
+being served, and the switch caches each route by destination.
 
 :class:`WestFirstSwitch` adds one rule for west-first adaptive routing
-(:func:`~repro.noc.topology.compile_west_first`).  A west-first route
-is either fixed (W, L, or a pure N, S or E move) or a choice between
-EAST and one of NORTH/SOUTH by out-link occupancy; an out-link's
-occupancy only changes when its own output sends.  So a route computed
-at the start of the cycle still holds when its output is served,
-except at EAST: once NORTH or SOUTH has sent, a head that chose it may
-now prefer EAST.  Before serving EAST after such a send, the switch
-rebuilds EAST's candidates with one scan of the occupied lanes.
+(:func:`~repro.noc.topology.compile_west_first`) and caches nothing,
+since its choices read link occupancy.  A west-first route is either
+fixed (W, L, or a pure N, S or E move) or a choice between EAST and
+one of NORTH/SOUTH by out-link occupancy; an out-link's occupancy only
+changes when its own output sends.  So a route computed at the start
+of the cycle still holds when its output is served, except at EAST:
+once NORTH or SOUTH has sent, a head that chose it may now prefer
+EAST.  Before serving EAST after such a send, the switch rebuilds
+EAST's request mask with one walk of the occupied lanes.
 """
 
 from __future__ import annotations
@@ -78,18 +88,15 @@ _LOCAL = Port.LOCAL.index
 
 
 class InputQueue:
-    """One input lane's FIFO with its wormhole route state."""
+    """One input lane's FIFO."""
 
-    __slots__ = ("depth", "fifo", "locked_output")
+    __slots__ = ("depth", "fifo")
 
     def __init__(self, depth: int) -> None:
         if depth < 1:
             raise ValueError(f"FIFO depth must be >= 1, got {depth}")
         self.depth = depth
         self.fifo: Deque[Flit] = deque()
-        #: output port (:attr:`Port.index`) locked by an in-progress
-        #: packet, or None
-        self.locked_output: Optional[int] = None
 
     @property
     def full(self) -> bool:
@@ -144,18 +151,48 @@ class PortLinks(MutableMapping):
         return sum(link is not None for link in self.slots)
 
 
+def round_robin_bit(mask: int, start: int) -> int:
+    """The round-robin winner among the lanes set in ``mask``, as a bit.
+
+    The lowest set bit at or after lane ``start``, else the lowest set
+    bit: the lane that minimises ``(lane - start) % n_lanes``, for any
+    ``start`` up to ``n_lanes``.
+    """
+    bit = mask >> start << start or mask
+    return bit & -bit
+
+
+class _RouteCache(dict):
+    """``dest -> output index`` for one switch, filled on first use.
+
+    A lookup is one dict subscript; only a miss calls the route
+    function.
+    """
+
+    __slots__ = ("_route_fn", "_position")
+
+    def __init__(self, route_fn: RouteFn, position: Coord) -> None:
+        super().__init__()
+        self._route_fn = route_fn
+        self._position = position
+
+    def __missing__(self, dest: Coord) -> int:
+        out = self[dest] = self._route_fn(self._position, dest).index
+        return out
+
+
 class Switch:
     """A 5-port synchronous wormhole switch with optional VCs.
 
-    Routes each head flit once per cycle, which is exact for any route
-    that depends only on ``(current, dest)`` (see the module
-    docstring); adaptive west-first routing needs
-    :class:`WestFirstSwitch`.
+    Routes each head flit once per cycle and caches every route by
+    destination, which is exact for any route that depends only on
+    ``(current, dest)`` (see the module docstring); adaptive west-first
+    routing needs :class:`WestFirstSwitch`.
     """
 
-    #: rebuild EAST's candidates after NORTH or SOUTH sent this cycle
-    #: (:class:`WestFirstSwitch`)
-    _rescan_east = False
+    #: rebuild EAST's requests after NORTH or SOUTH sent this cycle and
+    #: route every head afresh (:class:`WestFirstSwitch`)
+    _adaptive = False
 
     def __init__(
         self,
@@ -183,15 +220,25 @@ class Switch:
                                    (port.index + 1) * n_vcs])
             for port in Port
         }
+        #: bit ``lane`` set while that input lane holds flits; set by
+        #: whatever appends to a lane (:meth:`accept` and the network's
+        #: delivery and injection), cleared by the pop that empties it
+        self._occ = 0
         #: input lane owning each output lane ``port.index * n_vcs + vc``
         self._owner: List[Optional[int]] = [None] * n_lanes
+        #: output port locked by each input lane's in-progress packet
+        self._lock: List[Optional[int]] = [None] * n_lanes
         #: round-robin pointer (over lanes) per output port
         self._rr: List[int] = [0] * _N_PORTS
+        #: ``dest -> output index``, or None where routes are adaptive
+        self._routes: Optional[_RouteCache] = (
+            None if self._adaptive else _RouteCache(route_fn, position)
+        )
         #: outgoing links, attached by the network
         self.out_links = PortLinks()
         #: flits currently buffered across all lanes (maintained by
-        #: :meth:`accept` and the arbitration pops; lets both the switch
-        #: and the network skip empty switches without scanning FIFOs)
+        #: :meth:`accept` and the arbitration pops; checked against the
+        #: FIFOs by the kernel-equivalence suite)
         self._buffered = 0
         # statistics
         self.flits_routed = 0
@@ -200,14 +247,24 @@ class Switch:
         self.arbitration_fast = 0
 
     # ------------------------------------------------------------------
+    def _lane_key(self, lane: int) -> Lane:
+        return (PORTS[lane // self.n_vcs], lane % self.n_vcs)
+
     @property
     def output_owner(self) -> Dict[Tuple[Port, int], Optional[Lane]]:
         """Which input lane owns each (output port, VC) wormhole lane."""
-        n_vcs = self.n_vcs
         return {
-            (PORTS[slot // n_vcs], slot % n_vcs):
-                None if lane is None else (PORTS[lane // n_vcs], lane % n_vcs)
+            self._lane_key(slot):
+                None if lane is None else self._lane_key(lane)
             for slot, lane in enumerate(self._owner)
+        }
+
+    @property
+    def input_locks(self) -> Dict[Lane, Optional[Port]]:
+        """Which output port each (input port, VC) lane has locked."""
+        return {
+            self._lane_key(lane): None if out is None else PORTS[out]
+            for lane, out in enumerate(self._lock)
         }
 
     def queue(self, port: Port, vc: int = 0) -> InputQueue:
@@ -229,7 +286,9 @@ class Switch:
     def accept(self, port: Port, flit: Flit) -> None:
         """Push an arriving flit into its lane's FIFO (lane = flit.vc)."""
         self._check_vc(flit.vc)
-        self._lanes[port.index * self.n_vcs + flit.vc].push(flit)
+        lane = port.index * self.n_vcs + flit.vc
+        self._lanes[lane].push(flit)
+        self._occ |= 1 << lane
         self._buffered += 1
 
     # ------------------------------------------------------------------
@@ -245,55 +304,57 @@ class Switch:
         over the input lanes resolves conflicts; the wormhole lock is
         per (output, VC) so different VCs interleave.
         """
-        if self._buffered == 0:
+        occ = self._occ
+        if not occ:
             return 0
         lanes = self._lanes
         owners = self._owner
-        rr = self._rr
+        locks = self._lock
         n_vcs = self.n_vcs
-        n_lanes = self._n_lanes
-        out_links = self.out_links.slots
+        routes = self._routes
         route_fn = self.route_fn
         position = self.position
-        rescan_east = self._rescan_east
-        # every head flit is routed once, up front (_request inlined)
-        requests: Tuple[List[int], ...] = ([], [], [], [], [])
-        for lane, queue in enumerate(lanes):
-            fifo = queue.fifo
-            if not fifo:
-                continue
-            flit = fifo[0]
+        # every head flit is routed once, up front, into one request
+        # bitmask per output; only the occupied lanes are visited
+        requests = [0, 0, 0, 0, 0]
+        bits = occ
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            lane = bit.bit_length() - 1
+            flit = lanes[lane].fifo[0]
             if flit.kind.opens_route:
-                out = route_fn(position, flit.dest).index
+                if routes is None:
+                    out = route_fn(position, flit.dest).index
+                else:
+                    out = routes[flit.dest]
                 owner = owners[out * n_vcs + flit.vc]
                 if owner is None or owner == lane:
-                    requests[out].append(lane)
-            elif queue.locked_output is not None:
-                requests[queue.locked_output].append(lane)
+                    requests[out] |= bit
+            else:
+                out = locks[lane]
+                if out is not None:
+                    requests[out] |= bit
+        rr = self._rr
+        out_links = self.out_links.slots
+        adaptive = self._adaptive
         moved = fast = conflicts = 0
         for out in range(_N_PORTS):
-            candidates = requests[out]
-            if rescan_east and out == _EAST and moved:
+            mask = requests[out]
+            if adaptive and out == _EAST and moved:
                 # NORTH or SOUTH sent (only they precede EAST), so a
                 # head that chose one of them may now prefer EAST
-                request = self._request
-                candidates = [
-                    lane for lane, queue in enumerate(lanes)
-                    if queue.fifo and request(lane) == _EAST
-                ]
-            if not candidates:
+                mask = self._requests_for(_EAST, occ)
+            if not mask:
                 continue
-            if len(candidates) == 1:
+            if mask & (mask - 1) == 0:
                 fast += 1
-                pick = candidates[0]
+                bit = mask
             else:
                 conflicts += 1
-                # round-robin: the first candidate at or after the pointer
-                start = rr[out]
-                pick = min(candidates,
-                           key=lambda lane: (lane - start) % n_lanes)
-            queue = lanes[pick]
-            fifo = queue.fifo
+                bit = round_robin_bit(mask, rr[out])
+            pick = bit.bit_length() - 1
+            fifo = lanes[pick].fifo
             if out != _LOCAL:
                 link = out_links[out]
                 if link is None:
@@ -308,48 +369,64 @@ class Switch:
             kind = flit.kind
             if kind.opens_route:
                 owners[out * n_vcs + flit.vc] = pick
-                queue.locked_output = out
+                locks[pick] = out
             if kind.closes_route:
                 owners[out * n_vcs + flit.vc] = None
-                queue.locked_output = None
+                locks[pick] = None
             if out == _LOCAL:
                 eject(flit)
-            rr[out] = (pick + 1) % n_lanes
-            if fifo:
-                # the new head competes for a later output this cycle;
-                # a body or tail follows the lock, which is now ``out``
-                # or released
-                flit = fifo[0]
-                if flit.kind.opens_route:
+            # a pointer past the last lane needs no wrap: no request
+            # bit sits at or above it, so the next pick takes the lowest
+            rr[out] = pick + 1
+            if not fifo:
+                occ ^= bit
+                continue
+            # the new head competes for a later output this cycle; a
+            # body or tail follows the lock, which is now ``out`` or
+            # released
+            flit = fifo[0]
+            if flit.kind.opens_route:
+                if routes is None:
                     later = route_fn(position, flit.dest).index
-                    if later > out:
-                        owner = owners[later * n_vcs + flit.vc]
-                        if owner is None or owner == pick:
-                            requests[later].append(pick)
+                else:
+                    later = routes[flit.dest]
+                if later > out:
+                    owner = owners[later * n_vcs + flit.vc]
+                    if owner is None or owner == pick:
+                        requests[later] |= bit
+        self._occ = occ
         self._buffered -= moved
         self.flits_routed += moved
         self.arbitration_fast += fast
         self.arbitration_conflicts += conflicts
         return moved
 
-    def _request(self, lane: int) -> Optional[int]:
-        """The output ``lane``'s head flit may take now, or None.
+    def _requests_for(self, out: int, occ: int) -> int:
+        """The request bitmask of output ``out`` over the lanes in
+        ``occ``, every head routed afresh.
 
         A head flit requests its routed output if no other lane owns
         that output on its VC; body and tail flits follow the lock.
         """
-        queue = self._lanes[lane]
-        fifo = queue.fifo
-        if not fifo:
-            return None
-        flit = fifo[0]
-        if not flit.kind.opens_route:
-            return queue.locked_output
-        out = self.route_fn(self.position, flit.dest).index
-        owner = self._owner[out * self.n_vcs + flit.vc]
-        if owner is None or owner == lane:
-            return out
-        return None  # VC lane locked by another packet
+        lanes = self._lanes
+        owners = self._owner
+        locks = self._lock
+        route_fn = self.route_fn
+        position = self.position
+        mask = 0
+        while occ:
+            bit = occ & -occ
+            occ ^= bit
+            lane = bit.bit_length() - 1
+            flit = lanes[lane].fifo[0]
+            if not flit.kind.opens_route:
+                if locks[lane] == out:
+                    mask |= bit
+            elif route_fn(position, flit.dest).index == out:
+                owner = owners[out * self.n_vcs + flit.vc]
+                if owner is None or owner == lane:
+                    mask |= bit
+        return mask
 
     # ------------------------------------------------------------------
     @property
@@ -360,11 +437,13 @@ class Switch:
 class WestFirstSwitch(Switch):
     """A switch for west-first adaptive routing.
 
-    Arbitrates like :class:`Switch` and rebuilds EAST's candidates
-    after NORTH or SOUTH sent in the same cycle, which keeps it exact
-    for :func:`~repro.noc.topology.compile_west_first` routes (see the
+    Arbitrates like :class:`Switch` but routes every head afresh (a
+    west-first choice reads link occupancy, so no route is cached) and
+    rebuilds EAST's requests after NORTH or SOUTH sent in the same
+    cycle, which keeps it exact for
+    :func:`~repro.noc.topology.compile_west_first` routes (see the
     module docstring).  :class:`~repro.noc.network.Network` uses it for
     ``west_first`` routing.
     """
 
-    _rescan_east = True
+    _adaptive = True

@@ -6,8 +6,8 @@ Standard synthetic patterns driving the mesh experiments:
 * transpose — (x, y) sends to (y, x);
 * bit-complement — (x, y) sends to (cols-1-x, rows-1-y);
 * hotspot — a fraction of traffic converges on one node;
-* neighbour — each node sends to its east neighbour (minimal-distance
-  background load).
+* neighbour — each node sends to its east neighbour; the east column
+  wraps to column 0, which on a mesh is a full-width westward route.
 
 Injection is Bernoulli per node per cycle at ``injection_rate`` flits
 per node per cycle (packets of ``packet_length`` flits are injected as
@@ -114,21 +114,27 @@ class TrafficGenerator:
         """Packets injected network-wide during ``cycle``."""
         cfg = self.config
         packet_probability = cfg.injection_rate / cfg.packet_length
+        length = cfg.packet_length
+        n_vcs = cfg.n_vcs
+        # bound once per cycle; the RNG calls keep their order
+        # (a draw per node, then destination, then payload base)
+        random = self._rng.random
+        getrandbits = self._rng.getrandbits
+        destination = self._destination
         packets = []
         for src in self._nodes:
-            if self._rng.random() >= packet_probability:
+            if random() >= packet_probability:
                 continue
-            dest = self._destination(src)
+            dest = destination(src)
             if dest is None:
                 continue
-            packet = Packet(
+            packets.append(Packet(
                 src=src,
                 dest=dest,
-                length_flits=cfg.packet_length,
+                length_flits=length,
                 created_cycle=cycle,
-                payload_base=self._rng.getrandbits(16),
-                vc=self.packets_generated % cfg.n_vcs,
-            )
-            packets.append(packet)
+                payload_base=getrandbits(16),
+                vc=self.packets_generated % n_vcs,
+            ))
             self.packets_generated += 1
         return packets

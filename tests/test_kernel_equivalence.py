@@ -91,6 +91,20 @@ def _assert_equivalent(opt, ref, context):
     # the optimized kernel's own bookkeeping must agree with the truth
     for node, switch in opt.switches.items():
         assert switch._buffered == switch.buffered_flits, (context, node)
+        occupied = sum(1 << lane for lane, queue in enumerate(switch._lanes)
+                       if queue.fifo)
+        assert switch._occ == occupied, (context, node)
+        # every owned output lane's owner holds the matching lock, and
+        # no input lane holds a lock nobody owns
+        held = {
+            (lane, slot // switch.n_vcs)
+            for slot, lane in enumerate(switch._owner) if lane is not None
+        }
+        locks = {
+            (lane, out) for lane, out in enumerate(switch._lock)
+            if out is not None
+        }
+        assert held == locks, (context, node)
 
 
 class TestKernelEquivalence:

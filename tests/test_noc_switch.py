@@ -1,11 +1,13 @@
 """Unit tests for the wormhole switch."""
 
+import random
+
 import pytest
 
 from repro.link.behavioral import BehavioralLinkParams, TokenLink
 from repro.noc import Flit, FlitKind, Packet, Port, Switch, Topology, next_hop
 from repro.noc.reference import ReferenceSwitch
-from repro.noc.switch import InputQueue, WestFirstSwitch
+from repro.noc.switch import InputQueue, WestFirstSwitch, round_robin_bit
 from repro.noc.topology import compile_next_hop, compile_west_first
 
 
@@ -277,3 +279,81 @@ class TestWestFirstEastFlip:
         assert [f.packet_id for _, f in north._in_flight] == [1]
         assert [f.packet_id for _, f in east._in_flight] == [9, 2]
         assert sw.queue(Port.SOUTH).empty and sw.queue(Port.WEST).empty
+
+
+def _old_round_robin(mask, start, n_lanes):
+    """The seed's pick: the requesting lane first in cyclic order from
+    ``start``."""
+    candidates = [lane for lane in range(n_lanes) if mask >> lane & 1]
+    return min(candidates, key=lambda lane: (lane - start) % n_lanes)
+
+
+class TestRoundRobinBitmask:
+    """The bitmask pick equals the seed's ``min(..., key=(lane - start)
+    % n_lanes)`` over the same requesting lanes."""
+
+    @pytest.mark.parametrize("n_lanes", [5, 10])
+    def test_every_mask_and_start(self, n_lanes):
+        for mask in range(1, 1 << n_lanes):
+            for start in range(n_lanes + 1):
+                bit = round_robin_bit(mask, start)
+                assert bit.bit_length() - 1 == _old_round_robin(
+                    mask, start % n_lanes, n_lanes), (mask, start)
+
+    def test_seeded_draws_on_15_lanes(self):
+        rng = random.Random(15)
+        n_lanes = 15
+        for _ in range(10_000):
+            mask = rng.randrange(1, 1 << n_lanes)
+            start = rng.randrange(n_lanes + 1)
+            bit = round_robin_bit(mask, start)
+            assert bit.bit_length() - 1 == _old_round_robin(
+                mask, start % n_lanes, n_lanes), (mask, start)
+
+
+class TestRouteCache:
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_cache_agrees_with_compiled_xy(self, size):
+        topo = Topology(size, size)
+        route = compile_next_hop(topo)
+        for node in topo.nodes():
+            sw = Switch(node, route)
+            for _ in range(2):  # the second pass reads the cache
+                for dest in topo.nodes():
+                    assert sw._routes[dest] == route(node, dest).index, (
+                        node, dest)
+            assert len(sw._routes) == topo.n_nodes
+
+    def test_west_first_head_reroutes_when_east_fills(self):
+        """A west-first head that chose EAST takes NORTH on the next
+        cycle once EAST's link has filled: its route is not cached."""
+        topo = Topology(3, 3)
+        slow = BehavioralLinkParams("T", 1, 0.5, 8, 10, 300.0)
+        fast = BehavioralLinkParams("T", 1, 1.0, 8, 10, 300.0)
+
+        def build(cls):
+            links = {((1, 1), port): TokenLink(fast)
+                     for port in (Port.NORTH, Port.SOUTH, Port.WEST)}
+            links[((1, 1), Port.EAST)] = TokenLink(slow)
+            sw = cls((1, 1), compile_west_first(topo, links))
+            for (_node, port), link in links.items():
+                sw.out_links[port] = link
+            return sw
+
+        for cls, rerouted in ((WestFirstSwitch, True), (Switch, False)):
+            sw = build(cls)
+            north, east = sw.out_links[Port.NORTH], sw.out_links[Port.EAST]
+            sw.accept(Port.WEST, head((2, 2), pid=1))
+            # both links empty: EAST wins the tie, but has half a credit
+            assert sw.arbitrate_and_send(0, lambda f: None) == 0
+            assert east.flits_sent == 0 and north.flits_sent == 0
+            east.accrue_to(2)
+            assert east.try_send(head((2, 1), pid=9), 1)
+            # EAST now holds a flit and NORTH none: NORTH is preferred
+            moved = sw.arbitrate_and_send(1, lambda f: None)
+            if rerouted:
+                assert moved == 1
+                assert [f.packet_id for _, f in north._in_flight] == [1]
+            else:
+                # a cached route keeps asking the stale EAST
+                assert moved == 0 and north.flits_sent == 0

@@ -111,6 +111,5 @@ class TestMeshSoak:
             assert switch.buffered_flits == 0
             for owner in switch.output_owner.values():
                 assert owner is None
-            for queues in switch.inputs.values():
-                for queue in queues:
-                    assert queue.locked_output is None
+            for lock in switch.input_locks.values():
+                assert lock is None
