@@ -23,9 +23,9 @@ class FlitKind(Enum):
 
     ``opens_route`` / ``closes_route`` are plain member attributes
     (assigned right after the class body) rather than properties: the
-    switch arbitration loop reads them once per lane per output port
-    per cycle, and a concrete bool avoids a descriptor call plus tuple
-    construction on that hot path.
+    switch arbitration loop reads them for every head flit and every
+    flit that advances, and a concrete bool avoids a descriptor call
+    plus tuple construction on that hot path.
     """
 
     HEAD = "head"

@@ -209,7 +209,6 @@ class Switch:
         self.name = name or f"sw{position}"
         self.n_vcs = n_vcs
         n_lanes = _N_PORTS * n_vcs
-        self._n_lanes = n_lanes
         #: input FIFOs, flat: lane ``port.index * n_vcs + vc``
         self._lanes: Tuple[InputQueue, ...] = tuple(
             InputQueue(fifo_depth) for _ in range(n_lanes)
@@ -236,9 +235,9 @@ class Switch:
         )
         #: outgoing links, attached by the network
         self.out_links = PortLinks()
-        #: flits currently buffered across all lanes (maintained by
-        #: :meth:`accept` and the arbitration pops; checked against the
-        #: FIFOs by the kernel-equivalence suite)
+        #: flits currently buffered across all lanes (counted wherever
+        #: ``_occ`` is kept; checked against the FIFOs by the
+        #: kernel-equivalence suite)
         self._buffered = 0
         # statistics
         self.flits_routed = 0
