@@ -125,11 +125,13 @@ class TokenLink:
     float operations in the same order, so results stay bit-identical)
     but stops early once the clamp is reached.  Credit is read only
     when a flit is offered, so the network accrues nothing per cycle:
-    the switch offers every flit through :meth:`accrue_and_send`, which
-    catches the credit up to the current cycle just before the send.
-    ``_accruals`` is the number of per-cycle accruals applied since
-    construction (the cycle the credit is caught up to) and
-    ``_accrual_batches`` the :meth:`accrue_to` calls that applied any.
+    :meth:`try_send` at cycle ``now`` first catches the credit up
+    through ``now`` (one :meth:`accrue_to` call, made only when cycles
+    are missing), so a link driven by :meth:`begin_cycle` every cycle
+    sees no accrual from it.  ``_accruals`` is the number of per-cycle
+    accruals applied since construction (the cycle the credit is
+    caught up to) and ``_accrual_batches`` the :meth:`accrue_to` calls
+    that applied any.
 
     Inside a :class:`~repro.noc.network.Network` a link also carries its
     delivery ``target`` and the network's timing ``wheel``: a send that
@@ -178,7 +180,10 @@ class TokenLink:
             rate = self._rate
             steps = n_accruals - done
             while steps and credit != cap:
-                credit = min(credit + rate, cap)
+                # min(credit + rate, cap), without the builtin's call
+                credit += rate
+                if credit > cap:
+                    credit = cap
                 steps -= 1
             self._rate_credit = credit
         self._accruals = n_accruals
@@ -190,7 +195,16 @@ class TokenLink:
         )
 
     def try_send(self, flit: object, now_cycle: int) -> bool:
-        """Accept a flit if the link has rate credit and space."""
+        """Accept a flit if the link has rate credit and space.
+
+        The credit is first caught up through ``now_cycle``: the same
+        float whether it was accrued cycle by cycle or here, because
+        :meth:`accrue_to` replays the skipped cycles exactly.  It is
+        not called when they are already applied (as after
+        :meth:`begin_cycle`), which is exactly when it would do nothing.
+        """
+        if now_cycle >= self._accruals:
+            self.accrue_to(now_cycle + 1)
         # can_send(), inlined: the switch calls this once per grant
         in_flight = self._in_flight
         if self._rate_credit < 1.0 or len(in_flight) >= self._capacity:
@@ -207,17 +221,6 @@ class TokenLink:
         in_flight.append((ready, flit))
         self.flits_sent += 1
         return True
-
-    def accrue_and_send(self, flit: object, now_cycle: int) -> bool:
-        """Catch the credit up through ``now_cycle``, then :meth:`try_send`.
-
-        The credit a send reads is the same float whether it was
-        accrued cycle by cycle or here, because :meth:`accrue_to`
-        replays the skipped cycles exactly and is a no-op when they
-        are already applied (as after :meth:`begin_cycle`).
-        """
-        self.accrue_to(now_cycle + 1)
-        return self.try_send(flit, now_cycle)
 
     def deliverable(self, now_cycle: int) -> bool:
         """True if the head flit has completed its traversal."""

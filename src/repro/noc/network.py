@@ -51,10 +51,13 @@ destination, and a west-first switch
 and rebuilds EAST's requests after NORTH or SOUTH sent, since only
 then can an adaptive choice change within a cycle.
 Rate credit is accrued only where it is read: a switch offers each flit
-through :meth:`~repro.link.behavioral.TokenLink.accrue_and_send`, which
-replays the link's skipped per-cycle accruals in one batch just before
-the send, so no phase walks the links to accrue.  All of this is
-decision-identical to the seed kernel — ``tests/test_kernel_equivalence.py``
+with :meth:`~repro.link.behavioral.TokenLink.try_send`, which replays
+the link's skipped per-cycle accruals in one batch just before the
+send, so no phase walks the links to accrue.  A switch ejects a flit
+with one call, ``eject(flit, cycle)``: the network's ``_eject`` hook
+is :meth:`~repro.noc.stats.NetworkStats.record_ejection` itself.
+All of this is decision-identical to the seed kernel —
+``tests/test_kernel_equivalence.py``
 pins bit-identical statistics, link counters and traced routes across
 routing modes, VC counts, traffic patterns and mesh sizes;
 ``python -m repro bench`` measures the resulting speedup.
@@ -119,6 +122,11 @@ class Network:
         self.n_vcs = n_vcs
         self.routing = routing
         self.stats = NetworkStats()
+        #: the switches' ejection callback, ``(flit, cycle)``; tests
+        #: may wrap it
+        self._eject: Callable[[Flit, int], None] = (
+            self.stats.record_ejection
+        )
         self.cycle = 0
 
         #: directed links keyed by (src_node, src_port)
@@ -300,9 +308,6 @@ class Network:
 
         self.cycle = now + 1
         self.stats.cycles = self.cycle
-
-    def _eject(self, flit: Flit) -> None:
-        self.stats.record_ejection(flit, self.cycle)
 
     def _record_heads(self, node: Coord, switch: Switch) -> None:
         """Append ``node`` to the route of every head flit waiting here."""

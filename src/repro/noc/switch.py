@@ -16,10 +16,10 @@ provides that substrate: a 5-port input-buffered wormhole switch with
   link accepts it (the links are
   :class:`~repro.link.behavioral.TokenLink` instances whose rate and
   capacity come from the link implementation under study).  The
-  switch offers each flit through
-  :meth:`~repro.link.behavioral.TokenLink.accrue_and_send`, which
-  catches the link's rate credit up to the current cycle first, so
-  nothing has to accrue credit for the switch's links beforehand.
+  switch offers each flit with
+  :meth:`~repro.link.behavioral.TokenLink.try_send`, which catches
+  the link's rate credit up to the current cycle first, so nothing
+  has to accrue credit for the switch's links beforehand.
 
 The switch is cycle-driven: the network calls :meth:`arbitrate_and_send`
 once per clock after link deliveries have been drained into the input
@@ -45,8 +45,11 @@ advances on one output may advance again on a later one in the same
 cycle (its new head wants that output).  One arbitration loop serves
 every routing: an up-front pass walks only the set bits of ``_occ``,
 routes each head flit once and ORs its lane into one request bitmask
-per output; when a lane advances on output ``o`` only its new head is
-routed, and if it wants a later output it joins that output's mask.
+per output, and the output's bit into ``outs``, the bitmask of
+outputs with requests; the loop pops the lowest bit of ``outs``, so
+it visits only those outputs, still in port order.  When a lane
+advances on output ``o`` only its new head is routed, and if it wants
+a later output it joins that output's mask and ``outs``.
 A lone request (``mask & (mask - 1) == 0``) wins outright; otherwise
 round-robin takes the lowest requesting lane at or after the output's
 pointer, else the lowest one, which is the seed's first candidate in
@@ -63,8 +66,9 @@ one of NORTH/SOUTH by out-link occupancy; an out-link's occupancy only
 changes when its own output sends.  So a route computed at the start
 of the cycle still holds when its output is served, except at EAST:
 once NORTH or SOUTH has sent, a head that chose it may now prefer
-EAST.  Before serving EAST after such a send, the switch rebuilds
-EAST's request mask with one walk of the occupied lanes.
+EAST.  Such a send adds EAST to ``outs`` even if no lane requested it
+up front, and before serving EAST the switch rebuilds EAST's request
+mask with one walk of the occupied lanes.
 """
 
 from __future__ import annotations
@@ -84,6 +88,7 @@ Lane = Tuple[Port, int]
 
 _N_PORTS = len(PORTS)
 _EAST = Port.EAST.index
+_EAST_BIT = 1 << _EAST
 _LOCAL = Port.LOCAL.index
 
 
@@ -294,14 +299,14 @@ class Switch:
     def arbitrate_and_send(
         self,
         now_cycle: int,
-        eject: Callable[[Flit], None],
+        eject: Callable[[Flit, int], None],
     ) -> int:
         """One cycle of switching: returns the number of flits moved.
 
-        ``eject`` consumes flits whose output is LOCAL.  At most one
-        flit advances per *physical* output port per cycle; round-robin
-        over the input lanes resolves conflicts; the wormhole lock is
-        per (output, VC) so different VCs interleave.
+        ``eject(flit, now_cycle)`` consumes flits whose output is
+        LOCAL.  At most one flit advances per *physical* output port per
+        cycle; round-robin over the input lanes resolves conflicts; the
+        wormhole lock is per (output, VC) so different VCs interleave.
         """
         occ = self._occ
         if not occ:
@@ -314,8 +319,10 @@ class Switch:
         route_fn = self.route_fn
         position = self.position
         # every head flit is routed once, up front, into one request
-        # bitmask per output; only the occupied lanes are visited
+        # bitmask per output, and ``outs`` marks the outputs that have
+        # one; only the occupied lanes are visited
         requests = [0, 0, 0, 0, 0]
+        outs = 0
         bits = occ
         while bits:
             bit = bits & -bits
@@ -330,22 +337,28 @@ class Switch:
                 owner = owners[out * n_vcs + flit.vc]
                 if owner is None or owner == lane:
                     requests[out] |= bit
+                    outs |= 1 << out
             else:
                 out = locks[lane]
                 if out is not None:
                     requests[out] |= bit
+                    outs |= 1 << out
         rr = self._rr
         out_links = self.out_links.slots
         adaptive = self._adaptive
         moved = fast = conflicts = 0
-        for out in range(_N_PORTS):
+        # serve the requested outputs lowest first: N, S, E, W, L
+        while outs:
+            obit = outs & -outs
+            outs ^= obit
+            out = obit.bit_length() - 1
             mask = requests[out]
             if adaptive and out == _EAST and moved:
                 # NORTH or SOUTH sent (only they precede EAST), so a
                 # head that chose one of them may now prefer EAST
                 mask = self._requests_for(_EAST, occ)
-            if not mask:
-                continue
+                if not mask:
+                    continue
             if mask & (mask - 1) == 0:
                 fast += 1
                 bit = mask
@@ -360,8 +373,12 @@ class Switch:
                     raise RuntimeError(
                         f"{self.name}: no link attached on {PORTS[out]}"
                     )
-                if not link.accrue_and_send(fifo[0], now_cycle):
+                if not link.try_send(fifo[0], now_cycle):
                     continue
+                if adaptive and out < _EAST:
+                    # serve EAST this cycle, whether or not it had a
+                    # request up front (see the module docstring)
+                    outs |= _EAST_BIT
             flit = fifo.popleft()
             moved += 1
             # wormhole locks follow the flit that advanced
@@ -373,7 +390,7 @@ class Switch:
                 owners[out * n_vcs + flit.vc] = None
                 locks[pick] = None
             if out == _LOCAL:
-                eject(flit)
+                eject(flit, now_cycle)
             # a pointer past the last lane needs no wrap: no request
             # bit sits at or above it, so the next pick takes the lowest
             rr[out] = pick + 1
@@ -393,6 +410,7 @@ class Switch:
                     owner = owners[later * n_vcs + flit.vc]
                     if owner is None or owner == pick:
                         requests[later] |= bit
+                        outs |= 1 << later
         self._occ = occ
         self._buffered -= moved
         self.flits_routed += moved

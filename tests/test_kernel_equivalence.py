@@ -253,6 +253,45 @@ class TestCreditAccrualEquivalence:
                     == batched.try_send("f", cycle), cycle
             assert stepped._rate_credit == batched._rate_credit, cycle
 
+    @pytest.mark.parametrize("rate", (1.0, 0.9523, 0.5, 0.3, 0.07))
+    def test_sparse_try_send_matches_begin_cycle_sequence(self, rate):
+        """A link offered flits only at sparse cycles, with nothing
+        accruing in between, catches its credit up inside ``try_send``:
+        every decision and the credit after it match per-cycle accrual,
+        and the accrual counters match an explicit ``accrue_to(now +
+        1)`` before each send."""
+        from repro.link.behavioral import BehavioralLinkParams, TokenLink
+        from repro.noc.reference import ReferenceTokenLink
+
+        params = BehavioralLinkParams("T", 5, rate, 3, 10, 300.0)
+        stepped = ReferenceTokenLink(params)
+        lazy = TokenLink(params)
+        explicit = TokenLink(params)
+        # bursts that drain the credit and fill the link, gaps that
+        # let it saturate, and one cycle offered twice
+        send_at = [0, 1, 2, 3, 4, 5, 9, 10, 11, 30, 31, 31, 32, 33, 34,
+                   35, 36, 37, 38, 90, 91, 92, 93, 94, 200]
+        decisions = []
+        cycle = -1
+        for now in send_at:
+            while cycle < now:
+                cycle += 1
+                stepped.begin_cycle()
+                for link in (stepped, lazy, explicit):
+                    if link.deliverable(cycle):
+                        link.pop(cycle)
+            explicit.accrue_to(now + 1)
+            sent = stepped.try_send("f", now)
+            assert lazy.try_send("f", now) == sent, now
+            assert explicit.try_send("f", now) == sent, now
+            assert lazy._rate_credit == stepped._rate_credit, now
+            assert lazy.occupancy == stepped.occupancy, now
+            decisions.append(sent)
+        assert True in decisions and False in decisions
+        assert lazy._accruals == explicit._accruals == send_at[-1] + 1
+        assert lazy._accrual_batches == explicit._accrual_batches \
+            == len(set(send_at))
+
     def test_accrue_to_is_idempotent_and_monotonic(self):
         from repro.link.behavioral import BehavioralLinkParams, TokenLink
 

@@ -250,10 +250,10 @@ class TestLatencyVsLoad:
             created[packet.packet_id] = packet.created_cycle
             offer(packet)
 
-        def spy_eject(flit):
+        def spy_eject(flit, cycle):
             if flit.kind.closes_route:
                 tails[flit.packet_id] = net.cycle
-            eject(flit)
+            eject(flit, cycle)
 
         net.offer_packet, net._eject = spy_offer, spy_eject
         net.run(warmup, traffic)
@@ -315,9 +315,10 @@ class TestTimingWheel:
         ejected = []
         eject = net._eject
 
-        def spy(flit):
+        def spy(flit, *cycle):
+            # the frozen kernel ejects with the flit alone
             ejected.append((flit.packet_id, flit.seq))
-            eject(flit)
+            eject(flit, *cycle)
 
         net._eject = spy
         net.run(15)

@@ -61,7 +61,7 @@ class TestSwitchRouting:
         sw = make_switch(position=(1, 1))
         ejected = []
         sw.accept(Port.WEST, head(dest=(1, 1)))
-        sw.arbitrate_and_send(0, ejected.append)
+        sw.arbitrate_and_send(0, lambda f, c: ejected.append(f))
         assert len(ejected) == 1
 
     def test_forwards_east(self):
@@ -69,7 +69,7 @@ class TestSwitchRouting:
         sw.accept(Port.LOCAL, head(dest=(2, 1)))
         link = sw.out_links[Port.EAST]
         link.begin_cycle()
-        sw.arbitrate_and_send(0, lambda f: None)
+        sw.arbitrate_and_send(0, lambda f, c: None)
         assert link.flits_sent == 1
 
     def test_xy_goes_x_first(self):
@@ -79,7 +79,7 @@ class TestSwitchRouting:
         north = sw.out_links[Port.NORTH]
         for link in sw.out_links.values():
             link.begin_cycle()
-        sw.arbitrate_and_send(0, lambda f: None)
+        sw.arbitrate_and_send(0, lambda f, c: None)
         assert east.flits_sent == 1
         assert north.flits_sent == 0
 
@@ -94,7 +94,7 @@ class TestWormhole:
         for cycle in range(3):
             for link in sw.out_links.values():
                 link.begin_cycle()
-            sw.arbitrate_and_send(cycle, lambda f: None)
+            sw.arbitrate_and_send(cycle, lambda f, c: None)
         assert east.flits_sent == 3
 
     def test_output_locked_against_other_packet(self):
@@ -104,14 +104,14 @@ class TestWormhole:
         sw.accept(Port.LOCAL, head(dest=(2, 1), pid=1))
         for link in sw.out_links.values():
             link.begin_cycle()
-        sw.arbitrate_and_send(0, lambda f: None)
+        sw.arbitrate_and_send(0, lambda f, c: None)
         assert sw.output_owner[(Port.EAST, 0)] == (Port.LOCAL, 0)
         # now a competing head arrives while A's body still flows
         sw.accept(Port.LOCAL, body(pid=1))
         sw.accept(Port.WEST, head(dest=(2, 1), pid=2))
         for link in sw.out_links.values():
             link.begin_cycle()
-        sw.arbitrate_and_send(1, lambda f: None)
+        sw.arbitrate_and_send(1, lambda f, c: None)
         # only packet A's flits have crossed; B's head is still queued
         assert east.flits_sent == 2
         assert not sw.queue(Port.WEST).empty
@@ -122,13 +122,13 @@ class TestWormhole:
         sw.accept(Port.LOCAL, head(dest=(2, 1), pid=1))
         for link in sw.out_links.values():
             link.begin_cycle()
-        sw.arbitrate_and_send(0, lambda f: None)  # A locks EAST
+        sw.arbitrate_and_send(0, lambda f, c: None)  # A locks EAST
         sw.accept(Port.LOCAL, tail(pid=1, seq=1))
         sw.accept(Port.WEST, head(dest=(2, 1), pid=2))
         for cycle in range(1, 3):
             for link in sw.out_links.values():
                 link.begin_cycle()
-            sw.arbitrate_and_send(cycle, lambda f: None)
+            sw.arbitrate_and_send(cycle, lambda f, c: None)
         assert east.flits_sent == 3  # A head, A tail, then B head
         assert sw.output_owner[(Port.EAST, 0)] == (Port.WEST, 0)
 
@@ -139,7 +139,7 @@ class TestWormhole:
         sw.accept(Port.LOCAL, flit)
         for link in sw.out_links.values():
             link.begin_cycle()
-        sw.arbitrate_and_send(0, lambda f: None)
+        sw.arbitrate_and_send(0, lambda f, c: None)
         assert sw.output_owner[(Port.EAST, 0)] is None
 
 
@@ -160,7 +160,7 @@ class TestArbitration:
             for link in sw.out_links.values():
                 link.begin_cycle()
             before = east.flits_sent
-            sw.arbitrate_and_send(cycle, lambda f: None)
+            sw.arbitrate_and_send(cycle, lambda f, c: None)
             if east.flits_sent > before:
                 winners.append(east._in_flight[-1][1].packet_id // 10)
         assert sorted(winners) == [1, 1, 2, 2]
@@ -174,7 +174,7 @@ class TestArbitration:
                                    src=(1, 0), dest=(2, 1)))
         for link in sw.out_links.values():
             link.begin_cycle()
-        sw.arbitrate_and_send(0, lambda f: None)
+        sw.arbitrate_and_send(0, lambda f, c: None)
         assert sw.arbitration_conflicts == 1
 
 
@@ -189,7 +189,7 @@ class TestBackpressure:
             east.try_send(f"x{i}", 0)
         sw.accept(Port.LOCAL, head(dest=(2, 1)))
         east.begin_cycle()
-        sw.arbitrate_and_send(0, lambda f: None)
+        sw.arbitrate_and_send(0, lambda f, c: None)
         assert not sw.queue(Port.LOCAL).empty  # still waiting
 
     def test_missing_link_raises(self):
@@ -197,7 +197,7 @@ class TestBackpressure:
         sw = Switch((1, 1), lambda c, d: next_hop(c, d, topo))
         sw.accept(Port.LOCAL, head(dest=(2, 1)))
         with pytest.raises(RuntimeError):
-            sw.arbitrate_and_send(0, lambda f: None)
+            sw.arbitrate_and_send(0, lambda f, c: None)
 
 
 def _wired(cls):
@@ -212,7 +212,7 @@ def _wired(cls):
 def _cycle(sw, cycle):
     for link in sw.out_links.values():
         link.begin_cycle()
-    return sw.arbitrate_and_send(cycle, lambda f: None)
+    return sw.arbitrate_and_send(cycle, lambda f, c: None)
 
 
 def _west(pid, kind, dest=(9, 9), seq=0):
@@ -280,6 +280,31 @@ class TestWestFirstEastFlip:
         assert [f.packet_id for _, f in east._in_flight] == [9, 2]
         assert sw.queue(Port.SOUTH).empty and sw.queue(Port.WEST).empty
 
+    def test_head_that_lost_south_leaves_east_same_cycle(self, cls):
+        """The SOUTH mirror: no lane requests EAST up front, SOUTH
+        sends first, and the losing head still leaves on EAST."""
+        topo = Topology(3, 3)
+        params = BehavioralLinkParams("T", 1, 1.0, 8, 10, 300.0)
+        links = {
+            ((1, 1), port): TokenLink(params)
+            for port in (Port.NORTH, Port.SOUTH, Port.EAST, Port.WEST)
+        }
+        sw = cls((1, 1), compile_west_first(topo, links))
+        for (_node, port), link in links.items():
+            sw.out_links[port] = link
+        south, east = sw.out_links[Port.SOUTH], sw.out_links[Port.EAST]
+        east.begin_cycle()
+        assert east.try_send(head((2, 1), pid=9), 0)
+        # occ[E] = 1 > occ[S] = 0: both heads for (2, 0) want SOUTH
+        sw.accept(Port.NORTH, head((2, 0), pid=1))
+        sw.accept(Port.WEST, head((2, 0), pid=2))
+        assert _cycle(sw, 1) == 2
+        # NORTH wins SOUTH round-robin; SOUTH's send ties the two links,
+        # and EAST wins ties, so WEST's head leaves on EAST
+        assert [f.packet_id for _, f in south._in_flight] == [1]
+        assert [f.packet_id for _, f in east._in_flight] == [9, 2]
+        assert sw.queue(Port.NORTH).empty and sw.queue(Port.WEST).empty
+
 
 def _old_round_robin(mask, start, n_lanes):
     """The seed's pick: the requesting lane first in cyclic order from
@@ -345,12 +370,12 @@ class TestRouteCache:
             north, east = sw.out_links[Port.NORTH], sw.out_links[Port.EAST]
             sw.accept(Port.WEST, head((2, 2), pid=1))
             # both links empty: EAST wins the tie, but has half a credit
-            assert sw.arbitrate_and_send(0, lambda f: None) == 0
+            assert sw.arbitrate_and_send(0, lambda f, c: None) == 0
             assert east.flits_sent == 0 and north.flits_sent == 0
             east.accrue_to(2)
             assert east.try_send(head((2, 1), pid=9), 1)
             # EAST now holds a flit and NORTH none: NORTH is preferred
-            moved = sw.arbitrate_and_send(1, lambda f: None)
+            moved = sw.arbitrate_and_send(1, lambda f, c: None)
             if rerouted:
                 assert moved == 1
                 assert [f.packet_id for _, f in north._in_flight] == [1]

@@ -85,7 +85,7 @@ class TestVcInterleaving:
             for link in sw.out_links.values():
                 link.begin_cycle()
             before = east.flits_sent
-            sw.arbitrate_and_send(cycle, lambda f: None)
+            sw.arbitrate_and_send(cycle, lambda f, c: None)
             if east.flits_sent > before:
                 order.append(east._in_flight[-1][1].packet_id)
         assert sorted(order) == [1, 1, 1, 2, 2, 2]
@@ -105,7 +105,7 @@ class TestVcInterleaving:
             for link in sw.out_links.values():
                 link.begin_cycle()
             before = east.flits_sent
-            sw.arbitrate_and_send(cycle, lambda f: None)
+            sw.arbitrate_and_send(cycle, lambda f, c: None)
             if east.flits_sent > before:
                 order.append(east._in_flight[-1][1].packet_id)
         # one packet completes entirely before the other starts
@@ -124,7 +124,7 @@ class TestVcInterleaving:
             for link in sw.out_links.values():
                 link.begin_cycle()
             before = east.flits_sent
-            sw.arbitrate_and_send(cycle, lambda f: None)
+            sw.arbitrate_and_send(cycle, lambda f, c: None)
             if east.flits_sent > before:
                 order.append(east._in_flight[-1][1].packet_id)
         assert order[:2] in ([1, 1], [2, 2])
@@ -169,9 +169,9 @@ class TestVcNetwork:
         # intercept ejections
         original = net._eject
 
-        def spy(f):
+        def spy(f, cycle):
             delivered.append(f.vc)
-            original(f)
+            original(f, cycle)
 
         net._eject = spy
         net.drain()

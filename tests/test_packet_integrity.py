@@ -35,9 +35,9 @@ def eject_spy(net):
     captured = defaultdict(list)
     original = net._eject
 
-    def spy(flit: Flit) -> None:
+    def spy(flit: Flit, cycle: int) -> None:
         captured[flit.packet_id].append(flit)
-        original(flit)
+        original(flit, cycle)
 
     net._eject = spy
     return captured
@@ -86,9 +86,9 @@ class TestPayloadIntegrityInMesh:
         dest_seen = {}
         original = net._eject
 
-        def spy(flit):
+        def spy(flit, cycle):
             dest_seen[flit.packet_id] = flit.dest
-            original(flit)
+            original(flit, cycle)
 
         net._eject = spy
         traffic = TrafficGenerator(
