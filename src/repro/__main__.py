@@ -658,7 +658,7 @@ def _cmd_bench(args, parser) -> int:
         p for p in bench_mod.default_points(
             fast=args.fast, scale=args.scale, cycles=args.cycles,
             meshes=args.mesh or (), rates=args.rates or (),
-            pattern=args.pattern, n_vcs=args.vcs, kind=args.kind,
+            pattern=args.pattern, kind=args.kind,
             routing=args.routing,
         )
         if args.suite in (p.suite, "all")
@@ -1129,8 +1129,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="routing for every noc point (default: each point's own; "
              "with --mesh, xy)",
     )
-    p_bench.add_argument("--vcs", type=_AT_LEAST_1, default=1, metavar="N",
-                         help="virtual channels (default 1)")
     p_bench.add_argument("--kind", default="I3", choices=("I1", "I2", "I3"),
                          help="link implementation (default I3)")
     p_bench.add_argument("--cycles", type=_AT_LEAST_1, default=1500,

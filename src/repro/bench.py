@@ -112,7 +112,6 @@ class Point:
     injection_rate: float = 0.0
     pattern: str = "uniform"
     routing: str = "xy"
-    n_vcs: int = 1
     kind: str = "I3"
 
     @property
@@ -122,7 +121,7 @@ class Point:
             return (
                 f"{self.mesh_size}x{self.mesh_size}"
                 f"@{self.injection_rate:g}/{self.pattern}"
-                f"/{self.routing}/vc{self.n_vcs}/{self.kind}"
+                f"/{self.routing}/{self.kind}"
             )
         return f"{self.suite}/{self.workload}@{self.size}"
 
@@ -154,7 +153,7 @@ def _noc(point: Point):
             network_cls, Topology(point.mesh_size, point.mesh_size),
             derive_link_params(st012(), point.kind, 300.0),
             point.injection_rate, pattern=point.pattern,
-            routing=point.routing, n_vcs=point.n_vcs,
+            routing=point.routing,
         )
 
         def finish(stats):
@@ -522,19 +521,19 @@ def noc_cycles(cycles: int, mesh_size: int, fast: bool) -> int:
 def default_points(fast: bool = False, scale: float = 1.0,
                    cycles: Optional[int] = None,
                    meshes: Sequence[int] = (), rates: Sequence[float] = (),
-                   pattern: str = "uniform", n_vcs: int = 1,
-                   kind: str = "I3", routing: Optional[str] = None,
+                   pattern: str = "uniform", kind: str = "I3",
+                   routing: Optional[str] = None,
                    ) -> List[Point]:
     """The standard points of every suite, in suite order.
 
     NoC points run ``cycles`` (default: the row's size) at each of
     :data:`NOC_POINTS`, or, when ``meshes`` or ``rates`` is given, at
     every mesh x rate pair of that grid (missing side:
-    :data:`GRID_MESHES` or :data:`GRID_RATES`) routed xy.  ``pattern``,
-    ``n_vcs`` and ``kind`` shape every NoC point, and so does
-    ``routing`` when given.  Every other row's size is multiplied by
-    ``scale`` but kept at or above its minimum.  ``fast`` caps the two
-    (:func:`noc_cycles`, :data:`FAST_SCALE`).
+    :data:`GRID_MESHES` or :data:`GRID_RATES`) routed xy.  ``pattern``
+    and ``kind`` shape every NoC point, and so does ``routing`` when
+    given.  Every other row's size is multiplied by ``scale`` but kept
+    at or above its minimum.  ``fast`` caps the two (:func:`noc_cycles`,
+    :data:`FAST_SCALE`).
     """
     if fast:
         scale = min(scale, FAST_SCALE)
@@ -552,7 +551,7 @@ def default_points(fast: bool = False, scale: float = 1.0,
         points += [
             Point(row.suite, row.name, noc_cycles(n, mesh, fast),
                   mesh_size=mesh, injection_rate=rate, pattern=pattern,
-                  routing=routing or own, n_vcs=n_vcs, kind=kind)
+                  routing=routing or own, kind=kind)
             for mesh, rate, own in noc
         ]
     return points
@@ -627,7 +626,6 @@ def run_point(point: Point, reference: bool = True,
             injection_rate=point.injection_rate,
             pattern=point.pattern,
             routing=point.routing,
-            n_vcs=point.n_vcs,
             kind=point.kind,
         )
     return record

@@ -156,7 +156,7 @@ class TokenLink:
         #: matures then), or None for a standalone link
         self.wheel: Optional[Dict[int, List["TokenLink"]]] = None
         #: where a delivered flit goes, set by the network:
-        #: (downstream switch, its node id, first lane of the input port)
+        #: (downstream switch, its node id, the input port's lane)
         self.target: Optional[Tuple[object, object, int]] = None
 
     def begin_cycle(self) -> None:

@@ -5,11 +5,12 @@ package provides that context so the links can be evaluated inside full
 networks (mesh latency/throughput under synthetic traffic), not just on
 an isolated point-to-point testbench.
 
-Flits carry a concrete ``vc`` field (virtual channel, assigned at
-injection, default 0) — the cycle kernel reads ``flit.vc`` directly on
-its hot path, so anything offering flits to a :class:`Network` or
-:class:`Switch` must provide real :class:`Flit` instances rather than
-duck-typed stand-ins without ``vc``.
+Every switch has one input lane per port and no virtual channels, as
+in the paper's plain wormhole NoC: a flit enters the lane of the port
+it arrives on.  A :class:`Switch` reads only a flit's ``kind`` and
+``dest``, so a duck-typed stand-in carrying those two can drive one; a
+:class:`Network` takes real :class:`Flit` instances, whose cycles and
+``packet_id`` its statistics read and stamp.
 
 The cycle kernel itself is event-driven (see
 :mod:`repro.noc.network`); the original full-scan kernel is preserved

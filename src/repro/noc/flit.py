@@ -56,8 +56,6 @@ class Flit:
     dest: Coord
     seq: int = 0
     payload: int = 0
-    #: virtual channel, assigned at injection and kept end to end
-    vc: int = 0
     injected_cycle: int = -1
     ejected_cycle: int = -1
 
@@ -78,8 +76,6 @@ class Packet:
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
     created_cycle: int = 0
     payload_base: int = 0
-    #: virtual channel all of this packet's flits travel on
-    vc: int = 0
 
     def __post_init__(self) -> None:
         if self.length_flits < 1:
@@ -89,13 +85,11 @@ class Packet:
 
     def flits(self) -> List[Flit]:
         """The packet's flits in wire order."""
-        packet_id, src, dest, vc = (
-            self.packet_id, self.src, self.dest, self.vc
-        )
+        packet_id, src, dest = self.packet_id, self.src, self.dest
         base = self.payload_base
         return [
             Flit(packet_id, kind, src, dest, seq,
-                 (base + seq) & 0xFFFFFFFF, vc)
+                 (base + seq) & 0xFFFFFFFF)
             for seq, kind in enumerate(_kinds(self.length_flits))
         ]
 

@@ -27,7 +27,7 @@ verbatim in :mod:`repro.noc.reference`), :meth:`Network.step` keeps
   and still holds flits is filed again under its next head's cycle (or
   the next cycle, if that head has matured already), a backpressured
   one under the next cycle.  Each link carries its delivery target
-  (downstream switch, node id and first lane of the input port), so a
+  (downstream switch, node id and the input port's lane), so a
   delivery is one FIFO-space test, an append and the lane's bit set in
   the switch's occupancy mask.  Delivery order within a bucket does not
   matter: every link feeds its own input port, and phase 1 is the only
@@ -42,11 +42,12 @@ Inside the kernel a node is an int id, its index in sorted-coordinate
 order: the switches and source queues sit in lists indexed by id, and
 the seed's sorted switch order is ``sorted()`` over ints (or the whole
 id range when every switch is active), with no tuple comparisons.
-Delivery and injection append to the lane's FIFO and set its bit in
-the switch's ``_occ`` directly.  Each switch walks only its occupied
-lanes into per-output request bitmasks and serves them round-robin
-(see :mod:`repro.noc.switch`); an XY switch caches its route per
-destination, and a west-first switch
+Each input port has one lane, indexed by the port, so delivery and
+injection append to that lane's FIFO and set its bit in the switch's
+``_occ`` directly, reading nothing from the flit.  Each switch walks
+only its occupied lanes into per-output request bitmasks and serves
+them round-robin (see :mod:`repro.noc.switch`); an XY switch caches
+its route per destination, and a west-first switch
 (:class:`~repro.noc.switch.WestFirstSwitch`) routes every head afresh
 and rebuilds EAST's requests after NORTH or SOUTH sent, since only
 then can an adaptive choice change within a cycle.
@@ -59,13 +60,12 @@ is :meth:`~repro.noc.stats.NetworkStats.record_ejection` itself.
 All of this is decision-identical to the seed kernel —
 ``tests/test_kernel_equivalence.py``
 pins bit-identical statistics, link counters and traced routes across
-routing modes, VC counts, traffic patterns and mesh sizes;
+routing modes, traffic patterns and mesh sizes;
 ``python -m repro bench`` measures the resulting speedup.
 
 The statistics keep one per-packet table (see
 :class:`~repro.noc.stats.NetworkStats`): :meth:`Network.offer_packet`
-opens a packet's entry, after checking its VC once, and the ejection
-of its last flit frees it.
+opens a packet's entry, and the ejection of its last flit frees it.
 """
 
 from __future__ import annotations
@@ -89,6 +89,9 @@ from .topology import (
 )
 from .traffic import TrafficConfig, TrafficGenerator
 
+_LOCAL = Port.LOCAL.index
+_LOCAL_BIT = 1 << _LOCAL
+
 
 class Network:
     """A mesh NoC with uniform or per-link parameters.
@@ -110,7 +113,6 @@ class Network:
         link_params_for: Optional[
             Callable[[Coord, Port, Coord], Optional[BehavioralLinkParams]]
         ] = None,
-        n_vcs: int = 1,
         routing: str = "xy",
     ) -> None:
         if routing not in ("xy", "west_first"):
@@ -119,7 +121,6 @@ class Network:
             )
         self.topology = topology
         self.link_params = link_params
-        self.n_vcs = n_vcs
         self.routing = routing
         self.stats = NetworkStats()
         #: the switches' ejection callback, ``(flit, cycle)``; tests
@@ -153,7 +154,7 @@ class Network:
             route = compile_west_first(topology, self.links)
             switch_cls = WestFirstSwitch
         self.switches: Dict[Coord, Switch] = {
-            node: switch_cls(node, route, fifo_depth, n_vcs)
+            node: switch_cls(node, route, fifo_depth)
             for node in topology.nodes()
         }
         #: node coordinates by node id: the kernel names a node by its
@@ -172,8 +173,7 @@ class Network:
         for (src, port), link in self.links.items():
             self.switches[src].out_links[port] = link
             dst, dport = link_dst[link]
-            link.target = (self.switches[dst], node_id[dst],
-                           dport.index * n_vcs)
+            link.target = (self.switches[dst], node_id[dst], dport.index)
             link.wheel = self._wheel
 
         #: per-node source queues of flits waiting to enter the network
@@ -213,8 +213,6 @@ class Network:
                 f"packet {packet.packet_id}: destination {packet.dest} is "
                 f"outside the {topology.cols}x{topology.rows} mesh"
             )
-        if not 0 <= packet.vc < self.n_vcs:
-            self._switch_list[node]._check_vc(packet.vc)
         self.stats.open_packet(
             packet.packet_id, packet.length_flits, packet.created_cycle
         )
@@ -237,15 +235,13 @@ class Network:
             later = now + 1
             for link in due:
                 in_flight = link._in_flight
-                flit = in_flight[0][1]
                 switch, dst, lane = link.target
-                lane += flit.vc
                 queue = switch._lanes[lane]
                 fifo = queue.fifo
                 if len(fifo) < queue.depth:
+                    fifo.append(in_flight[0][1])
                     del in_flight[0]
                     link.flits_delivered += 1
-                    fifo.append(flit)
                     switch._occ |= 1 << lane
                     switch._buffered += 1
                     active_switches.add(dst)
@@ -271,19 +267,16 @@ class Network:
         if pending:
             stats = self.stats
             sources = self._source_list
-            local_base = Port.LOCAL.index * self.n_vcs
             for node in list(pending):
                 source = sources[node]
                 switch = switch_list[node]
-                flit = source[0]
-                lane = local_base + flit.vc
-                queue = switch._lanes[lane]
+                queue = switch._lanes[_LOCAL]
                 fifo = queue.fifo
                 if len(fifo) < queue.depth:
-                    source.popleft()
+                    flit = source.popleft()
                     stats.record_injection(flit, now)
                     fifo.append(flit)
-                    switch._occ |= 1 << lane
+                    switch._occ |= _LOCAL_BIT
                     switch._buffered += 1
                     active_switches.add(node)
                     if not source:
@@ -447,7 +440,6 @@ def build_run(
     routing: str = "xy",
     hotspot: Optional[Coord] = None,
     hotspot_fraction: float = 0.5,
-    n_vcs: int = 1,
     link_params_for: Optional[
         Callable[[Coord, Port, Coord], Optional[BehavioralLinkParams]]
     ] = None,
@@ -466,7 +458,7 @@ def build_run(
         hotspot = (topology.cols // 2, topology.rows // 2)
     network = network_cls(
         topology, link_params, fifo_depth=fifo_depth, routing=routing,
-        n_vcs=n_vcs, link_params_for=link_params_for,
+        link_params_for=link_params_for,
     )
     traffic = TrafficGenerator(
         topology,
@@ -477,7 +469,6 @@ def build_run(
             seed=seed,
             hotspot=hotspot,
             hotspot_fraction=hotspot_fraction,
-            n_vcs=n_vcs,
         ),
     )
     return network, traffic

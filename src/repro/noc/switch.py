@@ -5,13 +5,11 @@ provides that substrate: a 5-port input-buffered wormhole switch with
 
 * XY (dimension-ordered) routing — deadlock-free on a mesh,
 * per-output round-robin arbitration,
-* wormhole route locking: a head flit claims an output lane; body flits
-  follow; the tail flit releases it,
-* optional **virtual channels**: with ``n_vcs > 1`` each input port has
-  one FIFO per VC and each output port one wormhole lock per VC, so
-  packets on different VCs interleave flit-by-flit over the same
-  physical link — the classic cure for head-of-line blocking.  VCs are
-  assigned statically at injection (``flit.vc``) and kept end to end,
+* wormhole route locking: a head flit claims an output port; body
+  flits follow; the tail flit releases it,
+* one input FIFO (lane) per port and no virtual channels, as in the
+  paper's plain wormhole NoC, so a packet holds its output until its
+  tail has left,
 * credit-style backpressure: a flit advances only if the downstream
   link accepts it (the links are
   :class:`~repro.link.behavioral.TokenLink` instances whose rate and
@@ -23,22 +21,22 @@ provides that substrate: a 5-port input-buffered wormhole switch with
 
 The switch is cycle-driven: the network calls :meth:`arbitrate_and_send`
 once per clock after link deliveries have been drained into the input
-FIFOs.  At most one flit crosses each physical output per cycle —
-virtual channels share the wire, they do not widen it.
+FIFOs.  At most one flit crosses each output per cycle.
 
 Arbitration is decision-identical to the straightforward seed
 implementation (kept verbatim in :mod:`repro.noc.reference` and pinned
 by ``tests/test_kernel_equivalence.py``) but organised for speed.
 Inside the kernel ports are the ints :attr:`Port.index` (N, S, E, W, L
-= 0..4): the input lanes are one flat tuple indexed
-``port * n_vcs + vc``, and the wormhole owners, the per-lane route
-locks, round-robin pointers and out-links are int-indexed lists, so no
-lookup hashes a :class:`Port`.
+= 0..4): the input lanes are one tuple indexed by port, and the
+wormhole owners, the per-lane route locks, round-robin pointers and
+out-links are port-indexed lists, so no lookup hashes a
+:class:`Port`.
 
-Lane sets are int bitmasks (bit ``lane``).  ``_occ`` holds the occupied
-lanes: whatever appends a flit to a lane sets its bit (:meth:`accept`,
-and the network's delivery and injection phases directly), and the pop
-that empties a lane clears it.  An empty switch returns at once.
+Lane sets are int bitmasks (bit ``lane``, the input port's index).
+``_occ`` holds the occupied lanes: whatever appends a flit to a lane
+sets its bit (:meth:`accept`, and the network's delivery and injection
+phases directly), and the pop that empties a lane clears it.  An empty
+switch returns at once.
 
 The outputs are served in port order (N, S, E, W, L), and a lane that
 advances on one output may advance again on a later one in the same
@@ -82,9 +80,6 @@ from .topology import PORTS, Coord, Port
 
 #: signature of the routing function: (current, dest) -> output port
 RouteFn = Callable[[Coord, Coord], Port]
-
-#: an input lane: (input port, virtual channel)
-Lane = Tuple[Port, int]
 
 _N_PORTS = len(PORTS)
 _EAST = Port.EAST.index
@@ -187,7 +182,7 @@ class _RouteCache(dict):
 
 
 class Switch:
-    """A 5-port synchronous wormhole switch with optional VCs.
+    """A 5-port synchronous wormhole switch, one input lane per port.
 
     Routes each head flit once per cycle and caches every route by
     destination, which is exact for any route that depends only on
@@ -204,34 +199,23 @@ class Switch:
         position: Coord,
         route_fn: RouteFn,
         fifo_depth: int = 4,
-        n_vcs: int = 1,
         name: Optional[str] = None,
     ) -> None:
-        if n_vcs < 1:
-            raise ValueError(f"need at least one virtual channel, got {n_vcs}")
         self.position = position
         self.route_fn = route_fn
         self.name = name or f"sw{position}"
-        self.n_vcs = n_vcs
-        n_lanes = _N_PORTS * n_vcs
-        #: input FIFOs, flat: lane ``port.index * n_vcs + vc``
+        #: input FIFOs by port index: lane ``port.index``
         self._lanes: Tuple[InputQueue, ...] = tuple(
-            InputQueue(fifo_depth) for _ in range(n_lanes)
+            InputQueue(fifo_depth) for _ in range(_N_PORTS)
         )
-        #: input FIFOs indexed by port, then VC
-        self.inputs: Dict[Port, List[InputQueue]] = {
-            port: list(self._lanes[port.index * n_vcs:
-                                   (port.index + 1) * n_vcs])
-            for port in Port
-        }
         #: bit ``lane`` set while that input lane holds flits; set by
         #: whatever appends to a lane (:meth:`accept` and the network's
         #: delivery and injection), cleared by the pop that empties it
         self._occ = 0
-        #: input lane owning each output lane ``port.index * n_vcs + vc``
-        self._owner: List[Optional[int]] = [None] * n_lanes
+        #: input lane owning each output port
+        self._owner: List[Optional[int]] = [None] * _N_PORTS
         #: output port locked by each input lane's in-progress packet
-        self._lock: List[Optional[int]] = [None] * n_lanes
+        self._lock: List[Optional[int]] = [None] * _N_PORTS
         #: round-robin pointer (over lanes) per output port
         self._rr: List[int] = [0] * _N_PORTS
         #: ``dest -> output index``, or None where routes are adaptive
@@ -251,46 +235,33 @@ class Switch:
         self.arbitration_fast = 0
 
     # ------------------------------------------------------------------
-    def _lane_key(self, lane: int) -> Lane:
-        return (PORTS[lane // self.n_vcs], lane % self.n_vcs)
-
     @property
-    def output_owner(self) -> Dict[Tuple[Port, int], Optional[Lane]]:
-        """Which input lane owns each (output port, VC) wormhole lane."""
+    def output_owner(self) -> Dict[Port, Optional[Port]]:
+        """Which input port owns each output port's wormhole lock."""
         return {
-            self._lane_key(slot):
-                None if lane is None else self._lane_key(lane)
-            for slot, lane in enumerate(self._owner)
+            PORTS[out]: None if lane is None else PORTS[lane]
+            for out, lane in enumerate(self._owner)
         }
 
     @property
-    def input_locks(self) -> Dict[Lane, Optional[Port]]:
-        """Which output port each (input port, VC) lane has locked."""
+    def input_locks(self) -> Dict[Port, Optional[Port]]:
+        """Which output port each input port has locked."""
         return {
-            self._lane_key(lane): None if out is None else PORTS[out]
+            PORTS[lane]: None if out is None else PORTS[out]
             for lane, out in enumerate(self._lock)
         }
 
-    def queue(self, port: Port, vc: int = 0) -> InputQueue:
-        """The input FIFO of one lane."""
-        return self.inputs[port][vc]
+    def queue(self, port: Port) -> InputQueue:
+        """The input FIFO of ``port``."""
+        return self._lanes[port.index]
 
-    def can_accept(self, port: Port, vc: int = 0) -> bool:
-        """Space available on the given input lane?"""
-        return not self.inputs[port][vc].full
-
-    def _check_vc(self, vc: int) -> None:
-        """Reject a flit VC outside ``[0, n_vcs)``."""
-        if not (0 <= vc < self.n_vcs):
-            raise ValueError(
-                f"{self.name}: flit carries VC {vc} but switch has "
-                f"{self.n_vcs} VC(s)"
-            )
+    def can_accept(self, port: Port) -> bool:
+        """Space available on ``port``'s input FIFO?"""
+        return not self._lanes[port.index].full
 
     def accept(self, port: Port, flit: Flit) -> None:
-        """Push an arriving flit into its lane's FIFO (lane = flit.vc)."""
-        self._check_vc(flit.vc)
-        lane = port.index * self.n_vcs + flit.vc
+        """Push an arriving flit into ``port``'s input FIFO."""
+        lane = port.index
         self._lanes[lane].push(flit)
         self._occ |= 1 << lane
         self._buffered += 1
@@ -304,9 +275,9 @@ class Switch:
         """One cycle of switching: returns the number of flits moved.
 
         ``eject(flit, now_cycle)`` consumes flits whose output is
-        LOCAL.  At most one flit advances per *physical* output port per
-        cycle; round-robin over the input lanes resolves conflicts; the
-        wormhole lock is per (output, VC) so different VCs interleave.
+        LOCAL.  At most one flit advances per output port per cycle;
+        round-robin over the input lanes resolves conflicts, and an
+        output stays locked to one packet from its head to its tail.
         """
         occ = self._occ
         if not occ:
@@ -314,7 +285,6 @@ class Switch:
         lanes = self._lanes
         owners = self._owner
         locks = self._lock
-        n_vcs = self.n_vcs
         routes = self._routes
         route_fn = self.route_fn
         position = self.position
@@ -334,7 +304,7 @@ class Switch:
                     out = route_fn(position, flit.dest).index
                 else:
                     out = routes[flit.dest]
-                owner = owners[out * n_vcs + flit.vc]
+                owner = owners[out]
                 if owner is None or owner == lane:
                     requests[out] |= bit
                     outs |= 1 << out
@@ -384,10 +354,10 @@ class Switch:
             # wormhole locks follow the flit that advanced
             kind = flit.kind
             if kind.opens_route:
-                owners[out * n_vcs + flit.vc] = pick
+                owners[out] = pick
                 locks[pick] = out
             if kind.closes_route:
-                owners[out * n_vcs + flit.vc] = None
+                owners[out] = None
                 locks[pick] = None
             if out == _LOCAL:
                 eject(flit, now_cycle)
@@ -407,7 +377,7 @@ class Switch:
                 else:
                     later = routes[flit.dest]
                 if later > out:
-                    owner = owners[later * n_vcs + flit.vc]
+                    owner = owners[later]
                     if owner is None or owner == pick:
                         requests[later] |= bit
                         outs |= 1 << later
@@ -423,7 +393,7 @@ class Switch:
         ``occ``, every head routed afresh.
 
         A head flit requests its routed output if no other lane owns
-        that output on its VC; body and tail flits follow the lock.
+        that output; body and tail flits follow the lock.
         """
         lanes = self._lanes
         owners = self._owner
@@ -440,7 +410,7 @@ class Switch:
                 if locks[lane] == out:
                     mask |= bit
             elif route_fn(position, flit.dest).index == out:
-                owner = owners[out * self.n_vcs + flit.vc]
+                owner = owners[out]
                 if owner is None or owner == lane:
                     mask |= bit
         return mask

@@ -35,8 +35,6 @@ class TrafficConfig:
     hotspot: Optional[Coord] = None
     hotspot_fraction: float = 0.5
     seed: int = 2008  # the paper's year, for determinism
-    #: virtual channels: packets are spread round-robin over [0, n_vcs)
-    n_vcs: int = 1
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.injection_rate <= 1.0):
@@ -47,8 +45,6 @@ class TrafficConfig:
             raise ValueError("packets need at least one flit")
         if not (0.0 <= self.hotspot_fraction <= 1.0):
             raise ValueError("hotspot fraction must be in [0, 1]")
-        if self.n_vcs < 1:
-            raise ValueError("n_vcs must be >= 1")
 
 
 class TrafficGenerator:
@@ -115,7 +111,6 @@ class TrafficGenerator:
         cfg = self.config
         packet_probability = cfg.injection_rate / cfg.packet_length
         length = cfg.packet_length
-        n_vcs = cfg.n_vcs
         # bound once per cycle; the RNG calls keep their order
         # (a draw per node, then destination, then payload base)
         random = self._rng.random
@@ -134,7 +129,6 @@ class TrafficGenerator:
                 length_flits=length,
                 created_cycle=cycle,
                 payload_base=getrandbits(16),
-                vc=self.packets_generated % n_vcs,
             ))
             self.packets_generated += 1
         return packets

@@ -98,10 +98,10 @@ class TestEverySuite:
     @pytest.mark.parametrize("suite,options,keys", [
         # the nominal 4x4 point, the 8x8 acceptance gates and the
         # adaptive-routing point
-        ("noc", {"cycles": 300}, ["4x4@0.1/uniform/xy/vc1/I3",
-                                  "8x8@0.02/uniform/xy/vc1/I3",
-                                  "8x8@0.35/uniform/xy/vc1/I3",
-                                  "8x8@0.15/uniform/west_first/vc1/I3"]),
+        ("noc", {"cycles": 300}, ["4x4@0.1/uniform/xy/I3",
+                                  "8x8@0.02/uniform/xy/I3",
+                                  "8x8@0.35/uniform/xy/I3",
+                                  "8x8@0.15/uniform/west_first/I3"]),
         ("gate", {}, ["gate/serializer-i3@144", "gate/serializer-i2@96",
                       "gate/fourphase-chain@40", "gate/ringosc@40000"]),
         # scaling never goes below a row's floor
@@ -158,7 +158,7 @@ class TestBenchHarness:
             ["fast", "ref"]
 
     def test_point_key_stable(self):
-        assert noc_point(4, 0.1).key == "4x4@0.1/uniform/xy/vc1/I3"
+        assert noc_point(4, 0.1).key == "4x4@0.1/uniform/xy/I3"
 
     def test_profile_point_names_the_kernel(self):
         text = profile(noc_point(2, 0.1, cycles=40))
@@ -167,7 +167,7 @@ class TestBenchHarness:
 
 
 class TestBaselineCheck:
-    def _doc(self, speedup, key="2x2@0.1/uniform/xy/vc1/I3",
+    def _doc(self, speedup, key="2x2@0.1/uniform/xy/I3",
              stats_match=True):
         return {
             "schema": SCHEMA,
@@ -259,7 +259,7 @@ class TestBaselineCheck:
         # a sweep artifact summary: an object, but no bench points
         "baselines/mesh-design-space/summary.json",
         {"schema": SCHEMA},
-        [{"key": "4x4@0.1/uniform/xy/vc1/I3", "speedup": 5.0}],
+        [{"key": "4x4@0.1/uniform/xy/I3", "speedup": 5.0}],
     ], ids=["sweep-summary", "no-points", "json-list"])
     def test_non_bench_document_refused(self, tmp_path, document):
         if isinstance(document, str):
@@ -311,14 +311,14 @@ class TestBenchCli:
             "python": sys.version.split()[0],
             "suites": ["noc"],
             "points": [{
-                "key": "2x2@0.1/uniform/xy/vc1/I3",
+                "key": "2x2@0.1/uniform/xy/I3",
                 "suite": "noc",
                 "cycles": 60,
                 "speedup": 0.01,
                 "stats_match": True,
             }],
         }))
-        assert point["key"] == "2x2@0.1/uniform/xy/vc1/I3"
+        assert point["key"] == "2x2@0.1/uniform/xy/I3"
         capsys.readouterr()
         assert main(["bench", *TINY, "--check", str(baseline)]) == 0
         assert "within 30% of" in capsys.readouterr().out
@@ -382,11 +382,11 @@ class TestBenchCli:
             main(["bench", "--mesh", "2", "--rates", "1.5"])
 
     def test_workload_flags_apply_without_mesh(self, tmp_path):
-        """--routing/--vcs/... must reshape the default points rather
+        """--routing/--kind/... must reshape the default points rather
         than being silently ignored when --mesh/--rates are absent."""
         out = tmp_path / "bench.json"
         rc = main([
-            "bench", "--routing", "west_first", "--vcs", "2",
+            "bench", "--routing", "west_first",
             "--kind", "I2", "--pattern", "transpose",
             "--cycles", "40", "--repeats", "1", "--no-reference",
             "--json", str(out),
@@ -394,7 +394,6 @@ class TestBenchCli:
         assert rc == 0
         points = json.loads(out.read_text())["points"]
         assert {p["routing"] for p in points} == {"west_first"}
-        assert {p["n_vcs"] for p in points} == {2}
         assert {p["kind"] for p in points} == {"I2"}
         assert {p["pattern"] for p in points} == {"transpose"}
         # the default mesh x rate gate points are preserved
@@ -507,7 +506,7 @@ class TestGateSuiteCli:
         combined = self._easy_baseline(json.loads(out.read_text()))
         combined["points"].append({
             "suite": "noc",
-            "key": "4x4@0.1/uniform/xy/vc1/I3",
+            "key": "4x4@0.1/uniform/xy/I3",
             "speedup": 99.0,  # would regress if it were checked
             "cycles": 300,
             "stats_match": True,

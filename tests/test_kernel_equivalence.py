@@ -4,8 +4,8 @@ The activity-driven kernel in ``repro.noc.network``/``switch`` and the
 batched-credit ``TokenLink`` must be *decision-identical* to the seed
 kernel preserved in ``repro.noc.reference`` — not approximately equal,
 bit-identical.  These tests drive both kernels with identical seeded
-traffic over {xy, west_first} routing x {1, 2} VCs x {uniform, hotspot,
-transpose, bit-complement} patterns x mesh sizes 2-6 and compare
+traffic over {xy, west_first} routing x {uniform, hotspot, transpose,
+bit-complement} patterns x mesh sizes 2-6 and compare
 
 * the full statistics (counters and the exact packet-latency list),
 * per-link sent/delivered counters and in-flight contents,
@@ -13,11 +13,9 @@ transpose, bit-complement} patterns x mesh sizes 2-6 and compare
 * traced routes (``trace_routes=True`` on both).
 
 The networks run a fixed cycle budget (traffic phase + settle phase)
-rather than draining to empty: west-first adaptive routing with
-multiple VCs can deadlock under hotspot traffic (a protocol property
-the seed kernel exhibits identically — see the lockstep state
-comparison, which must agree even about the deadlock), and a fixed
-budget compares those states too instead of hanging.
+rather than draining to empty, so the comparison covers a network with
+flits still in flight, wormhole locks held and lanes backpressured, not
+only the empty one a drain leaves.
 """
 
 import random
@@ -36,7 +34,6 @@ from repro.noc.reference import ReferenceNetwork
 from repro.tech import st012
 
 ROUTINGS = ("xy", "west_first")
-VCS = (1, 2)
 PATTERNS = ("uniform", "hotspot", "transpose", "bit_complement")
 MESH_SIZES = (2, 3, 4, 5, 6)
 
@@ -48,7 +45,7 @@ def _link_state(network):
             link.flits_sent,
             link.flits_delivered,
             tuple(
-                (ready, flit.packet_id, flit.seq, flit.kind, flit.vc)
+                (ready, flit.packet_id, flit.seq, flit.kind)
                 for ready, flit in link._in_flight
             ),
         )
@@ -67,11 +64,10 @@ def _switch_state(network):
     }
 
 
-def _run_lockstep(cls, size, routing, n_vcs, pattern, cycles, settle,
-                  rate=0.2):
+def _run_lockstep(cls, size, routing, pattern, cycles, settle, rate=0.2):
     network, traffic = build_run(
         cls, Topology(size, size), derive_link_params(st012(), "I3", 300),
-        rate, pattern=pattern, routing=routing, n_vcs=n_vcs,
+        rate, pattern=pattern, routing=routing,
     )
     network.trace_routes = True
     network.run(cycles, traffic)
@@ -94,11 +90,11 @@ def _assert_equivalent(opt, ref, context):
         occupied = sum(1 << lane for lane, queue in enumerate(switch._lanes)
                        if queue.fifo)
         assert switch._occ == occupied, (context, node)
-        # every owned output lane's owner holds the matching lock, and
-        # no input lane holds a lock nobody owns
+        # every owned output's owner holds the matching lock, and no
+        # input lane holds a lock nobody owns
         held = {
-            (lane, slot // switch.n_vcs)
-            for slot, lane in enumerate(switch._owner) if lane is not None
+            (lane, out) for out, lane in enumerate(switch._owner)
+            if lane is not None
         }
         locks = {
             (lane, out) for lane, out in enumerate(switch._lock)
@@ -111,18 +107,14 @@ class TestKernelEquivalence:
     """Optimized vs seed kernel over the full configuration grid."""
 
     @pytest.mark.parametrize("routing", ROUTINGS)
-    @pytest.mark.parametrize("n_vcs", VCS)
     @pytest.mark.parametrize("pattern", PATTERNS)
     @pytest.mark.parametrize("size", MESH_SIZES)
-    def test_lockstep_grid(self, size, pattern, n_vcs, routing):
+    def test_lockstep_grid(self, size, pattern, routing):
         cycles, settle = 100, 80
-        opt = _run_lockstep(Network, size, routing, n_vcs, pattern,
+        opt = _run_lockstep(Network, size, routing, pattern, cycles, settle)
+        ref = _run_lockstep(ReferenceNetwork, size, routing, pattern,
                             cycles, settle)
-        ref = _run_lockstep(ReferenceNetwork, size, routing, n_vcs,
-                            pattern, cycles, settle)
-        _assert_equivalent(
-            opt, ref, f"{size}x{size}/{pattern}/vc{n_vcs}/{routing}"
-        )
+        _assert_equivalent(opt, ref, f"{size}x{size}/{pattern}/{routing}")
 
 
 class TestDrainedPointEquivalence:
@@ -156,11 +148,12 @@ class TestDrainedPointEquivalence:
         injected = point["flits_injected"] / (mesh * mesh * cycles)
         assert 0.05 < point["throughput"] < 1.1 * injected
 
-    def test_drained_equality_with_vcs_and_adaptive_routing(self):
-        _assert_drained_equal(
+    def test_drained_equality_with_adaptive_routing(self):
+        point = _assert_drained_equal(
             Topology(5, 5), derive_link_params(st012(), "I3", 300), 0.12,
-            300, routing="west_first", n_vcs=2,
+            300, routing="west_first",
         )
+        assert point["flits_ejected"] == point["flits_injected"]
 
 
 def _assert_drained_equal(topology, params, rate, cycles, **traffic):
@@ -189,7 +182,6 @@ def _draw_case(seed):
     return dict(
         cols=cols,
         rows=rows,
-        n_vcs=rng.randint(1, 3),
         fifo_depth=rng.randint(1, 4),
         routing=routing,
         pattern=rng.choice(PATTERNS + ("neighbor",)),
@@ -208,7 +200,7 @@ def _run_case(cls, case, seed, cycles=120, settle=80):
         case["rate"], pattern=case["pattern"],
         packet_length=case["packet_length"], seed=seed,
         fifo_depth=case["fifo_depth"], routing=case["routing"],
-        hotspot=case["hotspot"], n_vcs=case["n_vcs"],
+        hotspot=case["hotspot"],
     )
     network.trace_routes = True
     network.run(cycles, traffic)
@@ -218,9 +210,9 @@ def _run_case(cls, case, seed, cycles=120, settle=80):
 
 class TestRandomDifferential:
     """Lockstep equivalence on seeded random configurations: mesh
-    shape, VC count, FIFO depth, routing, pattern, load, packet length
-    and link kind all vary, including combinations the fixed grid above
-    never reaches."""
+    shape, FIFO depth, routing, pattern, load, packet length and link
+    kind all vary, including combinations the fixed grid above never
+    reaches."""
 
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS,
                              ids=lambda seed: f"seed{seed}")

@@ -75,21 +75,6 @@ class TestSinglePacket:
             net.offer_packet(packet)
         assert not net.source_queues[(0, 0)]
 
-    @pytest.mark.parametrize("vc", [2, -1])
-    def test_out_of_range_vc_rejected_at_offer(self, vc):
-        topo = Topology(3, 3)
-        net = Network(topo, derive_link_params(st012(), "I1", 300),
-                      n_vcs=2)
-        packet = Packet(src=(1, 1), dest=(2, 2), length_flits=2, vc=vc)
-        with pytest.raises(ValueError, match=(
-            rf"flit carries VC {vc} but switch has 2 VC\(s\)"
-        )):
-            net.offer_packet(packet)
-        assert not net.source_queues[(1, 1)]
-        assert net.stats._packets == {}
-        net.drain()  # nothing was queued, so nothing is stuck
-        assert net.stats.flits_injected == 0
-
 
 class TestPacketTable:
     def test_one_entry_per_unfinished_packet_freed_at_ejection(self):

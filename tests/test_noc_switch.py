@@ -105,7 +105,7 @@ class TestWormhole:
         for link in sw.out_links.values():
             link.begin_cycle()
         sw.arbitrate_and_send(0, lambda f, c: None)
-        assert sw.output_owner[(Port.EAST, 0)] == (Port.LOCAL, 0)
+        assert sw.output_owner[Port.EAST] == Port.LOCAL
         # now a competing head arrives while A's body still flows
         sw.accept(Port.LOCAL, body(pid=1))
         sw.accept(Port.WEST, head(dest=(2, 1), pid=2))
@@ -130,7 +130,29 @@ class TestWormhole:
                 link.begin_cycle()
             sw.arbitrate_and_send(cycle, lambda f, c: None)
         assert east.flits_sent == 3  # A head, A tail, then B head
-        assert sw.output_owner[(Port.EAST, 0)] == (Port.WEST, 0)
+        assert sw.output_owner[Port.EAST] == Port.WEST
+        assert sw.input_locks[Port.WEST] == Port.EAST
+
+    def test_packets_do_not_interleave_on_one_output(self):
+        """Two 3-flit packets queued for EAST at once: whichever head
+        wins, its whole packet crosses before the other starts."""
+        sw = make_switch(position=(1, 1))
+        east = sw.out_links[Port.EAST]
+        for seq, kind in ((0, FlitKind.HEAD), (1, FlitKind.BODY),
+                          (2, FlitKind.TAIL)):
+            for port, pid in ((Port.WEST, 1), (Port.SOUTH, 2)):
+                sw.accept(port, Flit(packet_id=pid, kind=kind, src=(0, 1),
+                                     dest=(2, 1), seq=seq))
+        order = []
+        for cycle in range(8):
+            for link in sw.out_links.values():
+                link.begin_cycle()
+            before = east.flits_sent
+            sw.arbitrate_and_send(cycle, lambda f, c: None)
+            if east.flits_sent > before:
+                order.append(east._in_flight[-1][1].packet_id)
+        assert order[:3] in ([1, 1, 1], [2, 2, 2])
+        assert sorted(order) == [1, 1, 1, 2, 2, 2]
 
     def test_single_flit_packet_does_not_leave_lock(self):
         sw = make_switch(position=(1, 1))
@@ -140,7 +162,7 @@ class TestWormhole:
         for link in sw.out_links.values():
             link.begin_cycle()
         sw.arbitrate_and_send(0, lambda f, c: None)
-        assert sw.output_owner[(Port.EAST, 0)] is None
+        assert sw.output_owner[Port.EAST] is None
 
 
 class TestArbitration:
@@ -191,6 +213,14 @@ class TestBackpressure:
         east.begin_cycle()
         sw.arbitrate_and_send(0, lambda f, c: None)
         assert not sw.queue(Port.LOCAL).empty  # still waiting
+
+    def test_can_accept_per_port(self):
+        sw = make_switch(position=(1, 1), fifo_depth=2)
+        for pid in range(2):
+            assert sw.can_accept(Port.WEST)
+            sw.accept(Port.WEST, head(dest=(2, 1), pid=pid))
+        assert not sw.can_accept(Port.WEST)
+        assert sw.can_accept(Port.SOUTH)
 
     def test_missing_link_raises(self):
         topo = Topology(3, 3)
