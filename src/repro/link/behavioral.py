@@ -22,7 +22,7 @@ gate-level measurements in the integration tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..tech.technology import Technology
 from .assemblies import LinkConfig
@@ -120,18 +120,16 @@ class TokenLink:
     Credit accrual is *batchable*: per-cycle accrual clamps at
     ``1.0 + rate``, so an idle link's credit is a pure function of how
     many cycles have elapsed since its last send, and it saturates after
-    at most ``ceil(cap / rate)`` steps.  :meth:`accrue_to` replays
-    exactly the per-cycle ``min(credit + rate, cap)`` updates (the same
-    float operations in the same order, so results stay bit-identical)
-    but stops early once the clamp is reached.  Credit is read only
-    when a flit is offered, so the network accrues nothing per cycle:
-    :meth:`try_send` at cycle ``now`` first catches the credit up
-    through ``now`` (one :meth:`accrue_to` call, made only when cycles
-    are missing), so a link driven by :meth:`begin_cycle` every cycle
-    sees no accrual from it.  ``_accruals`` is the number of per-cycle
-    accruals applied since construction (the cycle the credit is
-    caught up to) and ``_accrual_batches`` the :meth:`accrue_to` calls
-    that applied any.
+    at most ``ceil(cap / rate)`` steps.  Credit is read only when a flit
+    is offered, so the network accrues nothing per cycle:
+    :meth:`try_send` at cycle ``now`` first replays the missing
+    per-cycle ``min(credit + rate, cap)`` updates through ``now`` (the
+    same float operations in the same order, so results stay
+    bit-identical), stopping early once the clamp is reached.  A link
+    driven by :meth:`begin_cycle` every cycle has nothing left to
+    replay.  ``_accruals`` is the number of per-cycle accruals applied
+    since construction (the cycle the credit is caught up to) and
+    ``_accrual_batches`` the :meth:`try_send` calls that caught up any.
 
     Inside a :class:`~repro.noc.network.Network` a link also carries its
     delivery ``target`` and the network's timing ``wheel``: a send that
@@ -155,38 +153,19 @@ class TokenLink:
         #: the network's timing wheel (cycle -> links whose head flit
         #: matures then), or None for a standalone link
         self.wheel: Optional[Dict[int, List["TokenLink"]]] = None
-        #: where a delivered flit goes, set by the network:
-        #: (downstream switch, its node id, the input port's lane)
-        self.target: Optional[Tuple[object, object, int]] = None
+        #: where a delivered flit goes, set by the network: (the
+        #: downstream input lane's FIFO, its switch, the switch's node
+        #: id, the lane's bit)
+        self.target: Optional[Tuple[Deque[object], object, int, int]] = None
 
     def begin_cycle(self) -> None:
-        """Accrue rate credit for this cycle (call once per cycle)."""
-        self.accrue_to(self._accruals + 1)
-
-    def accrue_to(self, n_accruals: int) -> None:
-        """Apply per-cycle credit accruals until ``n_accruals`` are done.
-
-        Equivalent to calling :meth:`begin_cycle` the missing number of
-        times; the loop exits as soon as the credit clamps at the cap,
-        which bounds the work for long-idle links.
-        """
-        done = self._accruals
-        if n_accruals <= done:
-            return
-        self._accrual_batches += 1
-        credit = self._rate_credit
-        cap = self._credit_cap
-        if credit != cap:
-            rate = self._rate
-            steps = n_accruals - done
-            while steps and credit != cap:
-                # min(credit + rate, cap), without the builtin's call
-                credit += rate
-                if credit > cap:
-                    credit = cap
-                steps -= 1
-            self._rate_credit = credit
-        self._accruals = n_accruals
+        """Accrue one cycle's rate credit (a standalone link's driver:
+        call once per cycle)."""
+        credit = self._rate_credit + self._rate
+        if credit > self._credit_cap:
+            credit = self._credit_cap
+        self._rate_credit = credit
+        self._accruals += 1
 
     def can_send(self) -> bool:
         return (
@@ -197,19 +176,35 @@ class TokenLink:
     def try_send(self, flit: object, now_cycle: int) -> bool:
         """Accept a flit if the link has rate credit and space.
 
-        The credit is first caught up through ``now_cycle``: the same
-        float whether it was accrued cycle by cycle or here, because
-        :meth:`accrue_to` replays the skipped cycles exactly.  It is
-        not called when they are already applied (as after
-        :meth:`begin_cycle`), which is exactly when it would do nothing.
+        The credit is first caught up through ``now_cycle``: the skipped
+        per-cycle ``min(credit + rate, cap)`` updates are replayed with
+        the same float operations in the same order, so the credit is
+        the float that accrual cycle by cycle gives, and the replay
+        stops once the credit clamps at the cap.  Nothing is replayed
+        when the cycles are already applied (as after
+        :meth:`begin_cycle`).
         """
-        if now_cycle >= self._accruals:
-            self.accrue_to(now_cycle + 1)
+        credit = self._rate_credit
+        done = self._accruals
+        if now_cycle >= done:
+            self._accrual_batches += 1
+            cap = self._credit_cap
+            if credit != cap:
+                rate = self._rate
+                steps = now_cycle + 1 - done
+                while steps and credit != cap:
+                    # min(credit + rate, cap), without the builtin's call
+                    credit += rate
+                    if credit > cap:
+                        credit = cap
+                    steps -= 1
+                self._rate_credit = credit
+            self._accruals = now_cycle + 1
         # can_send(), inlined: the switch calls this once per grant
         in_flight = self._in_flight
-        if self._rate_credit < 1.0 or len(in_flight) >= self._capacity:
+        if credit < 1.0 or len(in_flight) >= self._capacity:
             return False
-        self._rate_credit -= 1.0
+        self._rate_credit = credit - 1.0
         ready = now_cycle + self._latency
         if not in_flight and self.wheel is not None:
             # idle -> busy: file the link under its head's maturity

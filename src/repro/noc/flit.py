@@ -2,8 +2,9 @@
 
 The paper's links carry 32-bit flits between switches; packets are
 sequences of flits (head / body / tail) routed by wormhole switching.
-Timestamps ride on each flit so the statistics module can compute
-injection-to-ejection latency without global bookkeeping.
+Each flit has injection and ejection timestamp slots, which only the
+frozen oracle's recorders (:mod:`repro.noc.reference`) fill; the
+optimized statistics time packets by their created cycle instead.
 """
 
 from __future__ import annotations

@@ -27,13 +27,16 @@ verbatim in :mod:`repro.noc.reference`), :meth:`Network.step` keeps
   and still holds flits is filed again under its next head's cycle (or
   the next cycle, if that head has matured already), a backpressured
   one under the next cycle.  Each link carries its delivery target
-  (downstream switch, node id and the input port's lane), so a
-  delivery is one FIFO-space test, an append and the lane's bit set in
-  the switch's occupancy mask.  Delivery order within a bucket does not
+  (the downstream lane's FIFO, its switch, the switch's node id and
+  the lane's bit), so a delivery is one FIFO-space test against the
+  depth read once per cycle, an append and the lane's bit set in the
+  switch's occupancy mask.  Delivery order within a bucket does not
   matter: every link feeds its own input port, and phase 1 is the only
   phase that writes those lanes;
 * ``_active_switches`` — ids of the switches with buffered flits (empty
-  switches are never visited);
+  switches are never visited).  A delivery or injection adds a switch
+  only when its occupancy mask goes from empty to non-empty, and the
+  switching phase drops the switches it drained;
 * ``_pending_sources`` — ids of the nodes whose source queues hold
   flits waiting to enter the network (``drain`` no longer rescans
   every queue).
@@ -44,18 +47,22 @@ the seed's sorted switch order is ``sorted()`` over ints (or the whole
 id range when every switch is active), with no tuple comparisons.
 Each input port has one lane, indexed by the port, so delivery and
 injection append to that lane's FIFO and set its bit in the switch's
-``_occ`` directly, reading nothing from the flit.  Each switch walks
-only its occupied lanes into per-output request bitmasks and serves
-them round-robin (see :mod:`repro.noc.switch`); an XY switch caches
-its route per destination, and a west-first switch
+``_occ`` directly, reading nothing from the flit; the injection phase
+counts the flits it moves into ``stats.flits_injected`` once per
+cycle.  Phase 3 is one call of :func:`~repro.noc.switch.switch_cycle`,
+which walks each active switch's occupied lanes into per-output
+request bitmasks and serves them round-robin (see
+:mod:`repro.noc.switch`); an XY switch caches its route per
+destination, and a west-first switch
 (:class:`~repro.noc.switch.WestFirstSwitch`) routes every head afresh
-and rebuilds EAST's requests after NORTH or SOUTH sent, since only
-then can an adaptive choice change within a cycle.
+and rebuilds EAST's requests only when a head that chose NORTH or
+SOUTH may now prefer EAST.
 Rate credit is accrued only where it is read: a switch offers each flit
 with :meth:`~repro.link.behavioral.TokenLink.try_send`, which replays
 the link's skipped per-cycle accruals in one batch just before the
-send, so no phase walks the links to accrue.  A switch ejects a flit
-with one call, ``eject(flit, cycle)``: the network's ``_eject`` hook
+send, so no phase walks the links to accrue.  Per flit the cycle loop
+makes two kinds of Python call: ``try_send`` and, for a flit leaving
+on LOCAL, ``eject(flit, cycle)``, the network's ``_eject`` hook, which
 is :meth:`~repro.noc.stats.NetworkStats.record_ejection` itself.
 All of this is decision-identical to the seed kernel —
 ``tests/test_kernel_equivalence.py``
@@ -72,14 +79,14 @@ from __future__ import annotations
 
 from collections import deque
 from typing import (
-    Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple,
+    Callable, Deque, Dict, List, Optional, Set, Tuple,
 )
 
 from ..link.behavioral import BehavioralLinkParams, TokenLink
 from ..obs.metrics import REGISTRY as _OBS
 from .flit import Flit, Packet, reset_packet_ids
 from .stats import NetworkStats, accepted_rate, mean_latency, p99_latency
-from .switch import Switch, WestFirstSwitch
+from .switch import Switch, WestFirstSwitch, switch_cycle
 from .topology import (
     Coord,
     Port,
@@ -167,13 +174,18 @@ class Network:
         self._switch_list: List[Switch] = [
             self.switches[node] for node in self._node_order
         ]
+        #: every lane's FIFO depth, read once per cycle
+        self._fifo_depth = fifo_depth
         #: timing wheel: cycle -> links whose head flit matures then;
         #: a link is filed exactly once while it has flits in flight
         self._wheel: Dict[int, List[TokenLink]] = {}
         for (src, port), link in self.links.items():
             self.switches[src].out_links[port] = link
             dst, dport = link_dst[link]
-            link.target = (self.switches[dst], node_id[dst], dport.index)
+            switch = self.switches[dst]
+            lane = dport.index
+            link.target = (switch._lanes[lane].fifo, switch, node_id[dst],
+                           1 << lane)
             link.wheel = self._wheel
 
         #: per-node source queues of flits waiting to enter the network
@@ -184,6 +196,10 @@ class Network:
         self._source_list: List[Deque[Flit]] = [
             self.source_queues[node] for node in self._node_order
         ]
+        #: each switch's LOCAL input FIFO by node id
+        self._local_fifos: List[Deque[Flit]] = [
+            switch._lanes[_LOCAL].fifo for switch in self._switch_list
+        ]
         #: when True, every head flit records the switches it visits in
         #: ``self.routes[packet_id]`` (debug/observability aid)
         self.trace_routes: bool = False
@@ -192,9 +208,6 @@ class Network:
         # ------------------------------------------------------------------
         # event-driven kernel state (the timing wheel is built above)
         # ------------------------------------------------------------------
-        #: arbitration order when every switch is active
-        self._all_nodes = range(len(self._node_order))
-        self._n_switches = len(self.switches)
         #: ids of the nodes whose switches hold buffered flits
         self._active_switches: Set[int] = set()
         #: ids of the nodes with non-empty source queues
@@ -224,6 +237,7 @@ class Network:
         """Advance the network by one clock cycle."""
         now = self.cycle
         active_switches = self._active_switches
+        depth = self._fifo_depth
 
         # 1. link transport — only the links whose head flit matures
         # now.  A link that still holds flits is filed again under its
@@ -235,16 +249,15 @@ class Network:
             later = now + 1
             for link in due:
                 in_flight = link._in_flight
-                switch, dst, lane = link.target
-                queue = switch._lanes[lane]
-                fifo = queue.fifo
-                if len(fifo) < queue.depth:
+                fifo, switch, dst, lane_bit = link.target
+                if len(fifo) < depth:
                     fifo.append(in_flight[0][1])
                     del in_flight[0]
                     link.flits_delivered += 1
-                    switch._occ |= 1 << lane
-                    switch._buffered += 1
-                    active_switches.add(dst)
+                    occ = switch._occ
+                    if not occ:
+                        active_switches.add(dst)
+                    switch._occ = occ | lane_bit
                     if not in_flight:
                         continue
                     ready = in_flight[0][0]
@@ -265,39 +278,34 @@ class Network:
         pending = self._pending_sources
         switch_list = self._switch_list
         if pending:
-            stats = self.stats
             sources = self._source_list
+            local_fifos = self._local_fifos
+            injected = 0
             for node in list(pending):
-                source = sources[node]
-                switch = switch_list[node]
-                queue = switch._lanes[_LOCAL]
-                fifo = queue.fifo
-                if len(fifo) < queue.depth:
-                    flit = source.popleft()
-                    stats.record_injection(flit, now)
-                    fifo.append(flit)
-                    switch._occ |= _LOCAL_BIT
-                    switch._buffered += 1
-                    active_switches.add(node)
+                fifo = local_fifos[node]
+                if len(fifo) < depth:
+                    source = sources[node]
+                    fifo.append(source.popleft())
+                    injected += 1
+                    switch = switch_list[node]
+                    occ = switch._occ
+                    if not occ:
+                        active_switches.add(node)
+                    switch._occ = occ | _LOCAL_BIT
                     if not source:
                         pending.discard(node)
+            self.stats.flits_injected += injected
 
         # 3. switching — only switches with buffered flits, in the
-        # sorted-coordinate order the seed kernel used (node ids)
+        # sorted-coordinate order the seed kernel used (node ids).  No
+        # send reaches another switch's lane within the cycle, so every
+        # head can be recorded before any switch moves
         if active_switches:
-            if len(active_switches) == self._n_switches:
-                order: Iterable[int] = self._all_nodes
-            else:
-                order = sorted(active_switches)
-            eject = self._eject
-            trace = self.trace_routes
-            for node in order:
-                switch = switch_list[node]
-                if trace:
-                    self._record_heads(self._node_order[node], switch)
-                switch.arbitrate_and_send(now, eject)
-                if not switch._occ:
-                    active_switches.discard(node)
+            if self.trace_routes:
+                node_order = self._node_order
+                for node in sorted(active_switches):
+                    self._record_heads(node_order[node], switch_list[node])
+            switch_cycle(switch_list, active_switches, now, self._eject)
 
         self.cycle = now + 1
         self.stats.cycles = self.cycle

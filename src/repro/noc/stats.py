@@ -38,6 +38,7 @@ class NetworkStats:
     """Accumulated over one simulation run."""
 
     cycles: int = 0
+    #: counted by the network's injection phase, once per cycle
     flits_injected: int = 0
     flits_ejected: int = 0
     packets_ejected: int = 0
@@ -51,20 +52,16 @@ class NetworkStats:
     _packets: Dict[int, List[int]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    # The recorders run once per flit on the network's cycle hot path;
-    # they are written as straight-line operations (no method dispatch,
-    # one table lookup) so recording stays cheap even at saturation.
+    # record_ejection runs once per ejected flit on the network's cycle
+    # hot path; it is written as straight-line operations (no method
+    # dispatch, one table lookup) so recording stays cheap even at
+    # saturation.
     def open_packet(self, packet_id: int, length_flits: int,
                     created_cycle: int) -> None:
         """Start tracking a packet of ``length_flits`` flits."""
         self._packets[packet_id] = [length_flits, created_cycle]
 
-    def record_injection(self, flit: Flit, cycle: int) -> None:
-        flit.injected_cycle = cycle
-        self.flits_injected += 1
-
     def record_ejection(self, flit: Flit, cycle: int) -> None:
-        flit.ejected_cycle = cycle
         self.flits_ejected += 1
         packets = self._packets
         entry = packets[flit.packet_id]

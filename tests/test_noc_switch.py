@@ -281,6 +281,34 @@ class TestSameCycleSecondAdvance:
         assert [f.packet_id for _, f in north._in_flight] == [2]
 
 
+def _west_first_wired(cls):
+    """A (1, 1) switch of ``cls`` in a 3x3 mesh, west-first routed over
+    its own links."""
+    topo = Topology(3, 3)
+    params = BehavioralLinkParams("T", 1, 1.0, 8, 10, 300.0)
+    links = {
+        ((1, 1), port): TokenLink(params)
+        for port in (Port.NORTH, Port.SOUTH, Port.EAST, Port.WEST)
+    }
+    sw = cls((1, 1), compile_west_first(topo, links))
+    for (_node, port), link in links.items():
+        sw.out_links[port] = link
+    return sw
+
+
+def _spy_rebuilds(sw):
+    """Record every EAST rebuild of ``sw``; the frozen switch has none
+    to record (it routes every head afresh per output)."""
+    calls = []
+    rebuild = getattr(sw, "_requests_for", None)
+    if rebuild is not None:
+        def spy(out, occ):
+            calls.append(out)
+            return rebuild(out, occ)
+        sw._requests_for = spy
+    return calls
+
+
 @pytest.mark.parametrize("cls", [WestFirstSwitch, ReferenceSwitch])
 class TestWestFirstEastFlip:
     """Under west-first routing a head choosing between EAST and NORTH
@@ -288,40 +316,27 @@ class TestWestFirstEastFlip:
     a head that wanted NORTH may take EAST later in the same cycle."""
 
     def test_head_that_lost_north_leaves_east_same_cycle(self, cls):
-        topo = Topology(3, 3)
-        params = BehavioralLinkParams("T", 1, 1.0, 8, 10, 300.0)
-        links = {
-            ((1, 1), port): TokenLink(params)
-            for port in (Port.NORTH, Port.SOUTH, Port.EAST, Port.WEST)
-        }
-        sw = cls((1, 1), compile_west_first(topo, links))
-        for (_node, port), link in links.items():
-            sw.out_links[port] = link
+        sw = _west_first_wired(cls)
         north, east = sw.out_links[Port.NORTH], sw.out_links[Port.EAST]
         east.begin_cycle()
         assert east.try_send(head((2, 1), pid=9), 0)
         # occ[E] = 1 > occ[N] = 0: both heads for (2, 2) want NORTH
         sw.accept(Port.SOUTH, head((2, 2), pid=1))
         sw.accept(Port.WEST, head((2, 2), pid=2))
+        rebuilds = _spy_rebuilds(sw)
         assert _cycle(sw, 1) == 2
         # SOUTH wins NORTH round-robin; NORTH's send ties the two links,
         # and EAST wins ties, so WEST's head leaves on EAST
         assert [f.packet_id for _, f in north._in_flight] == [1]
         assert [f.packet_id for _, f in east._in_flight] == [9, 2]
         assert sw.queue(Port.SOUTH).empty and sw.queue(Port.WEST).empty
+        if cls is WestFirstSwitch:
+            assert rebuilds == [Port.EAST.index]
 
     def test_head_that_lost_south_leaves_east_same_cycle(self, cls):
         """The SOUTH mirror: no lane requests EAST up front, SOUTH
         sends first, and the losing head still leaves on EAST."""
-        topo = Topology(3, 3)
-        params = BehavioralLinkParams("T", 1, 1.0, 8, 10, 300.0)
-        links = {
-            ((1, 1), port): TokenLink(params)
-            for port in (Port.NORTH, Port.SOUTH, Port.EAST, Port.WEST)
-        }
-        sw = cls((1, 1), compile_west_first(topo, links))
-        for (_node, port), link in links.items():
-            sw.out_links[port] = link
+        sw = _west_first_wired(cls)
         south, east = sw.out_links[Port.SOUTH], sw.out_links[Port.EAST]
         east.begin_cycle()
         assert east.try_send(head((2, 1), pid=9), 0)
@@ -334,6 +349,54 @@ class TestWestFirstEastFlip:
         assert [f.packet_id for _, f in south._in_flight] == [1]
         assert [f.packet_id for _, f in east._in_flight] == [9, 2]
         assert sw.queue(Port.NORTH).empty and sw.queue(Port.WEST).empty
+
+    def test_new_head_that_lost_south_leaves_east_same_cycle(self, cls):
+        """A head that only surfaces within the cycle counts too: WEST
+        sends a tail on NORTH, its new head (bound south-east) chooses
+        SOUTH, another lane wins SOUTH, and the new head leaves on EAST
+        in the same cycle."""
+        sw = _west_first_wired(cls)
+        north, south, east = (sw.out_links[Port.NORTH],
+                              sw.out_links[Port.SOUTH],
+                              sw.out_links[Port.EAST])
+        sw.accept(Port.WEST, head((1, 2), pid=1))
+        assert _cycle(sw, 0) == 1  # packet 1 locks NORTH
+        assert east.try_send(head((2, 1), pid=9), 0)
+        sw.accept(Port.WEST, tail(pid=1, seq=1))
+        sw.accept(Port.WEST, head((2, 0), pid=2))
+        sw.accept(Port.NORTH, head((1, 0), pid=3))
+        assert _cycle(sw, 1) == 3
+        # packet 2's head meets occ[E] = 1 > occ[S] = 0 and chooses
+        # SOUTH; the NORTH lane wins SOUTH round-robin, and the tie
+        # that its send makes goes to EAST
+        assert [f.packet_id for _, f in north._in_flight] == [1, 1]
+        assert [f.packet_id for _, f in south._in_flight] == [3]
+        assert [f.packet_id for _, f in east._in_flight] == [9, 2]
+        assert sw.buffered_flits == 0
+
+    def test_no_rebuild_without_a_flex_head(self, cls):
+        """NORTH sends before EAST, but no buffered head is bound east
+        with NORTH or SOUTH chosen: EAST keeps its up-front requests
+        and its mask is never rebuilt."""
+        sw = _west_first_wired(cls)
+        north, east = sw.out_links[Port.NORTH], sw.out_links[Port.EAST]
+
+        def single(dest, pid):
+            return Flit(packet_id=pid, kind=FlitKind.HEAD_TAIL, src=(1, 1),
+                        dest=dest)
+
+        sw.accept(Port.WEST, single((1, 2), pid=1))  # due north
+        # bound north-east with both links empty: EAST wins the tie
+        sw.accept(Port.SOUTH, single((2, 2), pid=2))
+        sw.accept(Port.LOCAL, single((2, 1), pid=3))  # due east
+        rebuilds = _spy_rebuilds(sw)
+        # NORTH and EAST both send in cycle 0, EAST again in cycle 1
+        assert _cycle(sw, 0) == 2
+        assert _cycle(sw, 1) == 1
+        assert [f.packet_id for _, f in north._in_flight] == [1]
+        assert [f.packet_id for _, f in east._in_flight] == [2, 3]
+        assert sw.buffered_flits == 0
+        assert rebuilds == []
 
 
 def _old_round_robin(mask, start, n_lanes):
@@ -402,7 +465,8 @@ class TestRouteCache:
             # both links empty: EAST wins the tie, but has half a credit
             assert sw.arbitrate_and_send(0, lambda f, c: None) == 0
             assert east.flits_sent == 0 and north.flits_sent == 0
-            east.accrue_to(2)
+            east.begin_cycle()
+            east.begin_cycle()
             assert east.try_send(head((2, 1), pid=9), 1)
             # EAST now holds a flit and NORTH none: NORTH is preferred
             moved = sw.arbitrate_and_send(1, lambda f, c: None)
