@@ -965,9 +965,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Fabric worker daemon: waits for the coordinator's plan in "
             "DIR, then claims work-item leases, executes them through "
-            "the ordinary engine (batch packing included), streams a "
-            "per-worker journal + telemetry segment, publishes results "
-            "and exits 0 once every planned point is published."
+            "the ordinary engine (batch packing included), journals "
+            "them to a per-worker segment, publishes results and exits "
+            "0 once every planned point is published."
         ),
     )
     p_worker.add_argument("fabric", metavar="DIR")

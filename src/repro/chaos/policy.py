@@ -50,7 +50,6 @@ SEAMS: Mapping[str, frozenset] = {
     "transport.release": frozenset({"io", "stall"}),
     "transport.publish": frozenset({"io", "stall", "torn", "dup"}),
     "transport.read_result": frozenset({"io", "stall"}),
-    "transport.heartbeat": frozenset({"io", "stall"}),
     "worker.item": frozenset({"die", "hang"}),
     "journal.append": frozenset({"corrupt"}),
 }

@@ -29,7 +29,7 @@ class ChaosTransport:
         self.policy = policy
 
     def __getattr__(self, name: str):
-        # everything without a fault seam (leases, break_lease,
+        # everything without a fault seam (leases, salvage,
         # result_indices, worker_dir, root, ...) is the inner call
         return getattr(self.inner, name)
 
@@ -98,8 +98,3 @@ class ChaosTransport:
     def read_result(self, index: int) -> Optional[Dict[str, object]]:
         self._consult("transport.read_result")
         return self.inner.read_result(index)
-
-    # -- workers -------------------------------------------------------
-    def heartbeat(self, worker_id: str) -> None:
-        self._consult("transport.heartbeat")
-        self.inner.heartbeat(worker_id)

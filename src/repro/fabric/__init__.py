@@ -11,14 +11,15 @@ journal with torn-tail recovery:
   atomic files in a shared directory;
 * :mod:`repro.fabric.worker` — the ``repro worker <dir>`` daemon loop:
   claim a lease, execute the work item through the existing engine
-  (batch packing included), stream a per-worker journal + telemetry
-  segment, publish results, repeat;
-* :mod:`repro.fabric.coordinator` — plans the grid, seeds the lease
-  queue, optionally spawns local workers and respawns the ones that
-  die, monitors heartbeats, breaks expired leases so dead workers'
-  points get re-leased, salvages journaled-but-unpublished outcomes,
-  and merges everything back into the canonical grid-order artifacts
-  — byte-identical to ``repro sweep --jobs 1``.
+  (batch packing included), append to a per-worker journal segment,
+  publish results, repeat.  Taking over an expired lease is the one
+  way an item changes hands, and a takeover salvages the dead owner's
+  journaled points before it quarantines or executes;
+* :mod:`repro.fabric.coordinator` — plans the grid, optionally spawns
+  local workers and respawns the ones that die, salvages
+  journaled-but-unpublished outcomes when a lease expires, and merges
+  everything back into the canonical grid-order artifacts —
+  byte-identical to ``repro sweep --jobs 1``.
 
 Failure handling throughout (retry/backoff, publish fencing, point
 quarantine, integrity checksums) is exercised deterministically by the

@@ -9,14 +9,14 @@ that wakes every ``poll_s`` to:
 * ingest newly published results the moment they land (the
   ``on_outcome`` callback fires in completion order, exactly like the
   local engine's);
-* break leases whose deadline lapsed — the owner stopped heartbeating,
-  so the item goes back in the pool for any live worker to take over;
-* salvage: before breaking a dead worker's lease, scan every worker's
-  journal segment for outcomes that were journaled but never
-  published, and publish them — work a worker finished in its last
-  instants is never re-executed;
-* export fabric gauges/counters (leased, workers alive, results,
-  expired leases, salvages) when telemetry is enabled;
+* salvage: once per expired lease record it sees (the owner stopped
+  renewing), scan every worker's journal segment for outcomes that
+  were journaled but never published, and publish them — work a
+  worker finished in its last instants is never re-executed.  The
+  coordinator never deletes a lease: the next worker to claim the
+  item takes the expired record over, attempt count and all;
+* export fabric gauges/counters (leased, workers busy, results,
+  expired leases) when telemetry is enabled;
 * poll the local workers and respawn one that died, up to
   ``max_restarts`` times per slot.
 
@@ -36,13 +36,12 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..obs.metrics import REGISTRY
 from ..runner import engine
 from ..runner.engine import RunOutcome, RunRequest
 from ..store import codec
-from ..store import journal as journal_mod
 from ..store.store import code_fingerprint, request_key
 from .transport import FabricError, FileTransport, encode_requests
 
@@ -206,32 +205,6 @@ class _WorkerCrew:
                 proc.wait()
 
 
-def _salvage(
-    transport: FileTransport,
-    key_to_index: Dict[str, int],
-    have: Set[int],
-) -> int:
-    """Publish journaled-but-unpublished outcomes from worker segments.
-
-    A worker killed between its journal append and its publish left a
-    durable record of finished work; re-publishing it here means the
-    re-leased item never re-executes those points.  Publication stays
-    idempotent, so racing an actually-alive worker is harmless.
-    """
-    salvaged = 0
-    merged = journal_mod.merge_segments(transport.segment_journals())
-    for key, outcome in merged.items():
-        index = key_to_index.get(key)
-        if index is None or index in have:
-            continue
-        record = codec.outcome_to_record(outcome)
-        record["key"] = key
-        record["worker"] = "salvage"
-        if transport.publish_result(index, codec.attach_hash(record)):
-            salvaged += 1
-    return salvaged
-
-
 def _decode_result(record: Optional[Dict[str, object]]
                    ) -> Optional[RunOutcome]:
     """The outcome a published result record holds, or None for debris:
@@ -303,6 +276,8 @@ def run_fabric_sweep(
     }
     total = len(requests)
     by_index: Dict[int, RunOutcome] = {}
+    #: expired lease records already salvaged for, by (item, deadline)
+    seen_expired: Set[Tuple[str, float]] = set()
 
     crew: Optional[_WorkerCrew] = None
     if workers > 0:
@@ -350,28 +325,29 @@ def run_fabric_sweep(
 
             leases = transport.leases()
             now = time.time()
-            expired = [
-                lease for lease in leases.values() if lease.expired(now)
-            ]
+            expired = {
+                (lease.item, lease.deadline) for lease in leases.values()
+                if lease.expired(now)
+            } - seen_expired
             if expired:
-                # the owners went quiet: rescue their journaled work,
-                # then free the items for takeover
-                sweep.salvaged += _salvage(
-                    transport, key_to_index, set(by_index)
+                # the owners went quiet: rescue their journaled work;
+                # the next claim of each item takes its lease over
+                seen_expired |= expired
+                sweep.expired_leases += len(expired)
+                sweep.salvaged += transport.salvage(
+                    key_to_index, set(by_index)
                 )
-                for lease in expired:
-                    if transport.break_lease(lease.item):
-                        sweep.expired_leases += 1
-                        if REGISTRY.enabled:
-                            REGISTRY.counter(
-                                "fabric.expired_leases"
-                            ).inc()
+                if REGISTRY.enabled:
+                    REGISTRY.counter("fabric.expired_leases").inc(
+                        len(expired)
+                    )
             if REGISTRY.enabled:
                 REGISTRY.gauge("fabric.leased").set(len(leases))
                 REGISTRY.gauge("fabric.completed").set(len(by_index))
-                REGISTRY.gauge("fabric.workers_alive").set(
-                    len(transport.alive_workers(lease_ttl * 2))
-                )
+                REGISTRY.gauge("fabric.workers_busy").set(len({
+                    lease.owner for lease in leases.values()
+                    if not lease.expired(now)
+                }))
 
             if crew is not None and crew.poll():
                 # one more ingest pass: they may have published
@@ -381,7 +357,7 @@ def run_fabric_sweep(
                 # last resort: a worker that exhausted its publish
                 # retries exits with the work journaled but not
                 # published — rescue those segments before giving up
-                salvaged = _salvage(transport, key_to_index, set(by_index))
+                salvaged = transport.salvage(key_to_index, set(by_index))
                 if salvaged:
                     sweep.salvaged += salvaged
                     continue

@@ -1,20 +1,26 @@
 """Lease protocol and the shared-directory transport.
 
-The fabric's control plane is four tiny record kinds:
+The fabric's control plane is three tiny record kinds plus the
+workers' journal segments:
 
 * the **plan** — one document naming the scenario, the code
   fingerprint, every grid request in canonical order, and the work
   items (solo requests or batch-packed groups) the engine planned;
 * **leases** — one record per in-flight work item: owner, deadline,
-  attempt count.  A worker that stops heartbeating lets its deadline
-  lapse; anyone may then take the lease over (attempt + 1);
+  attempt count.  A live owner renews its deadline; a dead one lets
+  it lapse, and the next worker to claim the item takes the record
+  over in :meth:`FileTransport.try_claim` (attempt + 1).  That is the
+  only way a lease changes hands: nobody deletes an expired record,
+  so its attempt count survives to drive quarantine;
 * **results** — one published record per completed grid point, keyed
   by the point's index in the plan.  Publishing is idempotent: the
   first record wins, duplicates are dropped (two workers racing the
   same re-leased point compute canonically identical records anyway —
   the store content key pins that);
-* **worker heartbeats** — liveness beacons the coordinator turns into
-  gauges.
+* **journal segments** — each worker appends every outcome to its own
+  segment before publishing it.  :meth:`FileTransport.salvage`
+  republishes what a dead owner journaled but never published, and
+  ``repro telemetry`` reads the segments' per-point timings.
 
 :class:`FileTransport` keeps them in a shared directory with the repo's
 usual atomicity discipline (write-temp-then-link for claims,
@@ -28,9 +34,7 @@ Layout::
       plan.json                     # the grid + work items
       leases/item-000007.json       # one lease per claimed work item
       results/000042.json           # one record per completed point
-      workers/<id>/heartbeat.json   # liveness beacon
       workers/<id>/journal.jsonl    # per-worker journal segment
-      workers/<id>/telemetry.jsonl  # per-worker telemetry segment
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from typing import Dict, List, Optional, Sequence, Set
 from ..obs.metrics import REGISTRY
 from ..runner.engine import RunRequest
 from ..store import codec
+from ..store import journal as journal_mod
 
 PLAN_FILENAME = "plan.json"
 PLAN_VERSION = 1
@@ -157,7 +162,7 @@ class FileTransport:
         return self.root / "results" / f"{index:06d}.json"
 
     def worker_dir(self, worker_id: str) -> Path:
-        """Per-worker segment directory (journal + telemetry live here)."""
+        """Per-worker segment directory (the journal segment lives here)."""
         path = self.root / "workers" / worker_id
         path.mkdir(parents=True, exist_ok=True)
         return path
@@ -168,13 +173,6 @@ class FileTransport:
         if not workers.is_dir():
             return []
         return sorted(workers.glob("*/journal.jsonl"))
-
-    def segment_streams(self) -> List[Path]:
-        """Every worker's telemetry segment, sorted by worker id."""
-        workers = self.root / "workers"
-        if not workers.is_dir():
-            return []
-        return sorted(workers.glob("*/telemetry.jsonl"))
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -217,7 +215,9 @@ class FileTransport:
     # -- leases --------------------------------------------------------
     def try_claim(self, item: str, owner: str,
                   ttl: float) -> Optional[LeaseRecord]:
-        """Claim an unleased (or expired) item; ``None`` if lost."""
+        """Claim an unleased item, or take an expired lease over
+        (attempt + 1); ``None`` if lost.  The only way a lease changes
+        hands."""
         now = time.time()
         path = self._lease_path(item)
         record = LeaseRecord(item=item, owner=owner,
@@ -289,15 +289,6 @@ class FileTransport:
                 out[record.item] = record
         return out
 
-    def break_lease(self, item: str) -> bool:
-        """Coordinator-side: delete a lease so the item is claimable."""
-        path = self._lease_path(item)
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            return False
-        return True
-
     # -- results -------------------------------------------------------
     def publish_result(self, index: int,
                        record: Dict[str, object]) -> bool:
@@ -339,27 +330,27 @@ class FileTransport:
                 continue
         return out
 
-    # -- workers -------------------------------------------------------
-    def heartbeat(self, worker_id: str) -> None:
-        self._write_atomic(
-            self.worker_dir(worker_id) / "heartbeat.json",
-            {"worker": worker_id, "t": time.time(), "pid": os.getpid()},
-        )
+    def salvage(self, key_to_index: Dict[str, int],
+                have: Set[int]) -> int:
+        """Publish journaled-but-unpublished outcomes; returns how many.
 
-    def worker_ids(self) -> List[str]:
-        workers = self.root / "workers"
-        if not workers.is_dir():
-            return []
-        return sorted(p.name for p in workers.iterdir() if p.is_dir())
-
-    def alive_workers(self, ttl: float) -> List[str]:
-        """Workers whose heartbeat is fresher than ``ttl`` seconds."""
-        now = time.time()
-        alive = []
-        for worker_id in self.worker_ids():
-            data = self._read_json(
-                self.root / "workers" / worker_id / "heartbeat.json"
-            )
-            if data and now - float(data.get("t", 0.0)) <= ttl:
-                alive.append(worker_id)
-        return alive
+        A worker killed between its journal append and its publish left
+        a durable record of finished work.  Every point of
+        ``key_to_index`` (request key to grid index) that is not in
+        ``have`` and sits in some worker's journal segment is published
+        here, so its item never re-executes it.  A damaged segment
+        contributes its valid prefix.  Publication stays idempotent, so
+        racing an actually-alive worker is harmless.
+        """
+        salvaged = 0
+        merged = journal_mod.merge_segments(self.segment_journals())
+        for key, outcome in merged.items():
+            index = key_to_index.get(key)
+            if index is None or index in have:
+                continue
+            record = codec.outcome_to_record(outcome)
+            record["key"] = key
+            record["worker"] = "salvage"
+            if self.publish_result(index, codec.attach_hash(record)):
+                salvaged += 1
+        return salvaged

@@ -9,14 +9,18 @@ backend's lane packing exactly as ``--jobs 1`` would — while a
 background thread renews the lease so a *live* worker never loses it.
 Every outcome is appended to the worker's own journal segment (durable
 before publication: a worker killed between append and publish leaves
-a salvageable record), streamed to the worker's telemetry segment, and
-published into the shared results; the coordinator's sweep pipeline
-is the one writer of the run store.
+a salvageable record) and published into the shared results; the
+coordinator's sweep pipeline is the one writer of the run store.  The
+segment is the worker's only record of its points: ``repro telemetry``
+reads their timings from it.
 
-Publication is idempotent, so a worker that takes over an expired
-lease and re-executes a point another worker already half-finished is
-harmless: the first published record wins and both are canonically
-identical.
+A lease won from an expired owner (attempt > 1) is a takeover: the
+worker first publishes whatever of the item the dead owners journaled
+(:meth:`~repro.fabric.transport.FileTransport.salvage`), and hands the
+lease straight back if that completed the item.  Publication is
+idempotent, so a worker that re-executes a point another worker
+already half-finished is harmless: the first published record wins
+and both are canonically identical.
 
 Robustness seams layered on top of that happy path:
 
@@ -30,9 +34,10 @@ Robustness seams layered on top of that happy path:
   that blows it is abandoned and the points journal as structured
   ``point timeout`` failures;
 * an item whose lease attempt count says it already killed
-  ``quarantine_after`` executors is *quarantined*: journaled and
-  published as a structured failure without being executed, so one
-  poisoned point cannot wedge the whole sweep;
+  ``quarantine_after`` executors, and whose points salvage did not
+  complete, is *quarantined*: journaled and published as a structured
+  failure without being executed, so one poisoned point cannot wedge
+  the whole sweep;
 * under ``REPRO_CHAOS`` (see :mod:`repro.chaos`) the worker wraps its
   transport in a fault-injecting decorator and honors ``worker.item``
   (die/hang) and ``journal.append`` (corrupt) crash points — the same
@@ -54,7 +59,6 @@ from ..store import journal as journal_mod
 from ..store.journal import Journal
 from ..store.store import code_fingerprint, request_key
 from ..obs.metrics import REGISTRY
-from ..obs.telemetry import TelemetryWriter
 from .transport import (
     FabricError,
     FileTransport,
@@ -171,23 +175,19 @@ class _LeaseRenewer:
                 REGISTRY.counter("fabric.renewer_leaks").inc()
 
 
-def _open_segments(
+def _open_journal(
     transport: FileTransport, worker_id: str, scenario_id: str,
     fingerprint: str
-) -> tuple[Journal, TelemetryWriter]:
-    """Per-worker journal + telemetry segments, resumable after a crash."""
-    seg_dir = transport.worker_dir(worker_id)
-    journal = Journal(seg_dir / "journal.jsonl")
+) -> Journal:
+    """The per-worker journal segment, resumable after a crash."""
+    journal = Journal(transport.worker_dir(worker_id) / "journal.jsonl")
     if journal.path.exists():
         # same worker id re-attached (restart): drop any torn tail,
         # then keep appending
         journal_mod.recover(journal.path)
     else:
         journal.start(scenario_id, fingerprint)
-    telemetry = TelemetryWriter(seg_dir / "telemetry.jsonl")
-    if not telemetry.path.exists():
-        telemetry.start(scenario_id, fingerprint, jobs=1)
-    return journal, telemetry
+    return journal
 
 
 def _execute_guarded(
@@ -324,184 +324,168 @@ def run_worker(
     # dispatches in; the plan itself keeps grid order
     claim_order = engine.dispatch_order(works)
 
-    journal, telemetry = _open_segments(
-        transport, wid, scenario_id, fingerprint
-    )
+    journal = _open_journal(transport, wid, scenario_id, fingerprint)
 
-    def heartbeat() -> None:
-        try:
-            retry_policy.call(bus.heartbeat, wid, key=f"{wid}:heartbeat")
-        except OSError:
-            pass  # liveness beacon is best-effort
-
-    try:
-        while True:
-            heartbeat()
+    while True:
+        published = transport.result_indices()
+        missing = [
+            i for i in claim_order
+            if any(idx not in published for idx in items[i]["indices"])
+        ]
+        if not missing:
+            break
+        progressed = False
+        for index in missing:
+            if max_items is not None and stats.claimed >= max_items:
+                return stats
+            try:
+                lease = retry_policy.call(
+                    bus.try_claim, item_id(index), wid, lease_ttl,
+                    key=f"{wid}:claim:{index}",
+                )
+            except OSError:
+                continue  # persistent claim failure: try other items
+            if lease is None:
+                continue
+            item = items[index]
             published = transport.result_indices()
-            missing = [
-                i for i in claim_order
-                if any(idx not in published for idx in items[i]["indices"])
-            ]
-            if not missing:
-                break
-            progressed = False
-            for index in missing:
-                if max_items is not None and stats.claimed >= max_items:
-                    return stats
-                try:
-                    lease = retry_policy.call(
-                        bus.try_claim, item_id(index), wid, lease_ttl,
-                        key=f"{wid}:claim:{index}",
-                    )
-                except OSError:
-                    continue  # persistent claim failure: try other items
-                if lease is None:
-                    continue
-                item = items[index]
+            # a takeover first publishes what the dead owners
+            # journaled, before anything executes or quarantines
+            if lease.attempt > 1 and transport.salvage(
+                {request_key(r): idx
+                 for r, idx in zip(groups[index], item["indices"])},
+                published,
+            ):
                 published = transport.result_indices()
-                if all(idx in published for idx in item["indices"]):
-                    # the missing-scan was stale: another worker
-                    # finished this item between our scan and our
-                    # claim — executing it again would only produce
-                    # duplicates, so hand the lease straight back
-                    transport.release(item_id(index), wid)
-                    progressed = True
-                    continue
-                stats.claimed += 1
+            if all(idx in published for idx in item["indices"]):
+                # the missing-scan was stale (another worker finished
+                # this item between our scan and our claim) or salvage
+                # completed it — executing it again would only produce
+                # duplicates, so hand the lease straight back
+                transport.release(item_id(index), wid)
+                progressed = True
+                continue
+            stats.claimed += 1
+            if lease.attempt > 1:
+                stats.takeovers += 1
+            if REGISTRY.enabled:
+                REGISTRY.counter("fabric.items_claimed").inc()
                 if lease.attempt > 1:
-                    stats.takeovers += 1
+                    REGISTRY.counter("fabric.takeovers").inc()
+            group, work = groups[index], works[index]
+            renewer: Optional[_LeaseRenewer] = None
+            die_pending = False
+            if lease.attempt > quarantine_after:
+                # this item's previous owners died mid-execution
+                # quarantine_after times; executing it again would
+                # kill us too — record the failure and move on
+                stats.quarantined += 1
                 if REGISTRY.enabled:
-                    REGISTRY.counter("fabric.items_claimed").inc()
-                    if lease.attempt > 1:
-                        REGISTRY.counter("fabric.takeovers").inc()
-                group, work = groups[index], works[index]
-                renewer: Optional[_LeaseRenewer] = None
-                die_pending = False
-                if lease.attempt > quarantine_after:
-                    # this item's previous owners died mid-execution
-                    # quarantine_after times; executing it again would
-                    # kill us too — record the failure and move on
-                    stats.quarantined += 1
+                    REGISTRY.counter("fabric.quarantined").inc()
+                outcomes = engine.failed_outcomes(
+                    group,
+                    f"quarantined: {item_id(index)} killed "
+                    f"{lease.attempt - 1} executor(s); not retrying",
+                )
+            else:
+                hang_s: Optional[float] = None
+                if policy is not None:
+                    rule = policy.fire("worker.item")
+                    if rule is not None and rule.fault == "die":
+                        die_pending = True
+                    elif rule is not None and rule.fault == "hang":
+                        hang_s = rule.arg
+                with _LeaseRenewer(bus, item_id(index), wid,
+                                   lease_ttl) as renewer:
+                    outcomes, timed_out = _execute_guarded(
+                        work, point_timeout, hang_s
+                    )
+                if timed_out:
+                    stats.timeouts += 1
                     if REGISTRY.enabled:
-                        REGISTRY.counter("fabric.quarantined").inc()
+                        REGISTRY.counter("fabric.point_timeouts").inc()
                     outcomes = engine.failed_outcomes(
                         group,
-                        f"quarantined: {item_id(index)} killed "
-                        f"{lease.attempt - 1} executor(s); not retrying",
+                        f"point timeout: exceeded "
+                        f"{point_timeout:g}s wall clock; "
+                        f"executor abandoned",
                     )
-                else:
-                    hang_s: Optional[float] = None
-                    if policy is not None:
-                        rule = policy.fire("worker.item")
-                        if rule is not None and rule.fault == "die":
-                            die_pending = True
-                        elif rule is not None and rule.fault == "hang":
-                            hang_s = rule.arg
-                    with _LeaseRenewer(bus, item_id(index), wid,
-                                       lease_ttl) as renewer:
-                        outcomes, timed_out = _execute_guarded(
-                            work, point_timeout, hang_s
-                        )
-                    if timed_out:
-                        stats.timeouts += 1
-                        if REGISTRY.enabled:
-                            REGISTRY.counter("fabric.point_timeouts").inc()
-                        outcomes = engine.failed_outcomes(
-                            group,
-                            f"point timeout: exceeded "
-                            f"{point_timeout:g}s wall clock; "
-                            f"executor abandoned",
-                        )
-                # durable first: journal + telemetry before publication,
-                # so a crash in the publish loop leaves salvageable
-                # segments
-                for outcome in outcomes:
-                    journal.append(outcome)
-                    if policy is not None:
-                        rule = policy.fire("journal.append")
-                        if rule is not None and rule.fault == "corrupt":
-                            _scribble_last_line(journal.path)
-                    telemetry.append_point(outcome)
-                    stats.executed_points += 1
-                    if REGISTRY.enabled:
-                        REGISTRY.counter("fabric.points_executed").inc()
-                    if outcome.error:
-                        stats.errors += 1
-                if die_pending:
-                    # chaos crash point: after the durable append, before
-                    # publication — the exact window the salvage path and
-                    # lease takeover exist for
-                    os._exit(CHAOS_EXIT_STATUS)
-                # fencing: re-verify ownership between execution and
-                # publish.  A lost renewal (or a takeover visible in the
-                # lease record) means another worker may already be
-                # re-executing this item — publishing now could overwrite
-                # nothing (publication is idempotent) but racing is
-                # pointless: abort, keep the journaled work salvageable.
-                current = transport.lease(item_id(index))
-                if renewer is not None and (
-                    renewer.lost.is_set()
-                    or current is None
-                    or current.owner != wid
-                ):
-                    stats.fenced += 1
-                    if REGISTRY.enabled:
-                        REGISTRY.counter("fabric.fenced").inc()
-                    try:
-                        transport.release(item_id(index), wid)
-                    except OSError:
-                        pass
-                    progressed = True
-                    continue
-                for idx, outcome in zip(item["indices"], outcomes):
-                    try:
-                        fresh = retry_policy.call(
-                            bus.publish_result, idx,
-                            _result_record(outcome, wid),
-                            key=f"{wid}:publish:{idx}",
-                        )
-                    except OSError:
-                        # persistently unpublishable: the outcome is
-                        # journaled, so the coordinator's salvage pass
-                        # still completes the point
-                        stats.publish_failures += 1
-                        if REGISTRY.enabled:
-                            REGISTRY.counter(
-                                "fabric.publish_failures"
-                            ).inc()
-                        continue
-                    if fresh:
-                        stats.published += 1
-                    else:
-                        stats.duplicate_results += 1
-                        if REGISTRY.enabled:
-                            REGISTRY.counter(
-                                "fabric.duplicate_results"
-                            ).inc()
+            # durable first: journal before publication, so a crash
+            # in the publish loop leaves a salvageable segment
+            for outcome in outcomes:
+                journal.append(outcome)
+                if policy is not None:
+                    rule = policy.fire("journal.append")
+                    if rule is not None and rule.fault == "corrupt":
+                        _scribble_last_line(journal.path)
+                stats.executed_points += 1
+                if REGISTRY.enabled:
+                    REGISTRY.counter("fabric.points_executed").inc()
+                if outcome.error:
+                    stats.errors += 1
+            if die_pending:
+                # chaos crash point: after the durable append, before
+                # publication — the exact window the salvage path and
+                # lease takeover exist for
+                os._exit(CHAOS_EXIT_STATUS)
+            # fencing: re-verify ownership between execution and
+            # publish.  A lost renewal (or a takeover visible in the
+            # lease record) means another worker may already be
+            # re-executing this item — publishing now could overwrite
+            # nothing (publication is idempotent) but racing is
+            # pointless: abort, keep the journaled work salvageable.
+            current = transport.lease(item_id(index))
+            if renewer is not None and (
+                renewer.lost.is_set()
+                or current is None
+                or current.owner != wid
+            ):
+                stats.fenced += 1
+                if REGISTRY.enabled:
+                    REGISTRY.counter("fabric.fenced").inc()
                 try:
-                    retry_policy.call(
-                        bus.release, item_id(index), wid,
-                        key=f"{wid}:release:{index}",
+                    transport.release(item_id(index), wid)
+                except OSError:
+                    pass
+                progressed = True
+                continue
+            for idx, outcome in zip(item["indices"], outcomes):
+                try:
+                    fresh = retry_policy.call(
+                        bus.publish_result, idx,
+                        _result_record(outcome, wid),
+                        key=f"{wid}:publish:{idx}",
                     )
                 except OSError:
-                    pass  # the lease will expire on its own
-                heartbeat()
-                progressed = True
-            if once:
-                break
-            if not progressed:
-                # everything missing is leased elsewhere: wait for the
-                # owners to publish or their leases to expire
-                time.sleep(poll_s)
-    finally:
-        telemetry.finish({
-            "worker": wid,
-            "points": stats.executed_points,
-            "failures": stats.errors,
-            "claimed": stats.claimed,
-            "takeovers": stats.takeovers,
-            "fenced": stats.fenced,
-            "quarantined": stats.quarantined,
-            "timeouts": stats.timeouts,
-        })
+                    # persistently unpublishable: the outcome is
+                    # journaled, so the coordinator's salvage pass
+                    # still completes the point
+                    stats.publish_failures += 1
+                    if REGISTRY.enabled:
+                        REGISTRY.counter(
+                            "fabric.publish_failures"
+                        ).inc()
+                    continue
+                if fresh:
+                    stats.published += 1
+                else:
+                    stats.duplicate_results += 1
+                    if REGISTRY.enabled:
+                        REGISTRY.counter(
+                            "fabric.duplicate_results"
+                        ).inc()
+            try:
+                retry_policy.call(
+                    bus.release, item_id(index), wid,
+                    key=f"{wid}:release:{index}",
+                )
+            except OSError:
+                pass  # the lease will expire on its own
+            progressed = True
+        if once:
+            break
+        if not progressed:
+            # everything missing is leased elsewhere: wait for the
+            # owners to publish or their leases to expire
+            time.sleep(poll_s)
     return stats

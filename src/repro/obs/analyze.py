@@ -10,7 +10,8 @@ The primary source is ``telemetry.jsonl``.  When a sweep ran without
 telemetry the journal still carries per-point durations (a satellite
 of the same PR), so :func:`summarize` falls back to ``journal.jsonl``
 — store hits and kernel counters are simply absent there, and the
-report says so rather than inventing zeros.
+report says so rather than inventing zeros.  A fabric directory is
+reported from its workers' journal segments, one row per worker.
 """
 
 from __future__ import annotations
@@ -283,41 +284,43 @@ def _segment_utilization(
 
 
 def _from_fabric(target: Path) -> Optional[TelemetryReport]:
-    """Aggregate every worker's telemetry segment in a fabric directory
+    """Aggregate every worker's journal segment in a fabric directory
     (``None`` when ``target`` holds no worker segments).
 
     The merged report sums counter rollups and point lists across the
     whole fleet (each point tagged with its worker), treats the worker
     count as the job count for fleet-wide utilization, and adds one
-    per-worker utilization row per segment.  Unreadable segments — a
-    worker SIGKILLed before writing its header — are skipped, matching
-    the journal merge's damage-bounding rule.
+    per-worker utilization row per segment.  A damaged segment
+    contributes its valid prefix and an unreadable one — a worker
+    SIGKILLed before writing its header — is skipped, the rule salvage
+    uses too.  Workers never read the run store, so every point counts
+    as a store miss.
     """
-    from ..fabric.transport import FileTransport  # lazy: pulls in runner
+    # lazy: both pull in the runner
+    from ..fabric.transport import FileTransport
+    from ..store import journal as journal_mod
 
-    streams = FileTransport(target).segment_streams()
-    if not streams:
+    segments = FileTransport(target).segment_journals()
+    if not segments:
         return None
     report = TelemetryReport(
         source=str(target),
         has_store_info=True,
         worker_rows=[],
     )
-    for stream in streams:
-        worker_id = stream.parent.name
+    for segment in segments:
+        worker_id = segment.parent.name
         try:
-            header, records = telemetry_mod.read_stream(stream)
-        except (telemetry_mod.TelemetryError, OSError):
+            header, outcomes = journal_mod.load(segment)
+        except (journal_mod.JournalError, OSError):
             continue
         if not report.scenario:
             report.scenario = str(header.get("scenario", ""))
         segment_points = []
-        for record in records:
-            if record.get("kind") != "point":
-                continue
-            tagged = dict(record)
-            tagged["worker"] = worker_id
-            segment_points.append(tagged)
+        for outcome in outcomes:
+            point = telemetry_mod.point_record(outcome)
+            point["worker"] = worker_id
+            segment_points.append(point)
         report.points.extend(segment_points)
         busy, span, util = _segment_utilization(segment_points)
         report.worker_rows.append({
@@ -329,7 +332,7 @@ def _from_fabric(target: Path) -> Optional[TelemetryReport]:
         })
     if not report.worker_rows:
         raise telemetry_mod.TelemetryError(
-            f"{target}: no readable worker telemetry segments"
+            f"{target}: no readable worker journal segments"
         )
     report.jobs = len(report.worker_rows)
     return report
@@ -339,7 +342,7 @@ def summarize(target) -> TelemetryReport:
     """Build a report for a sweep directory (or a stream file directly).
 
     Prefers ``telemetry.jsonl``; a fabric directory (one with
-    ``workers/*/telemetry.jsonl`` segments and no top-level stream)
+    ``workers/*/journal.jsonl`` segments and no top-level stream)
     aggregates every worker's segment; otherwise falls back to the
     journal, which carries per-point durations too.
     """
@@ -359,6 +362,5 @@ def summarize(target) -> TelemetryReport:
         return _from_journal(journal_file)
     raise FileNotFoundError(
         f"{target}: no {telemetry_mod.STREAM_FILENAME}, "
-        f"workers/*/{telemetry_mod.STREAM_FILENAME} or "
-        f"{_JOURNAL_FILENAME} found"
+        f"workers/*/{_JOURNAL_FILENAME} or {_JOURNAL_FILENAME} found"
     )

@@ -80,31 +80,6 @@ class RunOutcome:
         return not self.error and getattr(self.result, "all_ok", False)
 
 
-def _execute_one(request: RunRequest) -> RunOutcome:
-    """Run one request in the current process (top-level: picklable)."""
-    registry.load_builtin()
-    # isolate: global packet ids restart for every scenario so serial
-    # and multiprocess execution observe identical counter state
-    from ..noc import reset_packet_ids
-
-    reset_packet_ids()
-    before = _OBS.snapshot() if _OBS.enabled else None
-    t0 = time.perf_counter()
-    try:
-        sc = registry.get(request.scenario_id)
-        resolved = sc.resolve_params(request.params_dict(), fast=request.fast)
-        result = sc.func(tech=None, **resolved)
-        outcome = RunOutcome(request=request, result=result,
-                             resolved_params=resolved)
-    except Exception:
-        outcome = RunOutcome(request=request, error=traceback.format_exc())
-    outcome.duration_s = time.perf_counter() - t0
-    outcome.t_mono = time.monotonic()
-    if before is not None:
-        outcome.metrics = snapshot_delta(before, _OBS.snapshot())
-    return outcome
-
-
 def _batch_key(request: RunRequest, axis: str) -> Tuple:
     """Grouping identity: everything about the request except the axis."""
     return (
@@ -114,58 +89,6 @@ def _batch_key(request: RunRequest, axis: str) -> Tuple:
     )
 
 
-def _execute_batch(requests: Sequence[RunRequest]) -> list[RunOutcome]:
-    """Run a packed group through the scenario's batch hook.
-
-    The hook receives every request's resolved parameters at once and
-    may share work across the group (the compiled backend maps the
-    requests onto bit-parallel lanes; fault-injection simulates the
-    group's healthy reference mesh once).  It must return one result
-    per request, each identical to what a solo run would have
-    produced.  A raising hook fails the whole group — per-request
-    outcomes all carry the same traceback.
-    """
-    registry.load_builtin()
-    from ..noc import reset_packet_ids
-
-    reset_packet_ids()
-    sc = registry.get(requests[0].scenario_id)
-    before = _OBS.snapshot() if _OBS.enabled else None
-    t0 = time.perf_counter()
-    try:
-        resolved = [
-            sc.resolve_params(r.params_dict(), fast=r.fast)
-            for r in requests
-        ]
-        results = sc.batch(
-            tech=None, param_sets=[dict(p) for p in resolved]
-        )
-        if results is None or len(results) != len(requests):
-            raise RuntimeError(
-                f"batch hook of {sc.id!r} returned "
-                f"{0 if results is None else len(results)} results "
-                f"for {len(requests)} requests"
-            )
-        outcomes = [
-            RunOutcome(request=r, result=res, resolved_params=p)
-            for r, res, p in zip(requests, results, resolved)
-        ]
-    except Exception:
-        error = traceback.format_exc()
-        outcomes = [RunOutcome(request=r, error=error) for r in requests]
-    # the group executed as one call: members share the wall clock
-    # evenly, and the first member carries the whole group's kernel
-    # counter delta (splitting it per-lane would invent precision)
-    wall = time.perf_counter() - t0
-    t_end = time.monotonic()
-    for outcome in outcomes:
-        outcome.duration_s = wall / len(outcomes)
-        outcome.t_mono = t_end
-    if before is not None and outcomes:
-        outcomes[0].metrics = snapshot_delta(before, _OBS.snapshot())
-    return outcomes
-
-
 #: one unit of pool work: a solo request or a packed group
 WorkItem = Tuple[str, object]
 
@@ -173,14 +96,65 @@ WorkItem = Tuple[str, object]
 def execute_item(item: WorkItem) -> list[RunOutcome]:
     """Run one planned work item in the current process.
 
+    ``("one", request)`` runs the scenario function once; ``("batch",
+    requests)`` hands every request's resolved parameters to the
+    scenario's batch hook at once, which may share work across the
+    group (the compiled backend maps the requests onto bit-parallel
+    lanes; fault-injection simulates the group's healthy reference
+    mesh once) and must return one result per request, each identical
+    to what a solo run would have produced.  A raising scenario fails
+    the whole item: every outcome carries the same traceback.
+
     Public seam: the fabric worker executes leased items through this
     exact call, so a leased batch group runs its scenario's batch hook
     identically to a local sweep.
     """
     kind, payload = item
-    if kind == "one":
-        return [_execute_one(payload)]
-    return _execute_batch(payload)
+    requests = [payload] if kind == "one" else list(payload)
+    registry.load_builtin()
+    # isolate: global packet ids restart for every item so serial
+    # and multiprocess execution observe identical counter state
+    from ..noc import reset_packet_ids
+
+    reset_packet_ids()
+    before = _OBS.snapshot() if _OBS.enabled else None
+    t0 = time.perf_counter()
+    try:
+        sc = registry.get(requests[0].scenario_id)
+        resolved = [
+            sc.resolve_params(r.params_dict(), fast=r.fast)
+            for r in requests
+        ]
+        if kind == "one":
+            results = [sc.func(tech=None, **resolved[0])]
+        else:
+            results = sc.batch(
+                tech=None, param_sets=[dict(p) for p in resolved]
+            )
+            if results is None or len(results) != len(requests):
+                raise RuntimeError(
+                    f"batch hook of {sc.id!r} returned "
+                    f"{0 if results is None else len(results)} results "
+                    f"for {len(requests)} requests"
+                )
+        outcomes = [
+            RunOutcome(request=r, result=res, resolved_params=p)
+            for r, res, p in zip(requests, results, resolved)
+        ]
+    except Exception:
+        error = traceback.format_exc()
+        outcomes = [RunOutcome(request=r, error=error) for r in requests]
+    # the item executed as one call: members share the wall clock
+    # evenly, and the first member carries the whole item's kernel
+    # counter delta (splitting it per-lane would invent precision)
+    wall = time.perf_counter() - t0
+    t_end = time.monotonic()
+    for outcome in outcomes:
+        outcome.duration_s = wall / len(outcomes)
+        outcome.t_mono = t_end
+    if before is not None:
+        outcomes[0].metrics = snapshot_delta(before, _OBS.snapshot())
+    return outcomes
 
 
 def failed_outcomes(requests: Sequence[RunRequest],

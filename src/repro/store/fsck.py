@@ -333,16 +333,6 @@ class _Fsck:
                         path.unlink()
                 # a live, unexpired, incomplete lease is healthy: skip
 
-        workers_dir = self.root / "workers"
-        if workers_dir.is_dir():
-            for hb in sorted(workers_dir.glob("*/heartbeat.json")):
-                if self._load_record(hb) is None:
-                    self._issue(
-                        hb, "corrupt-heartbeat",
-                        "unreadable worker heartbeat",
-                        "quarantined" if self.repair else "reported")
-                    self._quarantine_file(hb)
-
     # ------------------------------------------------------------------
     def run(self) -> FsckReport:
         skip = {self.qdir.resolve()}

@@ -380,10 +380,15 @@ class TestRenewerAndFencing:
         while transport.lease(item_id(0)) is None:
             assert time.monotonic() < deadline, "victim never claimed"
             time.sleep(0.01)
-        # steal the lease while the victim's executor hangs
-        assert transport.break_lease(item_id(0))
+        # steal the lease while the victim's executor hangs: expire
+        # its record, then take it over the one way leases change hands
+        expired = LeaseRecord(item=item_id(0), owner="wk-victim",
+                              deadline=time.time() - 60.0)
+        transport._write_atomic(
+            transport._lease_path(item_id(0)), expired.to_json()
+        )
         stolen = transport.try_claim(item_id(0), "wk-thief", 60.0)
-        assert stolen is not None
+        assert stolen is not None and stolen.attempt == 2
         thread.join(timeout=10.0)
         assert not thread.is_alive()
         stats = done["stats"]
@@ -432,6 +437,94 @@ class TestQuarantineAndTimeout:
             workers=0, poll_s=0.01, timeout=30.0,
         )
         assert result.outcomes[0].error.startswith("quarantined:")
+
+    def _expire_lease(self, transport, attempt):
+        dead = LeaseRecord(item=item_id(0), owner="wk-dead",
+                           deadline=time.time() - 60.0, attempt=attempt)
+        transport._write_atomic(
+            transport._lease_path(item_id(0)), dead.to_json()
+        )
+
+    def _journal_dead_owner(self, transport, outcomes):
+        segment = Journal(
+            transport.worker_dir("wk-dead") / "journal.jsonl"
+        )
+        segment.start("sweep-noop", "fp")
+        for outcome in outcomes:
+            segment.append(outcome)
+
+    def test_quarantine_fires_while_coordinator_runs(self, tmp_path):
+        """A running coordinator must not reset the attempt count of an
+        expired lease: the next claim still quarantines the item."""
+        requests = _grid(1)
+        transport = FileTransport(tmp_path)
+        plan_fabric(transport, "sweep-noop", requests)
+        self._expire_lease(transport, attempt=2)
+        box = {}
+        coordinator = threading.Thread(
+            target=lambda: box.update(result=run_fabric_sweep(
+                transport, "sweep-noop", requests,
+                workers=0, poll_s=0.01, timeout=30.0,
+            )),
+            daemon=True,
+        )
+        coordinator.start()
+        time.sleep(0.3)  # the coordinator has seen the expired lease
+        stats = run_worker(
+            transport, worker_id="wk-live", once=True,
+            lease_ttl=10.0, quarantine_after=2,
+        )
+        coordinator.join(timeout=30.0)
+        assert not coordinator.is_alive()
+        assert stats.takeovers == 1
+        assert stats.quarantined == 1
+        assert box["result"].expired_leases == 1
+        assert box["result"].outcomes[0].error.startswith(
+            "quarantined: item-000000 killed 2 executor(s)"
+        )
+
+    def test_takeover_salvages_journaled_work_before_quarantine(
+        self, tmp_path
+    ):
+        """The dead owner journaled the point's success: a takeover
+        publishes it and never quarantines the finished work."""
+        requests = _grid(1)
+        outcomes = engine.execute(requests, jobs=1)
+        transport = FileTransport(tmp_path)
+        plan_fabric(transport, "sweep-noop", requests)
+        self._journal_dead_owner(transport, outcomes)
+        self._expire_lease(transport, attempt=2)
+        stats = run_worker(
+            transport, worker_id="wk-live", once=True,
+            lease_ttl=10.0, quarantine_after=2,
+        )
+        assert stats.quarantined == 0
+        assert stats.executed_points == 0
+        record = transport.read_result(0)
+        assert record["worker"] == "salvage"
+        assert record["error"] == ""
+        assert transport.lease(item_id(0)) is None  # handed back
+        result = run_fabric_sweep(
+            transport, "sweep-noop", requests,
+            workers=0, poll_s=0.01, timeout=30.0,
+        )
+        assert _canonical(result.outcomes) == _canonical(outcomes)
+
+    def test_takeover_quarantines_only_unjournaled_points(self, tmp_path):
+        requests = _grid(4)  # one batch item
+        outcomes = engine.execute(requests, jobs=1)
+        transport = FileTransport(tmp_path)
+        plan_fabric(transport, "sweep-noop", requests)
+        self._journal_dead_owner(transport, outcomes[:2])
+        self._expire_lease(transport, attempt=2)
+        stats = run_worker(
+            transport, worker_id="wk-live", once=True,
+            lease_ttl=10.0, quarantine_after=2,
+        )
+        assert stats.quarantined == 1
+        errors = [transport.read_result(i)["error"] for i in range(4)]
+        assert errors[:2] == ["", ""]
+        assert all(e.startswith("quarantined:") for e in errors[2:])
 
     def test_point_timeout_journals_structured_failure(self, tmp_path):
         requests = _grid(1)

@@ -241,6 +241,19 @@ class TestFabricSweep:
         thread.start()
         return thread
 
+    def _coordinator_thread(self, transport, requests, box):
+        """A monitoring coordinator (no workers of its own); its
+        result lands in ``box["result"]``."""
+        thread = threading.Thread(
+            target=lambda: box.update(result=run_fabric_sweep(
+                transport, "sweep-noop", requests,
+                workers=0, poll_s=0.01, timeout=30.0,
+            )),
+            daemon=True,
+        )
+        thread.start()
+        return thread
+
     def test_two_workers_match_serial_engine(self, tmp_path):
         requests = _grid(40)
         serial = engine.execute(requests, jobs=1)
@@ -259,9 +272,12 @@ class TestFabricSweep:
         # return order is request order; callback saw each point once
         assert _canonical(result.outcomes) == _canonical(serial)
         assert sorted(_canonical(seen)) == sorted(_canonical(serial))
-        # both workers left journal + telemetry segments behind
+        # both workers left a journal segment behind, and it is their
+        # only per-point record
         assert len(transport.segment_journals()) == 2
-        assert len(transport.segment_streams()) == 2
+        assert sorted(p.name for p in tmp_path.glob("workers/*/*")) == [
+            "journal.jsonl", "journal.jsonl",
+        ]
 
     def test_worker_takes_over_expired_lease(self, tmp_path):
         requests = _grid(4)  # one batch item
@@ -313,7 +329,71 @@ class TestFabricSweep:
         assert result.salvaged == 1
         assert result.expired_leases == 1
         assert _canonical(result.outcomes) == _canonical(outcomes)
-        assert transport.lease(item_id(0)) is None
+        # the coordinator salvages but never deletes a lease
+        assert transport.lease(item_id(0)) == dead
+
+    def test_expired_lease_keeps_record_while_coordinator_runs(
+        self, tmp_path
+    ):
+        """The coordinator leaves an expired lease for the next claim
+        to take over, attempt count and all, and salvages for it once,
+        not on every poll."""
+        requests = _grid(1)
+        transport = FileTransport(tmp_path)
+        plan_fabric(transport, "sweep-noop", requests)
+        dead = LeaseRecord(
+            item=item_id(0), owner="wk-dead",
+            deadline=time.time() - 60.0, attempt=2,
+        )
+        transport._write_atomic(
+            transport._lease_path(item_id(0)), dead.to_json()
+        )
+        box = {}
+        coordinator = self._coordinator_thread(transport, requests, box)
+        time.sleep(0.3)  # tens of polls
+        assert transport.lease(item_id(0)) == dead
+        stats = run_worker(
+            transport, worker_id="wk-live", once=True,
+            lease_ttl=10.0, quarantine_after=9,
+        )
+        assert stats.takeovers == 1
+        coordinator.join(timeout=30.0)
+        assert not coordinator.is_alive()
+        assert box["result"].expired_leases == 1
+        assert box["result"].outcomes[0].error == ""
+
+    def test_workers_busy_gauge_counts_owners_of_live_leases(
+        self, tmp_path
+    ):
+        from repro.obs import metrics
+
+        requests = _grid(20)  # two items
+        transport = FileTransport(tmp_path)
+        plan_fabric(transport, "sweep-noop", requests)
+        assert transport.try_claim(item_id(0), "wk-a", ttl=30.0)
+        dead = LeaseRecord(
+            item=item_id(1), owner="wk-dead",
+            deadline=time.time() - 60.0, attempt=1,
+        )
+        transport._write_atomic(
+            transport._lease_path(item_id(1)), dead.to_json()
+        )
+        box = {}
+        with metrics.collecting(reset=True) as registry_:
+            coordinator = self._coordinator_thread(transport, requests, box)
+            deadline = time.monotonic() + 10.0
+            while registry_.gauge("fabric.leased").value != 2:
+                assert time.monotonic() < deadline, "no gauge export"
+                time.sleep(0.01)
+            time.sleep(0.1)  # past the poll that set the gauge
+            # one live owner; the expired lease's owner is not busy
+            assert registry_.gauge("fabric.workers_busy").value == 1
+            transport.release(item_id(0), "wk-a")
+            run_worker(transport, worker_id="wk-live", once=True,
+                       lease_ttl=10.0)
+            coordinator.join(timeout=30.0)
+        assert not coordinator.is_alive()
+        assert len(box["result"].outcomes) == 20
 
     def test_worker_claims_the_costliest_item_first(self, tmp_path):
         # three batch items in grid order 2x2, 4x4, 3x3; the plan keeps
@@ -376,6 +456,31 @@ class TestFabricSweep:
         assert "workers" in report.to_json()
         assert report.to_csv().splitlines()[0].endswith(",worker")
 
+    def test_telemetry_reads_valid_prefix_of_damaged_segment(
+        self, tmp_path
+    ):
+        outcomes = engine.execute(_grid(3), jobs=1)
+        transport = FileTransport(tmp_path)
+        for wid, points in (("wk-a", outcomes[:1]), ("wk-b", outcomes)):
+            segment = Journal(transport.worker_dir(wid) / "journal.jsonl")
+            segment.start("sweep-noop", "fp")
+            for outcome in points:
+                segment.append(outcome)
+        # bit rot in wk-b's second point: it and the point after it
+        # are dropped, as salvage drops them
+        path = transport.worker_dir("wk-b") / "journal.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].replace('"sweep-noop"', '"sweep-nope"')
+        path.write_text("".join(lines))
+        # a worker killed before its header contributes no row
+        (transport.worker_dir("wk-c") / "journal.jsonl").write_text("")
+        report = obs_analyze.summarize(tmp_path)
+        assert [(r["worker"], r["points"]) for r in report.worker_rows] == [
+            ("wk-a", 1), ("wk-b", 1),
+        ]
+        assert report.jobs == 2
+        assert report.points[0]["duration_s"] == outcomes[0].duration_s
+
 
 # ----------------------------------------------------------------------
 _CRASH_ONCE_WORKER = """\
@@ -406,7 +511,7 @@ class TestWorkerDeathRecovery:
         self, tmp_path
     ):
         """SIGKILL a worker holding a lease: the supervisor respawns
-        the slot, the coordinator expires and breaks the dead lease,
+        the slot, the respawned worker takes the expired lease over,
         and the finished sweep matches a serial run exactly."""
         import subprocess
 
@@ -439,10 +544,8 @@ class TestWorkerDeathRecovery:
         )
         assert marker.exists()  # the first incarnation really died
         assert result.worker_restarts >= 1
-        # the dead worker's lease was recovered by whichever side won
-        # the race — the coordinator breaking it or the respawned
-        # worker taking it over (both paths have deterministic unit
-        # tests above); either way nothing is left leased and the
+        # the respawned worker took the dead worker's lease over and
+        # released it after publishing: nothing is left leased and the
         # doomed worker published nothing
         transport = FileTransport(fabric_dir)
         assert transport.leases() == {}

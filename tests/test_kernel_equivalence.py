@@ -222,6 +222,35 @@ class TestRandomDifferential:
         _assert_equivalent(opt, ref, f"seed {seed}: {case}")
 
 
+#: west-first loads dense enough that a head surfacing mid-cycle,
+#: after its lane sent on NORTH, chooses SOUTH and then flips to EAST
+#: (the random draw above is too sparse to reach that interleaving):
+#: ``(mesh, rate, packet_length, fifo_depth)``
+WEST_FIRST_FLIP_CASES = (
+    (4, 0.5, 1, 2),
+    (4, 0.8, 2, 2),
+    (5, 0.5, 3, 3),
+)
+
+
+class TestWestFirstMidCycleFlip:
+    """Lockstep equivalence where west-first's same-cycle EAST flip of
+    a freshly surfaced head decides the run."""
+
+    @pytest.mark.parametrize("mesh,rate,packet_length,fifo_depth",
+                             WEST_FIRST_FLIP_CASES)
+    def test_lockstep(self, mesh, rate, packet_length, fifo_depth):
+        case = dict(
+            cols=mesh, rows=mesh, fifo_depth=fifo_depth,
+            routing="west_first", pattern="uniform", hotspot=(0, 0),
+            rate=rate, packet_length=packet_length, kind="I3",
+            freq_mhz=300,
+        )
+        opt = _run_case(Network, case, 1, cycles=100, settle=40)
+        ref = _run_case(ReferenceNetwork, case, 1, cycles=100, settle=40)
+        _assert_equivalent(opt, ref, f"west-first flip: {case}")
+
+
 class TestCreditAccrualEquivalence:
     """Batched lazy accrual must replay per-cycle accrual exactly."""
 

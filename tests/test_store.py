@@ -342,16 +342,16 @@ class TestCliSweepDurability:
 
         # kill the sweep after two completed points
         killed = tmp_path / "killed"
-        real = engine._execute_one
+        real = engine.execute_item
         calls = []
 
-        def dying(request):
+        def dying(item):
             if len(calls) == 2:
                 raise KeyboardInterrupt
-            calls.append(request)
-            return real(request)
+            calls.append(item)
+            return real(item)
 
-        monkeypatch.setattr(engine, "_execute_one", dying)
+        monkeypatch.setattr(engine, "execute_item", dying)
         with pytest.raises(KeyboardInterrupt):
             main(SWEEP_ARGS + ["--out", str(killed)])
         assert len(calls) == 2
@@ -360,8 +360,8 @@ class TestCliSweepDurability:
         # resume executes only the remaining point ...
         resumed = []
         monkeypatch.setattr(
-            engine, "_execute_one",
-            lambda request: (resumed.append(request), real(request))[1],
+            engine, "execute_item",
+            lambda item: (resumed.append(item[1]), real(item))[1],
         )
         assert main(SWEEP_ARGS + ["--resume", str(killed)]) == 0
         assert [r.params_dict()["mesh_size"] for r in resumed] == [4]
@@ -382,10 +382,10 @@ class TestCliSweepDurability:
         jpath.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
 
         executed = []
-        real = engine._execute_one
+        real = engine.execute_item
         monkeypatch.setattr(
-            engine, "_execute_one",
-            lambda request: (executed.append(request), real(request))[1],
+            engine, "execute_item",
+            lambda item: (executed.append(item[1]), real(item))[1],
         )
         assert main(SWEEP_ARGS + ["--resume", str(out)]) == 0
         assert len(executed) == 3  # every point re-ran
@@ -428,10 +428,10 @@ class TestCliSweepDurability:
         ]) == 0
 
         executed = []
-        real = engine._execute_one
+        real = engine.execute_item
         monkeypatch.setattr(
-            engine, "_execute_one",
-            lambda request: (executed.append(request), real(request))[1],
+            engine, "execute_item",
+            lambda item: (executed.append(item[1]), real(item))[1],
         )
         second = tmp_path / "second"
         assert main(SWEEP_ARGS + [
