@@ -373,17 +373,20 @@ def run_worker(
                 if lease.attempt > 1:
                     REGISTRY.counter("fabric.takeovers").inc()
             group, work = groups[index], works[index]
+            indices = item["indices"]
             renewer: Optional[_LeaseRenewer] = None
             die_pending = False
             if lease.attempt > quarantine_after:
                 # this item's previous owners died mid-execution
                 # quarantine_after times; executing it again would
-                # kill us too — record the failure and move on
+                # kill us too — record the failure of the points
+                # salvage left unpublished and move on
                 stats.quarantined += 1
                 if REGISTRY.enabled:
                     REGISTRY.counter("fabric.quarantined").inc()
+                indices = [idx for idx in indices if idx not in published]
                 outcomes = engine.failed_outcomes(
-                    group,
+                    [requests[idx] for idx in indices],
                     f"quarantined: {item_id(index)} killed "
                     f"{lease.attempt - 1} executor(s); not retrying",
                 )
@@ -449,7 +452,7 @@ def run_worker(
                     pass
                 progressed = True
                 continue
-            for idx, outcome in zip(item["indices"], outcomes):
+            for idx, outcome in zip(indices, outcomes):
                 try:
                     fresh = retry_policy.call(
                         bus.publish_result, idx,

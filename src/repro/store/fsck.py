@@ -16,9 +16,10 @@ can:
 * **corrupt store objects / published result records** are moved whole
   into the quarantine sidecar (the store treats the miss as "not yet
   computed" and heals on the next sweep);
-* **stale lease debris** (unreadable records, expired leases, leases
-  whose every point already published) is quarantined or removed so a
-  resumed fabric doesn't trip over ghosts.
+* **stale lease debris** (unreadable records, leases whose every
+  point already published) is quarantined or removed so a resumed
+  fabric doesn't trip over ghosts.  An expired lease of an unfinished
+  item is kept: its attempt count is what quarantines a poisoned item.
 
 Nothing valid is ever deleted, and every removed byte lands in
 ``fsck-quarantine/`` first — fsck is safe to run on a tree you still
@@ -28,7 +29,6 @@ care about.  ``repair=False`` (CLI ``--dry-run``) only reports.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set
@@ -298,7 +298,6 @@ class _Fsck:
 
         leases_dir = self.root / "leases"
         if leases_dir.is_dir():
-            now = time.time()
             for path in sorted(leases_dir.glob("*.json")):
                 data = self._load_record(path)
                 record = None
@@ -322,16 +321,17 @@ class _Fsck:
                         done = all(int(i) in published for i in indices)
                     except (IndexError, KeyError, TypeError, ValueError):
                         done = False
-                if done or record.expired(now):
-                    why = ("every point already published" if done
-                           else "lease expired with no live owner")
+                if done:
                     action = "removed" if self.repair else "reported"
-                    self._issue(path, "stale-lease", why, action)
+                    self._issue(path, "stale-lease",
+                                "every point already published", action)
                     if self.repair:
                         self._quarantine_bytes(path, "file",
                                                path.read_bytes())
                         path.unlink()
-                # a live, unexpired, incomplete lease is healthy: skip
+                # a lease of an unfinished item is healthy, expired or
+                # not: the next claim takes it over, attempt count and
+                # all, so deleting it would let a poisoned item run again
 
     # ------------------------------------------------------------------
     def run(self) -> FsckReport:

@@ -453,36 +453,6 @@ class TestQuarantineAndTimeout:
         for outcome in outcomes:
             segment.append(outcome)
 
-    def test_quarantine_fires_while_coordinator_runs(self, tmp_path):
-        """A running coordinator must not reset the attempt count of an
-        expired lease: the next claim still quarantines the item."""
-        requests = _grid(1)
-        transport = FileTransport(tmp_path)
-        plan_fabric(transport, "sweep-noop", requests)
-        self._expire_lease(transport, attempt=2)
-        box = {}
-        coordinator = threading.Thread(
-            target=lambda: box.update(result=run_fabric_sweep(
-                transport, "sweep-noop", requests,
-                workers=0, poll_s=0.01, timeout=30.0,
-            )),
-            daemon=True,
-        )
-        coordinator.start()
-        time.sleep(0.3)  # the coordinator has seen the expired lease
-        stats = run_worker(
-            transport, worker_id="wk-live", once=True,
-            lease_ttl=10.0, quarantine_after=2,
-        )
-        coordinator.join(timeout=30.0)
-        assert not coordinator.is_alive()
-        assert stats.takeovers == 1
-        assert stats.quarantined == 1
-        assert box["result"].expired_leases == 1
-        assert box["result"].outcomes[0].error.startswith(
-            "quarantined: item-000000 killed 2 executor(s)"
-        )
-
     def test_takeover_salvages_journaled_work_before_quarantine(
         self, tmp_path
     ):
@@ -525,6 +495,15 @@ class TestQuarantineAndTimeout:
         errors = [transport.read_result(i)["error"] for i in range(4)]
         assert errors[:2] == ["", ""]
         assert all(e.startswith("quarantined:") for e in errors[2:])
+        # the live segment records only the two quarantined points, so
+        # the salvaged successes are not also counted as failures
+        _, live = journal_mod.load(
+            transport.worker_dir("wk-live") / "journal.jsonl"
+        )
+        assert [dict(o.request.params)["point"] for o in live] == [2, 3]
+        assert all(o.error.startswith("quarantined:") for o in live)
+        assert stats.executed_points == 2
+        assert stats.errors == 2
 
     def test_point_timeout_journals_structured_failure(self, tmp_path):
         requests = _grid(1)
@@ -734,15 +713,26 @@ class TestFsck:
     def test_stale_lease_debris_cleared(self, tmp_path):
         fabric = tmp_path / "fabric"
         transport = FileTransport(fabric)
-        plan_fabric(transport, "sweep-noop", _grid(2))
-        # expired lease with a dead owner
-        dead = LeaseRecord(item=item_id(0), owner="wk-dead",
-                           deadline=time.time() - 120.0, attempt=1)
+        requests = _grid(20)
+        plan = plan_fabric(transport, "sweep-noop", requests)
+        assert len(plan["items"]) == 2
+        done = plan["items"][0]["indices"]
+        # every point of item 0 published: its lease is debris
+        outcomes = engine.execute(requests, jobs=1)
+        for index in done:
+            record = codec.outcome_to_record(outcomes[index])
+            record["key"] = request_key(outcomes[index].request)
+            transport.publish_result(index, codec.attach_hash(record))
+        assert transport.try_claim(item_id(0), "wk-done", 300.0)
+        # an expired lease of an unfinished item holds its attempt
+        # count (what quarantines a poisoned item), so it must survive
+        dead = LeaseRecord(item=item_id(1), owner="wk-dead",
+                           deadline=time.time() - 120.0, attempt=2)
         transport._write_atomic(
-            transport._lease_path(item_id(0)), dead.to_json()
+            transport._lease_path(item_id(1)), dead.to_json()
         )
         # unreadable lease debris (writer died mid-write)
-        debris = transport._lease_path(item_id(1))
+        debris = transport._lease_path(item_id(2))
         debris.write_text('{"item": "item-0000')
         # a live lease that must survive
         assert transport.try_claim("item-000099", "wk-live", 300.0)
@@ -751,6 +741,7 @@ class TestFsck:
         kinds = sorted(i.kind for i in report.issues)
         assert kinds == ["lease-debris", "stale-lease"]
         assert transport.lease(item_id(0)) is None
+        assert transport.lease(item_id(1)) == dead
         assert not debris.exists()
         assert transport.lease("item-000099") is not None
 

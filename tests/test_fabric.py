@@ -332,12 +332,12 @@ class TestFabricSweep:
         # the coordinator salvages but never deletes a lease
         assert transport.lease(item_id(0)) == dead
 
-    def test_expired_lease_keeps_record_while_coordinator_runs(
-        self, tmp_path
-    ):
-        """The coordinator leaves an expired lease for the next claim
-        to take over, attempt count and all, and salvages for it once,
-        not on every poll."""
+    def test_quarantine_fires_while_coordinator_runs(self, tmp_path):
+        """The coordinator salvages for an expired lease once and leaves
+        the record, attempt count and all, for the next claim to take
+        over, so a poisoned item is still quarantined."""
+        from repro.obs import metrics
+
         requests = _grid(1)
         transport = FileTransport(tmp_path)
         plan_fabric(transport, "sweep-noop", requests)
@@ -349,18 +349,25 @@ class TestFabricSweep:
             transport._lease_path(item_id(0)), dead.to_json()
         )
         box = {}
-        coordinator = self._coordinator_thread(transport, requests, box)
-        time.sleep(0.3)  # tens of polls
-        assert transport.lease(item_id(0)) == dead
-        stats = run_worker(
-            transport, worker_id="wk-live", once=True,
-            lease_ttl=10.0, quarantine_after=9,
-        )
-        assert stats.takeovers == 1
-        coordinator.join(timeout=30.0)
+        with metrics.collecting(reset=True) as registry_:
+            coordinator = self._coordinator_thread(transport, requests, box)
+            deadline = time.monotonic() + 10.0
+            while registry_.counter("fabric.expired_leases").value < 1:
+                assert time.monotonic() < deadline, "lease never seen"
+                time.sleep(0.01)
+            assert transport.lease(item_id(0)) == dead
+            stats = run_worker(
+                transport, worker_id="wk-live", once=True,
+                lease_ttl=10.0, quarantine_after=2,
+            )
+            coordinator.join(timeout=30.0)
         assert not coordinator.is_alive()
+        assert stats.takeovers == 1
+        assert stats.quarantined == 1
         assert box["result"].expired_leases == 1
-        assert box["result"].outcomes[0].error == ""
+        assert box["result"].outcomes[0].error.startswith(
+            "quarantined: item-000000 killed 2 executor(s)"
+        )
 
     def test_workers_busy_gauge_counts_owners_of_live_leases(
         self, tmp_path
