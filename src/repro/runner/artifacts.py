@@ -15,7 +15,6 @@ and artifact diffs are meaningful in CI.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from pathlib import Path
@@ -37,6 +36,8 @@ def point_slug(outcome: RunOutcome) -> str:
     params = outcome.request.params
     if not params:
         return "default"
+    import hashlib
+
     parts = [f"{name}={value}" for name, value in params]
     digest = hashlib.sha256(repr(params).encode()).hexdigest()[:8]
     return f"{_UNSAFE.sub('-', '_'.join(parts))}-{digest}"

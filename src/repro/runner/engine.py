@@ -13,9 +13,7 @@ global state never leaks into the next whether they share a process
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -142,6 +140,8 @@ def execute_item(item: WorkItem) -> list[RunOutcome]:
             for r, res, p in zip(requests, results, resolved)
         ]
     except Exception:
+        import traceback
+
         error = traceback.format_exc()
         outcomes = [RunOutcome(request=r, error=error) for r in requests]
     # the item executed as one call: members share the wall clock
@@ -249,9 +249,12 @@ def dispatch_order(items: Sequence[WorkItem]) -> list[int]:
     return sorted(range(len(items)), key=lambda i: -costs[i])
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
+def _pool_context():
     # fork (where available) spares workers the re-import of the whole
-    # package and keeps sys.path handling out of the picture
+    # package and keeps sys.path handling out of the picture; the pool
+    # is the only user of multiprocessing, so start-up never loads it
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"

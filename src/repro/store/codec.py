@@ -21,7 +21,6 @@ byte-level determinism is being compared.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Dict, Optional
 
@@ -160,6 +159,8 @@ def integrity_hash(record: Dict[str, object]) -> str:
         for k, v in record.items()
         if k != CHECKSUM_FIELD and k not in VOLATILE_FIELDS
     }
+    import hashlib
+
     payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

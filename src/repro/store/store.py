@@ -23,7 +23,6 @@ no data worth serving).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -43,6 +42,8 @@ def code_fingerprint() -> str:
     """
     global _fingerprint_cache
     if _fingerprint_cache is None:
+        import hashlib
+
         package_root = Path(__file__).resolve().parents[1]
         digest = hashlib.sha256()
         for path in sorted(package_root.rglob("*.py")):
@@ -56,6 +57,8 @@ def code_fingerprint() -> str:
 
 def request_key(request: RunRequest, fingerprint: Optional[str] = None) -> str:
     """Content address of one run: scenario + params + fast + code."""
+    import hashlib
+
     payload = json.dumps(
         {
             "scenario": request.scenario_id,

@@ -4,8 +4,10 @@
 start pays for every module they import.  Modules that only other
 subcommands need (the compiled backend, lint, telemetry analysis, tree
 diffing, the bench) must stay out of them, and the package has no
-third-party runtime dependency at all.  Each check runs in a fresh
-interpreter, since this test process has long imported everything.
+third-party runtime dependency at all.  Neither may they load the
+standard-library modules that only the process pool, digests and
+failure reports use.  Each check runs in a fresh interpreter, since this
+test process has long imported everything.
 """
 
 import json
@@ -30,6 +32,11 @@ OPTIONAL = (
     "repro.store.diff",
 )
 
+#: standard-library modules imported where they are used: the pool
+#: (``multiprocessing``), store keys and slugs (``hashlib``) and a
+#: failing scenario (``traceback``); a paper run needs none of them
+DEFERRED = ("hashlib", "multiprocessing", "traceback")
+
 PROBE = """
 import contextlib, io, json, sys
 {prelude}
@@ -38,22 +45,25 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main({argv!r})
 print(json.dumps({{
     "code": code,
-    "loaded": sorted(m for m in {optional!r} if m in sys.modules),
+    "loaded": sorted(m for m in {watch!r} if m in sys.modules),
 }}))
 """
 
 
-def _probe(argv, prelude=""):
+def _python(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c",
-         PROBE.format(prelude=prelude, argv=argv, optional=OPTIONAL)],
+        [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def _probe(argv, prelude="", watch=OPTIONAL):
+    return _python(PROBE.format(prelude=prelude, argv=argv, watch=watch))
 
 
 @pytest.mark.parametrize("argv", [
@@ -64,6 +74,19 @@ def test_subcommand_loads_no_optional_module(argv):
     result = _probe(argv)
     assert result["code"] == 0
     assert result["loaded"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--fast"],
+    ["list"],
+], ids=["run", "list"])
+def test_subcommand_loads_no_deferred_stdlib_module(argv):
+    # a site hook may load one of them before repro does; skip those
+    bare = set(_python("import json, sys; "
+                       "print(json.dumps(list(sys.modules)))"))
+    result = _probe(argv, watch=DEFERRED)
+    assert result["code"] == 0
+    assert [m for m in result["loaded"] if m not in bare] == []
 
 
 def test_run_works_with_networkx_blocked():
