@@ -154,13 +154,13 @@ def integrity_hash(record: Dict[str, object]) -> str:
     hash is stable across identical reruns and across append/rewrite —
     the same property :func:`strip_volatile` gives byte comparisons.
     """
+    import hashlib
+
     body = {
         k: v
         for k, v in record.items()
         if k != CHECKSUM_FIELD and k not in VOLATILE_FIELDS
     }
-    import hashlib
-
     payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
