@@ -62,7 +62,6 @@ from typing import Callable, List, Optional
 
 from .analysis.report import format_table
 from .obs import metrics as obs_metrics
-from .obs import telemetry as obs_telemetry
 from .runner import engine, registry, sweep
 from . import store as run_store_pkg
 from .store import journal as store_journal
@@ -476,9 +475,7 @@ def _cmd_run(args, parser) -> int:
     failures = sweep.count_failures(outcomes)
     if args.out:
         summary = sweep.write_outputs(outcomes, args.out, {
-            "command": "run",
-            "failures": failures,
-            "points": [obs_telemetry.point_record(o) for o in outcomes],
+            "command": "run", "jobs": args.jobs, "failures": failures,
         })
         print(f"artifacts written to {summary.parent}")
     for sid in skipped:
@@ -510,9 +507,9 @@ def _sweep_grid(args, parser):
 
 def _cmd_sweep(args, parser) -> int:
     if args.progress:
-        # --progress implies telemetry: the display and the stream feed
-        # from the same counters, and enable() exports REPRO_TELEMETRY
-        # so spawned worker processes collect too
+        # --progress implies telemetry: the display and the journal's
+        # counter deltas feed from the same counters, and enable()
+        # exports REPRO_TELEMETRY so spawned worker processes collect too
         obs_metrics.enable()
     sc, requests, fixed = _sweep_grid(args, parser)
     if args.lint:
@@ -715,7 +712,7 @@ def _cmd_telemetry(args, parser) -> int:
         report = obs_analyze.summarize(args.target)
     except FileNotFoundError as exc:
         parser.error(str(exc))
-    except (obs_telemetry.TelemetryError,
+    except (obs_analyze.TelemetryError,
             store_journal.JournalError, ValueError) as exc:
         parser.error(f"cannot read telemetry from {args.target}: {exc}")
     if args.json:
@@ -1021,7 +1018,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify and repair sweep artifacts, stores, fabric state",
         description=(
             "Walk DIR checking every durable record it holds — sweep "
-            "journals, telemetry streams, run-store objects, fabric "
+            "journals, run-store objects, fabric "
             "plan/lease/result files — against structure and sha256 "
             "integrity checksums.  Torn tails are truncated, corrupt "
             "lines/objects quarantined into fsck-quarantine/ (nothing "
@@ -1049,18 +1046,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tele = sub.add_parser(
         "telemetry",
-        help="analyze a sweep's telemetry stream (or its journal)",
+        help="analyze a run's or sweep's per-point telemetry",
         description=(
-            "Summarize telemetry.jsonl from a sweep output directory: "
-            "slowest points, failure clusters, store-hit ratio, "
-            "per-job utilization and kernel counter rollups.  Falls "
-            "back to journal.jsonl (wall-clock durations, no store "
-            "info) when no stream was written."
+            "Summarize the telemetry.json snapshot a finished run or "
+            "sweep wrote: slowest points, failure clusters, store-hit "
+            "ratio, per-job utilization and kernel counter rollups.  "
+            "A fabric directory is read from its workers' journal "
+            "segments; a killed or still-running sweep, which has no "
+            "snapshot yet, from journal.jsonl (wall-clock durations, "
+            "no store info, no recorded width)."
         ),
     )
     p_tele.add_argument(
         "target", metavar="DIR_OR_FILE",
-        help="sweep output directory, telemetry.jsonl, or journal.jsonl",
+        help="run or sweep output directory, telemetry.json, or "
+             "journal.jsonl",
     )
     p_tele.add_argument(
         "--json", metavar="PATH",

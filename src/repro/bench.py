@@ -689,6 +689,17 @@ def _major_minor(version: Optional[str]) -> Optional[str]:
     return ".".join(str(version).split(".")[:2])
 
 
+def _size_mismatch(key: str, point: Dict[str, object],
+                   base: Dict[str, object]) -> str:
+    flag = "--cycles" if base["suite"] == "noc" else "--scale"
+    return (
+        f"{key}: measured at size {point.get('cycles')} but the "
+        f"baseline used {base['cycles']} — rerun with matching "
+        f"{flag} (the committed baseline uses --fast) or "
+        f"regenerate the baseline"
+    )
+
+
 def gate(
     document: Dict[str, object],
     baseline: Dict[str, object],
@@ -721,13 +732,20 @@ def gate(
             f"interpreter; regenerate the baseline"
         )
     keys = {p["key"] for p in points}
+    # a non-NoC key embeds its size, so a row measured at another size
+    # is missing under the baseline's key
+    sized = {(p["suite"], p.get("workload")): p for p in points
+             if p["suite"] != "noc"}
     gated = {}
     for base in baseline.get("points", []):
         if (base.get("speedup") is None
                 or base["suite"] not in suites):
             continue
+        twin = sized.get((base["suite"], base.get("workload")))
         if base["key"] in keys:
             gated[base["key"]] = base
+        elif twin is not None:
+            problems.append(_size_mismatch(base["key"], twin, base))
         else:
             problems.append(
                 f"{base['key']}: missing from current bench run"
@@ -745,13 +763,7 @@ def gate(
         base = gated.get(key)
         if base is not None and base.get("cycles") not in (
                 None, point.get("cycles")):
-            flag = "--cycles" if base["suite"] == "noc" else "--scale"
-            problems.append(
-                f"{key}: measured at size {point.get('cycles')} but the "
-                f"baseline used {base['cycles']} — rerun with matching "
-                f"{flag} (the committed baseline uses --fast) or "
-                f"regenerate the baseline"
-            )
+            problems.append(_size_mismatch(key, point, base))
         elif base is not None:
             bars.append((
                 base["speedup"] * (1.0 - tolerance),

@@ -2,7 +2,7 @@
 
 ``sweep-noop`` computes nothing — one row echoing its grid index —
 so sweeping it prices the machinery *around* scenario execution:
-engine planning, journal/telemetry flushes, fabric lease traffic.
+engine planning, journal flushes, fabric lease traffic.
 The bench sweep suite (``repro bench --suite sweep``) times a grid of
 these points through the coordinator and through the bare engine; the
 ratio is pure scheduling overhead, uncontaminated by simulation work.

@@ -1,4 +1,4 @@
-"""``repro telemetry <dir>`` — summarize a sweep's telemetry stream.
+"""``repro telemetry <dir>`` — summarize a run's or sweep's points.
 
 Answers the questions a long sweep leaves behind: where did the time
 go (slowest points, per-job utilization), what failed and how often
@@ -6,12 +6,15 @@ go (slowest points, per-job utilization), what failed and how often
 store served resume (hit ratio), and what the kernels actually did
 (counter rollups across every instrumented point).
 
-The primary source is ``telemetry.jsonl``.  When a sweep ran without
-telemetry the journal still carries per-point durations (a satellite
-of the same PR), so :func:`summarize` falls back to ``journal.jsonl``
-— store hits and kernel counters are simply absent there, and the
-report says so rather than inventing zeros.  A fabric directory is
-reported from its workers' journal segments, one row per worker.
+Each point is logged once, in the sweep's journal; ``telemetry.json``
+is the one summary, written when a ``repro run --out`` or ``repro
+sweep --out`` finishes, and holds one record per point plus the
+execution width.  :func:`summarize` reads that snapshot when it has a
+``points`` list.  A fabric directory is reported from its workers'
+journal segments, one row per worker.  Otherwise it reads
+``journal.jsonl``: a killed or still-running sweep has no snapshot
+yet, and store hits, kernel counters and the width are absent there,
+so the report says so rather than inventing them.
 """
 
 from __future__ import annotations
@@ -23,12 +26,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from . import telemetry as telemetry_mod
-
-#: the journal's filename, mirrored here so this module stays
-#: import-time leaf-only (the store package pulls in the whole runner,
-#: and the kernels import repro.obs at module scope)
+#: file names mirrored here so this module stays import-time leaf-only
+#: (the store and the sweep pipeline pull in the whole runner)
 _JOURNAL_FILENAME = "journal.jsonl"
+_SNAPSHOT_FILENAME = "telemetry.json"
+
+
+class TelemetryError(ValueError):
+    """No per-point records could be read from the target."""
 
 
 def _point_label(params) -> str:
@@ -44,9 +49,8 @@ class TelemetryReport:
 
     source: str                       # file the report was built from
     scenario: str = ""
-    jobs: int = 1
+    jobs: Optional[int] = None        # None: the width was not recorded
     points: List[Dict[str, object]] = field(default_factory=list)
-    summary: Dict[str, object] = field(default_factory=dict)
     has_store_info: bool = False      # journal fallback lacks store hits
     #: set when built from a fabric directory: one row per worker
     #: segment — ``{"worker", "points", "busy_s", "span_s",
@@ -90,15 +94,28 @@ class TelemetryReport:
 
     @property
     def utilization(self) -> Optional[float]:
-        """Busy fraction per job: sum(durations) / (jobs * wall span)."""
+        """Busy fraction per job: sum(durations) / (jobs * wall span);
+        ``None`` without a recorded width."""
         span = self.wall_span_s
-        if span is None or span <= 0 or self.jobs <= 0:
+        if span is None or span <= 0 or not self.jobs:
             return None
         return min(self.total_duration_s / (self.jobs * span), 1.0)
 
+    def _labeler(self):
+        """Labels points by params, prefixed by scenario when the
+        points span several (a ``repro run`` of many scenarios)."""
+        several = len({p.get("scenario") for p in self.points}) > 1
+
+        def label(point: Dict[str, object]) -> str:
+            text = _point_label(point.get("params"))
+            return f"{point.get('scenario')}: {text}" if several else text
+
+        return label
+
     def slowest(self, n: int = 5) -> List[Tuple[str, float]]:
+        label = self._labeler()
         timed = [
-            (_point_label(p.get("params")), p["duration_s"])
+            (label(p), p["duration_s"])
             for p in self.points
             if p.get("duration_s") is not None
         ]
@@ -107,12 +124,11 @@ class TelemetryReport:
 
     def failure_clusters(self) -> List[Tuple[str, int, str]]:
         """``(error, count, example point)`` — most common first."""
+        label = self._labeler()
         clusters: Dict[str, List[str]] = {}
         for p in self.failed:
             error = str(p.get("error") or "unknown error")
-            clusters.setdefault(error, []).append(
-                _point_label(p.get("params"))
-            )
+            clusters.setdefault(error, []).append(label(p))
         ranked = sorted(
             clusters.items(), key=lambda kv: (-len(kv[1]), kv[0])
         )
@@ -158,7 +174,7 @@ class TelemetryReport:
         """One row per point: the flat facts, counters excluded.
 
         Fabric reports gain a trailing ``worker`` column naming which
-        worker segment each point came from; single-stream reports
+        worker segment each point came from; other reports
         keep the original header shape.
         """
         buf = io.StringIO()
@@ -184,7 +200,8 @@ class TelemetryReport:
         lines = [
             f"telemetry: {self.source}",
             f"scenario:  {self.scenario or '?'}"
-            + (f"  (jobs={self.jobs})" if self.jobs > 1 else ""),
+            + (f"  (jobs={self.jobs})" if self.jobs and self.jobs > 1
+               else ""),
             f"points:    {self.total} total, {len(self.failed)} failed",
         ]
         ratio = self.store_hit_ratio
@@ -201,6 +218,9 @@ class TelemetryReport:
                 text = f"wall span: {span:.3f} s"
                 if util is not None:
                     text += f"  ({100 * util:.0f}% per-job utilization)"
+                elif self.jobs is None:
+                    text += ("  (per-job utilization unknown: "
+                             "no width recorded)")
                 lines.append(text)
             lines.append("slowest points:")
             for label, dur in self.slowest():
@@ -234,35 +254,46 @@ class TelemetryReport:
 
 
 # ----------------------------------------------------------------------
-def _from_stream(path: Path) -> TelemetryReport:
-    header, records = telemetry_mod.read_stream(path)
-    report = TelemetryReport(
+def _snapshot(path: Path) -> Optional[Dict[str, object]]:
+    """The snapshot at ``path`` if it holds a ``points`` list (one
+    written before the journal became the per-point log holds a count
+    there), else ``None``."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    if isinstance(doc, dict) and isinstance(doc.get("points"), list):
+        return doc
+    return None
+
+
+def _from_snapshot(path: Path, doc: Dict[str, object]) -> TelemetryReport:
+    points = [p for p in doc["points"]
+              if isinstance(p, dict) and p.get("kind") == "point"]
+    # a run's points name their own scenarios; a sweep's share one
+    scenario = doc.get("scenario") or ", ".join(
+        dict.fromkeys(str(p.get("scenario", "")) for p in points))
+    return TelemetryReport(
         source=str(path),
-        scenario=str(header.get("scenario", "")),
-        jobs=int(header.get("jobs", 1) or 1),
+        scenario=str(scenario),
+        jobs=int(doc["jobs"]) if doc.get("jobs") else None,
+        points=points,
         has_store_info=True,
     )
-    for record in records:
-        kind = record.get("kind")
-        if kind == "point":
-            report.points.append(record)
-        elif kind == "summary":
-            report.summary = record
-    return report
 
 
 def _from_journal(path: Path) -> TelemetryReport:
-    from ..store import journal as journal_mod  # lazy: pulls in runner
+    # lazy: both pull in the runner
+    from ..runner.sweep import point_record
+    from ..store import journal as journal_mod
 
     header, outcomes = journal_mod.load(path)
-    report = TelemetryReport(
+    return TelemetryReport(
         source=str(path),
         scenario=str(header.get("scenario", "")),
+        points=[point_record(outcome) for outcome in outcomes],
         has_store_info=False,
     )
-    for outcome in outcomes:
-        report.points.append(telemetry_mod.point_record(outcome))
-    return report
 
 
 def _segment_utilization(
@@ -296,8 +327,9 @@ def _from_fabric(target: Path) -> Optional[TelemetryReport]:
     uses too.  Workers never read the run store, so every point counts
     as a store miss.
     """
-    # lazy: both pull in the runner
+    # lazy: all three pull in the runner
     from ..fabric.transport import FileTransport
+    from ..runner.sweep import point_record
     from ..store import journal as journal_mod
 
     segments = FileTransport(target).segment_journals()
@@ -318,7 +350,7 @@ def _from_fabric(target: Path) -> Optional[TelemetryReport]:
             report.scenario = str(header.get("scenario", ""))
         segment_points = []
         for outcome in outcomes:
-            point = telemetry_mod.point_record(outcome)
+            point = point_record(outcome)
             point["worker"] = worker_id
             segment_points.append(point)
         report.points.extend(segment_points)
@@ -331,7 +363,7 @@ def _from_fabric(target: Path) -> Optional[TelemetryReport]:
             "utilization": util,
         })
     if not report.worker_rows:
-        raise telemetry_mod.TelemetryError(
+        raise TelemetryError(
             f"{target}: no readable worker journal segments"
         )
     report.jobs = len(report.worker_rows)
@@ -339,21 +371,27 @@ def _from_fabric(target: Path) -> Optional[TelemetryReport]:
 
 
 def summarize(target) -> TelemetryReport:
-    """Build a report for a sweep directory (or a stream file directly).
+    """Build a report for a run or sweep directory (or a snapshot or
+    journal file directly).
 
-    Prefers ``telemetry.jsonl``; a fabric directory (one with
-    ``workers/*/journal.jsonl`` segments and no top-level stream)
-    aggregates every worker's segment; otherwise falls back to the
-    journal, which carries per-point durations too.
+    Reads ``telemetry.json`` when it holds a ``points`` list; otherwise
+    a fabric directory (one with ``workers/*/journal.jsonl`` segments)
+    aggregates every worker's segment, and anything else falls back to
+    the journal, which carries per-point durations too.
     """
     target = Path(target)
     if target.is_file():
         if target.name == _JOURNAL_FILENAME:
             return _from_journal(target)
-        return _from_stream(target)
-    stream = telemetry_mod.stream_path(target)
-    if stream.exists():
-        return _from_stream(stream)
+        doc = _snapshot(target)
+        if doc is None:
+            raise TelemetryError(f"{target}: not a snapshot with a "
+                                 f"points list")
+        return _from_snapshot(target, doc)
+    snapshot = target / _SNAPSHOT_FILENAME
+    doc = _snapshot(snapshot)
+    if doc is not None:
+        return _from_snapshot(snapshot, doc)
     report = _from_fabric(target)
     if report is not None:
         return report
@@ -361,6 +399,6 @@ def summarize(target) -> TelemetryReport:
     if journal_file.exists():
         return _from_journal(journal_file)
     raise FileNotFoundError(
-        f"{target}: no {telemetry_mod.STREAM_FILENAME}, "
+        f"{target}: no {_SNAPSHOT_FILENAME} with points, "
         f"workers/*/{_JOURNAL_FILENAME} or {_JOURNAL_FILENAME} found"
     )

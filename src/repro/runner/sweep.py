@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import (Callable, Collection, Dict, List, Mapping,
+                    Optional, Sequence)
 
 from ..obs import progress as obs_progress
-from ..obs import telemetry as obs_telemetry
 from ..obs.metrics import REGISTRY
 from . import artifacts, engine
 from .engine import RunOutcome, RunRequest
@@ -117,12 +118,47 @@ def counter_rollup(outcomes: Sequence[RunOutcome]) -> Dict[str, int]:
     return dict(sorted(rollup.items()))
 
 
+#: the end-of-run snapshot's name inside a run or sweep output directory
+SNAPSHOT_FILENAME = "telemetry.json"
+
+SNAPSHOT_VERSION = 1
+
+
+def point_record(outcome: RunOutcome,
+                 store_hit: bool = False) -> Dict[str, object]:
+    """One completed point's entry in the snapshot's ``points`` list."""
+    request = outcome.request
+    record: Dict[str, object] = {
+        "kind": "point",
+        "scenario": request.scenario_id,
+        "params": [[name, value] for name, value in request.params],
+        "fast": request.fast,
+        "ok": outcome.ok,
+        "raised": bool(outcome.error),
+        "store_hit": store_hit,
+        "duration_s": outcome.duration_s,
+        "t_mono": outcome.t_mono,
+    }
+    if outcome.error:
+        # the last traceback line identifies the failure cluster; the
+        # journal keeps the full text for resume
+        record["error"] = outcome.error.strip().splitlines()[-1]
+    if outcome.metrics:
+        record["metrics"] = dict(outcome.metrics)
+    return record
+
+
 def write_outputs(outcomes: Sequence[RunOutcome], out_dir,
-                  doc: Dict[str, object]) -> Path:
+                  doc: Dict[str, object],
+                  stored: Collection[RunRequest] = ()) -> Path:
     """The finish step of ``run`` and ``sweep``: artifacts, then the
-    ``telemetry.json`` snapshot ``doc`` with counters and metrics."""
+    ``telemetry.json`` snapshot: ``doc`` plus one point record per
+    outcome (``stored`` names the requests the run store served),
+    counters and metrics."""
     summary = artifacts.write_artifacts(outcomes, out_dir)
-    doc = dict(doc)
+    doc = {"version": SNAPSHOT_VERSION, **doc, "points": [
+        point_record(o, store_hit=o.request in stored) for o in outcomes
+    ]}
     rollup = counter_rollup(outcomes)
     if rollup:
         doc["counters"] = rollup
@@ -130,7 +166,9 @@ def write_outputs(outcomes: Sequence[RunOutcome], out_dir,
         snap = REGISTRY.snapshot()
         if snap:
             doc["metrics"] = snap
-    obs_telemetry.write_snapshot(out_dir, doc)
+    (Path(out_dir) / SNAPSHOT_FILENAME).write_text(
+        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     return summary
 
 
@@ -186,11 +224,12 @@ def run_sweep(
     Points journaled in ``out_dir`` (with ``resume``) or held by the
     ``store`` are reused; the rest go to ``execute(remaining,
     on_outcome=...)`` (default: serial ``engine.execute``).  Each
-    outcome passes one sink chain as it completes — journal, telemetry,
-    store, progress — so a killed sweep loses nothing it finished.
-    Finally the journal is rewritten in canonical grid order, whatever
-    the completion order, and artifacts and telemetry are written.
-    ``jobs`` is the width telemetry records (pool jobs or workers).
+    outcome passes one sink chain as it completes — journal, store,
+    progress — so a killed sweep loses nothing it finished: the journal
+    is the sweep's one per-point log.  Finally the journal is rewritten
+    in canonical grid order, whatever the completion order, and the
+    artifacts and the ``telemetry.json`` snapshot are written.  ``jobs``
+    is the width the snapshot records (pool jobs or workers).
     """
     from ..store.journal import Journal, journal_path
     from ..store.store import RunStore, code_fingerprint
@@ -204,47 +243,32 @@ def run_sweep(
     completed = {o.request: o for o in past or () if o.request in wanted}
     journaled = frozenset(completed)
     cache = RunStore(store, fingerprint=fingerprint) if store else None
-    store_hits = 0
+    stored = set()  # the requests the run store served
     if cache is not None:
         for request in requests:
             if request not in completed:
                 hit = cache.get(request)
                 if hit is not None:
                     completed[request] = hit
-                    store_hits += 1
+                    stored.add(request)
+    store_hits = len(stored)
     remaining = [r for r in requests if r not in completed]
     if completed:
         print(f"resuming: {len(journaled)} journaled + {store_hits} "
               f"stored point(s) reused, {len(remaining)} to run")
 
-    journal = telemetry = None
+    journal = None
     if out_dir:
+        # a snapshot describes a finished run: drop the last one first
+        (Path(out_dir) / SNAPSHOT_FILENAME).unlink(missing_ok=True)
         journal = Journal(journal_path(out_dir))
         if past is None:
             journal.start(scenario_id, fingerprint)
-        telemetry = obs_telemetry.TelemetryWriter(
-            obs_telemetry.stream_path(out_dir)
-        )
-        resumed_stream = False
-        if past is not None and telemetry.path.exists():
-            try:
-                obs_telemetry.recover_stream(telemetry.path)
-                resumed_stream = True
-            except (obs_telemetry.TelemetryError, OSError):
-                pass  # a fresh stream is started below
-        if not resumed_stream:
-            telemetry.start(scenario_id, fingerprint, jobs=jobs,
-                            total_points=len(requests))
         # points reused from the store still belong in this sweep's
-        # journal — without them a later resume would re-run them; the
-        # telemetry stream mirrors them (a resumed stream already holds
-        # the journaled points, so only store hits are new)
+        # journal — without them a later resume would re-run them
         for request, outcome in completed.items():
-            from_store = request not in journaled
-            if from_store:
+            if request in stored:
                 journal.append(outcome)
-            if from_store or not resumed_stream:
-                telemetry.append_point(outcome, store_hit=from_store)
 
     meter_ctx = (obs_progress.SweepProgress(len(requests)) if progress
                  else contextlib.nullcontext())
@@ -256,8 +280,6 @@ def run_sweep(
         def on_outcome(outcome: RunOutcome) -> None:
             if journal is not None:
                 journal.append(outcome)
-            if telemetry is not None:
-                telemetry.append_point(outcome)
             if cache is not None and not outcome.error:
                 cache.put(outcome)
             if meter is not None:
@@ -272,22 +294,13 @@ def run_sweep(
                    failures=count_failures(outcomes))
     if out_dir:
         journal.rewrite(scenario_id, outcomes, fingerprint)
-        record = {
-            "points": len(requests),
+        run.summary_path = write_outputs(outcomes, out_dir, {
+            "command": "sweep",
+            "scenario": scenario_id,
+            "jobs": jobs,
             "executed": run.executed,
             "reused": len(requests) - run.executed,
             "store_hits": store_hits,
             "failures": run.failures,
-        }
-        run.summary_path = write_outputs(
-            outcomes, out_dir,
-            {"command": "sweep", "scenario": scenario_id, **record},
-        )
-        # the width goes to the stream only, so the snapshot is the same
-        # whichever executor ran the points
-        record["jobs"] = jobs
-        rollup = counter_rollup(outcomes)
-        if rollup:
-            record["counters"] = rollup
-        telemetry.finish(record)
+        }, stored=stored)
     return run

@@ -1,11 +1,11 @@
 """Integrity checking and repair for sweep artifacts and fabric state.
 
 ``repro fsck <dir>`` walks whatever durable state the directory holds —
-sweep journals, telemetry streams, run-store objects, and fabric
-control-plane files (plan, leases, published results, per-worker
-segments) — verifies every record it finds (structure + the additive
-sha256 checksums stamped by the writers), and repairs what it safely
-can:
+sweep journals (the one per-point log a sweep appends), run-store
+objects, and fabric control-plane files (plan, leases, published
+results, per-worker segments) — verifies every record it finds
+(structure + the additive sha256 checksums stamped by the writers),
+and repairs what it safely can:
 
 * **torn tails** (a writer killed mid-append) are truncated away, the
   damaged bytes preserved in the quarantine sidecar;
@@ -38,9 +38,6 @@ from .journal import FILENAME as JOURNAL_FILENAME
 
 #: sidecar directory (under the fsck root) holding quarantined bytes
 QUARANTINE_DIRNAME = "fsck-quarantine"
-
-#: telemetry stream line kinds the obs layer writes
-_TELEMETRY_KINDS = {"header", "point", "summary"}
 
 
 @dataclass(frozen=True)
@@ -150,14 +147,13 @@ class _Fsck:
         self._quarantine_bytes(path, "file", path.read_bytes())
         path.unlink()
 
-    # -- line-oriented files (journal, telemetry) ----------------------
-    def _check_line_file(self, path: Path, checker) -> None:
-        """Validate a JSONL file line by line; repair in place.
+    # -- journals ------------------------------------------------------
+    def _check_journal(self, path: Path) -> None:
+        """Validate a journal line by line; repair in place.
 
-        ``checker(entry, lineno)`` returns an error string for a parsed
-        but invalid entry, or ``None``.  Invalid tail lines are
-        truncated, invalid interior lines quarantined; either way the
-        file is rewritten from exactly its valid lines.
+        Invalid tail lines are truncated, invalid interior lines
+        quarantined; either way the file is rewritten from exactly its
+        valid lines.
         """
         self.report.files_checked += 1
         raw = path.read_bytes()
@@ -176,7 +172,7 @@ class _Fsck:
                     problem = "unparseable JSON"
             if entry is not None and problem is None:
                 self.report.records_checked += 1
-                problem = checker(entry, i)
+                problem = self._journal_entry(entry, i)
             if problem is None:
                 keep.append(line)
                 continue
@@ -207,14 +203,6 @@ class _Fsck:
                 codec.outcome_from_record(entry)
             except (KeyError, TypeError, ValueError) as exc:
                 return f"undecodable outcome ({exc})"
-        return None
-
-    def _telemetry_entry(self, entry: object, lineno: int) -> Optional[str]:
-        if not isinstance(entry, dict):
-            return "not a JSON object"
-        kind = entry.get("kind")
-        if kind not in _TELEMETRY_KINDS:
-            return f"unknown telemetry line kind {kind!r}"
         return None
 
     # -- whole-file JSON records ---------------------------------------
@@ -343,10 +331,7 @@ class _Fsck:
 
         for path in sorted(self.root.rglob(JOURNAL_FILENAME)):
             if not skipped(path):
-                self._check_line_file(path, self._journal_entry)
-        for path in sorted(self.root.rglob("telemetry.jsonl")):
-            if not skipped(path):
-                self._check_line_file(path, self._telemetry_entry)
+                self._check_journal(path)
         objects = self.root / "objects"
         if objects.is_dir():
             for path in sorted(objects.rglob("*.json")):

@@ -12,7 +12,9 @@ byte-identical to an uninterrupted run's.
 Journal lines carry a small *volatile* side-band — per-point wall
 duration, monotonic completion stamp, and (when metrics are enabled)
 kernel counter deltas — so resume, ``repro telemetry`` and the live
-progress ETA all share one source of truth.  Everything else is part
+progress ETA all share one source of truth: the journal is a sweep's
+one per-point log, and ``telemetry.json`` only summarizes it once the
+sweep finishes.  Everything else is part
 of the deterministic artifact contract: :func:`canonical_bytes`
 projects a journal onto exactly that deterministic part, and the
 byte-identity guarantees (kill-then-resume, ``--jobs N`` vs serial,
@@ -28,7 +30,6 @@ import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ..obs.telemetry import read_valid_prefix
 from ..runner.engine import RunOutcome
 from . import codec
 from .store import code_fingerprint, request_key
@@ -124,10 +125,34 @@ def _read(path: Path) -> Tuple[Dict[str, object], List[RunOutcome], int]:
 
 
 def _valid_prefix(path: Path) -> Tuple[List[Dict[str, object]], int]:
-    return read_valid_prefix(
-        path, JournalError, "journal",
-        accept=lambda entry: codec.verify_hash(entry) is not False,
-    )
+    """The journal's valid prefix: ``(entries, valid_bytes)``.
+
+    A line counts only if it is newline-terminated, parses and passes
+    its checksum; the walk stops at the first line that fails, since a
+    writer killed mid-line leaves a torn tail and nothing after damage
+    is trusted.  The first entry must be a header; an empty or
+    headerless journal raises :class:`JournalError`.
+    """
+    entries: List[Dict[str, object]] = []
+    valid_bytes = 0
+    with path.open("rb") as fh:
+        raw = fh.read()
+    for line in raw.splitlines(keepends=True):
+        if not line.endswith(b"\n"):
+            break
+        try:
+            entry = json.loads(line.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            break  # killed mid-write; the rest is untrustworthy
+        if codec.verify_hash(entry) is False:
+            break
+        if not entries and entry.get("kind") != "header":
+            raise JournalError(f"{path}: first line is not a journal header")
+        entries.append(entry)
+        valid_bytes += len(line)
+    if not entries:
+        raise JournalError(f"{path}: empty or headerless journal")
+    return entries, valid_bytes
 
 
 def load(path) -> Tuple[Dict[str, object], List[RunOutcome]]:

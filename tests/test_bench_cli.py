@@ -252,6 +252,22 @@ class TestBaselineCheck:
         assert "--scale" in problems[0]
         assert "measured at size 64" in problems[0]
 
+    def test_size_embedded_in_the_key_reported_as_mismatch(self):
+        """A gate, compiled or sweep key embeds its size: the same row
+        run at another size is a size mismatch, not a missing row."""
+        baseline = floor_document(("sweep", "noop", 0.008),
+                                  ("compiled", "fault-batch", 50.0))
+        current = floor_document(("sweep", "noop", 0.008))
+        current["suites"] = baseline["suites"]
+        current["points"][0].update(key="sweep/noop@128", cycles=128)
+        problems = gate(current, baseline)
+        assert problems == [
+            "sweep/noop@6: measured at size 128 but the baseline used 6 "
+            "— rerun with matching --scale (the committed baseline uses "
+            "--fast) or regenerate the baseline",
+            "compiled/fault-batch@6: missing from current bench run",
+        ]
+
     def test_committed_schema5_baseline_loads(self):
         assert load_baseline(str(BASELINE))["schema"] == 5
 

@@ -745,25 +745,6 @@ class TestFsck:
         assert not debris.exists()
         assert transport.lease("item-000099") is not None
 
-    def test_corrupt_telemetry_line_quarantined(self, tmp_path):
-        from repro.obs.telemetry import TelemetryWriter, read_stream
-
-        out = tmp_path / "out"
-        outcomes = engine.execute(_grid(2), jobs=1)
-        writer = TelemetryWriter(out / "telemetry.jsonl")
-        writer.start("sweep-noop", "fp", jobs=1)
-        for outcome in outcomes:
-            writer.append_point(outcome)
-        lines = writer.path.read_text().splitlines(keepends=True)
-        lines[1] = '{"kind": "mystery"}\n'
-        writer.path.write_text("".join(lines))
-        report = fsck_tree(out)
-        assert report.ok
-        assert [i.kind for i in report.issues] == ["corrupt-line"]
-        header, entries = read_stream(writer.path)
-        assert header["kind"] == "header"
-        assert [e["kind"] for e in entries] == ["point"]
-
     def test_dry_run_reports_without_touching(self, tmp_path):
         out, _ = self._sweep_tree(tmp_path)
         path = journal_mod.journal_path(out)

@@ -1,11 +1,11 @@
-"""Observability layer: registry, telemetry stream, progress, analytics.
+"""Observability layer: registry, point records, progress, analytics.
 
 Covers the obs contract end to end: metric primitives and deterministic
 snapshots, the no-op guarantee when collection is disabled (the kernels
-must leave the registry untouched), telemetry stream round-trips with
-journal-grade torn-tail recovery, the progress renderer under an
-injected clock, the ``repro telemetry`` analytics, and the CLI-level
-invariant that ``--progress`` changes no artifact byte.
+must leave the registry untouched), the per-point records of the
+``telemetry.json`` snapshot, the progress renderer under an injected
+clock, the ``repro telemetry`` analytics, and the CLI-level invariant
+that ``--progress`` changes no artifact byte.
 """
 
 import io
@@ -15,8 +15,8 @@ import os
 import pytest
 
 from repro.__main__ import main
-from repro.obs import analyze, metrics, progress, telemetry
-from repro.runner import engine, registry
+from repro.obs import analyze, metrics, progress
+from repro.runner import engine, registry, sweep
 from repro.store import codec, journal
 
 
@@ -263,81 +263,23 @@ class TestKernelsCountWhenEnabled:
 
 
 # ----------------------------------------------------------------------
-class TestTelemetryStream:
-    def _start(self, tmp_path, **kwargs):
-        writer = telemetry.TelemetryWriter(telemetry.stream_path(tmp_path))
-        writer.start("table1", fingerprint="f00d", **kwargs)
-        return writer
-
-    def test_round_trip(self, tmp_path):
-        writer = self._start(tmp_path, jobs=2, total_points=2)
-        writer.append_point(
-            _outcome(params=(("a", 1),), duration=0.25, t_mono=10.0)
-        )
-        writer.append_point(
-            _outcome(params=(("a", 2),), duration=0.5, t_mono=11.0),
-            store_hit=True,
-        )
-        writer.finish({"points": 2})
-        header, records = telemetry.read_stream(writer.path)
-        assert header["scenario"] == "table1"
-        assert header["jobs"] == 2
-        points = [r for r in records if r["kind"] == "point"]
-        assert [p["params"] for p in points] == [[["a", 1]], [["a", 2]]]
-        assert [p["store_hit"] for p in points] == [False, True]
-        assert records[-1]["kind"] == "summary"
-
-    def test_torn_tail_dropped_and_recovered(self, tmp_path):
-        writer = self._start(tmp_path)
-        writer.append_point(_outcome(duration=0.1))
-        intact = writer.path.read_bytes()
-        # a kill mid-append leaves an unterminated JSON fragment
-        with writer.path.open("ab") as fh:
-            fh.write(b'{"kind": "point", "trunc')
-        _header, records = telemetry.read_stream(writer.path)
-        assert len(records) == 1
-        telemetry.recover_stream(writer.path)
-        assert writer.path.read_bytes() == intact
-        # appends after recovery continue a well-formed stream
-        writer.append_point(_outcome(duration=0.2))
-        _header, records = telemetry.read_stream(writer.path)
-        assert len(records) == 2
-
-    def test_garbage_line_truncates_everything_after(self, tmp_path):
-        writer = self._start(tmp_path)
-        writer.append_point(_outcome(duration=0.1))
-        with writer.path.open("ab") as fh:
-            fh.write(b"not json at all\n")
-        writer.append_point(_outcome(duration=0.2))
-        _header, records = telemetry.read_stream(writer.path)
-        # the valid line *after* the damage is untrustworthy too
-        assert len(records) == 1
-
-    def test_headerless_stream_raises(self, tmp_path):
-        path = telemetry.stream_path(tmp_path)
-        path.write_text('{"kind": "point"}\n')
-        with pytest.raises(telemetry.TelemetryError):
-            telemetry.read_stream(path)
-        path.write_text("")
-        with pytest.raises(telemetry.TelemetryError):
-            telemetry.read_stream(path)
-
+class TestPointRecord:
     def test_point_record_error_cluster_line(self):
         error = (
             "Traceback (most recent call last):\n"
             '  File "x.py", line 1, in run\n'
             "ValueError: kaboom\n"
         )
-        record = telemetry.point_record(_outcome(error=error))
+        record = sweep.point_record(_outcome(error=error))
         assert record["raised"] is True
         assert record["error"] == "ValueError: kaboom"
 
     def test_point_record_carries_metrics_delta(self):
-        record = telemetry.point_record(
+        record = sweep.point_record(
             _outcome(obs_metrics={"counter:sim.events_executed": 9})
         )
         assert record["metrics"] == {"counter:sim.events_executed": 9}
-        assert "metrics" not in telemetry.point_record(_outcome())
+        assert "metrics" not in sweep.point_record(_outcome())
 
 
 # ----------------------------------------------------------------------
@@ -421,33 +363,34 @@ class TestSweepProgress:
 
 # ----------------------------------------------------------------------
 class TestAnalyze:
-    def _stream(self, tmp_path, jobs=2):
-        writer = telemetry.TelemetryWriter(telemetry.stream_path(tmp_path))
-        writer.start("mesh-design-space", fingerprint="abcd", jobs=jobs,
-                     total_points=4)
-        writer.append_point(
-            _outcome(params=(("m", 2),), duration=1.0, t_mono=101.0,
-                     obs_metrics={"counter:noc.cycles": 10,
-                                  "gauge:noc.links_in_flight": 3}),
-        )
-        writer.append_point(
-            _outcome(params=(("m", 4),), duration=3.0, t_mono=104.0,
-                     obs_metrics={"counter:noc.cycles": 32}),
-        )
-        writer.append_point(
-            _outcome(params=(("m", 8),), duration=0.5, t_mono=104.5),
-            store_hit=True,
-        )
-        writer.append_point(
-            _outcome(params=(("m", 16),), error="Boom: x\nValueError: y",
-                     duration=0.25, t_mono=104.75),
-        )
-        writer.finish({"points": 4, "failures": 1})
-        return writer.path
+    def _snapshot(self, tmp_path, jobs=2):
+        points = [
+            sweep.point_record(_outcome(
+                params=(("m", 2),), duration=1.0, t_mono=101.0,
+                obs_metrics={"counter:noc.cycles": 10,
+                             "gauge:noc.links_in_flight": 3})),
+            sweep.point_record(_outcome(
+                params=(("m", 4),), duration=3.0, t_mono=104.0,
+                obs_metrics={"counter:noc.cycles": 32})),
+            sweep.point_record(_outcome(
+                params=(("m", 8),), duration=0.5, t_mono=104.5),
+                store_hit=True),
+            sweep.point_record(_outcome(
+                params=(("m", 16),), error="Boom: x\nValueError: y",
+                duration=0.25, t_mono=104.75)),
+        ]
+        path = tmp_path / sweep.SNAPSHOT_FILENAME
+        path.write_text(json.dumps({
+            "version": 1, "command": "sweep",
+            "scenario": "mesh-design-space", "jobs": jobs,
+            "points": points, "failures": 1,
+        }))
+        return path
 
-    def test_report_from_stream(self, tmp_path):
-        report = analyze.summarize(self._stream(tmp_path))
+    def test_report_from_snapshot(self, tmp_path):
+        report = analyze.summarize(self._snapshot(tmp_path))
         assert report.scenario == "mesh-design-space"
+        assert report.jobs == 2
         assert report.total == 4
         assert len(report.failed) == 1
         assert report.store_hits == 1
@@ -461,7 +404,7 @@ class TestAnalyze:
         assert report.counter_rollup() == {"noc.cycles": 42}
 
     def test_render_and_exports(self, tmp_path):
-        report = analyze.summarize(self._stream(tmp_path))
+        report = analyze.summarize(self._snapshot(tmp_path))
         text = report.render()
         assert "4 total, 1 failed" in text
         assert "1/4 hits" in text
@@ -475,13 +418,28 @@ class TestAnalyze:
         )
         assert len(csv_text.splitlines()) == 5
 
-    def test_summarize_prefers_stream_over_journal(self, tmp_path):
-        self._stream(tmp_path)
+    def test_summarize_prefers_snapshot_over_journal(self, tmp_path):
+        self._snapshot(tmp_path)
         jwriter = journal.Journal(journal.journal_path(tmp_path))
         jwriter.start("other-scenario", "beef")
         report = analyze.summarize(tmp_path)
         assert report.scenario == "mesh-design-space"
         assert report.has_store_info
+
+    def test_snapshot_without_points_list_reads_journal(self, tmp_path):
+        """A snapshot holding a point count, not records, describes no
+        point: the journal is read instead."""
+        registry.load_builtin()
+        (tmp_path / sweep.SNAPSHOT_FILENAME).write_text(json.dumps(
+            {"version": 1, "command": "sweep", "points": 1}))
+        jwriter = journal.Journal(journal.journal_path(tmp_path))
+        jwriter.start("table1", "beef")
+        jwriter.append(_outcome(duration=2.5, t_mono=50.0, result=None))
+        report = analyze.summarize(tmp_path)
+        assert report.source == str(journal.journal_path(tmp_path))
+        assert report.total == 1
+        with pytest.raises(analyze.TelemetryError):
+            analyze.summarize(tmp_path / sweep.SNAPSHOT_FILENAME)
 
     def test_journal_fallback_carries_durations(self, tmp_path):
         registry.load_builtin()
@@ -493,6 +451,26 @@ class TestAnalyze:
         assert report.store_hit_ratio is None
         assert report.total_duration_s == pytest.approx(2.5)
         assert "store:" not in report.render()
+
+    def test_journal_fallback_reports_utilization_unknown(self, tmp_path):
+        """The journal records no width, so two points that overlapped
+        in time give no utilization figure (busy 2 s over a 1.5 s span
+        would read 100% as one job)."""
+        registry.load_builtin()
+        jwriter = journal.Journal(journal.journal_path(tmp_path))
+        jwriter.start("table1", "beef")
+        for index, end in enumerate((51.0, 51.5)):
+            jwriter.append(_outcome(params=(("seed", index),),
+                                    duration=1.0, t_mono=end,
+                                    result=None))
+        report = analyze.summarize(tmp_path)
+        assert report.jobs is None
+        assert report.wall_span_s == pytest.approx(1.5)
+        assert report.utilization is None
+        assert report.to_json()["utilization"] is None
+        text = report.render()
+        assert "utilization unknown" in text
+        assert "%" not in text
 
     def test_missing_dir_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -510,11 +488,8 @@ def _deterministic_tree(base):
     """Artifact bytes under the deterministic contract: telemetry
     excluded (volatile by design), journal canonicalized."""
     tree = {}
-    telemetry_names = {
-        telemetry.STREAM_FILENAME, telemetry.SNAPSHOT_FILENAME,
-    }
     for p in sorted(base.rglob("*")):
-        if not p.is_file() or p.name in telemetry_names:
+        if not p.is_file() or p.name == sweep.SNAPSHOT_FILENAME:
             continue
         rel = p.relative_to(base)
         if p.name == journal.FILENAME:
@@ -539,30 +514,33 @@ class TestCliTelemetry:
         shown_tree = _deterministic_tree(shown)
         assert plain_tree.keys() == shown_tree.keys()
         assert plain_tree == shown_tree
-        # telemetry exists in both runs; --progress only adds metrics
+        # the snapshot exists in both runs; --progress only adds metrics
         for base in (plain, shown):
-            assert telemetry.stream_path(base).exists()
-            assert telemetry.snapshot_path(base).exists()
+            assert (base / sweep.SNAPSHOT_FILENAME).exists()
 
-    def test_sweep_writes_stream_and_snapshot(self, tmp_path, capsys):
+    def test_sweep_snapshot_holds_one_record_per_grid_point(
+        self, tmp_path, capsys
+    ):
+        """The journal is the only per-point log; the snapshot holds
+        one timed point record per grid point, in request order."""
         out = tmp_path / "out"
         assert main(SWEEP_ARGS + ["--out", str(out), "--progress"]) == 0
         capsys.readouterr()
-        header, records = telemetry.read_stream(telemetry.stream_path(out))
-        assert header["total_points"] == 3
-        points = [r for r in records if r["kind"] == "point"]
-        assert len(points) == 3
-        assert all(p["duration_s"] is not None for p in points)
-        # --progress enabled metrics, so kernel counters reached a point
-        assert any(p.get("metrics") for p in points)
-        summary = [r for r in records if r["kind"] == "summary"][-1]
-        assert summary["points"] == 3
-        assert summary["counters"]["counter:compiled.settles"] > 0
-        snapshot = json.loads(
-            telemetry.snapshot_path(out).read_text()
-        )
+        assert [p.name for p in out.glob("*.jsonl")] == [journal.FILENAME]
+        snapshot = json.loads((out / sweep.SNAPSHOT_FILENAME).read_text())
         assert snapshot["command"] == "sweep"
         assert snapshot["scenario"] == "compiled-fault-campaign"
+        assert snapshot["jobs"] == 1
+        points = snapshot["points"]
+        assert [p["kind"] for p in points] == ["point"] * 3
+        assert [p["params"] for p in points] == [
+            [["seed", seed]] for seed in (1, 2, 3)
+        ]
+        assert all(p["duration_s"] is not None for p in points)
+        assert all(p["t_mono"] is not None for p in points)
+        # --progress enabled metrics, so kernel counters reached a point
+        assert any(p.get("metrics") for p in points)
+        assert snapshot["counters"]["counter:compiled.settles"] > 0
 
     def test_telemetry_subcommand_renders(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -595,10 +573,24 @@ class TestCliTelemetry:
         out = tmp_path / "run-out"
         assert main(["run", "table1", "--fast", "--out", str(out)]) == 0
         capsys.readouterr()
-        doc = json.loads(telemetry.snapshot_path(out).read_text())
+        doc = json.loads((out / sweep.SNAPSHOT_FILENAME).read_text())
         assert doc["command"] == "run"
+        assert doc["jobs"] == 1
         assert len(doc["points"]) == 1
         assert doc["points"][0]["duration_s"] is not None
+
+    def test_telemetry_subcommand_reads_run_snapshot(self, tmp_path,
+                                                     capsys):
+        out = tmp_path / "run-out"
+        assert main(["run", "table1", "table2", "--fast",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["telemetry", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "scenario:  table1, table2" in text
+        assert "points:    2 total, 0 failed" in text
+        # the run's points are told apart by scenario, not params
+        assert "table1: default" in text
 
     def test_list_verbose_reports_capabilities(self, capsys):
         assert main(["list", "--verbose"]) == 0

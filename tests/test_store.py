@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.obs import telemetry as obs_telemetry
 from repro.runner import engine, registry, sweep
 from repro.store import codec, diff, journal, store
 
@@ -293,18 +292,15 @@ def _tree(base):
     """Every file's bytes; journals are canonicalized first (their
     volatile duration/timestamp side-band differs between identical
     runs by design — the deterministic contract is the projection).
-    Telemetry files are all side-band, so their *presence* is compared
-    but their timing-laden bytes are not."""
+    The telemetry snapshot is all side-band, so its *presence* is
+    compared but its timing-laden bytes are not."""
     tree = {}
-    telemetry_names = {
-        obs_telemetry.STREAM_FILENAME, obs_telemetry.SNAPSHOT_FILENAME,
-    }
     for p in base.rglob("*"):
         if not p.is_file():
             continue
         if p.name == journal.FILENAME:
             tree[p.relative_to(base)] = journal.canonical_bytes(p)
-        elif p.name in telemetry_names:
+        elif p.name == sweep.SNAPSHOT_FILENAME:
             tree[p.relative_to(base)] = b"<telemetry>"
         else:
             tree[p.relative_to(base)] = p.read_bytes()

@@ -9,6 +9,7 @@ points ran on fabric workers.
 """
 
 import functools
+import json
 import threading
 
 import pytest
@@ -22,9 +23,8 @@ from repro.fabric import (
     run_worker,
 )
 from repro.obs import analyze as obs_analyze
-from repro.obs import telemetry as obs_telemetry
 from repro.runner import engine, registry, sweep
-from repro.store import RunStore
+from repro.store import RunStore, codec
 from repro.store.journal import canonical_bytes, journal_path
 
 
@@ -137,6 +137,22 @@ class TestRunSweep:
         assert calls == [requests[1:]]
         assert _outputs(killed) == _outputs(tmp_path / "whole")
 
+    def test_killed_sweep_leaves_no_snapshot(self, tmp_path):
+        """A snapshot describes a finished run: a rerun drops the old
+        one before any point, so a killed sweep is read from its
+        journal."""
+        requests = _noop_grid(3)
+        out = tmp_path / "out"
+        sweep.run_sweep("sweep-noop", requests, out_dir=out)
+        assert (out / sweep.SNAPSHOT_FILENAME).exists()
+        with pytest.raises(_Killed):
+            sweep.run_sweep("sweep-noop", requests, _dies_after(1),
+                            out_dir=out)
+        assert not (out / sweep.SNAPSHOT_FILENAME).exists()
+        report = obs_analyze.summarize(out)
+        assert report.source == str(journal_path(out))
+        assert (report.total, report.jobs) == (1, None)
+
     def test_store_backed_rerun_executes_nothing(self, tmp_path):
         requests = _mesh_grid()
         store = tmp_path / "store"
@@ -150,6 +166,11 @@ class TestRunSweep:
         assert calls == [[]]
         assert (again.executed, again.store_hits) == (0, len(requests))
         assert _outputs(tmp_path / "again") == _outputs(tmp_path / "first")
+        snapshot = json.loads(
+            (tmp_path / "again" / sweep.SNAPSHOT_FILENAME).read_text())
+        assert snapshot["store_hits"] == len(requests)
+        assert [p["store_hit"] for p in snapshot["points"]] == (
+            [True] * len(requests))
 
     def test_fabric_stores_each_executed_point_once(self, tmp_path,
                                                     monkeypatch):
@@ -226,18 +247,21 @@ class TestFabricTelemetry:
         ])
         assert code == 0, capsys.readouterr().err
         assert "fabric: 6 points via" in capsys.readouterr().out
-        header, records = obs_telemetry.read_stream(
-            obs_telemetry.stream_path(out)
-        )
-        assert header["jobs"] == 2
-        assert records[-1]["kind"] == "summary"
-        assert records[-1]["jobs"] == 2
+        fabric = json.loads((out / sweep.SNAPSHOT_FILENAME).read_text())
+        assert fabric["jobs"] == 2
         assert obs_analyze.summarize(out).jobs == 2
-        # the snapshot carries no width: a serial run writes the same one
+        # past its width and timings, the snapshot is the serial run's
         serial = tmp_path / "serial"
         assert main([
             "sweep", "sweep-noop", "--param", "point=0,1,2,3,4,5",
             "--out", str(serial),
         ]) == 0
-        snapshot = obs_telemetry.snapshot_path
-        assert snapshot(out).read_bytes() == snapshot(serial).read_bytes()
+        plain = json.loads((serial / sweep.SNAPSHOT_FILENAME).read_text())
+        assert plain["jobs"] == 1
+
+        def projection(doc):
+            doc = {k: v for k, v in doc.items() if k != "jobs"}
+            doc["points"] = [codec.strip_volatile(p) for p in doc["points"]]
+            return doc
+
+        assert projection(fabric) == projection(plain)

@@ -93,6 +93,9 @@ WORKFLOWS: Tuple[Workflow, ...] = (
     ("telemetry", _repro("telemetry", "campaign")),
     ("telemetry --json", _repro("telemetry", "campaign", "--json", "-")),
     ("telemetry fabric", _repro("telemetry", "fabric")),
+    ("telemetry paper", _repro("telemetry", "paper")),
+    ("telemetry journal --csv", _repro("telemetry", "mesh/journal.jsonl",
+                                       "--csv", "-")),
     ("history", _repro("history", "store")),
     ("inspect --tree", _repro("inspect", "gals-mesh", "--tree")),
     ("inspect", _repro("inspect", "throughput")),
