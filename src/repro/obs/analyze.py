@@ -51,7 +51,7 @@ class TelemetryReport:
     scenario: str = ""
     jobs: Optional[int] = None        # None: the width was not recorded
     points: List[Dict[str, object]] = field(default_factory=list)
-    has_store_info: bool = False      # journal fallback lacks store hits
+    has_store_info: bool = False      # a run and the journal lack it
     #: set when built from a fabric directory: one row per worker
     #: segment — ``{"worker", "points", "busy_s", "span_s",
     #: "utilization"}`` (utilization None for an untimestamped segment)
@@ -278,7 +278,8 @@ def _from_snapshot(path: Path, doc: Dict[str, object]) -> TelemetryReport:
         scenario=str(scenario),
         jobs=int(doc["jobs"]) if doc.get("jobs") else None,
         points=points,
-        has_store_info=True,
+        # only a sweep reads the run store; a run's snapshot has no count
+        has_store_info="store_hits" in doc,
     )
 
 

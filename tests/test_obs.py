@@ -383,7 +383,7 @@ class TestAnalyze:
         path.write_text(json.dumps({
             "version": 1, "command": "sweep",
             "scenario": "mesh-design-space", "jobs": jobs,
-            "points": points, "failures": 1,
+            "points": points, "store_hits": 1, "failures": 1,
         }))
         return path
 
@@ -591,6 +591,8 @@ class TestCliTelemetry:
         assert "points:    2 total, 0 failed" in text
         # the run's points are told apart by scenario, not params
         assert "table1: default" in text
+        # a run reads no store, so the report claims no store hits
+        assert "store:" not in text
 
     def test_list_verbose_reports_capabilities(self, capsys):
         assert main(["list", "--verbose"]) == 0
