@@ -13,8 +13,9 @@ execution width.  :func:`summarize` reads that snapshot when it has a
 ``points`` list.  A fabric directory is reported from its workers'
 journal segments, one row per worker.  Otherwise it reads
 ``journal.jsonl``: a killed or still-running sweep has no snapshot
-yet, and store hits, kernel counters and the width are absent there,
-so the report says so rather than inventing them.
+yet.  The journal carries each point's duration, completion stamp and
+counter deltas, but no store hits and no width, so the report says so
+rather than inventing them.
 """
 
 from __future__ import annotations
