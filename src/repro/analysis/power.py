@@ -1,6 +1,6 @@
 """Power models reproducing Figs 12–14.
 
-Two complementary estimates (DESIGN.md §6):
+Two complementary estimates:
 
 **Analytical** — per-component linear models in clock frequency and link
 usage, with coefficients calibrated in :mod:`repro.tech.st012` against

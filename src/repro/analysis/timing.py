@@ -17,9 +17,8 @@ With the paper's measured constants (Tp = 0, Tinv = 0.011 ns,
 Tburst ≈ 1.1 ns, Tvalidwordack ≈ 0.7 ns, Tackout ≈ 1.4 ns) the per-word
 delay evaluates to ≈3.29 ns → ≈304 MFlit/s.  The paper quotes 3.21 ns /
 ≈311 MFlit/s from the same inputs — a ~2 % arithmetic discrepancy in the
-original; we reproduce the formula faithfully and document the gap in
-EXPERIMENTS.md.  Both round to the "~300 MFlit/s at a 300 MHz switch
-clock" headline.
+original, which we keep by reproducing the formula faithfully.  Both
+round to the "~300 MFlit/s at a 300 MHz switch clock" headline.
 
 The segment/inverter counts generalize with the buffer count ``k``:
 forward path ``k+1`` segments with ``2k`` repeater inverters, acknowledge

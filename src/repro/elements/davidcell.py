@@ -17,8 +17,8 @@ Mapping to the paper's Fig 3 symbol:
 
 The cell is modelled at protocol level with the technology's
 ``davidcell`` delay; its internal cross-coupled x/y nodes are not
-expanded (the repro band for this paper expects circuit abstraction —
-see DESIGN.md §2).
+expanded: the reproduction abstracts circuits to the level the paper's
+figures describe, and a gate-level cell is not needed for any of them.
 """
 
 from __future__ import annotations

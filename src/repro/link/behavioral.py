@@ -113,9 +113,11 @@ class TokenLink:
     """Cycle-driven FIFO link used by the NoC simulator.
 
     Flits enter with :meth:`try_send` (respecting rate and capacity) and
-    emerge from :meth:`deliverable` after ``latency_cycles``.  The
-    receiving switch pops them with :meth:`pop`; undelivered flits apply
-    backpressure through the capacity bound.
+    sit in ``_in_flight`` as ``(ready_cycle, flit)`` pairs, each ready
+    ``latency_cycles`` after its send; the network's delivery phase
+    moves a ready head into the downstream input lane when that lane
+    has space, and undelivered flits apply backpressure through the
+    capacity bound.
 
     Credit accrual is *batchable*: per-cycle accrual clamps at
     ``1.0 + rate``, so an idle link's credit is a pure function of how
@@ -125,11 +127,11 @@ class TokenLink:
     :meth:`try_send` at cycle ``now`` first replays the missing
     per-cycle ``min(credit + rate, cap)`` updates through ``now`` (the
     same float operations in the same order, so results stay
-    bit-identical), stopping early once the clamp is reached.  A link
-    driven by :meth:`begin_cycle` every cycle has nothing left to
-    replay.  ``_accruals`` is the number of per-cycle accruals applied
-    since construction (the cycle the credit is caught up to) and
-    ``_accrual_batches`` the :meth:`try_send` calls that caught up any.
+    bit-identical to accruing every cycle), stopping early once the
+    clamp is reached.  ``_accruals`` is the number of per-cycle accruals
+    applied since construction (the cycle the credit is caught up to)
+    and ``_accrual_batches`` the :meth:`try_send` calls that caught up
+    any.
 
     Inside a :class:`~repro.noc.network.Network` a link also carries its
     delivery ``target`` and the network's timing ``wheel``: a send that
@@ -158,21 +160,6 @@ class TokenLink:
         #: id, the lane's bit)
         self.target: Optional[Tuple[Deque[object], object, int, int]] = None
 
-    def begin_cycle(self) -> None:
-        """Accrue one cycle's rate credit (a standalone link's driver:
-        call once per cycle)."""
-        credit = self._rate_credit + self._rate
-        if credit > self._credit_cap:
-            credit = self._credit_cap
-        self._rate_credit = credit
-        self._accruals += 1
-
-    def can_send(self) -> bool:
-        return (
-            self._rate_credit >= 1.0
-            and len(self._in_flight) < self._capacity
-        )
-
     def try_send(self, flit: object, now_cycle: int) -> bool:
         """Accept a flit if the link has rate credit and space.
 
@@ -181,8 +168,8 @@ class TokenLink:
         the same float operations in the same order, so the credit is
         the float that accrual cycle by cycle gives, and the replay
         stops once the credit clamps at the cap.  Nothing is replayed
-        when the cycles are already applied (as after
-        :meth:`begin_cycle`).
+        when the cycles are already applied (a second offer in one
+        cycle).
         """
         credit = self._rate_credit
         done = self._accruals
@@ -200,7 +187,7 @@ class TokenLink:
                     steps -= 1
                 self._rate_credit = credit
             self._accruals = now_cycle + 1
-        # can_send(), inlined: the switch calls this once per grant
+        # rate credit and space: the switch calls this once per grant
         in_flight = self._in_flight
         if credit < 1.0 or len(in_flight) >= self._capacity:
             return False
@@ -216,20 +203,6 @@ class TokenLink:
         in_flight.append((ready, flit))
         self.flits_sent += 1
         return True
-
-    def deliverable(self, now_cycle: int) -> bool:
-        """True if the head flit has completed its traversal."""
-        return bool(self._in_flight) and self._in_flight[0][0] <= now_cycle
-
-    def peek(self) -> object:
-        return self._in_flight[0][1]
-
-    def pop(self, now_cycle: int) -> object:
-        if not self.deliverable(now_cycle):
-            raise RuntimeError(f"{self.name}: no deliverable flit")
-        _ready, flit = self._in_flight.pop(0)
-        self.flits_delivered += 1
-        return flit
 
     @property
     def occupancy(self) -> int:

@@ -27,7 +27,7 @@ from .topology import (
     west_first_permitted,
     xy_route,
 )
-from .switch import InputQueue, Switch
+from .switch import Switch
 from .traffic import TrafficConfig, TrafficGenerator
 from .network import Network, build_run, measure_point, run_mesh_point
 from .stats import NetworkStats
@@ -44,7 +44,6 @@ __all__ = [
     "next_hop",
     "west_first_permitted",
     "xy_route",
-    "InputQueue",
     "Switch",
     "TrafficConfig",
     "TrafficGenerator",

@@ -180,11 +180,11 @@ class Network:
         #: a link is filed exactly once while it has flits in flight
         self._wheel: Dict[int, List[TokenLink]] = {}
         for (src, port), link in self.links.items():
-            self.switches[src].out_links[port] = link
+            self.switches[src].out_links[port.index] = link
             dst, dport = link_dst[link]
             switch = self.switches[dst]
             lane = dport.index
-            link.target = (switch._lanes[lane].fifo, switch, node_id[dst],
+            link.target = (switch._lanes[lane], switch, node_id[dst],
                            1 << lane)
             link.wheel = self._wheel
 
@@ -198,7 +198,7 @@ class Network:
         ]
         #: each switch's LOCAL input FIFO by node id
         self._local_fifos: List[Deque[Flit]] = [
-            switch._lanes[_LOCAL].fifo for switch in self._switch_list
+            switch._lanes[_LOCAL] for switch in self._switch_list
         ]
         #: when True, every head flit records the switches it visits in
         #: ``self.routes[packet_id]`` (debug/observability aid)
@@ -312,10 +312,10 @@ class Network:
 
     def _record_heads(self, node: Coord, switch: Switch) -> None:
         """Append ``node`` to the route of every head flit waiting here."""
-        for queue in switch._lanes:
-            if queue.empty:
+        for fifo in switch._lanes:
+            if not fifo:
                 continue
-            flit = queue.head()
+            flit = fifo[0]
             if not flit.kind.opens_route:
                 continue
             route = self.routes.setdefault(flit.packet_id, [])
@@ -416,23 +416,6 @@ class Network:
             "links_in_flight": sum(map(len, self._wheel.values())),
             "switches_buffered": len(self._active_switches),
             "sources_pending": len(self._pending_sources),
-        }
-
-    def link_utilization(self) -> Dict[Tuple[Coord, Port], float]:
-        """Flits carried per cycle for every directed link (load map).
-
-        One pass over the link table; ``flits_delivered`` is maintained
-        incrementally by the timing-wheel delivery, so this is a pure
-        read — no per-link polling.  (Division stays per-link:
-        multiplying by a hoisted reciprocal changes the last ulp and
-        would break bit-identity with the seed kernel.)
-        """
-        cycles = self.cycle
-        if cycles == 0:
-            return {key: 0.0 for key in self.links}
-        return {
-            key: link.flits_delivered / cycles
-            for key, link in self.links.items()
         }
 
 

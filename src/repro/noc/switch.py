@@ -22,8 +22,7 @@ provides that substrate: a 5-port input-buffered wormhole switch with
 The switch is cycle-driven: once per clock, after link deliveries
 have been drained into the input FIFOs, the network makes one call of
 :func:`switch_cycle`, which serves every switch holding flits in
-node-id order; :meth:`Switch.arbitrate_and_send` runs the same routine
-on one switch.  Per switch the routine loads :attr:`Switch._kernel`,
+node-id order.  Per switch the routine loads :attr:`Switch._kernel`,
 one tuple of the arbitration state, and per flit it calls only the
 out-link's ``try_send`` and, on LOCAL, the ejection hook.  At most one
 flit crosses each output per cycle.
@@ -39,8 +38,8 @@ out-links are port-indexed lists, so no lookup hashes a
 
 Lane sets are int bitmasks (bit ``lane``, the input port's index).
 ``_occ`` holds the occupied lanes: whatever appends a flit to a lane
-sets its bit (:meth:`accept`, and the network's delivery and injection
-phases directly), and the pop that empties a lane clears it.  The
+sets its bit (the network's delivery and injection phases), and the
+pop that empties a lane clears it.  The
 network serves only switches whose mask is non-zero, and
 :func:`switch_cycle` drops a switch from the network's active set when
 its last flit leaves.
@@ -87,10 +86,8 @@ owner and locks change only while EAST is served.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import MutableMapping
 from typing import (
-    Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
-    Tuple,
+    Callable, Deque, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 from .flit import Flit
@@ -103,70 +100,6 @@ _N_PORTS = len(PORTS)
 _EAST = Port.EAST.index
 _EAST_BIT = 1 << _EAST
 _LOCAL = Port.LOCAL.index
-
-
-class InputQueue:
-    """One input lane's FIFO."""
-
-    __slots__ = ("depth", "fifo")
-
-    def __init__(self, depth: int) -> None:
-        if depth < 1:
-            raise ValueError(f"FIFO depth must be >= 1, got {depth}")
-        self.depth = depth
-        self.fifo: Deque[Flit] = deque()
-
-    @property
-    def full(self) -> bool:
-        return len(self.fifo) >= self.depth
-
-    @property
-    def empty(self) -> bool:
-        return not self.fifo
-
-    def push(self, flit: Flit) -> None:
-        if self.full:
-            raise RuntimeError("push into full input queue")
-        self.fifo.append(flit)
-
-    def head(self) -> Flit:
-        return self.fifo[0]
-
-    def pop(self) -> Flit:
-        return self.fifo.popleft()
-
-
-class PortLinks(MutableMapping):
-    """A switch's out-links keyed by :class:`Port`.
-
-    The links live in :attr:`slots`, a list indexed by
-    :attr:`Port.index` that the arbitration loop reads directly.
-    """
-
-    __slots__ = ("slots",)
-
-    def __init__(self) -> None:
-        self.slots: List[Optional[object]] = [None] * _N_PORTS
-
-    def __getitem__(self, port: Port) -> object:
-        link = self.slots[port.index]
-        if link is None:
-            raise KeyError(port)
-        return link
-
-    def __setitem__(self, port: Port, link: object) -> None:
-        self.slots[port.index] = link
-
-    def __delitem__(self, port: Port) -> None:
-        self[port]  # KeyError when nothing is attached
-        self.slots[port.index] = None
-
-    def __iter__(self) -> Iterator[Port]:
-        return (port for port, link in zip(PORTS, self.slots)
-                if link is not None)
-
-    def __len__(self) -> int:
-        return sum(link is not None for link in self.slots)
 
 
 def round_robin_bit(mask: int, start: int) -> int:
@@ -222,13 +155,16 @@ class Switch:
         self.position = position
         self.route_fn = route_fn
         self.name = name or f"sw{position}"
-        #: input FIFOs by port index: lane ``port.index``
-        self._lanes: Tuple[InputQueue, ...] = tuple(
-            InputQueue(fifo_depth) for _ in range(_N_PORTS)
+        if fifo_depth < 1:
+            raise ValueError(f"FIFO depth must be >= 1, got {fifo_depth}")
+        #: input FIFOs by port index: lane ``port.index``; the network
+        #: holds each to ``fifo_depth`` flits
+        self._lanes: Tuple[Deque[Flit], ...] = tuple(
+            deque() for _ in range(_N_PORTS)
         )
         #: bit ``lane`` set while that input lane holds flits; set by
-        #: whatever appends to a lane (:meth:`accept` and the network's
-        #: delivery and injection), cleared by the pop that empties it
+        #: whatever appends to a lane (the network's delivery and
+        #: injection), cleared by the pop that empties it
         self._occ = 0
         #: input lane owning each output port
         self._owner: List[Optional[int]] = [None] * _N_PORTS
@@ -240,71 +176,20 @@ class Switch:
         self._routes: Optional[_RouteCache] = (
             None if self._adaptive else _RouteCache(route_fn, position)
         )
-        #: outgoing links, attached by the network
-        self.out_links = PortLinks()
+        #: outgoing links by port index, attached by the network
+        self.out_links: List[Optional[object]] = [None] * _N_PORTS
         #: everything :func:`switch_cycle` reads, in one tuple: the lane
         #: FIFOs, owners, locks, round-robin pointers, route cache,
-        #: route function, position and out-link slots
+        #: route function, position and out-links
         self._kernel = (
-            tuple(queue.fifo for queue in self._lanes), self._owner,
-            self._lock, self._rr, self._routes, route_fn, position,
-            self.out_links.slots,
+            self._lanes, self._owner, self._lock, self._rr, self._routes,
+            route_fn, position, self.out_links,
         )
         # statistics
         self.flits_routed = 0
         self.arbitration_conflicts = 0
         #: outputs won uncontested (single candidate — no round-robin)
         self.arbitration_fast = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def output_owner(self) -> Dict[Port, Optional[Port]]:
-        """Which input port owns each output port's wormhole lock."""
-        return {
-            PORTS[out]: None if lane is None else PORTS[lane]
-            for out, lane in enumerate(self._owner)
-        }
-
-    @property
-    def input_locks(self) -> Dict[Port, Optional[Port]]:
-        """Which output port each input port has locked."""
-        return {
-            PORTS[lane]: None if out is None else PORTS[out]
-            for lane, out in enumerate(self._lock)
-        }
-
-    def queue(self, port: Port) -> InputQueue:
-        """The input FIFO of ``port``."""
-        return self._lanes[port.index]
-
-    def can_accept(self, port: Port) -> bool:
-        """Space available on ``port``'s input FIFO?"""
-        return not self._lanes[port.index].full
-
-    def accept(self, port: Port, flit: Flit) -> None:
-        """Push an arriving flit into ``port``'s input FIFO."""
-        lane = port.index
-        self._lanes[lane].push(flit)
-        self._occ |= 1 << lane
-
-    # ------------------------------------------------------------------
-    def arbitrate_and_send(
-        self,
-        now_cycle: int,
-        eject: Callable[[Flit, int], None],
-    ) -> int:
-        """One cycle of switching for this switch alone: returns the
-        number of flits moved.
-
-        ``eject(flit, now_cycle)`` consumes flits whose output is
-        LOCAL.  At most one flit advances per output port per cycle;
-        round-robin over the input lanes resolves conflicts, and an
-        output stays locked to one packet from its head to its tail.
-        This is :func:`switch_cycle` over a one-switch list.
-        """
-        if not self._occ:
-            return 0
-        return switch_cycle((self,), {0}, now_cycle, eject)
 
     def _requests_for(self, out: int, occ: int) -> int:
         """The request bitmask of output ``out`` over the lanes in
@@ -323,7 +208,7 @@ class Switch:
             bit = occ & -occ
             occ ^= bit
             lane = bit.bit_length() - 1
-            flit = lanes[lane].fifo[0]
+            flit = lanes[lane][0]
             if not flit.kind.opens_route:
                 if locks[lane] == out:
                     mask |= bit
@@ -332,11 +217,6 @@ class Switch:
                 if owner is None or owner == lane:
                     mask |= bit
         return mask
-
-    # ------------------------------------------------------------------
-    @property
-    def buffered_flits(self) -> int:
-        return sum(len(queue.fifo) for queue in self._lanes)
 
 
 def switch_cycle(
@@ -351,10 +231,9 @@ def switch_cycle(
     them holds flits), lowest id first, and drops the nodes whose
     switches drained from ``active``.  ``eject(flit, now_cycle)``
     consumes the flits whose output is LOCAL.  This is the one
-    arbitration routine: :meth:`Switch.arbitrate_and_send` runs it on
-    a single switch.  Per switch it reads :attr:`Switch._kernel` once
-    and, per flit, calls only the out-link's ``try_send`` and
-    ``eject``.
+    arbitration routine; a single switch is served by passing it alone.
+    Per switch it reads :attr:`Switch._kernel` once and, per flit,
+    calls only the out-link's ``try_send`` and ``eject``.
     """
     if len(active) == len(switches):
         order: Iterable[int] = range(len(switches))

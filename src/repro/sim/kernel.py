@@ -99,7 +99,7 @@ class Simulator:
     cancelled cells are skipped for free.
 
     Components built on the kernel (signals, gates, processes) hold a
-    reference to the simulator and use :meth:`schedule` / :meth:`call_at`.
+    reference to the simulator and use :meth:`schedule`.
     The factory methods (:meth:`signal`, :meth:`bus`, :meth:`bus_view`,
     :meth:`spawn`) are the construction seam the circuit library builds
     through, which is what lets the same circuits run on the frozen
@@ -134,8 +134,8 @@ class Simulator:
         #: the bucket (len 1, the sparse-workload fast path); once a
         #: second event lands on the timestamp the bucket becomes
         #: ``[cursor, cell, cell, ...]`` where ``cursor`` indexes the
-        #: next unconsumed cell (an O(1) resume point for ``step`` /
-        #: ``stop`` / exceptions).
+        #: next unconsumed cell (an O(1) resume point for ``stop`` and
+        #: exceptions).
         self._near: dict[int, list] = {}
         self._times: list[int] = []  # heap of distinct near timestamps
         self._far: list[tuple[int, int, EventHandle]] = []
@@ -211,15 +211,6 @@ class Simulator:
             heappush(self._far, (when, self._seq, cell))
         self._live += 1
         return cell
-
-    def call_at(self, when: int,
-                callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` at absolute time ``when`` (picoseconds)."""
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={when} ps, current time is {self._now}"
-            )
-        return self.schedule(when - self._now, callback)
 
     def cancel(self, handle: Optional[EventHandle]) -> bool:
         """Cancel a scheduled event; it will never execute nor count.
@@ -418,71 +409,10 @@ class Simulator:
         """Stop the current :meth:`run` after the in-flight event."""
         self._stopped = True
 
-    def step(self) -> bool:
-        """Execute exactly one live event.  False if none are queued.
-
-        A step is a one-event :meth:`run`: it honours the same
-        reentrancy guard (a callback may not call ``step``/``run`` on
-        its own simulator) and resets the :meth:`stop` flag on entry.
-        """
-        if self._running:
-            raise SimulationError("simulator is not reentrant")
-        near = self._near
-        times = self._times
-        far = self._far
-        while True:
-            if not times:
-                if not far:
-                    return False
-                self._refill_near()
-                continue
-            when = times[0]
-            bucket = near[when]
-            if len(bucket) == 1:
-                heappop(times)
-                del near[when]
-                if bucket[0] is None:
-                    # time advances through discarded cancelled events,
-                    # exactly as run() advances through dead buckets
-                    self._now = when
-                    continue
-                cell = bucket
-            else:
-                i = bucket[0]
-                cell = None
-                while i < len(bucket):
-                    candidate = bucket[i]
-                    i += 1
-                    if candidate[0] is not None:
-                        cell = candidate
-                        break
-                bucket[0] = i
-                if cell is None:
-                    heappop(times)
-                    del near[when]
-                    self._now = when
-                    continue
-            self._running = True
-            self._stopped = False
-            try:
-                self._now = when
-                fn = cell[0]
-                cell[0] = None
-                self._live -= 1
-                fn()
-                self._events_executed += 1
-            finally:
-                self._running = False
-            return True
-
     @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events currently queued."""
         return self._live
-
-    def drain(self, max_events: int = 1_000_000) -> int:
-        """Run until the event queue is empty (bounded by ``max_events``)."""
-        return self.run(until=None, max_events=max_events)
 
     # ------------------------------------------------------------------
     # construction factories

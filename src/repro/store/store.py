@@ -86,9 +86,6 @@ class RunStore:
     def _object_path(self, key: str) -> Path:
         return self.root / "objects" / key[:2] / f"{key}.json"
 
-    def __contains__(self, request: RunRequest) -> bool:
-        return self._object_path(self.key(request)).exists()
-
     def get(self, request: RunRequest) -> Optional[RunOutcome]:
         """The stored outcome for this exact identity, or ``None``."""
         path = self._object_path(self.key(request))
@@ -151,6 +148,3 @@ class RunStore:
             return
         for path in sorted(objects.rglob("*.json")):
             yield json.loads(path.read_text(encoding="utf-8"))
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.records())

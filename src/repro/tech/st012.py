@@ -11,7 +11,8 @@ Every constant below is tagged with its provenance:
     estimate consistent with the paper's qualitative statements; the
     published totals constrain the *sum* but not the split.
 
-Calibration chain (see DESIGN.md §5–6 for the algebra):
+Calibration chain (each step's arithmetic is given inline; the fitted
+literals below are its rounded results):
 
 * Fig 12 gives the I1 power at 100 MHz for 2 and 8 buffers
   (372 / 1498 µW) → per-stage power at 100 MHz = 187.7 µW, negligible

@@ -2,8 +2,8 @@
 
 The integer-picosecond kernel with FIFO delta ordering exists precisely
 so that simulations are reproducible; these tests pin that property for
-every layer — without it, the calibration in EXPERIMENTS.md would not
-be trustworthy.
+every layer — without it, the calibration in :mod:`repro.tech.st012`
+would not be trustworthy.
 """
 
 from repro.link import LinkConfig, build_i2, build_i3, measure_throughput
@@ -59,7 +59,7 @@ class TestNetworkDeterminism:
         return (
             net.stats.flits_ejected,
             tuple(net.stats.packet_latencies),
-            tuple(sorted(net.link_utilization().values())),
+            tuple(link.flits_delivered for link in net.links.values()),
         )
 
     def test_identical_network_runs(self):

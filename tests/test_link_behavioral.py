@@ -8,6 +8,7 @@ from repro.link.behavioral import (
     TokenLink,
     derive_link_params,
 )
+from repro.noc import Network, Packet, Port, Topology
 from repro.tech import st012
 
 
@@ -57,25 +58,19 @@ class TestTokenLink:
 
     def test_flit_arrives_after_latency(self):
         link = TokenLink(self._params(latency=3))
-        link.begin_cycle()
         assert link.try_send("flit", now_cycle=0)
-        assert not link.deliverable(2)
-        assert link.deliverable(3)
-        assert link.pop(3) == "flit"
+        assert link._in_flight == [(3, "flit")]
 
     def test_capacity_bound(self):
         link = TokenLink(self._params(capacity=2))
         for cycle in range(2):
-            link.begin_cycle()
             assert link.try_send(cycle, cycle)
-        link.begin_cycle()
         assert not link.try_send(99, 2)  # full
 
     def test_rate_limits_injection(self):
         link = TokenLink(self._params(rate=0.5, capacity=100))
         sent = 0
         for cycle in range(10):
-            link.begin_cycle()
             if link.try_send(cycle, cycle):
                 sent += 1
         assert sent == 5  # half-rate link
@@ -84,34 +79,22 @@ class TestTokenLink:
         link = TokenLink(self._params(rate=1.0, capacity=100, latency=1))
         sent = 0
         for cycle in range(10):
-            link.begin_cycle()
             if link.try_send(cycle, cycle):
                 sent += 1
-            if link.deliverable(cycle):
-                link.pop(cycle)
         assert sent == 10
-
-    def test_pop_without_deliverable_raises(self):
-        link = TokenLink(self._params())
-        with pytest.raises(RuntimeError):
-            link.pop(0)
 
     def test_fifo_order(self):
         link = TokenLink(self._params(latency=1, capacity=10))
         for cycle in range(3):
-            link.begin_cycle()
             link.try_send(f"f{cycle}", cycle)
-        out = []
-        for cycle in range(1, 5):
-            while link.deliverable(cycle):
-                out.append(link.pop(cycle))
-        assert out == ["f0", "f1", "f2"]
+        assert link._in_flight == [(1, "f0"), (2, "f1"), (3, "f2")]
 
     def test_counters(self):
-        link = TokenLink(self._params(latency=1))
-        link.begin_cycle()
-        link.try_send("a", 0)
-        link.pop(1)
+        """Inside a network the delivery phase empties the link."""
+        net = Network(Topology(2, 1), self._params(latency=1))
+        net.offer_packet(Packet(src=(0, 0), dest=(1, 0), length_flits=1))
+        net.drain()
+        link = net.links[((0, 0), Port.EAST)]
         assert link.flits_sent == 1
         assert link.flits_delivered == 1
         assert link.occupancy == 0

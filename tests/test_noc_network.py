@@ -178,9 +178,9 @@ class TestHeterogeneousMesh:
         net = Network(Topology(2, 2), derive_link_params(st012(), "I1", 300))
         net.offer_packet(Packet(src=(0, 0), dest=(1, 0), length_flits=4))
         net.drain()
-        util = net.link_utilization()
-        used = [u for u in util.values() if u > 0]
-        assert len(used) == 1  # only the (0,0)->EAST link carried flits
+        used = [key for key, link in net.links.items()
+                if link.flits_delivered]
+        assert used == [((0, 0), Port.EAST)]  # the only link carrying flits
 
 
 class TestWireAccounting:

@@ -62,13 +62,11 @@ class TestScheduling:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.schedule(-1, lambda: None)
-
-    def test_call_at_past_raises(self):
-        sim = Simulator()
+        # an absolute time already passed is a negative delay too
         sim.schedule(100, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
-            sim.call_at(50, lambda: None)
+            sim.schedule(50 - sim.now, lambda: None)
 
     def test_events_can_schedule_events(self):
         sim = Simulator()
@@ -143,8 +141,11 @@ class TestRun:
         sim.schedule(20, lambda: seen.append(2))
         sim.run()
         assert seen == [1]
-        # the second event remains queued
+        # the second event remains queued, and the stop does not leak
+        # into the next run
         assert sim.pending_events == 1
+        sim.run()
+        assert seen == [1, 2]
 
     def test_run_not_reentrant(self):
         sim = Simulator()
@@ -160,64 +161,7 @@ class TestRun:
         sim.run()
         assert len(errors) == 1
 
-    def test_step_executes_single_event(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule(10, lambda: seen.append("a"))
-        sim.schedule(20, lambda: seen.append("b"))
-        assert sim.step() is True
-        assert seen == ["a"]
-        assert sim.step() is True
-        assert sim.step() is False
-
-    def test_step_not_reentrant(self):
-        """step() honours the same guard as run(): a callback may not
-        re-enter the kernel on its own simulator."""
-        sim = Simulator()
-        errors = []
-
-        def recurse():
-            try:
-                sim.step()
-            except SimulationError as exc:
-                errors.append(exc)
-
-        sim.schedule(1, recurse)
-        assert sim.step() is True
-        assert len(errors) == 1
-
-    def test_run_inside_step_rejected(self):
-        sim = Simulator()
-        errors = []
-
-        def recurse():
-            try:
-                sim.run()
-            except SimulationError as exc:
-                errors.append(exc)
-
-        sim.schedule(1, recurse)
-        sim.step()
-        assert len(errors) == 1
-
-    def test_step_clears_stale_stop_flag(self):
-        """Like run(), step() starts a fresh (one-event) execution: a
-        stop() from an earlier run must not leak into it."""
-        sim = Simulator()
-        seen = []
-
-        def first_then_stop():
-            seen.append(1)
-            sim.stop()
-
-        sim.schedule(10, first_then_stop)
-        sim.schedule(20, lambda: seen.append(2))
-        sim.run()
-        assert seen == [1]
-        assert sim.step() is True
-        assert seen == [1, 2]
-
-    def test_step_releases_guard_after_callback_raises(self):
+    def test_run_releases_guard_after_callback_raises(self):
         sim = Simulator()
 
         def boom():
@@ -225,15 +169,22 @@ class TestRun:
 
         sim.schedule(1, boom)
         with pytest.raises(RuntimeError):
-            sim.step()
+            sim.run()
         # the guard must not stay latched
         sim.schedule(1, lambda: None)
-        assert sim.step() is True
+        assert sim.run() == 1
 
     def test_run_ns_horizon(self):
         sim = Simulator()
         sim.run_ns(2.5)
         assert sim.now == 2500
+
+    def test_drain_empties_queue(self):
+        sim = Simulator()
+        for i in range(10):
+            sim.schedule(i + 1, lambda: None)
+        sim.run(max_events=1_000_000)
+        assert sim.pending_events == 0
 
     def test_events_executed_accumulates(self):
         sim = Simulator()
@@ -241,13 +192,6 @@ class TestRun:
         sim.schedule(2, lambda: None)
         sim.run()
         assert sim.events_executed == 2
-
-    def test_drain_empties_queue(self):
-        sim = Simulator()
-        for i in range(10):
-            sim.schedule(i + 1, lambda: None)
-        sim.drain()
-        assert sim.pending_events == 0
 
 
 class TestCancellation:
@@ -286,16 +230,6 @@ class TestCancellation:
         sim.cancel(handles[0])
         sim.cancel(handles[3])
         assert sim.pending_events == 3
-
-    def test_step_skips_cancelled_and_reports_empty(self):
-        sim = Simulator()
-        seen = []
-        dead = sim.schedule(10, lambda: seen.append("dead"))
-        sim.schedule(10, lambda: seen.append("live"))
-        sim.cancel(dead)
-        assert sim.step() is True
-        assert seen == ["live"]
-        assert sim.step() is False
 
     def test_zero_or_negative_budget_trips_on_first_event(self):
         """max_events=0 must stay a (degenerate) budget, not turn into
@@ -344,7 +278,7 @@ class TestTwoLevelScheduler:
         times = [window - 2, window - 1, window, window + 1,
                  3 * window + 5, 2 * window]
         for t in times:
-            sim.call_at(t, lambda t=t: order.append(t))
+            sim.schedule(t, lambda t=t: order.append(t))
         sim.run()
         assert order == sorted(times)
 
@@ -353,7 +287,7 @@ class TestTwoLevelScheduler:
         order = []
         when = Simulator.NEAR_WINDOW * 2 + 100
         for tag in "abcde":
-            sim.call_at(when, lambda t=tag: order.append(t))
+            sim.schedule(when, lambda t=tag: order.append(t))
         sim.run()
         assert order == list("abcde")
 
@@ -375,7 +309,7 @@ class TestTwoLevelScheduler:
         sim = Simulator()
         seen = []
         when = Simulator.NEAR_WINDOW * 4
-        sim.call_at(when, lambda: seen.append(when))
+        sim.schedule(when, lambda: seen.append(when))
         sim.run(until=1000)
         assert sim.now == 1000
         assert seen == []
@@ -383,30 +317,23 @@ class TestTwoLevelScheduler:
         assert seen == [when]
 
 
-class TestStepTimeAdvancement:
-    def test_step_advances_time_through_trailing_cancelled_events(self):
-        """run() advances sim.now through dead buckets; step()-draining
-        the same queue must end at the same final time."""
-        def build():
-            sim = Simulator()
-            sim.schedule(100, lambda: None)
-            dead = sim.schedule(150, lambda: None)
-            sim.cancel(dead)
-            return sim
+class TestCancelledTime:
+    """run() advances ``now`` through cancelled events, as the seed
+    kernel advanced it by executing them as no-ops."""
 
-        ran = build()
-        ran.run()
-        stepped = build()
-        while stepped.step():
-            pass
-        assert ran.now == stepped.now == 150
+    def test_run_ends_at_trailing_cancelled_events(self):
+        sim = Simulator()
+        sim.schedule(100, lambda: None)
+        dead = sim.schedule(150, lambda: None)
+        sim.cancel(dead)
+        assert sim.run() == 1
+        assert sim.now == 150
 
-    def test_step_advances_time_through_dead_multi_bucket(self):
+    def test_run_ends_at_dead_multi_bucket(self):
         sim = Simulator()
         sim.schedule(10, lambda: None)
         dead = [sim.schedule(90, lambda: None) for _ in range(3)]
         for handle in dead:
             sim.cancel(handle)
-        assert sim.step() is True
-        assert sim.step() is False
+        assert sim.run() == 1
         assert sim.now == 90

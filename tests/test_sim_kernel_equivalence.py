@@ -106,23 +106,34 @@ class TestSchedulerOrderEquivalence:
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_sliced_runs_and_step_match_reference(self, seed):
-        """run(until=...) slices and single steps interleave identically."""
+        """Random run(until=...) slices, and one whole run(), execute
+        the events in the order, and end at the time, of the reference
+        stepped one event at a time."""
 
-        def run(stack):
-            sim = stack.Simulator()
+        def populate(sim):
             rng = random.Random(seed)
             order = []
             for i in range(80):
                 when = rng.randrange(0, 180_000)
-                sim.call_at(when, lambda i=i: order.append((sim.now, i)))
-            while sim.pending_events:
-                if rng.random() < 0.5:
-                    sim.run(until=sim.now + rng.randrange(1, 50_000))
-                else:
-                    sim.step()
-            return order, sim.now
+                sim.schedule(when, lambda i=i: order.append((sim.now, i)))
+            return order
 
-        assert run(OPT) == run(REF)
+        ref = REF.Simulator()
+        stepped = populate(ref)
+        while ref.step():
+            pass
+
+        sliced_sim = OPT.Simulator()
+        sliced = populate(sliced_sim)
+        rng = random.Random(seed)
+        while sliced_sim.pending_events:
+            sliced_sim.run(until=sliced_sim.now + rng.randrange(1, 50_000))
+
+        whole_sim = OPT.Simulator()
+        whole = populate(whole_sim)
+        whole_sim.run()
+        assert sliced == whole == stepped
+        assert whole_sim.now == ref.now == stepped[-1][0]
 
     def test_same_time_fifo_across_band_migration(self):
         """Events at one timestamp scheduled before and after the horizon
@@ -135,11 +146,11 @@ class TestSchedulerOrderEquivalence:
                 else 66770
             # two events at the same far timestamp, then advance time and
             # add two more at the (now near) same timestamp
-            sim.call_at(far, lambda: order.append("a"))
-            sim.call_at(far, lambda: order.append("b"))
+            sim.schedule(far, lambda: order.append("a"))
+            sim.schedule(far, lambda: order.append("b"))
             sim.run(until=far - 10)
-            sim.call_at(far, lambda: order.append("c"))
-            sim.call_at(far, lambda: order.append("d"))
+            sim.schedule(far - sim.now, lambda: order.append("c"))
+            sim.schedule(far - sim.now, lambda: order.append("d"))
             sim.run()
             return order
 
@@ -628,11 +639,11 @@ class TestNoOpElisionEquivalence:
                 a.set(1)
 
             if writer_first:
-                sim.call_at(100, flip)
+                sim.schedule(100, flip)
                 a.drive(0, delay=100)
             else:
                 a.drive(0, delay=100)
-                sim.call_at(100, flip)
+                sim.schedule(100, flip)
             sim.run()
 
         opt, ref = self._run(scenario)
@@ -651,7 +662,7 @@ class TestNoOpElisionEquivalence:
             a, b = self._nets(sim, log, "a", "b")
             a.drive(0, delay=100)
             if between:
-                sim.call_at(100, lambda: log.append((sim.now, "mid")))
+                sim.schedule(100, lambda: log.append((sim.now, "mid")))
             b.drive(0, delay=100)
             first, second = (b, a) if reverse else (a, b)
             sim.run(until=10)
@@ -703,9 +714,9 @@ class TestNoOpElisionEquivalence:
         def scenario(stack, sim, log):
             (a,) = self._nets(sim, log, "a")
             a.drive(0, delay=100)
-            sim.drain()
+            sim.run()
             a.set(1)
-            sim.drain()
+            sim.run()
 
         opt, ref = self._run(scenario)
         assert opt == ref
@@ -713,15 +724,15 @@ class TestNoOpElisionEquivalence:
 
     @pytest.mark.parametrize("superseded", [False, True])
     def test_now_after_drain(self, superseded):
-        """A drain ends at the last elided W, where the seed ends after
-        executing (or skipping the cancelled) no-op."""
+        """A run that empties the queue ends at the last elided W, where
+        the seed ends after executing (or skipping the cancelled) no-op."""
 
         def scenario(stack, sim, log):
             (a,) = self._nets(sim, log, "a")
             a.drive(0, delay=500)
             if superseded:
                 a.drive(0, delay=200)
-            sim.drain()
+            sim.run()
 
         opt, ref = self._run(scenario)
         assert opt == ref

@@ -115,8 +115,6 @@ class TestMeshSoak:
         net.run(2000, traffic)
         net.drain(max_cycles=300_000)
         for switch in net.switches.values():
-            assert switch.buffered_flits == 0
-            for owner in switch.output_owner.values():
-                assert owner is None
-            for lock in switch.input_locks.values():
-                assert lock is None
+            assert not any(switch._lanes) and switch._occ == 0
+            assert switch._owner == [None] * len(switch._owner)
+            assert switch._lock == [None] * len(switch._lock)

@@ -61,10 +61,9 @@ class TestRunStore:
     def test_put_get_roundtrip(self, tmp_path):
         outcome = engine.execute(_mesh_requests(sizes=(2,)))[0]
         cache = store.RunStore(tmp_path)
-        assert outcome.request not in cache
+        assert cache.get(outcome.request) is None
         key = cache.put(outcome)
-        assert outcome.request in cache
-        assert len(cache) == 1
+        assert len(list(cache.records())) == 1
         restored = cache.get(outcome.request)
         assert restored.request == outcome.request
         assert restored.result.to_csv() == outcome.result.to_csv()

@@ -102,8 +102,16 @@ def perfbench(checkout: Path) -> dict:
 
 
 def tier1(checkout: Path) -> dict:
-    """Wall time and outcome of the tier-1 suite in ``checkout``."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    """Wall time and outcome of the tier-1 suite in ``checkout``.
+
+    Bytecode caching is left on, as perfbench leaves it for its own
+    children: with ``PYTHONDONTWRITEBYTECODE`` set, pytest rewrites
+    every test module's assertions on every run, which adds seconds
+    that a user's repeated runs never pay.
+    """
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPATH"] = str(checkout / "src")
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q",

@@ -3,23 +3,31 @@
 
     python tools/callers.py
 
-Runs every workflow in :data:`WORKFLOWS` (each scenario, sweeps with a
-store, a resume, the fabric and the lint pre-flight, ``diff``,
-``fsck``, ``telemetry``, ``history``, ``inspect``, ``lint --all``,
-``bench`` and every example) as a subprocess in one temporary
-directory.  A ``sitecustomize`` hook placed first on ``PYTHONPATH``
-installs a call hook in every Python process those workflows start:
-forked pool workers inherit it, spawned fabric workers load it again.
-The hook appends each ``src/repro`` code object the first time the
-process enters it, so a process that leaves through ``os._exit`` or a
-signal has already recorded what it ran.
+Runs every workflow in :data:`WORKFLOWS` (each scenario, solo runs of
+the batched scenarios, sweeps with a store, a resume, the fabric, a
+chaos-injected fabric and the lint pre-flight, ``diff``, ``fsck``,
+``telemetry``, ``history``, ``inspect``, ``lint --all``, ``bench``
+with and without ``--check`` and every example) as a subprocess in one
+temporary directory.  A ``sitecustomize`` hook placed first on
+``PYTHONPATH`` installs a call hook in every Python process those
+workflows start: forked pool workers inherit it, spawned fabric workers
+load it again.  The hook appends each ``src/repro`` code object the
+first time the process enters it, so a process that leaves through
+``os._exit`` or a signal has already recorded what it ran.
 
 An AST walk of ``src/repro`` then lists each function whose code
-object was never entered, per file, and one total line.  A function's
-code object starts at its first decorator line, so that is the line
-compared.  Error and validation paths count as unreached, so the total
-is an upper bound on dead code, not a list of it.  Any workflow that
-exits non-zero fails the tool, naming the workflow.
+object was never entered, per file, and one total line.  The frozen
+oracles (:data:`ORACLES`) are listed first in a section of their own
+with their own total: they are the reference the kernels are checked
+against, not product code.  A function's code object starts at its
+first decorator line, so that is the line compared.  Error and
+validation paths count as unreached, so the total is an upper bound on
+dead code, not a list of it.
+
+Any workflow that exits non-zero fails the tool, naming the workflow.
+So does an unreached count outside the oracles above :data:`CEILING`:
+the count may only fall, and a change that lowers it lowers the
+ceiling with it.
 """
 
 from __future__ import annotations
@@ -30,15 +38,22 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 EXAMPLES = ROOT / "examples"
 BASELINES = ROOT / "tests" / "baselines"
+BENCH_BASELINE = ROOT / "benchmarks" / "baseline_bench.json"
 #: the repo's waivers: the workflows run elsewhere, where the default
 #: ``./lint-waivers.toml`` does not exist
 WAIVERS = ("--waivers", str(ROOT / "lint-waivers.toml"))
+
+#: the frozen differential-testing oracles, relative to the package
+ORACLES = ("sim/reference.py", "noc/reference.py")
+#: the most functions outside :data:`ORACLES` the workflows may leave
+#: unreached
+CEILING = 90
 
 _MESH = ("--param", "mesh_size=2,3", "--set", "cycles=200")
 _FAULTS = ("--param", "mesh_size=4", "--param", "injection_rate=0.10",
@@ -49,8 +64,19 @@ def _repro(*args: str) -> Tuple[str, ...]:
     return ("-m", "repro", *args)
 
 
-#: (name, interpreter arguments)
-Workflow = Tuple[str, Sequence[str]]
+#: the fault schedule of CI's chaos-smoke job: every worker
+#: incarnation dies mid-item, claims lose races, journal appends tear
+_CHAOS = ("7:worker.item=die#2,transport.claim=race@0.2,"
+          "journal.append=corrupt#3")
+
+
+class Workflow(NamedTuple):
+    name: str
+    #: interpreter arguments
+    args: Sequence[str]
+    #: environment of this workflow alone, on top of :data:`EXTRA_ENV`
+    env: Mapping[str, str] = {}
+
 
 #: run in order in one working directory: later steps read what
 #: earlier ones wrote
@@ -86,8 +112,22 @@ WORKFLOWS: Tuple[Workflow, ...] = (
     ("sweep sweep-noop --workers", _repro(
         "sweep", "sweep-noop", "--param", "point=0,1,2,3",
         "--workers", "2", "--out", "noop")),
+    # as CI's chaos-smoke: REPRO_CHAOS reaches the workers, and takeovers
+    # re-execute instead of quarantining
+    ("sweep sweep-noop --workers under chaos", _repro(
+        "sweep", "sweep-noop", "--param",
+        "point=" + ",".join(map(str, range(40))), "--workers", "2",
+        "--fabric", "chaos-fabric", "--lease-ttl", "2",
+        "--quarantine-after", "9", "--out", "chaos"),
+     {"REPRO_CHAOS": _CHAOS}),
+    # the batched scenarios' own run, outside a batch
+    ("run fault-injection", _repro("run", "fault-injection")),
+    ("run compiled-fault-campaign", _repro("run",
+                                           "compiled-fault-campaign")),
+    ("run sweep-noop", _repro("run", "sweep-noop")),
     ("diff", _repro("diff", str(BASELINES / "mesh-design-space"), "mesh")),
     ("fsck", _repro("fsck", "fabric")),
+    ("fsck chaos-fabric", _repro("fsck", "chaos-fabric")),
     ("fsck --dry-run", _repro("fsck", "mesh", "--dry-run")),
     ("fsck store", _repro("fsck", "store", "--dry-run")),
     ("telemetry", _repro("telemetry", "campaign")),
@@ -105,9 +145,11 @@ WORKFLOWS: Tuple[Workflow, ...] = (
                           "--fail-on", "warning")),
     ("lint --all --format sarif", _repro("lint", "--all", *WAIVERS,
                                          "--format", "sarif")),
-    # --json, no --check: a timing ratio is not what this tool measures
     ("bench", _repro("bench", "--suite", "all", "--fast",
                      "--json", "bench.json")),
+    # bench's regression gate, on the sweep rows
+    ("bench --check", _repro("bench", "--suite", "sweep", "--fast",
+                             "--check", str(BENCH_BASELINE))),
 ) + tuple(
     (f"example {path.name}", (str(path),))
     for path in sorted(EXAMPLES.glob("*.py"))
@@ -162,9 +204,9 @@ def trace(package: Path,
             + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         run_dir = work / "run"
         run_dir.mkdir()
-        for name, args in workflows:
+        for name, args, own in (Workflow(*w) for w in workflows):
             done = subprocess.run(
-                [sys.executable, *args], cwd=run_dir, env=env,
+                [sys.executable, *args], cwd=run_dir, env=dict(env, **own),
                 stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
                 stderr=subprocess.STDOUT, text=True,
             )
@@ -179,7 +221,11 @@ def trace(package: Path,
     return entered
 
 
-def functions(package: Path) -> List[Tuple[str, int, str, int]]:
+#: a function: (file, first line, qualified name, line count)
+Row = Tuple[str, int, str, int]
+
+
+def functions(package: Path) -> List[Row]:
     """``(file, first line, qualified name, line count)`` of every
     function and method under ``package``, the first line being the
     first decorator's."""
@@ -204,11 +250,25 @@ def functions(package: Path) -> List[Tuple[str, int, str, int]]:
     return found
 
 
-def report(package: Path, entered: Iterable[Tuple[str, int]]) -> str:
-    """Unreached functions per file, then one total line."""
-    everything = functions(package)
+def unreached(package: Path, entered: Iterable[Tuple[str, int]]
+              ) -> Tuple[List[Row], List[Row], List[Row], List[Row]]:
+    """Every function of ``package`` outside :data:`ORACLES`, the
+    unreached ones among them, then the same two lists for the
+    oracles."""
+    package = package.resolve()
+    oracle_files = {str(package / name) for name in ORACLES}
     entered = set(entered)
-    missed = [row for row in everything if row[:2] not in entered]
+    product: List[Row] = []
+    oracles: List[Row] = []
+    for row in functions(package):
+        (oracles if row[0] in oracle_files else product).append(row)
+    return (product, [row for row in product if row[:2] not in entered],
+            oracles, [row for row in oracles if row[:2] not in entered])
+
+
+def _listing(package: Path, label: str, everything: Sequence[Row],
+             missed: Sequence[Row]) -> List[str]:
+    """``missed`` per file, then one total line against ``everything``."""
     base = package.resolve().parent
     lines = []
     current = None
@@ -218,14 +278,42 @@ def report(package: Path, entered: Iterable[Tuple[str, int]]) -> str:
             lines.append(str(Path(path).relative_to(base)))
         lines.append(f"  {first:5d}  {name}  ({length} lines)")
     lines.append(
-        f"unreached: {len(missed)} of {len(everything)} functions, "
+        f"{label}: {len(missed)} of {len(everything)} functions, "
         f"{sum(row[3] for row in missed)} of "
         f"{sum(row[3] for row in everything)} function lines")
+    return lines
+
+
+def report(package: Path, entered: Iterable[Tuple[str, int]]) -> str:
+    """The frozen oracles' unreached functions and their total, if the
+    package has oracles, then every other unreached function per file
+    and one total line."""
+    product, missed, oracles, oracles_missed = unreached(package, entered)
+    lines = []
+    if oracles:
+        lines += ["frozen oracles (the kernels' reference):"]
+        lines += _listing(package, "oracles unreached", oracles,
+                          oracles_missed)
+        lines.append("")
+    lines += _listing(package, "unreached", product, missed)
     return "\n".join(lines)
 
 
+def ratchet(package: Path, entered: Iterable[Tuple[str, int]],
+            ceiling: int) -> None:
+    """Exit 1 if more than ``ceiling`` functions outside the oracles
+    are unreached."""
+    count = len(unreached(package, entered)[1])
+    if count > ceiling:
+        sys.exit(f"callers: {count} functions outside the oracles are "
+                 f"unreached, above the ceiling of {ceiling}; give each "
+                 f"new one a product caller or delete it")
+
+
 def main() -> None:
-    print(report(PACKAGE, trace(PACKAGE, WORKFLOWS)))
+    entered = trace(PACKAGE, WORKFLOWS)
+    print(report(PACKAGE, entered))
+    ratchet(PACKAGE, entered, CEILING)
 
 
 if __name__ == "__main__":
