@@ -62,7 +62,11 @@ class TestScheduling:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.schedule(-1, lambda: None)
-        # an absolute time already passed is a negative delay too
+
+    def test_call_at_past_raises(self):
+        """An absolute time already passed reaches the kernel as a
+        negative delay and is rejected."""
+        sim = Simulator()
         sim.schedule(100, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
@@ -141,10 +145,24 @@ class TestRun:
         sim.schedule(20, lambda: seen.append(2))
         sim.run()
         assert seen == [1]
-        # the second event remains queued, and the stop does not leak
-        # into the next run
+        # the second event remains queued
         assert sim.pending_events == 1
+
+    def test_step_clears_stale_stop_flag(self):
+        """Each run() starts a fresh execution: a stop() from an earlier
+        run must not leak into it."""
+        sim = Simulator()
+        seen = []
+
+        def first_then_stop():
+            seen.append(1)
+            sim.stop()
+
+        sim.schedule(10, first_then_stop)
+        sim.schedule(20, lambda: seen.append(2))
         sim.run()
+        assert seen == [1]
+        assert sim.run() == 1
         assert seen == [1, 2]
 
     def test_run_not_reentrant(self):
