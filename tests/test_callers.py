@@ -5,11 +5,13 @@ made only in a forked ``multiprocessing`` child (which leaves through
 ``os._exit``, so no exit hook of the child runs) and one function
 nothing calls: the tool must report exactly the last, list the
 package's frozen oracles apart, and exit when the unreached count
-outside them rises above the ceiling.
+outside them rises above the ceiling.  The tool's chaos workflow must
+inject the fault schedule of CI's chaos-smoke job.
 """
 
 import importlib.util
 import multiprocessing
+import re
 import textwrap
 from pathlib import Path
 
@@ -162,3 +164,8 @@ def test_workflow_env_reaches_only_its_workflow(toy, tmp_path):
             callers.Workflow("own env", (str(probe),), {"TOY_EXIT": "4"}),
         ])
     callers.trace(package, [("shared env", (str(probe),))])
+
+
+def test_chaos_workflow_runs_the_chaos_smoke_schedule():
+    ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    assert re.findall(r'REPRO_CHAOS: "([^"]*)"', ci) == [callers._CHAOS]

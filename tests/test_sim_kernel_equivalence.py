@@ -106,9 +106,10 @@ class TestSchedulerOrderEquivalence:
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_sliced_runs_and_step_match_reference(self, seed):
-        """Random run(until=...) slices, and one whole run(), execute
-        the events in the order, and end at the time, of the reference
-        stepped one event at a time."""
+        """The same random run(until=...) slices execute the events in
+        the same order, and end at the same time, on both kernels; one
+        whole run() matches the reference stepped one event at a
+        time."""
 
         def populate(sim):
             rng = random.Random(seed)
@@ -118,21 +119,24 @@ class TestSchedulerOrderEquivalence:
                 sim.schedule(when, lambda i=i: order.append((sim.now, i)))
             return order
 
+        def sliced(stack):
+            sim = stack.Simulator()
+            order = populate(sim)
+            rng = random.Random(seed)
+            while sim.pending_events:
+                sim.run(until=sim.now + rng.randrange(1, 50_000))
+            return order, sim.now
+
         ref = REF.Simulator()
         stepped = populate(ref)
         while ref.step():
             pass
 
-        sliced_sim = OPT.Simulator()
-        sliced = populate(sliced_sim)
-        rng = random.Random(seed)
-        while sliced_sim.pending_events:
-            sliced_sim.run(until=sliced_sim.now + rng.randrange(1, 50_000))
-
         whole_sim = OPT.Simulator()
         whole = populate(whole_sim)
         whole_sim.run()
-        assert sliced == whole == stepped
+        assert sliced(OPT) == sliced(REF)
+        assert sliced(OPT)[0] == whole == stepped
         assert whole_sim.now == ref.now == stepped[-1][0]
 
     def test_same_time_fifo_across_band_migration(self):
